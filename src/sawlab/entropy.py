@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConstraintViolation
 from .markov import build_markov_system, spectral_radius
 from .plmap import PiecewiseLinearMap
 
@@ -68,6 +69,8 @@ def entropy_markov(
 def entropy_lap(
     f: PiecewiseLinearMap, n_max: int = 10, piece_budget: int = 1_000_000
 ) -> EntropyEstimate:
+    if n_max < 1:
+        raise ConstraintViolation(f"n_max must be >= 1, got {n_max}")
     counts = []
     g = f
     for n in range(1, n_max + 1):

@@ -15,7 +15,7 @@ a homoclinic search supplies the second certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .entropy import EntropyEstimate, entropy_markov
@@ -58,23 +58,27 @@ class Budgets:
     entropy_tol: float = 1e-9
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "piece_budget": self.piece_budget,
-            "partition_budget": self.partition_budget,
-            "step_budget": self.step_budget,
-            "tower_depth": self.tower_depth,
-            "sweep_n_max": self.sweep_n_max,
-            "sweep_piece_budget": self.sweep_piece_budget,
-            "homoclinic_period_bound": self.homoclinic_period_bound,
-            "homoclinic_m_budget": self.homoclinic_m_budget,
-            "homoclinic_frontier": self.homoclinic_frontier,
-            "entropy_tol": self.entropy_tol,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_json(obj: dict) -> "Budgets":
-        return Budgets(**{k: v for k, v in obj.items()})
+        """Defaults overridden by obj. An unknown key or a mistyped value is a
+        ConstraintViolation; an int is accepted for a float budget."""
+        if not isinstance(obj, dict):
+            raise ConstraintViolation("budgets must be a JSON object")
+        kinds = {f.name: type(f.default) for f in fields(Budgets)}
+        values = {}
+        for key, value in obj.items():
+            if key not in kinds:
+                raise ConstraintViolation(f"unknown budget {key!r}")
+            kind = kinds[key]
+            accepted = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConstraintViolation(
+                    f"budget {key!r} must be {kind.__name__}, got {value!r}"
+                )
+            values[key] = kind(value)
+        return Budgets(**values)
 
 
 @dataclass(frozen=True)

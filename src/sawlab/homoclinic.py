@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, ConstraintViolation
-from .orbits import PeriodicOrbit, orbit_side_slope, orbits_of_iterate
+from .orbits import PeriodicOrbit, orbit_side_slope, periodic_orbits
 from .plmap import Ivl, PiecewiseLinearMap
 from .rational import Rat, format_rat
 
@@ -176,34 +176,30 @@ def find_homoclinic(
     truncated = False
     complete_sweep = True
     searched = 0
-    g = f
-    for n in range(1, period_bound + 1):
-        try:
-            if n > 1:
-                g = g.compose_with(f, piece_budget)
-            orbits = orbits_of_iterate(f, g, n)
-        except BudgetExceeded as e:
-            complete_sweep = False
-            notes.append(f"period {n} enumeration: {e}")
-            break
-        for orb in orbits:
-            if orb.stability != "repelling":
-                continue
-            searched += 1
-            witness, saturated = _search_orbit(f, orb, m_budget, frontier_budget)
-            if witness is not None:
-                return HomoclinicReport(
-                    witness=witness,
-                    definitive=True,
-                    period_bound=period_bound,
-                    m_budget=m_budget,
-                    orbits_searched=searched,
-                    truncated=False,
-                    notes=tuple(notes),
-                )
-            if not saturated:
-                truncated = True
-                notes.append(f"search tree truncated at orbit through {orb.points[0]}")
+    n = 0
+    try:
+        for n, orbits in periodic_orbits(f, period_bound, piece_budget):
+            for orb in orbits:
+                if orb.stability != "repelling":
+                    continue
+                searched += 1
+                witness, saturated = _search_orbit(f, orb, m_budget, frontier_budget)
+                if witness is not None:
+                    return HomoclinicReport(
+                        witness=witness,
+                        definitive=True,
+                        period_bound=period_bound,
+                        m_budget=m_budget,
+                        orbits_searched=searched,
+                        truncated=False,
+                        notes=tuple(notes),
+                    )
+                if not saturated:
+                    truncated = True
+                    notes.append(f"search tree truncated at orbit through {orb.points[0]}")
+    except BudgetExceeded as e:
+        complete_sweep = False
+        notes.append(f"period {n + 1} enumeration: {e}")
     return HomoclinicReport(
         witness=None,
         definitive=complete_sweep and not truncated,

@@ -13,6 +13,7 @@ budgeted so arbitrary inputs fail loudly instead of spinning.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,11 +32,7 @@ class MarkovSystem:
     points: tuple[Rat, ...]
     cells: tuple[Ivl, ...]
     nonflat: tuple[int, ...]  # indices into cells with nonzero slope
-    adjacency: np.ndarray  # 0/1 over nonflat x nonflat
-
-    @property
-    def cell_slopes(self) -> tuple[Rat, ...]:
-        return tuple(self.map.right_slope(c.lo) for c in self.cells)
+    adjacency: np.ndarray  # 0/1 over nonflat x nonflat, read-only
 
     def to_json(self) -> dict:
         from .rational import format_rat
@@ -48,16 +45,14 @@ class MarkovSystem:
         }
 
 
-def build_markov_system(
-    f: PiecewiseLinearMap, point_budget: int = 4096, also_include=()
-) -> MarkovSystem:
-    """Close the breakpoint set under f and assemble the transition matrix."""
+@functools.lru_cache(maxsize=1)
+def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096) -> MarkovSystem:
+    """Close the breakpoint set under f and assemble the transition matrix.
+
+    The last result is memoized and shared, so its adjacency is read-only.
+    Callers pass (f, point_budget) positionally to hit the same entry.
+    """
     pts: set[Rat] = set(f.breakpoints)
-    for x in also_include:
-        x = Fraction(x)
-        if not (0 <= x <= 1):
-            raise StructureError(f"extra partition point {x} outside [0, 1]")
-        pts.add(x)
     frontier = list(pts)
     while frontier:
         if len(pts) > point_budget:
@@ -96,6 +91,7 @@ def build_markov_system(
         for b, j in enumerate(nonflat):
             if lo <= cells[j].lo and cells[j].hi <= hi:
                 adj[a, b] = 1
+    adj.setflags(write=False)
     return MarkovSystem(map=f, points=points, cells=cells, nonflat=nonflat, adjacency=adj)
 
 

@@ -1,22 +1,25 @@
 """Periodic orbits, period sets, and stability.
 
 Periodic points of a rational PL map solve affine equations piece by piece on
-the exact iterate, so everything here is exact. Two routes are exposed on
-purpose and kept separate:
+the exact iterate, so everything here is exact. One enumerator,
+periodic_orbits, lists the orbits of each period for every caller that sweeps
+periods (period_set, find_homoclinic, omega_accumulation). It goes
+structural first: when every recurrent class of the Markov graph is a bare
+cycle (the zero entropy situation) the graph lists every periodic orbit at
+once, and only otherwise does it compose the iterates f^n one at a time.
 
-  * period_set: the literal sweep n = 1..N against the composed iterates.
-    Budgeted and possibly partial; its report says exactly how far it got.
-  * complete_period_set: the structural route through the Markov graph,
-    available only when every recurrent class is a bare cycle (the zero
-    entropy situation), and then exhaustive for all n at once.
+periodic_points (f^n by repeated squaring) is the literal reference route the
+tests compare the enumerator against; complete_period_set is the exhaustive
+all-periods answer of the structural route.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetExceeded, StructureError
+from .errors import BudgetExceeded, ConstraintViolation, StructureError
 from .markov import (
     build_markov_system,
     cycle_orbit_point,
@@ -141,6 +144,8 @@ def periodic_points(
     f: PiecewiseLinearMap, n: int, piece_budget: int = 1_000_000
 ) -> tuple[PeriodicOrbit, ...]:
     """All orbits of minimal period exactly n, via the exact n-th iterate."""
+    if n < 1:
+        raise ConstraintViolation(f"period must be >= 1, got {n}")
     g = f if n == 1 else f.compose_self(n, piece_budget)
     return orbits_of_iterate(f, g, n)
 
@@ -184,53 +189,28 @@ def period_set(
     piece_budget: int = 1_000_000,
     stop_on_non_power_of_two: bool = False,
 ) -> PeriodSetReport:
-    """Sweep n = 1..n_max collecting minimal periods, composing as it goes."""
-    periods: set[int] = set()
+    """Minimal periods n = 1..n_max, each represented by its lowest orbit."""
+    if n_max < 1:
+        raise ConstraintViolation(f"n_max must be >= 1, got {n_max}")
     reps: dict[int, PeriodicOrbit] = {}
-    g = f
-    n = 1
+    n = 0
     note = None
-    complete = True
-    stopped = False
     witness = None
-    while True:
-        try:
-            sols = iterate_fixed_points(g)
-        except StructureError as e:
-            note = str(e)
-            complete = False
-            n -= 1
-            break
-        consumed: set[Rat] = set()
-        for x in sols:
-            if x in consumed:
+    try:
+        for n, orbits in periodic_orbits(f, n_max, piece_budget):
+            if not orbits:
                 continue
-            p = _minimal_period(f, x, n)
-            if p is None:
-                raise StructureError("iterate fixed point does not close under the map")
-            orb = _canonical_orbit(f, x, p)
-            consumed.update(orb.points)
-            if p == n and p not in periods:
-                periods.add(p)
-                reps[p] = orb
-                if stop_on_non_power_of_two and p & (p - 1) != 0:
-                    stopped = True
-                    witness = orb
-        if stopped or n == n_max:
-            break
-        try:
-            g = g.compose_with(f, piece_budget)
-        except BudgetExceeded as e:
-            note = str(e)
-            complete = False
-            break
-        n += 1
+            reps[n] = orbits[0]
+            if stop_on_non_power_of_two and n & (n - 1) != 0:
+                witness = orbits[0]
+                break
+    except (BudgetExceeded, StructureError) as e:
+        note = str(e)
     return PeriodSetReport(
-        periods=frozenset(periods),
+        periods=frozenset(reps),
         n_max_checked=n,
-        complete=complete and not stopped,
-        exhaustive=False,
-        stopped_early=stopped,
+        complete=note is None and witness is None,
+        stopped_early=witness is not None,
         stop_witness=witness,
         budget_note=note,
         representatives=reps,
@@ -282,6 +262,32 @@ def complete_period_set(
     )
 
 
+def periodic_orbits(
+    f: PiecewiseLinearMap, n_max: int, piece_budget: int = 1_000_000
+) -> Iterator[tuple[int, tuple[PeriodicOrbit, ...]]]:
+    """Yield (n, orbits of minimal period n) for n = 1..n_max.
+
+    Each tuple is sorted by smallest point, as orbits_of_iterate lists it.
+    When every recurrent class is a bare cycle the Markov inventory answers
+    every n at once. Otherwise f^n is composed from f^(n-1) as n grows, and a
+    BudgetExceeded from that composition surfaces at the n that needed it.
+    """
+    try:
+        inventory = markov_orbit_inventory(f)
+    except (StructureError, BudgetExceeded):
+        inventory = None
+    if inventory is not None:
+        ordered = sorted(inventory, key=lambda o: o.points[0])
+        for n in range(1, n_max + 1):
+            yield n, tuple(o for o in ordered if o.period == n)
+        return
+    g = f
+    for n in range(1, n_max + 1):
+        if n > 1:
+            g = g.compose_with(f, piece_budget)
+        yield n, orbits_of_iterate(f, g, n)
+
+
 # === Sharkovskii order ===
 
 
@@ -317,27 +323,22 @@ def omega_accumulation(
     k_max: int,
     cluster_radius,
     piece_budget: int = 1_000_000,
-    point_budget: int = 4096,
 ) -> tuple[Rat, ...]:
     """Cluster centers of 2^k-periodic points, k_min <= k <= k_max.
 
     Approximates where high-period doubling orbits pile up. Points closer
-    than cluster_radius merge; centers are hull midpoints, exact. The orbit
-    inventory comes from the Markov graph when the map has zero entropy;
-    composing f to the 2^k-th power would grind on the huge denominators the
-    boundary refinement produces. Branching graphs fall back to the sweep.
+    than cluster_radius merge; centers are hull midpoints, exact. At the
+    zero-entropy maps this is used on, periodic_orbits reads the orbits off
+    the Markov graph; composing f to the 2^k-th power would grind on the huge
+    denominators the boundary refinement produces.
     """
     radius = Fraction(cluster_radius)
     wanted = {1 << k for k in range(k_min, k_max + 1)}
     pts: set[Rat] = set()
-    try:
-        source = [
-            o for o in markov_orbit_inventory(f, point_budget) if o.period in wanted
-        ]
-    except (StructureError, BudgetExceeded):
-        source = [o for n in sorted(wanted) for o in periodic_points(f, n, piece_budget)]
-    for orb in source:
-        pts.update(orb.points)
+    for n, orbits in periodic_orbits(f, 1 << k_max, piece_budget):
+        if n in wanted:
+            for orb in orbits:
+                pts.update(orb.points)
     if not pts:
         return ()
     ordered = sorted(pts)

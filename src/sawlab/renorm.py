@@ -211,14 +211,21 @@ class RenormTower:
         }
 
 
-def _residue_blocks(cycle: tuple[Rat, ...], n: int) -> list[Ivl]:
-    """Hulls of the residue classes mod 2^n along the temporal cycle order."""
+def _level_blocks(
+    cycle: tuple[Rat, ...], n: int
+) -> tuple[list[Ivl], tuple[int, int] | None]:
+    """Hulls of the residue classes mod 2^n along the temporal cycle order,
+    and the first pair of them whose interiors overlap, if any."""
     q = 1 << n
     blocks = []
     for r in range(q):
         pts = cycle[r::q]
         blocks.append(Ivl(min(pts), max(pts)))
-    return blocks
+    for i in range(q):
+        for k in range(i + 1, q):
+            if blocks[i].interior_intersects(blocks[k]):
+                return blocks, (i, k)
+    return blocks, None
 
 
 def build_tower(
@@ -242,15 +249,7 @@ def build_tower(
         if rec.period % q != 0:
             stop = f"cycle period {rec.period} not divisible by {q}"
             break
-        blocks = _residue_blocks(cycle, n)
-        overlap = None
-        for i in range(q):
-            for k in range(i + 1, q):
-                if blocks[i].interior_intersects(blocks[k]):
-                    overlap = (i, k)
-                    break
-            if overlap:
-                break
+        blocks, overlap = _level_blocks(cycle, n)
         if overlap:
             stop = f"blocks {overlap[0]} and {overlap[1]} overlap at level {n}"
             break
@@ -337,20 +336,18 @@ def semiconjugacy_check(
             fiber_max_length=None,
             reason=f"cycle period {rec.period} not divisible by {q}",
         )
-    blocks = _residue_blocks(cycle, n)
-    for i in range(q):
-        for k in range(i + 1, q):
-            if blocks[i].interior_intersects(blocks[k]):
-                return SemiconjugacyReport(
-                    ok=False,
-                    n=n,
-                    cycle_period=rec.period,
-                    permutation_ok=False,
-                    blocks=tuple(blocks),
-                    fiber_max_points=len(cycle) // q,
-                    fiber_max_length=max(b.length for b in blocks),
-                    reason=f"blocks {i} and {k} have overlapping interiors",
-                )
+    blocks, overlap = _level_blocks(cycle, n)
+    if overlap:
+        return SemiconjugacyReport(
+            ok=False,
+            n=n,
+            cycle_period=rec.period,
+            permutation_ok=False,
+            blocks=tuple(blocks),
+            fiber_max_points=len(cycle) // q,
+            fiber_max_length=max(b.length for b in blocks),
+            reason=f"blocks {overlap[0]} and {overlap[1]} have overlapping interiors",
+        )
     perm_ok = True
     for r in range(q):
         img = f.image_of_interval(blocks[r])

@@ -73,6 +73,15 @@ def test_perturbation_experiment_refuses_off_boundary_base(stunted_tent):
         two_sided_perturbation_experiment(stunted_tent(F(4, 5)))
 
 
+def test_budgets_round_trip_and_accept_an_int_for_a_float():
+    b = Budgets.from_json({"k": 3, "entropy_tol": 0})
+    assert b.entropy_tol == 0.0 and isinstance(b.entropy_tol, float)
+    assert Budgets.from_json(b.to_json()) == b
+    for bad in ({"k": True}, {"piece_budget": 1.5}, {"k": None}, []):
+        with pytest.raises(ConstraintViolation):
+            Budgets.from_json(bad)
+
+
 def test_budget_resolution_bounds_finite_labels(stunted_tent):
     shallow = Budgets.from_json({"k": 1})
     record = classify(stunted_tent(F(823, 1000)), shallow)

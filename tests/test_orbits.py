@@ -9,12 +9,13 @@ from sawlab import (
     StuntedSawtoothMap,
     classify_stability,
     complete_period_set,
+    entropy_markov,
     period_set,
     periodic_points,
     sharkovskii_closure,
     sharkovskii_forces,
 )
-from sawlab.orbits import markov_orbit_inventory, orbit_side_slope
+from sawlab.orbits import markov_orbit_inventory, orbit_side_slope, periodic_orbits
 
 
 def test_fixed_points_of_stunted_tent(stunted_tent):
@@ -50,6 +51,32 @@ def test_period_set_sweep_stops_on_witness(tent):
     assert report.stopped_early
     assert report.stop_witness.period == 3
     assert 3 in report.periods
+
+
+def test_period_set_reports_where_the_budget_ran_out(tent):
+    # tent^2 has 4 pieces, one more than the budget allows
+    report = period_set(tent, 6, piece_budget=3)
+    assert report.n_max_checked == 1
+    assert not report.complete
+    assert "pieces" in report.budget_note
+    assert report.periods == frozenset({1})
+
+
+def test_structural_enumerator_matches_the_literal_iterates():
+    # every zero-entropy cell of the 101-cell tent grid: the Markov inventory
+    # lists exactly the orbits f^n yields, in the same order
+    shape = Shape.from_string("+-")
+    checked = 0
+    for k in range(101):
+        w = F(1, 2) + F(k, 200)
+        f = StuntedSawtoothMap(shape, [w]).map
+        if entropy_markov(f).value > 0:
+            continue
+        assert markov_orbit_inventory(f)  # raises unless the route is structural
+        for n, orbits in periodic_orbits(f, 16):
+            assert orbits == periodic_points(f, n), (w, n)
+        checked += 1
+    assert checked == 65
 
 
 def test_complete_period_set_is_exhaustive(stunted_tent):

@@ -133,6 +133,27 @@ def test_cli_classify_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, budgets",
+    [
+        (["classify", "--shape", "+-", "--w", "4/5"], {"kk": 8}),
+        (["classify", "--shape", "+-", "--w", "4/5"], {"k": "8"}),
+        (["orbits", "--shape", "+-", "--w", "1", "--n-max", "0", "--piece-budget", "2000"], None),
+        (["orbits", "--shape", "+-", "--w", "1", "--period", "0"], None),
+        (["entropy", "--shape", "+-", "--w", "1", "--method", "lap", "--n-max", "0"], None),
+    ],
+)
+def test_cli_rejects_bad_input_with_exit_2(argv, budgets, tmp_path, capsys):
+    if budgets is not None:
+        path = tmp_path / "budgets.json"
+        path.write_text(json.dumps(budgets))
+        argv = [*argv, "--budgets", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["kind"] == "ConstraintViolation"
+
+
 def test_cli_theorem1_requires_boundary_base(capsys):
     assert main(["theorem1", "--shape", "+-", "--w", "4/5"]) == 2
     capsys.readouterr()
