@@ -41,10 +41,20 @@ def _add_family_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", help="path to a family JSON file with shape and w")
 
 
+def _read_json(path: str):
+    """Parse a JSON input file; an unreadable or malformed file is bad input."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise ConstraintViolation(f"cannot read {path}: {e.strerror}") from e
+    except json.JSONDecodeError as e:
+        raise ConstraintViolation(f"{path} is not JSON: {e}") from e
+
+
 def _family(args) -> StuntedSawtoothMap:
     if args.family:
-        with open(args.family) as fh:
-            return StuntedSawtoothMap.from_json(json.load(fh))
+        return StuntedSawtoothMap.from_json(_read_json(args.family))
     if not args.shape or args.w is None:
         raise ConstraintViolation("provide --shape and --w, or --family")
     shape = Shape.from_string(args.shape)
@@ -55,8 +65,7 @@ def _family(args) -> StuntedSawtoothMap:
 def _budgets(args) -> Budgets:
     obj = {}
     if getattr(args, "budgets", None):
-        with open(args.budgets) as fh:
-            obj = json.load(fh)
+        obj = _read_json(args.budgets)
     b = Budgets.from_json(obj)
     if getattr(args, "k", None) is not None:
         b = Budgets.from_json({**b.to_json(), "k": args.k})
@@ -114,14 +123,16 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_kneading(args) -> int:
     if args.realize:
-        with open(args.realize) as fh:
-            obj = json.load(fh)
-        shape = Shape.from_string(obj["shape"])
-        target = KneadingData(
-            shape=shape,
-            depth=obj["depth"],
-            signs=tuple(tuple(tuple(v) for v in row) for row in obj["signs"]),
-        )
+        obj = _read_json(args.realize)
+        try:
+            shape = Shape.from_string(obj["shape"])
+            target = KneadingData(
+                shape=shape,
+                depth=obj["depth"],
+                signs=tuple(tuple(tuple(v) for v in row) for row in obj["signs"]),
+            )
+        except KeyError as e:
+            raise ConstraintViolation(f"kneading JSON missing key {e}") from e
         m = StuntedSawtoothMap(shape, realize_kneading(target))
         _emit(
             {
@@ -137,8 +148,7 @@ def _cmd_kneading(args) -> int:
     if args.sequence is not None:
         payload["sequence"] = data.sequence(args.sequence).to_json()
     if args.compare:
-        with open(args.compare) as fh:
-            other = StuntedSawtoothMap.from_json(json.load(fh))
+        other = StuntedSawtoothMap.from_json(_read_json(args.compare))
         other_data = kneading_data(other, args.depth)
         cmp_result = compare_kneading(data, other_data)
         payload["compare"] = {"other": other.to_json()["w"], "order": cmp_result}
@@ -189,7 +199,7 @@ def _cmd_theorem1(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    config = ScanConfig.load(args.config)
+    config = ScanConfig.from_json(_read_json(args.config))
     summary = run_scan(config, resume=args.resume, workers=args.workers)
     _emit({"scan": summary.to_json()}, args)
     return 0

@@ -1,7 +1,10 @@
 """Topological entropy, three routes.
 
 markov: exact partition, spectral radius of the transition matrix. The
-sharp answer whenever the breakpoint orbits close.
+sharp answer whenever the breakpoint orbits close, and a proven one: lower
+and upper are the logs of the radius's exact rational bracket (exact when no
+recurrent class branches, Collatz-Wielandt bounds otherwise), rounded
+outward. The value is the float eigensolver's, clamped into that bracket.
 
 lap: growth rate of lap counts of the iterates. Submultiplicativity makes
 (1/n) log laps(f^n) an upper bound for every n, so the reported upper is the
@@ -18,12 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConstraintViolation
 from .markov import build_markov_system, spectral_radius
 from .plmap import PiecewiseLinearMap
+from .rational import float_down, float_up, format_rat
 
 
 @dataclass(frozen=True)
@@ -46,24 +51,43 @@ class EntropyEstimate:
         }
 
 
-def entropy_markov(
-    f: PiecewiseLinearMap, point_budget: int = 4096, tol: float = 1e-12
-) -> EntropyEstimate:
+def entropy_markov(f: PiecewiseLinearMap, point_budget: int = 4096) -> EntropyEstimate:
     sys = build_markov_system(f, point_budget)
-    rho, diag = spectral_radius(sys.adjacency, tol)
+    rho, diag = spectral_radius(sys)
+    lo, hi = diag["rho_lower"], diag["rho_upper"]
+    lower, upper = _log_down(lo), _log_up(hi)
     h = max(0.0, math.log(rho)) if rho > 0 else 0.0
     return EntropyEstimate(
-        value=h,
-        lower=h,
-        upper=h,
+        value=min(max(h, lower), upper),
+        lower=lower,
+        upper=upper,
         method="markov",
         parameters={
             "partition_points": len(sys.points),
             "nonflat_cells": len(sys.nonflat),
             "spectral_radius": rho,
-            **diag,
+            "method": diag["method"],
+            "power_iterations": diag["power_iterations"],
+            "rho_lower": format_rat(lo),
+            "rho_upper": format_rat(hi),
         },
     )
+
+
+# Entropy is max(0, log rho). math.log is within one ulp of the true log, so
+# one nextafter step outward from the log of a directed float bound covers it.
+
+
+def _log_down(q: Fraction) -> float:
+    if q <= 1:
+        return 0.0
+    return max(0.0, math.nextafter(math.log(float_down(q)), -math.inf))
+
+
+def _log_up(q: Fraction) -> float:
+    if q <= 1:
+        return 0.0
+    return math.nextafter(math.log(float_up(q)), math.inf)
 
 
 def entropy_lap(

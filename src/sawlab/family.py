@@ -177,10 +177,11 @@ class StuntedSawtoothMap:
 
     @staticmethod
     def from_json(obj: dict) -> "StuntedSawtoothMap":
-        return StuntedSawtoothMap(
-            Shape.from_string(obj["shape"]),
-            [parse_rat(x) for x in obj["w"]],
-        )
+        try:
+            shape, w = obj["shape"], obj["w"]
+        except KeyError as e:
+            raise ConstraintViolation(f"family JSON missing key {e}") from e
+        return StuntedSawtoothMap(Shape.from_string(shape), [parse_rat(x) for x in w])
 
     def __repr__(self):
         return f"StuntedSawtoothMap({self.shape.to_string()}, w={[str(x) for x in self.w]})"

@@ -4,7 +4,11 @@ A finite set P of partition points with f(P) ⊆ P and P containing every
 breakpoint cuts [0, 1] into cells on which the map is affine, and each cell's
 image is exactly a union of cells. The transition matrix over the non-flat
 cells then carries the dynamics: its spectral radius gives the entropy, its
-strongly connected components the recurrent structure.
+strongly connected components the recurrent structure. The components are
+sorted into bare cycles and branching classes once per graph. The spectral
+radius comes with a proven rational bracket: exact 1 or 0 when no class
+branches, Collatz-Wielandt bounds in integer arithmetic on each branching
+class otherwise. No power iteration runs.
 
 Building P is orbit closure of the breakpoints; for this package's maps that
 terminates fast because plateau hits collapse denominators, but the builder is
@@ -21,7 +25,20 @@ import numpy as np
 
 from .errors import BudgetExceeded, StructureError
 from .plmap import Ivl, PiecewiseLinearMap
-from .rational import Rat
+from .rational import Rat, float_down, float_up
+
+
+@dataclass(frozen=True)
+class Recurrence:
+    """The recurrent classes of a 0/1 graph.
+
+    cycles: the bare-cycle classes, each in tour order; they make every
+    periodic orbit of a zero-entropy map. branching: the classes carrying two
+    or more cycles; each forces spectral radius > 1.
+    """
+
+    cycles: tuple[tuple[int, ...], ...]
+    branching: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -33,6 +50,7 @@ class MarkovSystem:
     cells: tuple[Ivl, ...]
     nonflat: tuple[int, ...]  # indices into cells with nonzero slope
     adjacency: np.ndarray  # 0/1 over nonflat x nonflat, read-only
+    recurrence: Recurrence  # classified once, read by the spectral radius and the orbit inventory
 
     def to_json(self) -> dict:
         from .rational import format_rat
@@ -92,56 +110,78 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096) -> Mark
             if lo <= cells[j].lo and cells[j].hi <= hi:
                 adj[a, b] = 1
     adj.setflags(write=False)
-    return MarkovSystem(map=f, points=points, cells=cells, nonflat=nonflat, adjacency=adj)
+    return MarkovSystem(
+        map=f,
+        points=points,
+        cells=cells,
+        nonflat=nonflat,
+        adjacency=adj,
+        recurrence=recurrent_classes(adj),
+    )
 
 
-def spectral_radius(adj: np.ndarray, tol: float = 1e-12) -> tuple[float, dict]:
-    """Largest eigenvalue magnitude of a nonnegative integer matrix.
+def spectral_radius(graph: MarkovSystem | np.ndarray) -> tuple[float, dict]:
+    """Largest eigenvalue magnitude of a 0/1 matrix, with a proven bracket.
 
-    When every recurrent class is a bare cycle the radius is exactly 1 (or 0
-    for an acyclic graph) and is reported without touching floats; the dense
+    The radius is the largest over the recurrent classes. A bare cycle
+    contributes exactly 1 and a transient singleton 0, so when no class
+    branches the radius is exact and no float is touched; the dense
     eigensolver returns 1 +- 1e-8 on such matrices, which is enough to leak
-    past a zero-entropy threshold. Otherwise a dense eigensolve gives the
-    value and a power-iteration pass cross-checks it; the diagnostics report
-    both. On reducible matrices power iteration alone converges only
-    polynomially, which is why it is the check and not the source.
+    past a zero-entropy threshold. A branching class C contributes its Perron
+    root, bracketed by Collatz-Wielandt: for every positive vector v,
+    min (Cv)_i/v_i <= rho(C) <= max (Cv)_i/v_i. Here v is the float Perron
+    vector of C rounded to integers, so both ends are exact rationals from
+    integer arithmetic and the bracket holds whatever error the float vector
+    carries; that error only widens it.
+
+    The returned float is the dense eigensolver's radius of the whole matrix,
+    clamped into the bracket: on a defective double root it can land 1e-8
+    outside. The diagnostics give the bracket as Fractions, rho_lower and
+    rho_upper. No power iteration runs; power_iterations stays in the
+    diagnostics at 0 for the benchmark's tracer, which counts it.
+
+    A MarkovSystem brings the recurrent classes computed when it was built;
+    a bare matrix is classified here.
     """
-    n = adj.shape[0]
-    if n == 0 or not adj.any():
-        return 0.0, {"method": "empty", "power_iterations": 0, "agreement": 0.0}
-    cycles, all_simple = simple_cycle_components(adj)
-    if all_simple:
-        rho = 1.0 if cycles else 0.0
-        return rho, {"method": "bare-cycles", "power_iterations": 0, "agreement": 0.0}
-    a = adj.astype(np.float64)
-    rho = float(max(abs(np.linalg.eigvals(a))))
-    v = np.ones(n) / np.sqrt(n)
-    est = 0.0
-    iters = 0
-    for iters in range(1, 10_001):
-        w = a @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            est = 0.0
-            break
-        new_est = nw
-        v = w / nw
-        if abs(new_est - est) < tol:
-            est = new_est
-            break
-        est = new_est
-    return rho, {
-        "method": "eigvals+power",
-        "power_iterations": iters,
-        "power_estimate": est,
-        "agreement": abs(rho - est),
-    }
+    if isinstance(graph, MarkovSystem):
+        adj, rec = graph.adjacency, graph.recurrence
+    else:
+        adj, rec = graph, recurrent_classes(graph)
+    if adj.shape[0] == 0 or not adj.any():
+        method, lo, hi = "empty", Fraction(0), Fraction(0)
+    elif not rec.branching:
+        method = "bare-cycles"
+        lo = hi = Fraction(1 if rec.cycles else 0)
+    else:
+        method = "eigvals+collatz-wielandt"
+        brackets = [_perron_bracket(adj, comp) for comp in rec.branching]
+        lo = max(b[0] for b in brackets)
+        hi = max(b[1] for b in brackets)
+    if lo == hi:
+        rho = float(lo)
+    else:
+        rho = float(max(abs(np.linalg.eigvals(adj.astype(np.float64)))))
+        rho = min(max(rho, float_down(lo)), float_up(hi))
+    return rho, {"method": method, "power_iterations": 0, "rho_lower": lo, "rho_upper": hi}
+
+
+def _perron_bracket(adj: np.ndarray, comp: tuple[int, ...]) -> tuple[Fraction, Fraction]:
+    """Collatz-Wielandt bounds on the Perron root of one irreducible class."""
+    sub = adj[np.ix_(comp, comp)]
+    vals, vecs = np.linalg.eig(sub.astype(np.float64))
+    v = np.abs(vecs[:, np.argmax(vals.real)].real)
+    # entries <= 2**bits keep every (sub @ v)_i below 2**62, exact in int64;
+    # flooring at 1 keeps v positive, which is all the bound needs
+    bits = 62 - len(comp).bit_length()
+    v = np.maximum(np.rint(np.ldexp(v / v.max(), bits)), 1).astype(np.int64)
+    ratios = [Fraction(int(a), int(b)) for a, b in zip(sub @ v, v)]
+    return min(ratios), max(ratios)
 
 
 def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
     """Tarjan, iterative. Returns components as lists of row indices."""
     n = adj.shape[0]
-    succ = [list(np.nonzero(adj[i])[0]) for i in range(n)]
+    succ = [np.nonzero(adj[i])[0].tolist() for i in range(n)]
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -187,49 +227,31 @@ def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
     return comps
 
 
-def simple_cycle_components(adj: np.ndarray) -> tuple[list[list[int]], bool]:
-    """SCCs that are bare cycles, plus whether *every* recurrent SCC is one.
+def recurrent_classes(adj: np.ndarray) -> Recurrence:
+    """Sort the strongly connected components of a 0/1 graph, one Tarjan pass.
 
     A component is a bare cycle when each member has exactly one successor
-    inside the component and following successors tours all members. When the
-    flag is False some component branches, which forces spectral radius > 1.
+    inside it; strongly connected with out-degree one, it is then a single
+    cycle, listed in tour order from its first member. A component where some
+    member has two successors inside branches. A singleton without a self
+    loop is transient and lands in neither list.
     """
-    comps = strongly_connected_components(adj)
-    cycles: list[list[int]] = []
-    all_simple = True
-    for comp in comps:
+    cycles: list[tuple[int, ...]] = []
+    branching: list[tuple[int, ...]] = []
+    for comp in strongly_connected_components(adj):
         cset = set(comp)
-        if len(comp) == 1:
-            v = comp[0]
-            if not adj[v, v]:
-                continue  # transient singleton, not recurrent
-            cycles.append([v])
-            continue
-        ok = True
-        succ_in = {}
-        for v in comp:
-            inside = [u for u in np.nonzero(adj[v])[0] if int(u) in cset]
-            if len(inside) != 1:
-                ok = False
-                break
-            succ_in[v] = int(inside[0])
-        if ok:
+        inside = {v: [u for u in np.nonzero(adj[v])[0].tolist() if u in cset] for v in comp}
+        if any(len(succ) > 1 for succ in inside.values()):
+            branching.append(tuple(comp))
+        elif inside[comp[0]]:
             order = [comp[0]]
             while len(order) < len(comp):
-                nxt = succ_in[order[-1]]
-                if nxt == comp[0] or nxt in order:
-                    ok = False
-                    break
-                order.append(nxt)
-            ok = ok and succ_in[order[-1]] == comp[0]
-        if ok:
-            cycles.append(order)
-        else:
-            all_simple = False
-    return cycles, all_simple
+                order.append(inside[order[-1]][0])
+            cycles.append(tuple(order))
+    return Recurrence(cycles=tuple(cycles), branching=tuple(branching))
 
 
-def cycle_orbit_point(system: MarkovSystem, cycle: list[int]) -> Rat:
+def cycle_orbit_point(system: MarkovSystem, cycle: tuple[int, ...]) -> Rat:
     """The unique point whose orbit tours a bare cell cycle.
 
     Composes the affine branches around the cycle and solves the fixed point

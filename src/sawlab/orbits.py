@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetExceeded, ConstraintViolation, StructureError
-from .markov import (
-    build_markov_system,
-    cycle_orbit_point,
-    simple_cycle_components,
-)
+from .markov import build_markov_system, cycle_orbit_point
 from .plmap import PiecewiseLinearMap
 from .rational import Rat, format_rat
 
@@ -228,11 +224,10 @@ def markov_orbit_inventory(
     graph cannot see.
     """
     sys = build_markov_system(f, point_budget)
-    cycles, all_simple = simple_cycle_components(sys.adjacency)
-    if not all_simple:
+    if sys.recurrence.branching:
         raise StructureError("recurrent class branches; structural period set unavailable")
     orbits: dict[tuple[Rat, ...], PeriodicOrbit] = {}
-    for cyc in cycles:
+    for cyc in sys.recurrence.cycles:
         x = cycle_orbit_point(sys, cyc)
         p = _minimal_period(f, x, len(cyc))
         if p is None:

@@ -8,6 +8,7 @@ arguments. Format is always lowest terms with an explicit denominator
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ConstraintViolation
@@ -33,3 +34,15 @@ def parse_rat(text: str) -> Rat:
 def format_rat(x: Rat) -> str:
     """Canonical "p/q" form, denominator always explicit."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def float_down(x: Rat) -> float:
+    """The largest float <= x."""
+    f = float(x)
+    return math.nextafter(f, -math.inf) if f > x else f
+
+
+def float_up(x: Rat) -> float:
+    """The smallest float >= x."""
+    f = float(x)
+    return math.nextafter(f, math.inf) if f < x else f

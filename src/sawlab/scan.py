@@ -75,11 +75,6 @@ class ScanConfig:
         except KeyError as e:
             raise ConstraintViolation(f"scan config missing key {e}") from e
 
-    @staticmethod
-    def load(path: str) -> "ScanConfig":
-        with open(path) as fh:
-            return ScanConfig.from_json(json.load(fh))
-
 
 CSV_FIELDS = (
     "index",

@@ -141,9 +141,23 @@ def test_cli_classify_exit_codes(capsys):
         (["orbits", "--shape", "+-", "--w", "1", "--n-max", "0", "--piece-budget", "2000"], None),
         (["orbits", "--shape", "+-", "--w", "1", "--period", "0"], None),
         (["entropy", "--shape", "+-", "--w", "1", "--method", "lap", "--n-max", "0"], None),
+        (["classify", "--family", "no-w.json"], None),
+        (["kneading", "--realize", "no-signs.json"], None),
+        (["classify", "--family", "missing.json"], None),
+        (["classify", "--family", "not-json.json"], None),
+        (["kneading", "--realize", "missing.json"], None),
+        (["kneading", "--realize", "not-json.json"], None),
+        (["scan", "--config", "missing.json"], None),
+        (["scan", "--config", "not-json.json"], None),
+        (["classify", "--shape", "+-", "--w", "4/5", "--budgets", "missing.json"], None),
     ],
 )
-def test_cli_rejects_bad_input_with_exit_2(argv, budgets, tmp_path, capsys):
+def test_cli_rejects_bad_input_with_exit_2(argv, budgets, tmp_path, capsys, monkeypatch):
+    # input files the cases name by relative path; missing.json is never written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "no-w.json").write_text(json.dumps({"shape": "+-"}))
+    (tmp_path / "no-signs.json").write_text(json.dumps({"shape": "+-", "depth": 8}))
+    (tmp_path / "not-json.json").write_text('{"shape": ')
     if budgets is not None:
         path = tmp_path / "budgets.json"
         path.write_text(json.dumps(budgets))
