@@ -121,19 +121,37 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
+def _kneading_target(obj) -> KneadingData:
+    """A --realize file: d rows of depth sign vectors, each d signs in -1, 0, 1."""
+    if not isinstance(obj, dict):
+        raise ConstraintViolation("kneading JSON must be an object")
+    try:
+        shape, depth, signs = Shape.from_string(obj["shape"]), obj["depth"], obj["signs"]
+    except KeyError as e:
+        raise ConstraintViolation(f"kneading JSON missing key {e}") from e
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
+        raise ConstraintViolation(f"kneading depth must be a positive integer, got {depth!r}")
+
+    def is_list(x, n):
+        return isinstance(x, list) and len(x) == n
+
+    d = shape.d
+    if not (
+        is_list(signs, d)
+        and all(is_list(row, depth) for row in signs)
+        and all(is_list(v, d) for row in signs for v in row)
+        and all(s in (-1, 0, 1) and type(s) is int for row in signs for v in row for s in v)
+    ):
+        raise ConstraintViolation(
+            f"kneading signs must be {d} rows of {depth} vectors of {d} signs in -1, 0, 1"
+        )
+    return KneadingData(shape, depth, tuple(tuple(tuple(v) for v in row) for row in signs))
+
+
 def _cmd_kneading(args) -> int:
     if args.realize:
-        obj = _read_json(args.realize)
-        try:
-            shape = Shape.from_string(obj["shape"])
-            target = KneadingData(
-                shape=shape,
-                depth=obj["depth"],
-                signs=tuple(tuple(tuple(v) for v in row) for row in obj["signs"]),
-            )
-        except KeyError as e:
-            raise ConstraintViolation(f"kneading JSON missing key {e}") from e
-        m = StuntedSawtoothMap(shape, realize_kneading(target))
+        target = _kneading_target(_read_json(args.realize))
+        m = StuntedSawtoothMap(target.shape, realize_kneading(target))
         _emit(
             {
                 "family": m.to_json(),

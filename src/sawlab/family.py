@@ -44,6 +44,8 @@ class Shape:
     @staticmethod
     def from_string(word: str) -> "Shape":
         table = {"+": 1, "-": -1}
+        if not isinstance(word, str):
+            raise ConstraintViolation(f"shape must be a string, got {word!r}")
         try:
             return Shape(tuple(table[ch] for ch in word.strip()))
         except KeyError as e:
@@ -177,10 +179,14 @@ class StuntedSawtoothMap:
 
     @staticmethod
     def from_json(obj: dict) -> "StuntedSawtoothMap":
+        if not isinstance(obj, dict):
+            raise ConstraintViolation("family JSON must be an object")
         try:
             shape, w = obj["shape"], obj["w"]
         except KeyError as e:
             raise ConstraintViolation(f"family JSON missing key {e}") from e
+        if not isinstance(w, list):
+            raise ConstraintViolation(f"family w must be a list of heights, got {w!r}")
         return StuntedSawtoothMap(Shape.from_string(shape), [parse_rat(x) for x in w])
 
     def __repr__(self):

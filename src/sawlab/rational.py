@@ -22,6 +22,8 @@ def parse_rat(text: str) -> Rat:
     Also accepts decimal literals like "0.825" (exactly, via Fraction), since
     hand-typed CLI values tend to arrive that way.
     """
+    if not isinstance(text, str):
+        raise ConstraintViolation(f"rational literal must be a string, got {text!r}")
     s = text.strip()
     if not s:
         raise ConstraintViolation("empty rational literal")

@@ -64,16 +64,23 @@ class ScanConfig:
             else:
                 raise ConstraintViolation(f"unknown grid kind {kind!r}")
             out = obj["output"]
+            certificates = out.get("certificates")
+            paths = (out["csv"], out["manifest"], "" if certificates is None else certificates)
+            if not all(isinstance(p, str) for p in paths):
+                raise ConstraintViolation("scan output paths must be strings")
             return ScanConfig(
                 shape=shape,
                 cells=tuple(tuple(c) for c in cells),
                 budgets=Budgets.from_json(obj.get("budgets", {})),
                 csv_path=out["csv"],
                 manifest_path=out["manifest"],
-                certificates_path=out.get("certificates"),
+                certificates_path=certificates,
             )
         except KeyError as e:
             raise ConstraintViolation(f"scan config missing key {e}") from e
+        except (TypeError, ValueError, AttributeError) as e:
+            # a list where an object belongs, a number where a list belongs
+            raise ConstraintViolation(f"malformed scan config: {e}") from e
 
 
 CSV_FIELDS = (
@@ -147,17 +154,49 @@ class ScanSummary:
         }
 
 
+def _resume_entries(manifest: Path, config: ScanConfig) -> dict[int, dict]:
+    """Finished cells of an earlier run, by index.
+
+    A crash can tear the last journal line (bytes after the last newline, or
+    a last line that is not JSON); that line is cut off the file and its cell
+    computed again. Any other unreadable line, or an entry whose heights are
+    not the config's cell at its index, is a ConstraintViolation: the
+    manifest belongs to another run or config.
+    """
+    data = manifest.read_bytes()
+    *lines, torn = data.split(b"\n")  # torn: whatever follows the last newline
+    done: dict[int, dict] = {}
+    kept = 0  # bytes of the lines read
+    for n, line in enumerate(lines):
+        if line.strip():
+            try:
+                entry = json.loads(line)
+            except ValueError as e:
+                if n == len(lines) - 1 and not torn:
+                    break
+                raise ConstraintViolation(f"{manifest} line {n + 1} is not JSON") from e
+            index = entry.get("index") if isinstance(entry, dict) else None
+            if not isinstance(index, int) or not 0 <= index < len(config.cells):
+                raise ConstraintViolation(f"{manifest} line {n + 1}: no cell {index!r} in the config")
+            want = [format_rat(x) for x in config.cells[index]]
+            if entry.get("w") != want:
+                raise ConstraintViolation(
+                    f"{manifest} line {n + 1}: cell {index} has w {entry.get('w')!r}, "
+                    f"the config has {want}"
+                )
+            done[index] = entry
+        kept += len(line) + 1
+    if kept < len(data):
+        with manifest.open("r+b") as fh:
+            fh.truncate(kept)
+    return done
+
+
 def run_scan(config: ScanConfig, resume: bool = False, workers: int = 0) -> ScanSummary:
     done: dict[int, dict] = {}
     manifest = Path(config.manifest_path)
     if resume and manifest.exists():
-        with manifest.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                done[entry["index"]] = entry
+        done = _resume_entries(manifest, config)
     elif manifest.exists():
         manifest.unlink()
 

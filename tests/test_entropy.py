@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import mpmath
 import networkx as nx
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sawlab import (
@@ -19,7 +19,7 @@ from sawlab import (
     entropy_markov,
     spectral_radius,
 )
-from sawlab.entropy import entropy_bowen
+from sawlab.entropy import _grid_orbits, _separated_counts, entropy_bowen
 
 
 def test_tent_markov_entropy_is_log_two(tent):
@@ -80,6 +80,98 @@ def test_bowen_stays_below_markov(stunted_tent):
     for w in (F(33, 40), F(9, 10), F(39, 40), F(1)):
         f = stunted_tent(w).map
         assert entropy_bowen(f).lower <= entropy_markov(f).value + 1e-9
+
+
+def _reference_separated_counts(traj: np.ndarray, eps: float, cap: int) -> list[int]:
+    """The greedy scan row by row: each grid row is compared with every kept
+    row. The oracle for the forward-blocking scan."""
+    n_max, npts = traj.shape
+    counts = []
+    for n in range(1, n_max + 1):
+        block = traj[:n].T
+        kept = np.empty((cap, n))
+        m = 0
+        for row in block:
+            if m == 0 or (np.abs(kept[:m] - row).max(axis=1) > eps).all():
+                kept[m] = row
+                m += 1
+                if m >= cap:
+                    break
+        counts.append(m)
+        if m >= cap:
+            break
+    return counts
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    word=st.sampled_from(["+-", "+-+", "+-+-"]),
+    heights=st.lists(st.integers(0, 40), min_size=3, max_size=3),
+    grid=st.integers(256, 2048),
+    eps=st.sampled_from([0.05, 1 / 100, 1 / 16, 1 / 7, 0.3]),
+    cap_div=st.sampled_from([4, 8, 32, 10**9]),
+    n_max=st.integers(1, 8),
+)
+@example(word="+-", heights=[40, 0, 0], grid=512, eps=0.05, cap_div=32, n_max=8)
+def test_forward_blocking_keeps_the_rows_of_the_row_by_row_scan(
+    word, heights, grid, eps, cap_div, n_max
+):
+    # cap_div 10**9 gives cap 1; 4 and 8 let the counts grow for a few steps
+    # and stop mid-scan, as entropy_bowen's cap grid/8 does
+    shape = Shape.from_string(word)
+    try:
+        m = StuntedSawtoothMap(shape, [F(h, 40) for h in heights[: shape.d]])
+    except ConstraintViolation:
+        assume(False)
+    traj = _grid_orbits(m.map, n_max, grid)
+    cap = max(1, grid // cap_div)
+    assert _separated_counts(traj, eps, cap) == _reference_separated_counts(traj, eps, cap)
+
+
+def test_forward_blocking_window_reaches_past_the_rounded_edge():
+    # on the 321-point grid, xs[23] lies above the float xs[3] + 1/16, yet
+    # xs[23] - xs[3] rounds to exactly 1/16, so row 3 blocks row 23
+    xs = np.linspace(0.0, 1.0, 321)[:24]
+    traj = np.vstack([xs, (np.arange(24) >= 3).astype(float)])
+    assert xs[23] > xs[3] + 1 / 16 and xs[23] - xs[3] == 1 / 16
+    assert _separated_counts(traj, 1 / 16, 100) == [2, 2]
+    assert _reference_separated_counts(traj, 1 / 16, 100) == [2, 2]
+
+
+def test_bowen_counts_of_the_crosscheck_maps_are_pinned():
+    # the row-by-row scan's counts at the default grid 8192, cap 1024; every
+    # list ends at the cap, after 3 to 9 steps
+    pinned = {
+        ("+-", (1,)): (
+            [16, 31, 60, 116, 224, 433, 774, 1024],
+            [64, 127, 248, 476, 885, 1024],
+            [249, 481, 908, 1024],
+        ),
+        ("+-+", (1, 0)): (
+            [16, 44, 122, 340, 885, 1024],
+            [64, 188, 529, 1024],
+            [249, 743, 1024],
+        ),
+        ("+-+-", (1, 0, 1)): (
+            [16, 58, 208, 696, 1024],
+            [64, 246, 872, 1024],
+            [249, 906, 1024],
+        ),
+        ("+-", (F(9, 10),)): (
+            [16, 30, 54, 96, 162, 276, 448, 703, 1024],
+            [64, 120, 216, 379, 635, 1005, 1024],
+            [249, 459, 801, 1024],
+        ),
+        ("+-+", (F(9, 10), F(1, 10))): (
+            [16, 43, 109, 271, 608, 1024],
+            [64, 173, 429, 1024],
+            [249, 677, 1024],
+        ),
+    }
+    for (word, w), counts in pinned.items():
+        est = entropy_bowen(StuntedSawtoothMap(Shape.from_string(word), w).map)
+        got = est.parameters["separated_counts"]
+        assert [got[str(e)] for e in (1 / 16, 1 / 64, 1 / 256)] == list(counts), word
 
 
 def _mp_spectral_radius(adj):

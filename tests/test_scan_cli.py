@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sawlab import ConstraintViolation
 from sawlab.cli import main
 from sawlab.scan import ScanConfig, run_scan
 
@@ -71,6 +72,29 @@ def test_parallel_scan_matches_sequential(line_config):
     sequential = open(cfg.csv_path).read()
     run_scan(cfg, workers=2)
     assert open(cfg.csv_path).read() == sequential
+
+
+def test_scan_resume_recomputes_a_torn_last_line(line_config):
+    cfg = line_config(4)
+    run_scan(cfg)
+    csv, certs = open(cfg.csv_path).read(), open(cfg.certificates_path).read()
+    journal = open(cfg.manifest_path).read()
+    # a crash in the middle of writing the last cell's line
+    with open(cfg.manifest_path, "w") as fh:
+        fh.write(journal[:-40])
+    summary = run_scan(cfg, resume=True)
+    assert (summary.computed, summary.resumed) == (1, 3)
+    assert open(cfg.csv_path).read() == csv
+    assert open(cfg.certificates_path).read() == certs
+    lines = open(cfg.manifest_path).read().splitlines()
+    assert sorted(json.loads(s)["index"] for s in lines) == [0, 1, 2, 3]
+
+
+def test_scan_resume_rejects_a_manifest_of_another_grid(line_config):
+    run_scan(line_config(4))
+    # the same paths, a finer grid: cell 1 is now 5/8, the manifest has 2/3
+    with pytest.raises(ConstraintViolation, match="cell 1"):
+        run_scan(line_config(5), resume=True)
 
 
 def test_manifest_journals_one_line_per_cell(line_config):
@@ -150,6 +174,10 @@ def test_cli_classify_exit_codes(capsys):
         (["scan", "--config", "missing.json"], None),
         (["scan", "--config", "not-json.json"], None),
         (["classify", "--shape", "+-", "--w", "4/5", "--budgets", "missing.json"], None),
+        (["classify", "--family", "w-number.json"], None),
+        (["classify", "--family", "list.json"], None),
+        (["kneading", "--realize", "signs-number.json"], None),
+        (["scan", "--config", "list.json"], None),
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, budgets, tmp_path, capsys, monkeypatch):
@@ -158,6 +186,11 @@ def test_cli_rejects_bad_input_with_exit_2(argv, budgets, tmp_path, capsys, monk
     (tmp_path / "no-w.json").write_text(json.dumps({"shape": "+-"}))
     (tmp_path / "no-signs.json").write_text(json.dumps({"shape": "+-", "depth": 8}))
     (tmp_path / "not-json.json").write_text('{"shape": ')
+    (tmp_path / "w-number.json").write_text(json.dumps({"shape": "+-", "w": 5}))
+    (tmp_path / "list.json").write_text(json.dumps([1, 2]))
+    (tmp_path / "signs-number.json").write_text(
+        json.dumps({"shape": "+-", "depth": 8, "signs": 3})
+    )
     if budgets is not None:
         path = tmp_path / "budgets.json"
         path.write_text(json.dumps(budgets))
