@@ -75,8 +75,11 @@ def _budgets(args) -> Budgets:
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConstraintViolation(f"cannot write {args.out}: {e.strerror}") from e
     else:
         sys.stdout.write(text)
 

@@ -33,27 +33,16 @@ import numpy as np
 from .errors import ConstraintViolation
 from .markov import build_markov_system, spectral_radius
 from .plmap import PiecewiseLinearMap
-from .rational import float_down, float_up, format_rat
+from .rational import Wire, float_down, float_up, format_rat
 
 
 @dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(Wire):
     value: float
     lower: float
     upper: float
     method: str
     parameters: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "lower": self.lower,
-            "upper": self.upper,
-            "method": self.method,
-            "parameters": {
-                k: v for k, v in self.parameters.items() if not isinstance(v, np.ndarray)
-            },
-        }
 
 
 def entropy_markov(f: PiecewiseLinearMap, point_budget: int = 4096) -> EntropyEstimate:

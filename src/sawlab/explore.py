@@ -35,12 +35,12 @@ from .orbits import (
     omega_accumulation,
     period_set,
 )
-from .rational import Rat, format_rat, parse_rat
+from .rational import Rat, Wire
 from .renorm import RenormTower, build_tower, semiconjugacy_check
 
 
 @dataclass(frozen=True)
-class Budgets:
+class Budgets(Wire):
     """Resource limits for classification. k is the verdict resolution: maps
     whose periods stay below 2^k are Finite, at or beyond it the tower takes
     over."""
@@ -57,13 +57,20 @@ class Budgets:
     homoclinic_frontier: int = 20_000
     entropy_tol: float = 1e-9
 
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    def __post_init__(self):
+        # every count is at least 1: a zero search bound would certify
+        # "nothing found" after searching nothing
+        for f in fields(self):
+            least = 0 if isinstance(f.default, float) else 1
+            value = getattr(self, f.name)
+            if not value >= least:
+                raise ConstraintViolation(f"budget {f.name!r} must be >= {least}, got {value!r}")
 
     @staticmethod
     def from_json(obj: dict) -> "Budgets":
-        """Defaults overridden by obj. An unknown key or a mistyped value is a
-        ConstraintViolation; an int is accepted for a float budget."""
+        """Defaults overridden by obj. An unknown key, a mistyped value or one
+        out of range is a ConstraintViolation; an int is accepted for a float
+        budget."""
         if not isinstance(obj, dict):
             raise ConstraintViolation("budgets must be a JSON object")
         kinds = {f.name: type(f.default) for f in fields(Budgets)}
@@ -82,7 +89,7 @@ class Budgets:
 
 
 @dataclass(frozen=True)
-class ClassificationRecord:
+class ClassificationRecord(Wire):
     verdict: str  # Finite | Boundary2Inf | Chaotic | Inconclusive
     label: str  # e.g. Finite(4), Boundary2Inf(6), Chaotic
     shape: str
@@ -92,19 +99,6 @@ class ClassificationRecord:
     certificates: dict = field(default_factory=dict)
     budgets: Budgets = field(default_factory=Budgets)
     notes: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "label": self.label,
-            "shape": self.shape,
-            "w": [format_rat(x) for x in self.w],
-            "entropy": self.entropy.to_json() if self.entropy else None,
-            "detail": self.detail,
-            "certificates": self.certificates,
-            "budgets": self.budgets.to_json(),
-            "notes": list(self.notes),
-        }
 
 
 def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> ClassificationRecord:
@@ -218,7 +212,7 @@ def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> Classific
 
 
 @dataclass(frozen=True)
-class BoundaryBracket:
+class BoundaryBracket(Wire):
     shape: str
     lo_w: tuple[Rat, ...]
     hi_w: tuple[Rat, ...]
@@ -229,17 +223,7 @@ class BoundaryBracket:
     hi_record: ClassificationRecord
 
     def to_json(self) -> dict:
-        return {
-            "shape": self.shape,
-            "lo_w": [format_rat(x) for x in self.lo_w],
-            "hi_w": [format_rat(x) for x in self.hi_w],
-            "midpoint_w": [format_rat(x) for x in self.midpoint_w],
-            "width": format_rat(self.width),
-            "width_float": float(self.width),
-            "iterations": self.iterations,
-            "lo_record": self.lo_record.to_json(),
-            "hi_record": self.hi_record.to_json(),
-        }
+        return {**super().to_json(), "width_float": float(self.width)}
 
 
 def _vec(shape: Shape, w) -> tuple[Rat, ...]:
@@ -307,19 +291,11 @@ def bisect_boundary(
 
 
 @dataclass(frozen=True)
-class RefinedBoundary:
+class RefinedBoundary(Wire):
     bracket: BoundaryBracket
     level: int
     record: ClassificationRecord
     extra_iterations: int
-
-    def to_json(self) -> dict:
-        return {
-            "bracket": self.bracket.to_json(),
-            "level": self.level,
-            "record": self.record.to_json(),
-            "extra_iterations": self.extra_iterations,
-        }
 
 
 def refine_to_boundary(
@@ -388,7 +364,7 @@ def refine_to_boundary(
 
 
 @dataclass(frozen=True)
-class PerturbationTrial:
+class PerturbationTrial(Wire):
     eps: Rat
     chaos_w: tuple[Rat, ...]
     chaos_label: str
@@ -398,37 +374,15 @@ class PerturbationTrial:
     order_ok: bool
     clamped: bool
 
-    def to_json(self) -> dict:
-        return {
-            "eps": format_rat(self.eps),
-            "chaos_w": [format_rat(x) for x in self.chaos_w],
-            "chaos_label": self.chaos_label,
-            "chaos_ok": self.chaos_ok,
-            "order_w": [format_rat(x) for x in self.order_w],
-            "order_label": self.order_label,
-            "order_ok": self.order_ok,
-            "clamped": self.clamped,
-        }
-
 
 @dataclass(frozen=True)
-class PerturbationExperiment:
+class PerturbationExperiment(Wire):
     base: ClassificationRecord
     selection: PlateauSelection
     omega_points: tuple[Rat, ...]
     radius: Rat
     trials: tuple[PerturbationTrial, ...]
     ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "base": self.base.to_json(),
-            "selection": self.selection.to_json(),
-            "omega_points": [format_rat(x) for x in self.omega_points],
-            "radius": format_rat(self.radius),
-            "trials": [t.to_json() for t in self.trials],
-            "ok": self.ok,
-        }
 
 
 def two_sided_perturbation_experiment(

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import ConstraintViolation
 from .plmap import Ivl, PiecewiseLinearMap
-from .rational import Rat, format_rat, parse_rat
+from .rational import Rat, Wire, parse_rat, to_wire
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -54,6 +54,10 @@ class Shape:
     def to_string(self) -> str:
         return "".join("+" if s > 0 else "-" for s in self.signs)
 
+    def to_json(self) -> str:
+        """A shape goes on the wire as its word."""
+        return self.to_string()
+
     @property
     def d(self) -> int:
         """Number of turning points."""
@@ -75,7 +79,7 @@ class Shape:
 
 
 @dataclass(frozen=True)
-class Plateau:
+class Plateau(Wire):
     """One truncation: turning point index (1-based), kind, interval, height.
 
     The interval is degenerate exactly when the height is extreme (w=1 for a
@@ -86,14 +90,6 @@ class Plateau:
     kind: str
     interval: Ivl
     height: Rat
-
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "interval": self.interval.to_json(),
-            "height": format_rat(self.height),
-        }
 
 
 def validate_heights(shape: Shape, w: tuple[Rat, ...]) -> None:
@@ -167,15 +163,8 @@ class StuntedSawtoothMap:
     def plateau(self, i: int) -> Plateau:
         return self.plateaus[i - 1]
 
-    def with_heights(self, w) -> "StuntedSawtoothMap":
-        return StuntedSawtoothMap(self.shape, w)
-
     def to_json(self) -> dict:
-        return {
-            "shape": self.shape.to_string(),
-            "w": [format_rat(x) for x in self.w],
-            "map": self.map.to_json(),
-        }
+        return to_wire({"shape": self.shape, "w": self.w, "map": self.map})
 
     @staticmethod
     def from_json(obj: dict) -> "StuntedSawtoothMap":
@@ -194,14 +183,11 @@ class StuntedSawtoothMap:
 
 
 @dataclass(frozen=True)
-class PlateauSelection:
+class PlateauSelection(Wire):
     """Subset of plateau indices (1-based) chosen for targeted perturbation."""
 
     indices: frozenset[int]
     delta: Rat
-
-    def to_json(self) -> dict:
-        return {"indices": sorted(self.indices), "delta": format_rat(self.delta)}
 
 
 def select_lambda_plateaus(m: StuntedSawtoothMap, omega_points, delta) -> PlateauSelection:

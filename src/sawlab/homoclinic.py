@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import BudgetExceeded, ConstraintViolation
 from .orbits import PeriodicOrbit, orbit_side_slope, periodic_orbits
 from .plmap import Ivl, PiecewiseLinearMap
-from .rational import Rat, format_rat
+from .rational import Rat, Wire
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -80,23 +80,15 @@ def unstable_manifold(
 
 
 @dataclass(frozen=True)
-class HomoclinicWitness:
+class HomoclinicWitness(Wire):
     orbit: PeriodicOrbit
     x: Rat
     m: int  # f^m(x) = base point of the orbit
     unstable: Ivl
 
-    def to_json(self) -> dict:
-        return {
-            "orbit": self.orbit.to_json(),
-            "x": format_rat(self.x),
-            "m": self.m,
-            "unstable": self.unstable.to_json(),
-        }
-
 
 @dataclass(frozen=True)
-class HomoclinicReport:
+class HomoclinicReport(Wire):
     witness: HomoclinicWitness | None
     definitive: bool
     period_bound: int
@@ -108,17 +100,6 @@ class HomoclinicReport:
     @property
     def found(self) -> bool:
         return self.witness is not None
-
-    def to_json(self) -> dict:
-        return {
-            "witness": self.witness.to_json() if self.witness else None,
-            "definitive": self.definitive,
-            "period_bound": self.period_bound,
-            "m_budget": self.m_budget,
-            "orbits_searched": self.orbits_searched,
-            "truncated": self.truncated,
-            "notes": list(self.notes),
-        }
 
 
 def _search_orbit(
@@ -172,6 +153,8 @@ def find_homoclinic(
     frontier_budget: int = 20_000,
 ) -> HomoclinicReport:
     """Search all repelling orbits of period <= period_bound for a witness."""
+    if period_bound < 1:
+        raise ConstraintViolation(f"period_bound must be >= 1, got {period_bound}")
     notes: list[str] = []
     truncated = False
     complete_sweep = True

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import ConstraintViolation, KneadingNotRealizable
 from .family import Shape, StuntedSawtoothMap
-from .rational import Rat
+from .rational import Rat, Wire
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -50,18 +50,15 @@ def _parity(shape: Shape, rank: int) -> int:
 
 
 @dataclass(frozen=True)
-class KneadingSequence:
+class KneadingSequence(Wire):
     """The j-th sequence: time-ordered sign vectors over the orbits i."""
 
     j: int
     entries: tuple[tuple[int, ...], ...]
 
-    def to_json(self) -> dict:
-        return {"j": self.j, "entries": [list(e) for e in self.entries]}
-
 
 @dataclass(frozen=True)
-class KneadingData:
+class KneadingData(Wire):
     """signs[i-1][n-1][j-1] = position of f^n(c_i) relative to plateau j."""
 
     shape: Shape
@@ -89,13 +86,6 @@ class KneadingData:
                 for n in range(self.depth)
             ),
         )
-
-    def to_json(self) -> dict:
-        return {
-            "shape": self.shape.to_string(),
-            "depth": self.depth,
-            "signs": [[list(v) for v in row] for row in self.signs],
-        }
 
 
 def kneading_data(m: StuntedSawtoothMap, depth: int) -> KneadingData:

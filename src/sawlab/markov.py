@@ -52,16 +52,6 @@ class MarkovSystem:
     adjacency: np.ndarray  # 0/1 over nonflat x nonflat, read-only
     recurrence: Recurrence  # classified once, read by the spectral radius and the orbit inventory
 
-    def to_json(self) -> dict:
-        from .rational import format_rat
-
-        return {
-            "points": [format_rat(p) for p in self.points],
-            "nonflat_cells": len(self.nonflat),
-            "flat_cells": len(self.cells) - len(self.nonflat),
-            "adjacency": self.adjacency.astype(int).tolist(),
-        }
-
 
 @functools.lru_cache(maxsize=1)
 def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096) -> MarkovSystem:

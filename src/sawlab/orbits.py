@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import BudgetExceeded, ConstraintViolation, StructureError
 from .markov import build_markov_system, cycle_orbit_point
 from .plmap import PiecewiseLinearMap
-from .rational import Rat, format_rat
+from .rational import Rat, Wire
 
 
 def orbit_side_slope(f: PiecewiseLinearMap, points, side: int) -> Rat:
@@ -63,19 +63,12 @@ def classify_stability(f: PiecewiseLinearMap, cycle_points) -> str:
 
 
 @dataclass(frozen=True)
-class PeriodicOrbit:
+class PeriodicOrbit(Wire):
     """One periodic orbit, points in orbit order starting at the smallest."""
 
     points: tuple[Rat, ...]
     period: int
     stability: str
-
-    def to_json(self) -> dict:
-        return {
-            "points": [format_rat(p) for p in self.points],
-            "period": self.period,
-            "stability": self.stability,
-        }
 
 
 def _canonical_orbit(f: PiecewiseLinearMap, x: Rat, period: int) -> PeriodicOrbit:
@@ -147,7 +140,7 @@ def periodic_points(
 
 
 @dataclass(frozen=True)
-class PeriodSetReport:
+class PeriodSetReport(Wire):
     """Outcome of a period search, honest about its coverage.
 
     exhaustive: True when the structural route certified the set complete for
@@ -163,20 +156,6 @@ class PeriodSetReport:
     stop_witness: PeriodicOrbit | None = None
     budget_note: str | None = None
     representatives: dict[int, PeriodicOrbit] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "periods": sorted(self.periods),
-            "n_max_checked": self.n_max_checked,
-            "complete": self.complete,
-            "exhaustive": self.exhaustive,
-            "stopped_early": self.stopped_early,
-            "stop_witness": self.stop_witness.to_json() if self.stop_witness else None,
-            "budget_note": self.budget_note,
-            "representatives": {
-                str(p): o.to_json() for p, o in sorted(self.representatives.items())
-            },
-        }
 
 
 def period_set(

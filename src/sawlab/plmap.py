@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, DomainError, StructureError
-from .rational import Rat, format_rat, parse_rat
+from .rational import Rat, Wire, to_wire
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
-class Ivl:
+class Ivl(Wire):
     """Closed rational interval [lo, hi], possibly degenerate."""
 
     lo: Rat
@@ -60,16 +60,9 @@ class Ivl:
     def midpoint(self) -> Rat:
         return (self.lo + self.hi) / 2
 
-    def to_json(self) -> dict:
-        return {"lo": format_rat(self.lo), "hi": format_rat(self.hi)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Ivl":
-        return Ivl(parse_rat(obj["lo"]), parse_rat(obj["hi"]))
-
 
 @dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(Wire):
     """Eventually periodic orbit: x_0 .. x_{preperiod+period}.
 
     The last listed point equals points[preperiod], closing the cycle; period
@@ -85,14 +78,6 @@ class OrbitRecord:
     @property
     def cycle(self) -> tuple[Rat, ...]:
         return self.points[self.preperiod : self.preperiod + self.period]
-
-    def to_json(self) -> dict:
-        return {
-            "start": format_rat(self.start),
-            "points": [format_rat(p) for p in self.points],
-            "preperiod": self.preperiod,
-            "period": self.period,
-        }
 
 
 def _merge_collinear(bps: list[Rat], vals: list[Rat]) -> tuple[tuple[Rat, ...], tuple[Rat, ...]]:
@@ -332,17 +317,7 @@ class PiecewiseLinearMap:
     # --- serialization, equality ---
 
     def to_json(self) -> dict:
-        return {
-            "breakpoints": [format_rat(b) for b in self.breakpoints],
-            "values": [format_rat(v) for v in self.values],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "PiecewiseLinearMap":
-        return PiecewiseLinearMap(
-            [parse_rat(b) for b in obj["breakpoints"]],
-            [parse_rat(v) for v in obj["values"]],
-        )
+        return to_wire({"breakpoints": self.breakpoints, "values": self.values})
 
     def __eq__(self, other):
         if not isinstance(other, PiecewiseLinearMap):

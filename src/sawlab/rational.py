@@ -1,14 +1,25 @@
-"""Exact rational scalars and their wire format.
+"""Exact rational scalars and the wire format of every report.
 
 All coordinates in this package are stdlib Fractions; this module pins the
 alias and the "p/q" string format used in JSON payloads, CSV cells, and CLI
 arguments. Format is always lowest terms with an explicit denominator
 ("3/4", "0/1", "2/1") so parsing round-trips byte-identically.
+
+`to_wire` is the one JSON encoder of the package. It maps
+- a Fraction to its "p/q" string;
+- a tuple or list to a list, a set or frozenset to a sorted list;
+- a dict to a dict with str keys;
+- an object with a `to_json` method to that method's result;
+and leaves anything else (str, int, float, bool, None) as it is, each
+container encoded element by element. Report dataclasses inherit `Wire`,
+whose `to_json` encodes every field under its own name; a class whose JSON is
+not simply its fields overrides `to_json`, usually on top of the default.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 from .errors import ConstraintViolation
@@ -48,3 +59,31 @@ def float_up(x: Rat) -> float:
     """The smallest float >= x."""
     f = float(x)
     return math.nextafter(f, math.inf) if f < x else f
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def to_wire(x):
+    """x as plain JSON values; see the module docstring for the rules."""
+    kind = type(x)
+    if kind in _SCALARS:
+        return x
+    if kind is Fraction:
+        return format_rat(x)
+    if kind is tuple or kind is list:
+        return [to_wire(v) for v in x]
+    if kind is dict:
+        return {str(k): to_wire(v) for k, v in x.items()}
+    if kind is frozenset or kind is set:
+        return [to_wire(v) for v in sorted(x)]
+    if hasattr(x, "to_json"):
+        return x.to_json()
+    return x
+
+
+class Wire:
+    """Mixin for report dataclasses: JSON is every field, encoded by to_wire."""
+
+    def to_json(self) -> dict:
+        return {f.name: to_wire(getattr(self, f.name)) for f in fields(self)}

@@ -23,11 +23,11 @@ from .family import StuntedSawtoothMap
 from .homoclinic import unstable_manifold
 from .odometer import index_word, word_index, adding_machine_step
 from .plmap import Ivl, PiecewiseLinearMap
-from .rational import Rat, format_rat
+from .rational import Rat, Wire, format_rat
 
 
 @dataclass(frozen=True)
-class RenormCheck:
+class RenormCheck(Wire):
     """Certificate or first violation for one window candidate."""
 
     ok: bool
@@ -35,15 +35,6 @@ class RenormCheck:
     period: int
     images: tuple[Ivl, ...]
     violation: dict | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "window": self.window.to_json(),
-            "period": self.period,
-            "images": [iv.to_json() for iv in self.images],
-            "violation": self.violation,
-        }
 
 
 def check_renormalization(f: PiecewiseLinearMap, J: Ivl, p: int) -> RenormCheck:
@@ -93,7 +84,7 @@ def verify_window(
 
 
 @dataclass(frozen=True)
-class GapFixedPointReport:
+class GapFixedPointReport(Wire):
     """The fixed point in the gap of the level-1 cycle and its certified mate.
 
     p: smallest fixed point strictly between the two cycle points.
@@ -110,17 +101,6 @@ class GapFixedPointReport:
     q: Rat | None
     unstable: Ivl | None
     reason: str | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "level": self.level,
-            "cycle": [format_rat(c) for c in self.cycle],
-            "p": format_rat(self.p) if self.p is not None else None,
-            "q": format_rat(self.q) if self.q is not None else None,
-            "unstable": self.unstable.to_json() if self.unstable else None,
-            "reason": self.reason,
-        }
 
 
 def gap_fixed_point(
@@ -177,23 +157,15 @@ def gap_fixed_point(
 
 
 @dataclass(frozen=True)
-class TowerLevel:
+class TowerLevel(Wire):
     n: int
     window: Ivl
     blocks: tuple[Ivl, ...]
     cert: RenormCheck
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "window": self.window.to_json(),
-            "blocks": [b.to_json() for b in self.blocks],
-            "cert": self.cert.to_json(),
-        }
-
 
 @dataclass(frozen=True)
-class RenormTower:
+class RenormTower(Wire):
     levels: tuple[TowerLevel, ...]
     cycle_period: int
     stop_reason: str | None
@@ -203,12 +175,7 @@ class RenormTower:
         return len(self.levels)
 
     def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "cycle_period": self.cycle_period,
-            "stop_reason": self.stop_reason,
-            "levels": [lv.to_json() for lv in self.levels],
-        }
+        return {**super().to_json(), "depth": self.depth}
 
 
 def _level_blocks(
@@ -238,6 +205,8 @@ def build_tower(
     failing, or nesting going non-strict. The tower reports how deep it got
     and why it stopped.
     """
+    if max_depth < 1:
+        raise ConstraintViolation("depth must be positive")
     f = m.map
     rec = f.orbit_eventually_periodic(m.w[0], max_steps)
     cycle = rec.cycle
@@ -280,7 +249,7 @@ def build_tower(
 
 
 @dataclass(frozen=True)
-class SemiconjugacyReport:
+class SemiconjugacyReport(Wire):
     """Depth-n comparison of the block dynamics with the adding machine."""
 
     ok: bool
@@ -291,22 +260,6 @@ class SemiconjugacyReport:
     fiber_max_points: int
     fiber_max_length: Rat | None
     reason: str | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "n": self.n,
-            "cycle_period": self.cycle_period,
-            "permutation_ok": self.permutation_ok,
-            "blocks": [b.to_json() for b in self.blocks],
-            "fiber_max_points": self.fiber_max_points,
-            "fiber_max_length": (
-                format_rat(self.fiber_max_length)
-                if self.fiber_max_length is not None
-                else None
-            ),
-            "reason": self.reason,
-        }
 
 
 def semiconjugacy_check(

@@ -20,7 +20,7 @@ from pathlib import Path
 from .errors import ConstraintViolation, SawlabError
 from .explore import Budgets, classify
 from .family import Shape, StuntedSawtoothMap, validate_heights
-from .rational import Rat, format_rat, parse_rat
+from .rational import Rat, Wire, format_rat, parse_rat
 
 FLOAT_FMT = "{:.12g}"
 
@@ -133,7 +133,7 @@ def _classify_cell(args) -> dict:
 
 
 @dataclass(frozen=True)
-class ScanSummary:
+class ScanSummary(Wire):
     cells: int
     computed: int
     resumed: int
@@ -143,15 +143,11 @@ class ScanSummary:
     certificates_path: str | None
 
     def to_json(self) -> dict:
-        return {
-            "cells": self.cells,
-            "computed": self.computed,
-            "resumed": self.resumed,
-            "verdict_counts": self.verdict_counts,
-            "csv": self.csv_path,
-            "manifest": self.manifest_path,
-            "certificates": self.certificates_path,
-        }
+        """The paths go on the wire without their attribute suffix."""
+        out = super().to_json()
+        for key in ("csv", "manifest", "certificates"):
+            out[key] = out.pop(f"{key}_path")
+        return out
 
 
 def _resume_entries(manifest: Path, config: ScanConfig) -> dict[int, dict]:

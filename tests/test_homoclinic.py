@@ -2,7 +2,9 @@
 
 from fractions import Fraction as F
 
-from sawlab import Ivl, find_homoclinic, unstable_manifold
+import pytest
+
+from sawlab import ConstraintViolation, Ivl, find_homoclinic, unstable_manifold
 
 
 def test_tent_has_a_certified_witness(tent):
@@ -54,3 +56,8 @@ def test_minimal_budget_still_finds_a_one_step_witness(tent):
     assert w.orbit.points == (F(2, 3),)
     assert w.x == F(1, 3)
     assert w.m == 1
+
+
+def test_zero_period_bound_is_refused_not_a_definitive_miss(tent):
+    with pytest.raises(ConstraintViolation):
+        find_homoclinic(tent, period_bound=0)

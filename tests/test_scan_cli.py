@@ -178,6 +178,12 @@ def test_cli_classify_exit_codes(capsys):
         (["classify", "--family", "list.json"], None),
         (["kneading", "--realize", "signs-number.json"], None),
         (["scan", "--config", "list.json"], None),
+        (["describe", "--shape", "+-", "--w", "1", "--out", "nodir/x.json"], None),
+        (["renorm", "--shape", "+-", "--w", "4/5", "--depth", "-1"], None),
+        (["classify", "--shape", "+-", "--w", "4/5", "--k", "-1"], None),
+        (["classify", "--shape", "+-", "--w", "4/5"], {"homoclinic_period_bound": 0}),
+        (["classify", "--shape", "+-", "--w", "4/5"], {"k": 1, "tower_depth": 0}),
+        (["classify", "--shape", "+-", "--w", "4/5"], {"entropy_tol": -1}),
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, budgets, tmp_path, capsys, monkeypatch):
