@@ -185,7 +185,7 @@ def _cmd_renorm(args) -> int:
         "gap_fixed_point": gap_fixed_point(m).to_json(),
     }
     if tower.depth >= 1:
-        payload["semiconjugacy"] = semiconjugacy_check(m, tower.depth).to_json()
+        payload["semiconjugacy"] = semiconjugacy_check(tower, tower.depth).to_json()
     _emit(payload, args)
     return 0
 

@@ -28,15 +28,14 @@ from .family import (
     perturb_toward_order,
     select_lambda_plateaus,
 )
-from .homoclinic import HomoclinicReport, find_homoclinic
+from .homoclinic import find_homoclinic
 from .orbits import (
-    PeriodSetReport,
     complete_period_set,
     omega_accumulation,
     period_set,
 )
 from .rational import Rat, Wire
-from .renorm import RenormTower, build_tower, semiconjugacy_check
+from .renorm import build_tower, semiconjugacy_check
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,7 @@ def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> Classific
 
     tower = build_tower(m, max_depth=b.tower_depth, max_steps=b.step_budget)
     if tower.depth >= b.tower_depth:
-        semi = semiconjugacy_check(m, tower.depth, b.step_budget)
+        semi = semiconjugacy_check(tower, tower.depth)
         return ClassificationRecord(
             verdict="Boundary2Inf",
             label=f"Boundary2Inf({tower.depth})",
@@ -313,12 +312,13 @@ def refine_to_boundary(
     parameter. Once the midpoint's L reaches the target the full classifier
     re-certifies it; the probe never decides the final verdict on its own.
     """
+    if target_level is not None and target_level < 1:
+        raise ConstraintViolation(f"target level must be >= 1, got {target_level}")
     b = budgets or Budgets()
     level_goal = b.k if target_level is None else target_level
     shape = Shape.from_string(bracket.shape)
     lo = bracket.lo_w
     hi = bracket.hi_w
-    notes: list[str] = []
     for it in range(1, max_iterations + 1):
         mid = tuple((a + c) / 2 for a, c in zip(lo, hi))
         m = StuntedSawtoothMap(shape, mid)
@@ -330,7 +330,7 @@ def refine_to_boundary(
                 finite_side = True
                 level = rec.period.bit_length() - 1
         except BudgetExceeded:
-            notes.append(f"probe step budget hit at iteration {it}")
+            pass  # no cycle within the step budget: treated as the chaotic side
         if finite_side and level >= level_goal:
             record = classify(m, b)
             if record.verdict == "Boundary2Inf":
@@ -350,9 +350,6 @@ def refine_to_boundary(
                     record=record,
                     extra_iterations=it,
                 )
-            notes.append(
-                f"midpoint at level {level} classified {record.label}; continuing"
-            )
         if finite_side:
             lo = mid
         else:

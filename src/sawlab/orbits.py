@@ -71,23 +71,23 @@ class PeriodicOrbit(Wire):
     stability: str
 
 
-def _canonical_orbit(f: PiecewiseLinearMap, x: Rat, period: int) -> PeriodicOrbit:
+def _canonical_orbit(f: PiecewiseLinearMap, cycle: tuple[Rat, ...]) -> PeriodicOrbit:
+    """The orbit of a closed walk's points, rotated to start at the smallest."""
+    k = cycle.index(min(cycle))
+    pts = cycle[k:] + cycle[:k]
+    return PeriodicOrbit(pts, len(pts), classify_stability(f, pts))
+
+
+def _cycle(f: PiecewiseLinearMap, x: Rat, n: int) -> tuple[Rat, ...] | None:
+    """x, f(x), ..., f^(p-1)(x) for the minimal p <= n with f^p(x) = x, or None."""
     pts = [x]
-    for _ in range(period - 1):
-        pts.append(f(pts[-1]))
-    k = pts.index(min(pts))
-    pts = pts[k:] + pts[:k]
-    return PeriodicOrbit(tuple(pts), period, classify_stability(f, pts))
-
-
-def _minimal_period(f: PiecewiseLinearMap, x: Rat, n: int) -> int | None:
-    """Minimal p <= n with f^p(x) = x, or None."""
-    cur = x
-    for p in range(1, n + 1):
+    cur = f(x)
+    while cur != x:
+        if len(pts) == n:
+            return None
+        pts.append(cur)
         cur = f(cur)
-        if cur == x:
-            return p
-    return None
+    return tuple(pts)
 
 
 def iterate_fixed_points(g: PiecewiseLinearMap) -> tuple[Rat, ...]:
@@ -119,12 +119,12 @@ def orbits_of_iterate(
     for x in iterate_fixed_points(g):
         if x in consumed:
             continue
-        p = _minimal_period(f, x, n)
-        if p is None:
+        cycle = _cycle(f, x, n)
+        if cycle is None:
             raise StructureError("iterate fixed point does not close under the map")
-        orb = _canonical_orbit(f, x, p)
+        orb = _canonical_orbit(f, cycle)
         consumed.update(orb.points)
-        if p == n:
+        if orb.period == n:
             orbits[orb.points[0]] = orb
     return tuple(orbits[k] for k in sorted(orbits))
 
@@ -207,15 +207,14 @@ def markov_orbit_inventory(
         raise StructureError("recurrent class branches; structural period set unavailable")
     orbits: dict[tuple[Rat, ...], PeriodicOrbit] = {}
     for cyc in sys.recurrence.cycles:
-        x = cycle_orbit_point(sys, cyc)
-        p = _minimal_period(f, x, len(cyc))
-        if p is None:
+        cycle = _cycle(f, cycle_orbit_point(sys, cyc), len(cyc))
+        if cycle is None:
             raise StructureError("cycle point does not close under the map")
-        orb = _canonical_orbit(f, x, p)
+        orb = _canonical_orbit(f, cycle)
         orbits.setdefault(orb.points, orb)
     for plat in f.plateaus():
         rec = f.orbit_eventually_periodic(f(plat.lo), max_steps)
-        orb = _canonical_orbit(f, rec.points[rec.preperiod], rec.period)
+        orb = _canonical_orbit(f, rec.cycle)
         orbits.setdefault(orb.points, orb)
     return tuple(orbits.values())
 

@@ -57,9 +57,6 @@ class Ivl(Wire):
     def hull(self, other: "Ivl") -> "Ivl":
         return Ivl(min(self.lo, other.lo), max(self.hi, other.hi))
 
-    def midpoint(self) -> Rat:
-        return (self.lo + self.hi) / 2
-
 
 @dataclass(frozen=True)
 class OrbitRecord(Wire):

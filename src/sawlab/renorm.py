@@ -5,9 +5,9 @@ have pairwise disjoint interiors and the p-th image returns into J. Towers
 stack such windows along the doubling cascade: at level n the cycle of the
 principal critical value splits into 2^n residue classes, each class hull is
 a block, and the blocks must be disjoint, cycle correctly under the map, and
-nest strictly down the levels. The level-n block structure is exactly the
-depth-n approximation of the binary adding machine, which is what the
-semiconjugacy check verifies, fiber sizes included.
+nest strictly down the levels. Block r cycles to the block of the odometer
+step of its n-bit word, so each kept level is the depth-n semiconjugacy onto
+the binary adding machine, which the semiconjugacy check reads off the tower.
 
 Two independent routes certify a window on purpose: the iterated-image route
 and the composed-power route. They share no code path beyond the map itself.
@@ -16,9 +16,9 @@ and the composed-power route. They share no code path beyond the map itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 
-from .errors import BudgetExceeded, ConstraintViolation
+from .errors import ConstraintViolation
 from .family import StuntedSawtoothMap
 from .homoclinic import unstable_manifold
 from .odometer import index_word, word_index, adding_machine_step
@@ -178,32 +178,16 @@ class RenormTower(Wire):
         return {**super().to_json(), "depth": self.depth}
 
 
-def _level_blocks(
-    cycle: tuple[Rat, ...], n: int
-) -> tuple[list[Ivl], tuple[int, int] | None]:
-    """Hulls of the residue classes mod 2^n along the temporal cycle order,
-    and the first pair of them whose interiors overlap, if any."""
-    q = 1 << n
-    blocks = []
-    for r in range(q):
-        pts = cycle[r::q]
-        blocks.append(Ivl(min(pts), max(pts)))
-    for i in range(q):
-        for k in range(i + 1, q):
-            if blocks[i].interior_intersects(blocks[k]):
-                return blocks, (i, k)
-    return blocks, None
-
-
 def build_tower(
     m: StuntedSawtoothMap, max_depth: int = 6, max_steps: int = 1_000_000
 ) -> RenormTower:
     """Stack doubling levels out of the principal critical value cycle.
 
     Stops at the first level that fails: period not divisible, blocks
-    overlapping, a block escaping its successor, window certification
-    failing, or nesting going non-strict. The tower reports how deep it got
-    and why it stopped.
+    overlapping, a block escaping its successor (the block of the odometer
+    step of its n-bit word, so a kept level is the depth-n semiconjugacy),
+    window certification failing, or nesting going non-strict. The tower
+    reports how deep it got and why it stopped.
     """
     if max_depth < 1:
         raise ConstraintViolation("depth must be positive")
@@ -218,14 +202,22 @@ def build_tower(
         if rec.period % q != 0:
             stop = f"cycle period {rec.period} not divisible by {q}"
             break
-        blocks, overlap = _level_blocks(cycle, n)
+        # block r: hull of the residue class r mod 2^n along the temporal order
+        blocks = []
+        for r in range(q):
+            pts = cycle[r::q]
+            blocks.append(Ivl(min(pts), max(pts)))
+        pairs = combinations(range(q), 2)
+        overlap = next(
+            ((i, k) for i, k in pairs if blocks[i].interior_intersects(blocks[k])), None
+        )
         if overlap:
             stop = f"blocks {overlap[0]} and {overlap[1]} overlap at level {n}"
             break
         escape = None
         for r in range(q):
-            img = f.image_of_interval(blocks[r])
-            if not blocks[(r + 1) % q].contains_interval(img):
+            successor = blocks[word_index(adding_machine_step(index_word(r, n)))]
+            if not successor.contains_interval(f.image_of_interval(blocks[r])):
                 escape = r
                 break
         if escape is not None:
@@ -262,59 +254,35 @@ class SemiconjugacyReport(Wire):
     reason: str | None = None
 
 
-def semiconjugacy_check(
-    m: StuntedSawtoothMap, n: int, max_steps: int = 1_000_000
-) -> SemiconjugacyReport:
+def semiconjugacy_check(tower: RenormTower, n: int) -> SemiconjugacyReport:
     """Does the level-n block dynamics factor onto the n-bit adding machine?
 
-    Blocks are labeled by n-bit words through the temporal order of the
-    cycle; the check is that the map advances each block to the one whose
-    word is the odometer step of its own. Never throws on a mismatch: the
-    report carries the reason.
+    build_tower already checked that the map advances each block into the
+    one whose n-bit word is the odometer step of its own, so this reads level
+    n: yes with fibers of cycle_period / 2^n points when the tower reached
+    it, no with the tower's stop reason when it stopped below n.
     """
     if n < 1:
         raise ConstraintViolation("level must be positive")
-    f = m.map
-    rec = f.orbit_eventually_periodic(m.w[0], max_steps)
-    cycle = rec.cycle
-    q = 1 << n
-    if rec.period % q != 0:
+    if n > tower.depth:
         return SemiconjugacyReport(
             ok=False,
             n=n,
-            cycle_period=rec.period,
+            cycle_period=tower.cycle_period,
             permutation_ok=False,
             blocks=(),
             fiber_max_points=0,
             fiber_max_length=None,
-            reason=f"cycle period {rec.period} not divisible by {q}",
+            reason=f"tower stopped at depth {tower.depth}: "
+            f"{tower.stop_reason or 'depth limit reached'}",
         )
-    blocks, overlap = _level_blocks(cycle, n)
-    if overlap:
-        return SemiconjugacyReport(
-            ok=False,
-            n=n,
-            cycle_period=rec.period,
-            permutation_ok=False,
-            blocks=tuple(blocks),
-            fiber_max_points=len(cycle) // q,
-            fiber_max_length=max(b.length for b in blocks),
-            reason=f"blocks {overlap[0]} and {overlap[1]} have overlapping interiors",
-        )
-    perm_ok = True
-    for r in range(q):
-        img = f.image_of_interval(blocks[r])
-        target = blocks[word_index(adding_machine_step(index_word(r, n)))]
-        if not target.contains_interval(img):
-            perm_ok = False
-            break
+    blocks = tower.levels[n - 1].blocks
     return SemiconjugacyReport(
-        ok=perm_ok,
+        ok=True,
         n=n,
-        cycle_period=rec.period,
-        permutation_ok=perm_ok,
-        blocks=tuple(blocks),
-        fiber_max_points=len(cycle) // q,
+        cycle_period=tower.cycle_period,
+        permutation_ok=True,
+        blocks=blocks,
+        fiber_max_points=tower.cycle_period >> n,
         fiber_max_length=max(b.length for b in blocks),
-        reason=None if perm_ok else "block image misses its odometer successor",
     )

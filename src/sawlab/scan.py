@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ConstraintViolation, SawlabError
+from .errors import ConstraintViolation
 from .explore import Budgets, classify
 from .family import Shape, StuntedSawtoothMap, validate_heights
 from .rational import Rat, Wire, format_rat, parse_rat
@@ -101,7 +102,12 @@ def _classify_cell(args) -> dict:
     index, shape_word, w_strs, budgets_json, want_record = args
     shape = Shape.from_string(shape_word)
     w = tuple(parse_rat(x) for x in w_strs)
-    entry: dict = {"index": index, "w": [format_rat(x) for x in w]}
+    entry: dict = {
+        "index": index,
+        "w": [format_rat(x) for x in w],
+        "shape": shape_word,
+        "budgets": budgets_json,
+    }
     try:
         validate_heights(shape, w)
     except ConstraintViolation as e:
@@ -156,9 +162,11 @@ def _resume_entries(manifest: Path, config: ScanConfig) -> dict[int, dict]:
     A crash can tear the last journal line (bytes after the last newline, or
     a last line that is not JSON); that line is cut off the file and its cell
     computed again. Any other unreadable line, or an entry whose heights are
-    not the config's cell at its index, is a ConstraintViolation: the
-    manifest belongs to another run or config.
+    not the config's cell at its index, or whose shape or budgets are not the
+    config's, is a ConstraintViolation: the manifest belongs to another run
+    or config, and its rows do not answer this one.
     """
+    expected = {"shape": config.shape.to_string(), "budgets": config.budgets.to_json()}
     data = manifest.read_bytes()
     *lines, torn = data.split(b"\n")  # torn: whatever follows the last newline
     done: dict[int, dict] = {}
@@ -174,12 +182,13 @@ def _resume_entries(manifest: Path, config: ScanConfig) -> dict[int, dict]:
             index = entry.get("index") if isinstance(entry, dict) else None
             if not isinstance(index, int) or not 0 <= index < len(config.cells):
                 raise ConstraintViolation(f"{manifest} line {n + 1}: no cell {index!r} in the config")
-            want = [format_rat(x) for x in config.cells[index]]
-            if entry.get("w") != want:
-                raise ConstraintViolation(
-                    f"{manifest} line {n + 1}: cell {index} has w {entry.get('w')!r}, "
-                    f"the config has {want}"
-                )
+            want = {"w": [format_rat(x) for x in config.cells[index]], **expected}
+            for key, value in want.items():
+                if entry.get(key) != value:
+                    raise ConstraintViolation(
+                        f"{manifest} line {n + 1}: cell {index} has {key} "
+                        f"{entry.get(key)!r}, the config has {value!r}"
+                    )
             done[index] = entry
         kept += len(line) + 1
     if kept < len(data):
@@ -210,21 +219,17 @@ def run_scan(config: ScanConfig, resume: bool = False, workers: int = 0) -> Scan
     ]
     manifest.parent.mkdir(parents=True, exist_ok=True)
     computed = 0
-    with manifest.open("a") as journal:
+    with manifest.open("a") as journal, ExitStack() as stack:
         if workers and workers > 1 and todo:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for entry in pool.map(_classify_cell, todo):
-                    done[entry["index"]] = entry
-                    journal.write(json.dumps(entry, sort_keys=True) + "\n")
-                    journal.flush()
-                    computed += 1
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            entries = pool.map(_classify_cell, todo)
         else:
-            for args in todo:
-                entry = _classify_cell(args)
-                done[entry["index"]] = entry
-                journal.write(json.dumps(entry, sort_keys=True) + "\n")
-                journal.flush()
-                computed += 1
+            entries = map(_classify_cell, todo)
+        for entry in entries:
+            done[entry["index"]] = entry
+            journal.write(json.dumps(entry, sort_keys=True) + "\n")
+            journal.flush()
+            computed += 1
 
     ordered = [done[i] for i in range(len(config.cells))]
     csv_path = Path(config.csv_path)

@@ -158,7 +158,7 @@ def test_criterion_5_tower_matches_the_odometer(boundary):
         for a, b in zip(levels, levels[1:])
     )
     semi_ok = all(
-        (lambda r: r.ok and r.permutation_ok)(semiconjugacy_check(boundary["map"], n))
+        (lambda r: r.ok and r.permutation_ok)(semiconjugacy_check(tower, n))
         for n in range(1, 7)
     )
     elapsed = boundary["setup_seconds"] + time.monotonic() - t0

@@ -3,8 +3,11 @@
 from fractions import Fraction as F
 
 from sawlab import (
+    Budgets,
+    PiecewiseLinearMap,
     build_tower,
     check_renormalization,
+    classify,
     gap_fixed_point,
     semiconjugacy_check,
     verify_window,
@@ -44,12 +47,14 @@ def test_tower_of_the_full_tent_is_empty(stunted_tent):
 
 def test_semiconjugacy_at_matching_depth(stunted_tent):
     m = stunted_tent(F(4, 5))
-    r1 = semiconjugacy_check(m, 1)
+    tower = build_tower(m)
+    r1 = semiconjugacy_check(tower, 1)
     assert r1.ok
     assert r1.permutation_ok
-    r2 = semiconjugacy_check(m, 2)
+    r2 = semiconjugacy_check(tower, 2)
     assert not r2.ok
     assert "not divisible by 4" in r2.reason
+    assert r2.reason == f"tower stopped at depth 1: {tower.stop_reason}"
 
 
 def test_window_verification_on_the_period_two_level(stunted_tent):
@@ -60,3 +65,25 @@ def test_window_verification_on_the_period_two_level(stunted_tent):
     chk = check_renormalization(f, level.window, 2)
     assert chk.ok
     assert chk.period == 2
+
+
+def test_boundary_classify_walks_the_critical_cycle_twice(stunted_tent, monkeypatch):
+    m = stunted_tent(F(823, 1000))
+    starts = []
+    walk = PiecewiseLinearMap.orbit_eventually_periodic
+
+    def counted(self, x, *args, **kwargs):
+        starts.append(x)
+        return walk(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(PiecewiseLinearMap, "orbit_eventually_periodic", counted)
+    record = classify(m, Budgets(k=2, tower_depth=2))
+    assert record.label == "Boundary2Inf(2)"
+    # the period-set inventory walks the critical cycle once, the tower once
+    assert starts.count(m.w[0]) <= 2
+    semi = record.certificates["semiconjugacy"]
+    assert semi["ok"] and semi["permutation_ok"]
+    assert semi["cycle_period"] == 4
+    assert semi["fiber_max_points"] == 1
+    assert [b["lo"] for b in semi["blocks"]] == ["823/1000", "177/500", "177/250", "73/125"]
+    assert all(b["lo"] == b["hi"] for b in semi["blocks"])

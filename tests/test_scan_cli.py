@@ -1,10 +1,11 @@
 """Grid scans and the command line front end."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from sawlab import ConstraintViolation
+from sawlab import Budgets, ConstraintViolation, Shape
 from sawlab.cli import main
 from sawlab.scan import ScanConfig, run_scan
 
@@ -97,6 +98,21 @@ def test_scan_resume_rejects_a_manifest_of_another_grid(line_config):
         run_scan(line_config(5), resume=True)
 
 
+def test_scan_resume_rejects_rows_computed_under_other_budgets(line_config):
+    cfg = line_config(4)
+    run_scan(cfg)
+    with pytest.raises(ConstraintViolation, match="budgets"):
+        run_scan(replace(cfg, budgets=Budgets.from_json({"k": 3})), resume=True)
+
+
+def test_scan_resume_rejects_rows_computed_for_the_mirrored_shape(line_config):
+    cfg = line_config(4)
+    run_scan(cfg)
+    # -+ over the same heights: every cell matches by index and w
+    with pytest.raises(ConstraintViolation, match="shape"):
+        run_scan(replace(cfg, shape=Shape.from_string("-+")), resume=True)
+
+
 def test_manifest_journals_one_line_per_cell(line_config):
     cfg = line_config(3)
     run_scan(cfg)
@@ -184,6 +200,8 @@ def test_cli_classify_exit_codes(capsys):
         (["classify", "--shape", "+-", "--w", "4/5"], {"homoclinic_period_bound": 0}),
         (["classify", "--shape", "+-", "--w", "4/5"], {"k": 1, "tower_depth": 0}),
         (["classify", "--shape", "+-", "--w", "4/5"], {"entropy_tol": -1}),
+        (["bisect", "--shape", "+-", "--lo", "4/5", "--hi", "9/10", "--width", "1/1000",
+          "--refine-level", "0"], None),
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, budgets, tmp_path, capsys, monkeypatch):
