@@ -202,6 +202,9 @@ def _cmd_bisect(args) -> int:
     lo = [parse_rat(t) for t in args.lo.split(",")]
     hi = [parse_rat(t) for t in args.hi.split(",")]
     b = _budgets(args)
+    if args.refine_level is not None and args.refine_level < 1:
+        # refused before the bisection spends its probes, not after
+        raise ConstraintViolation(f"target level must be >= 1, got {args.refine_level}")
     bracket = bisect_boundary(shape, lo, hi, parse_rat(args.width), b)
     if args.refine_level is not None:
         refined = refine_to_boundary(bracket, b, target_level=args.refine_level)

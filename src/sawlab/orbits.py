@@ -1,16 +1,19 @@
 """Periodic orbits, period sets, and stability.
 
-Periodic points of a rational PL map solve affine equations piece by piece on
-the exact iterate, so everything here is exact. One enumerator,
-periodic_orbits, lists the orbits of each period for every caller that sweeps
-periods (period_set, find_homoclinic, omega_accumulation). It goes
-structural first: when every recurrent class of the Markov graph is a bare
-cycle (the zero entropy situation) the graph lists every periodic orbit at
-once, and only otherwise does it compose the iterates f^n one at a time.
+Periodic points of a rational PL map solve affine equations, so everything
+here is exact. One enumerator, periodic_orbits, lists the orbits of each
+period for every caller that sweeps periods (period_set, find_homoclinic,
+omega_accumulation), and it reads them off the Markov graph without
+composing an iterate. When every recurrent class is a bare cycle (the zero
+entropy situation) the graph lists every periodic orbit at once. Otherwise
+the orbits of period n are the cycles of f on the partition points plus one
+orbit per closed walk of length n in the cell graph whose fixed point avoids
+the partition (Block, Guckenheimer, Misiurewicz and Young, 1980).
 
-periodic_points (f^n by repeated squaring) is the literal reference route the
-tests compare the enumerator against; complete_period_set is the exhaustive
-all-periods answer of the structural route.
+periodic_points (f^n by repeated squaring, then its fixed points piece by
+piece) is the literal reference route the tests compare the enumerator
+against; complete_period_set is the exhaustive all-periods answer of the
+structural route.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetExceeded, ConstraintViolation, StructureError
-from .markov import build_markov_system, cycle_orbit_point
+from .markov import MarkovSystem, build_markov_system, cycle_orbit_point
 from .plmap import PiecewiseLinearMap
 from .rational import Rat, Wire
 
@@ -50,8 +55,11 @@ def orbit_side_slope(f: PiecewiseLinearMap, points, side: int) -> Rat:
 
 
 def classify_stability(f: PiecewiseLinearMap, cycle_points) -> str:
-    left = orbit_side_slope(f, cycle_points, -1)
-    right = orbit_side_slope(f, cycle_points, +1)
+    return _stability(orbit_side_slope(f, cycle_points, -1), orbit_side_slope(f, cycle_points, +1))
+
+
+def _stability(left: Rat, right: Rat) -> str:
+    """Stability from the one-sided derivatives of f^n along an orbit."""
     al, ar = abs(left), abs(right)
     if al < 1 and ar < 1:
         if left == 0 and right == 0:
@@ -110,10 +118,17 @@ def iterate_fixed_points(g: PiecewiseLinearMap) -> tuple[Rat, ...]:
     return tuple(sorted(sols))
 
 
-def orbits_of_iterate(
-    f: PiecewiseLinearMap, g: PiecewiseLinearMap, n: int
+def periodic_points(
+    f: PiecewiseLinearMap, n: int, piece_budget: int = 1_000_000
 ) -> tuple[PeriodicOrbit, ...]:
-    """Orbits of minimal period exactly n, given the precomputed iterate g = f^n."""
+    """All orbits of minimal period exactly n, via the exact n-th iterate.
+
+    The literal route: compose f^n, solve its fixed points piece by piece and
+    walk each under f. It is the oracle periodic_orbits is tested against.
+    """
+    if n < 1:
+        raise ConstraintViolation(f"period must be >= 1, got {n}")
+    g = f if n == 1 else f.compose_self(n, piece_budget)
     orbits: dict[Rat, PeriodicOrbit] = {}
     consumed: set[Rat] = set()
     for x in iterate_fixed_points(g):
@@ -127,16 +142,6 @@ def orbits_of_iterate(
         if orb.period == n:
             orbits[orb.points[0]] = orb
     return tuple(orbits[k] for k in sorted(orbits))
-
-
-def periodic_points(
-    f: PiecewiseLinearMap, n: int, piece_budget: int = 1_000_000
-) -> tuple[PeriodicOrbit, ...]:
-    """All orbits of minimal period exactly n, via the exact n-th iterate."""
-    if n < 1:
-        raise ConstraintViolation(f"period must be >= 1, got {n}")
-    g = f if n == 1 else f.compose_self(n, piece_budget)
-    return orbits_of_iterate(f, g, n)
 
 
 @dataclass(frozen=True)
@@ -198,13 +203,18 @@ def markov_orbit_inventory(
     """Every periodic orbit of a zero-entropy map, via bare cell cycles.
 
     Every recurrent class must be a bare cycle, else StructureError: with a
-    branching class the orbit list is infinite. Bare cycles contribute their
-    solved orbit points; plateau values contribute the attracting cycles the
-    graph cannot see.
+    branching class the orbit list is infinite.
     """
     sys = build_markov_system(f, point_budget)
     if sys.recurrence.branching:
         raise StructureError("recurrent class branches; structural period set unavailable")
+    return _bare_cycle_orbits(sys, max_steps)
+
+
+def _bare_cycle_orbits(sys: MarkovSystem, max_steps: int = 100_000) -> tuple[PeriodicOrbit, ...]:
+    """Bare cycles contribute their solved orbit points; plateau values
+    contribute the attracting cycles the graph cannot see."""
+    f = sys.map
     orbits: dict[tuple[Rat, ...], PeriodicOrbit] = {}
     for cyc in sys.recurrence.cycles:
         cycle = _cycle(f, cycle_orbit_point(sys, cyc), len(cyc))
@@ -240,25 +250,137 @@ def periodic_orbits(
 ) -> Iterator[tuple[int, tuple[PeriodicOrbit, ...]]]:
     """Yield (n, orbits of minimal period n) for n = 1..n_max.
 
-    Each tuple is sorted by smallest point, as orbits_of_iterate lists it.
-    When every recurrent class is a bare cycle the Markov inventory answers
-    every n at once. Otherwise f^n is composed from f^(n-1) as n grows, and a
-    BudgetExceeded from that composition surfaces at the n that needed it.
+    Each tuple is sorted by smallest point, as periodic_points lists it. The
+    Markov graph of f is built once, with the partition budget classify's
+    entropy stage uses (a BudgetExceeded("partition") surfaces at n = 1).
+    When no recurrent class branches, the bare-cycle inventory answers every
+    n at once. Otherwise the orbits of period n are read off the closed walks
+    of length n (_walk_orbits); their count trace(A^n) is checked against
+    piece_budget before any is enumerated, and a BudgetExceeded("walks")
+    surfaces at the n that needed it.
     """
-    try:
-        inventory = markov_orbit_inventory(f)
-    except (StructureError, BudgetExceeded):
-        inventory = None
-    if inventory is not None:
-        ordered = sorted(inventory, key=lambda o: o.points[0])
+    sys = build_markov_system(f, 4096)
+    if not sys.recurrence.branching:
+        ordered = sorted(_bare_cycle_orbits(sys), key=lambda o: o.points[0])
         for n in range(1, n_max + 1):
             yield n, tuple(o for o in ordered if o.period == n)
         return
-    g = f
+    yield from _walk_orbits(sys, n_max, piece_budget)
+
+
+_INT64_MAX = (1 << 63) - 1
+
+
+def _walk_orbits(
+    sys: MarkovSystem, n_max: int, piece_budget: int
+) -> Iterator[tuple[int, tuple[PeriodicOrbit, ...]]]:
+    """periodic_orbits on a graph with a branching class.
+
+    f maps the partition P into itself, so an orbit either lies in P, where
+    it is a cycle of f on a finite set, or avoids P. An orbit that avoids P
+    visits the interiors of nonflat cells, and its itinerary from each point
+    is a closed walk of length n in the cell graph; conversely the affine
+    branch composed along a closed walk maps its cylinder onto its first
+    cell, so it has exactly one fixed point there (or is the identity). That
+    makes the orbits of period n off P the fixed points, off P, of the closed
+    walks of length n, one walk per orbit point.
+
+    A^n is kept in int64 while no product can overflow, in Python integers
+    after that, so the walk count stays exact.
+    """
+    f = sys.map
+    adj = sys.adjacency
+    k = adj.shape[0]
+    branch = []
+    for i in sys.nonflat:
+        lo = sys.cells[i].lo
+        s = f.right_slope(lo)
+        branch.append((s, f(lo) - s * lo))
+    succ = [np.flatnonzero(row).tolist() for row in adj]
+    partition = frozenset(sys.points)
+    cycles = _partition_cycles(f, sys.points)
+    # bit u of back[m][s]: some walk of length m leads from cell u to cell s
+    back = [[1 << s for s in range(k)]]
+    power = adj
     for n in range(1, n_max + 1):
         if n > 1:
-            g = g.compose_with(f, piece_budget)
-        yield n, orbits_of_iterate(f, g, n)
+            if power.dtype != object and power.max() > _INT64_MAX // k:
+                power = power.astype(object)
+            power = power @ adj
+        walks = int(np.trace(power))
+        if walks > piece_budget:
+            raise BudgetExceeded("walks", piece_budget, needed=walks)
+        packed = np.packbits(power > 0, axis=0, bitorder="little")
+        back.append([int.from_bytes(packed[:, s].tobytes(), "little") for s in range(k)])
+        found = [o for o in cycles if o.period == n]
+        for s0 in range(k):
+            if back[n][s0] >> s0 & 1:
+                found += _orbits_from_cell(s0, n, branch, succ, back, partition)
+        found.sort(key=lambda o: o.points[0])
+        yield n, tuple(found)
+
+
+def _orbits_from_cell(s0, n, branch, succ, back, partition) -> list[PeriodicOrbit]:
+    """Orbits of minimal period n off the partition whose smallest point lies in cell s0.
+
+    Depth-first over the closed walks of length n from s0 through cells
+    >= s0, so each orbit is met only from its lowest cell. Walks share their
+    prefixes: a stack entry carries the affine branch x -> a*x + b composed
+    along its walk so far, and a step is taken only when the cell it enters
+    can still return to s0 in the steps left. A closed walk's fixed point is
+    kept when it is off the partition and walking it through the branches
+    meets no point at or below it: the orbit's smallest point, with minimal
+    period n. Off the partition both one-sided slopes of f^n are a.
+    """
+    home = [back[m][s0] for m in range(n)]  # bit u of home[m]: u returns to s0 in m steps
+    path = [s0] * n
+    found = []
+    s, t = branch[s0]
+    stack = [(0, s0, s, t)]
+    while stack:
+        d, c, a, b = stack.pop()
+        path[d] = c
+        if d < n - 1:
+            ok = home[n - d - 1]
+            for u in succ[c]:
+                if u >= s0 and ok >> u & 1:
+                    s, t = branch[u]
+                    stack.append((d + 1, u, s * a, s * b + t))
+            continue
+        if a == 1:
+            if b == 0:
+                raise StructureError("slope-1 closed walk fixed pointwise; continuum of solutions")
+            continue
+        x = b / (1 - a)
+        if x in partition:
+            continue
+        pts = [x]
+        for cell in path[:-1]:
+            s, t = branch[cell]
+            y = s * pts[-1] + t
+            if y <= x:
+                break
+            pts.append(y)
+        else:
+            found.append(PeriodicOrbit(tuple(pts), n, _stability(a, a)))
+    return found
+
+
+def _partition_cycles(f: PiecewiseLinearMap, points) -> tuple[PeriodicOrbit, ...]:
+    """The periodic orbits through partition points, plateau cycles among them:
+    f maps the partition into itself, so they are the cycles of f on a finite set."""
+    image = {p: f(p) for p in points}
+    orbits = []
+    seen: set[Rat] = set()
+    for p in points:
+        trail: dict[Rat, int] = {}
+        while p not in seen:
+            seen.add(p)
+            trail[p] = len(trail)
+            p = image[p]
+        if p in trail:
+            orbits.append(_canonical_orbit(f, tuple(trail)[trail[p]:]))
+    return tuple(orbits)
 
 
 # === Sharkovskii order ===
@@ -300,10 +422,10 @@ def omega_accumulation(
     """Cluster centers of 2^k-periodic points, k_min <= k <= k_max.
 
     Approximates where high-period doubling orbits pile up. Points closer
-    than cluster_radius merge; centers are hull midpoints, exact. At the
-    zero-entropy maps this is used on, periodic_orbits reads the orbits off
-    the Markov graph; composing f to the 2^k-th power would grind on the huge
-    denominators the boundary refinement produces.
+    than cluster_radius merge; centers are hull midpoints, exact.
+    periodic_orbits reads the orbits off the Markov graph on either side of
+    the boundary, so f is never composed to the 2^k-th power, which would
+    grind on the huge denominators the boundary refinement produces.
     """
     radius = Fraction(cluster_radius)
     wanted = {1 << k for k in range(k_min, k_max + 1)}

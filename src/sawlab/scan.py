@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ConstraintViolation
+from .errors import ConstraintViolation, SawlabError
 from .explore import Budgets, classify
 from .family import Shape, StuntedSawtoothMap, validate_heights
 from .rational import Rat, Wire, format_rat, parse_rat
@@ -97,6 +97,19 @@ CSV_FIELDS = (
 )
 
 
+def _blank_row(verdict: str, reason: str) -> dict:
+    """The row of a cell that has no classification record."""
+    return {
+        "verdict": verdict,
+        "label": verdict,
+        "entropy": "",
+        "max_period": "",
+        "tower_depth": "",
+        "homoclinic": "",
+        "reason": reason,
+    }
+
+
 def _classify_cell(args) -> dict:
     """Worker: one cell to a manifest entry. Must stay picklable/top-level."""
     index, shape_word, w_strs, budgets_json, want_record = args
@@ -111,18 +124,18 @@ def _classify_cell(args) -> dict:
     try:
         validate_heights(shape, w)
     except ConstraintViolation as e:
-        entry["row"] = {
-            "verdict": "Skipped",
-            "label": "Skipped",
-            "entropy": "",
-            "max_period": "",
-            "tower_depth": "",
-            "homoclinic": "",
-            "reason": str(e),
-        }
+        entry["row"] = _blank_row("Skipped", str(e))
         entry["record"] = None
         return entry
-    record = classify(StuntedSawtoothMap(shape, w), Budgets.from_json(budgets_json))
+    try:
+        record = classify(StuntedSawtoothMap(shape, w), Budgets.from_json(budgets_json))
+    except ConstraintViolation:
+        raise
+    except SawlabError as e:
+        # one cell's failure is that cell's row, not the end of the scan
+        entry["row"] = _blank_row("Error", f"{type(e).__name__}: {e}")
+        entry["record"] = None
+        return entry
     detail = record.detail
     row = {
         "verdict": record.verdict,

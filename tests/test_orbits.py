@@ -1,10 +1,15 @@
 """Periodic orbit enumeration, period sets, Sharkovskii order."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from sawlab import (
+    BudgetExceeded,
+    ConstraintViolation,
     Shape,
     StuntedSawtoothMap,
     classify_stability,
@@ -15,6 +20,7 @@ from sawlab import (
     sharkovskii_closure,
     sharkovskii_forces,
 )
+from sawlab.family import build_sawtooth
 from sawlab.orbits import markov_orbit_inventory, orbit_side_slope, periodic_orbits
 
 
@@ -54,11 +60,11 @@ def test_period_set_sweep_stops_on_witness(tent):
 
 
 def test_period_set_reports_where_the_budget_ran_out(tent):
-    # tent^2 has 4 pieces, one more than the budget allows
+    # the tent has 4 closed walks of length 2, one more than the budget allows
     report = period_set(tent, 6, piece_budget=3)
     assert report.n_max_checked == 1
     assert not report.complete
-    assert "pieces" in report.budget_note
+    assert "walks" in report.budget_note
     assert report.periods == frozenset({1})
 
 
@@ -122,3 +128,63 @@ def test_structural_inventory_refuses_branching_graphs(tent):
 
     with pytest.raises(StructureError):
         markov_orbit_inventory(tent)
+
+
+def _plateau_is_periodic(f):
+    return any(
+        f.iterate(f(plat.lo), n) == f(plat.lo) for plat in f.plateaus() for n in range(1, 65)
+    )
+
+
+_STUNTED = st.sampled_from(["+-", "+-+", "+-+-"]).flatmap(
+    lambda word: st.tuples(
+        st.just(word), st.lists(st.integers(0, 20), min_size=len(word) - 1, max_size=len(word) - 1)
+    )
+)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(case=_STUNTED)
+# plateau values on cycles of f on the partition points: 1/20 and 13/20 on the
+# 4-cycle (1/20, 3/20, 9/20, 13/20) of +-+ (13/20, 1/20); 1/20 and 1/2 on the
+# 3-cycle (1/20, 1/5, 1/2) of +-+- (1/2, 1/20, 1/10)
+@example(case=("+-+", [13, 1]))
+@example(case=("+-+-", [10, 1, 2]))
+def test_walk_route_lists_the_literal_iterates_orbits(case):
+    word, heights = case
+    try:
+        f = StuntedSawtoothMap(Shape.from_string(word), [F(h, 20) for h in heights]).map
+    except ConstraintViolation:
+        assume(False)
+    # the oracle composes f^8, about e^(8h) pieces: h below log 2 keeps it
+    # to a fraction of a second per map
+    assume(0 < entropy_markov(f).value < math.log(2))
+    for n, orbits in periodic_orbits(f, 8):
+        assert orbits == periodic_points(f, n), (word, heights, n)
+
+
+def test_walk_property_examples_reach_plateau_cycles():
+    for word, w in (("+-+", (F(13, 20), F(1, 20))), ("+-+-", (F(1, 2), F(1, 20), F(1, 10)))):
+        f = StuntedSawtoothMap(Shape.from_string(word), w).map
+        assert 0 < entropy_markov(f).value < math.log(2)
+        assert _plateau_is_periodic(f)
+
+
+@pytest.mark.parametrize(
+    "word, budget, n, needed", [("+-", 3, 2, 4), ("+-+-", 63, 3, 64)]
+)
+def test_walk_budget_refuses_up_front_with_the_exact_count(word, budget, n, needed):
+    # trace(A^n) of the full sawtooth with d + 1 teeth is (d + 1)^n
+    f = build_sawtooth(Shape.from_string(word))
+    reached = []
+    with pytest.raises(BudgetExceeded) as e:
+        for k, _ in periodic_orbits(f, 8, piece_budget=budget):
+            reached.append(k)
+    assert reached == list(range(1, n))
+    assert e.value.kind == "walks"
+    assert e.value.needed == needed

@@ -2,10 +2,11 @@
 
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from sawlab import Budgets, ConstraintViolation, Shape
+from sawlab import Budgets, ConstraintViolation, Shape, StructureError, classify
 from sawlab.cli import main
 from sawlab.scan import ScanConfig, run_scan
 
@@ -265,3 +266,39 @@ def test_cli_scan_runs_config_file(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)["scan"]
     assert payload["cells"] == 3
     assert (tmp_path / "g.csv").exists()
+
+
+def test_cli_bisect_refuses_a_refine_level_below_1_before_bisecting(capsys, monkeypatch):
+    def bisect_must_not_run(*args, **kwargs):
+        raise AssertionError("bisect_boundary ran before the refine level was checked")
+
+    monkeypatch.setattr("sawlab.cli.bisect_boundary", bisect_must_not_run)
+    argv = ["bisect", "--shape", "+-", "--lo", "4/5", "--hi", "9/10",
+            "--width", "1/1000000000", "--refine-level", "0"]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "ConstraintViolation"
+
+
+def test_one_cells_error_becomes_its_row(line_config, monkeypatch):
+    config = line_config(5)
+    run_scan(config)
+    with open(config.csv_path) as fh:
+        clean = fh.read().splitlines()
+
+    def failing_on_one_cell(m, budgets):
+        if m.w == (Fraction(3, 4),):
+            raise StructureError("injected")
+        return classify(m, budgets)
+
+    monkeypatch.setattr("sawlab.scan.classify", failing_on_one_cell)
+    summary = run_scan(config)
+    with open(config.csv_path) as fh:
+        rows = fh.read().splitlines()
+    assert summary.computed == 5
+    assert summary.verdict_counts["Error"] == 1
+    assert rows[3] == "2,3/4,Error,Error,,,,,StructureError: injected"
+    assert rows[:3] + rows[4:] == clean[:3] + clean[4:]
+    with open(config.certificates_path) as fh:
+        records = [json.loads(line)["record"] for line in fh]
+    assert records[2] is None
+    assert all(r is not None for i, r in enumerate(records) if i != 2)
