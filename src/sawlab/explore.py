@@ -121,6 +121,7 @@ def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> Classific
             b.sweep_n_max,
             piece_budget=b.sweep_piece_budget,
             stop_on_non_power_of_two=True,
+            point_budget=b.partition_budget,
         )
         homo = find_homoclinic(
             m.map,
@@ -128,6 +129,7 @@ def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> Classific
             m_budget=b.homoclinic_m_budget,
             piece_budget=b.piece_budget,
             frontier_budget=b.homoclinic_frontier,
+            point_budget=b.partition_budget,
         )
         witness = sweep.stop_witness
         detail = {
@@ -150,7 +152,7 @@ def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> Classific
 
     # zero entropy: the structural period set is finite and exhaustive
     try:
-        psr = complete_period_set(m.map, b.partition_budget, b.step_budget)
+        psr = complete_period_set(m.map, b.partition_budget)
     except (BudgetExceeded, StructureError) as e:
         return ClassificationRecord(
             verdict="Inconclusive",
@@ -402,7 +404,7 @@ def two_sided_perturbation_experiment(
     pts: tuple[Rat, ...] = ()
     sel = PlateauSelection(frozenset(), radius)
     for _ in range(4):
-        pts = omega_accumulation(m.map, 3, k_hi, radius, b.piece_budget)
+        pts = omega_accumulation(m.map, 3, k_hi, radius, b.piece_budget, b.partition_budget)
         sel = select_lambda_plateaus(m, pts, radius)
         if sel.indices:
             break

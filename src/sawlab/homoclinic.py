@@ -151,6 +151,7 @@ def find_homoclinic(
     m_budget: int = 64,
     piece_budget: int = 1_000_000,
     frontier_budget: int = 20_000,
+    point_budget: int = 4096,
 ) -> HomoclinicReport:
     """Search all repelling orbits of period <= period_bound for a witness."""
     if period_bound < 1:
@@ -161,7 +162,7 @@ def find_homoclinic(
     searched = 0
     n = 0
     try:
-        for n, orbits in periodic_orbits(f, period_bound, piece_budget):
+        for n, orbits in periodic_orbits(f, period_bound, piece_budget, point_budget):
             for orb in orbits:
                 if orb.stability != "repelling":
                     continue

@@ -12,7 +12,11 @@ class otherwise. No power iteration runs.
 
 Building P is orbit closure of the breakpoints; for this package's maps that
 terminates fast because plateau hits collapse denominators, but the builder is
-budgeted so arbitrary inputs fail loudly instead of spinning.
+budgeted so arbitrary inputs fail loudly instead of spinning. The closure
+evaluates f once at each point, and the system keeps those values (image)
+and the affine branch of each nonflat cell (branches): f restricted to P and
+to the cells, from which the orbit module reads every periodic orbit without
+evaluating f again.
 """
 
 from __future__ import annotations
@@ -48,7 +52,9 @@ class MarkovSystem:
     map: PiecewiseLinearMap
     points: tuple[Rat, ...]
     cells: tuple[Ivl, ...]
+    image: tuple[Rat, ...]  # f at each point, aligned with points
     nonflat: tuple[int, ...]  # indices into cells with nonzero slope
+    branches: tuple[tuple[Rat, Rat], ...]  # (slope, intercept) of each nonflat cell
     adjacency: np.ndarray  # 0/1 over nonflat x nonflat, read-only
     recurrence: Recurrence  # classified once, read by the spectral radius and the orbit inventory
 
@@ -61,41 +67,39 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096) -> Mark
     Callers pass (f, point_budget) positionally to hit the same entry.
     """
     pts: set[Rat] = set(f.breakpoints)
+    fp: dict[Rat, Rat] = {}  # f at each point, evaluated once
     frontier = list(pts)
     while frontier:
         if len(pts) > point_budget:
             raise BudgetExceeded("partition", point_budget, needed=len(pts))
         nxt = []
         for p in frontier:
-            q = f(p)
+            q = fp[p] = f(p)
             if q not in pts:
                 pts.add(q)
                 nxt.append(q)
         frontier = nxt
     points = tuple(sorted(pts))
+    image = tuple(fp[p] for p in points)
     cells = tuple(Ivl(a, b) for a, b in zip(points, points[1:]))
 
-    nonflat = []
-    for i, c in enumerate(cells):
-        if f.right_slope(c.lo) != 0:
-            nonflat.append(i)
-    nonflat = tuple(nonflat)
-
     # images of affine cells are endpoint hulls; endpoints stay in P by closure
-    images = {}
-    pset = set(points)
-    for i in nonflat:
-        lo, hi = f(cells[i].lo), f(cells[i].hi)
-        if lo > hi:
-            lo, hi = hi, lo
-        if lo not in pset or hi not in pset:
+    nonflat, branches, images = [], [], []
+    for i, c in enumerate(cells):
+        s = f.right_slope(c.lo)
+        if s == 0:
+            continue
+        lo, hi = sorted((image[i], image[i + 1]))
+        if lo not in pts or hi not in pts:
             raise StructureError("partition not closed under the map")
-        images[i] = (lo, hi)
+        nonflat.append(i)
+        branches.append((s, image[i] - s * c.lo))
+        images.append((lo, hi))
+    nonflat = tuple(nonflat)
 
     k = len(nonflat)
     adj = np.zeros((k, k), dtype=np.int64)
-    for a, i in enumerate(nonflat):
-        lo, hi = images[i]
+    for a, (lo, hi) in enumerate(images):
         for b, j in enumerate(nonflat):
             if lo <= cells[j].lo and cells[j].hi <= hi:
                 adj[a, b] = 1
@@ -104,7 +108,9 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096) -> Mark
         map=f,
         points=points,
         cells=cells,
+        image=image,
         nonflat=nonflat,
+        branches=tuple(branches),
         adjacency=adj,
         recurrence=recurrent_classes(adj),
     )
@@ -239,29 +245,3 @@ def recurrent_classes(adj: np.ndarray) -> Recurrence:
                 order.append(inside[order[-1]][0])
             cycles.append(tuple(order))
     return Recurrence(cycles=tuple(cycles), branching=tuple(branching))
-
-
-def cycle_orbit_point(system: MarkovSystem, cycle: tuple[int, ...]) -> Rat:
-    """The unique point whose orbit tours a bare cell cycle.
-
-    Composes the affine branches around the cycle and solves the fixed point
-    equation exactly; the product slope has magnitude > 1 for expanding maps,
-    so the solution is unique. Raises if the point escapes its starting cell
-    (which would mean the cycle was not realized by an orbit).
-    """
-    f = system.map
-    a = Fraction(1)
-    b = Fraction(0)
-    for row in cycle:
-        i = system.nonflat[row]
-        cell = system.cells[i]
-        s = f.right_slope(cell.lo)
-        t = f(cell.lo) - s * cell.lo
-        a, b = s * a, s * b + t
-    if a == 1:
-        raise StructureError("neutral cycle composition; cannot solve fixed point")
-    x = b / (1 - a)
-    start = system.cells[system.nonflat[cycle[0]]]
-    if not start.contains(x):
-        raise StructureError("cycle fixed point escaped its cell")
-    return x

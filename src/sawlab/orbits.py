@@ -3,12 +3,15 @@
 Periodic points of a rational PL map solve affine equations, so everything
 here is exact. One enumerator, periodic_orbits, lists the orbits of each
 period for every caller that sweeps periods (period_set, find_homoclinic,
-omega_accumulation), and it reads them off the Markov graph without
-composing an iterate. When every recurrent class is a bare cycle (the zero
-entropy situation) the graph lists every periodic orbit at once. Otherwise
-the orbits of period n are the cycles of f on the partition points plus one
-orbit per closed walk of length n in the cell graph whose fixed point avoids
-the partition (Block, Guckenheimer, Misiurewicz and Young, 1980).
+omega_accumulation), and it reads them off the Markov graph, which records f
+on the partition points and the affine branch of each nonflat cell: no
+iterate is composed and no orbit is walked under f. When every recurrent
+class is a bare cycle (the zero entropy situation) the graph lists every
+periodic orbit at once: one solved orbit per bare cycle plus the cycles of f
+on the partition, the plateau cycles among them. Otherwise the orbits of
+period n are the partition cycles plus one orbit per closed walk of length n
+in the cell graph whose fixed point avoids the partition (Block, Guckenheimer,
+Misiurewicz and Young, 1980).
 
 periodic_points (f^n by repeated squaring, then its fixed points piece by
 piece) is the literal reference route the tests compare the enumerator
@@ -25,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, ConstraintViolation, StructureError
-from .markov import MarkovSystem, build_markov_system, cycle_orbit_point
+from .markov import MarkovSystem, build_markov_system
 from .plmap import PiecewiseLinearMap
 from .rational import Rat, Wire
 
@@ -168,6 +171,7 @@ def period_set(
     n_max: int,
     piece_budget: int = 1_000_000,
     stop_on_non_power_of_two: bool = False,
+    point_budget: int = 4096,
 ) -> PeriodSetReport:
     """Minimal periods n = 1..n_max, each represented by its lowest orbit."""
     if n_max < 1:
@@ -177,7 +181,7 @@ def period_set(
     note = None
     witness = None
     try:
-        for n, orbits in periodic_orbits(f, n_max, piece_budget):
+        for n, orbits in periodic_orbits(f, n_max, piece_budget, point_budget):
             if not orbits:
                 continue
             reps[n] = orbits[0]
@@ -198,7 +202,7 @@ def period_set(
 
 
 def markov_orbit_inventory(
-    f: PiecewiseLinearMap, point_budget: int = 4096, max_steps: int = 100_000
+    f: PiecewiseLinearMap, point_budget: int = 4096
 ) -> tuple[PeriodicOrbit, ...]:
     """Every periodic orbit of a zero-entropy map, via bare cell cycles.
 
@@ -208,33 +212,47 @@ def markov_orbit_inventory(
     sys = build_markov_system(f, point_budget)
     if sys.recurrence.branching:
         raise StructureError("recurrent class branches; structural period set unavailable")
-    return _bare_cycle_orbits(sys, max_steps)
+    return _bare_cycle_orbits(sys)
 
 
-def _bare_cycle_orbits(sys: MarkovSystem, max_steps: int = 100_000) -> tuple[PeriodicOrbit, ...]:
-    """Bare cycles contribute their solved orbit points; plateau values
-    contribute the attracting cycles the graph cannot see."""
+def _bare_cycle_orbits(sys: MarkovSystem) -> tuple[PeriodicOrbit, ...]:
+    """The orbit of each bare cycle, then the cycles of f on the partition.
+
+    A bare cycle's composed affine branch has one fixed point in its first
+    cell; walked through the branches it tours the cycle, or returns early
+    when it lies on the partition with a shorter period. The partition
+    cycles add the attracting plateau cycles the graph cannot see.
+    """
     f = sys.map
     orbits: dict[tuple[Rat, ...], PeriodicOrbit] = {}
     for cyc in sys.recurrence.cycles:
-        cycle = _cycle(f, cycle_orbit_point(sys, cyc), len(cyc))
-        if cycle is None:
-            raise StructureError("cycle point does not close under the map")
-        orb = _canonical_orbit(f, cycle)
+        a, b = Fraction(1), Fraction(0)
+        for row in cyc:
+            s, t = sys.branches[row]
+            a, b = s * a, s * b + t
+        if a == 1:
+            raise StructureError("neutral cycle composition; cannot solve fixed point")
+        x = b / (1 - a)
+        if not sys.cells[sys.nonflat[cyc[0]]].contains(x):
+            raise StructureError("cycle fixed point escaped its cell")
+        pts = [x]
+        for row in cyc[:-1]:
+            s, t = sys.branches[row]
+            y = s * pts[-1] + t
+            if y == x:
+                break
+            pts.append(y)
+        orb = _canonical_orbit(f, tuple(pts))
         orbits.setdefault(orb.points, orb)
-    for plat in f.plateaus():
-        rec = f.orbit_eventually_periodic(f(plat.lo), max_steps)
-        orb = _canonical_orbit(f, rec.cycle)
+    for orb in _partition_cycles(sys):
         orbits.setdefault(orb.points, orb)
     return tuple(orbits.values())
 
 
-def complete_period_set(
-    f: PiecewiseLinearMap, point_budget: int = 4096, max_steps: int = 100_000
-) -> PeriodSetReport:
+def complete_period_set(f: PiecewiseLinearMap, point_budget: int = 4096) -> PeriodSetReport:
     """Exhaustive period set through the Markov graph; zero-entropy maps only."""
     reps: dict[int, PeriodicOrbit] = {}
-    for orb in markov_orbit_inventory(f, point_budget, max_steps):
+    for orb in markov_orbit_inventory(f, point_budget):
         reps.setdefault(orb.period, orb)
     return PeriodSetReport(
         periods=frozenset(reps),
@@ -246,20 +264,21 @@ def complete_period_set(
 
 
 def periodic_orbits(
-    f: PiecewiseLinearMap, n_max: int, piece_budget: int = 1_000_000
+    f: PiecewiseLinearMap, n_max: int, piece_budget: int = 1_000_000, point_budget: int = 4096
 ) -> Iterator[tuple[int, tuple[PeriodicOrbit, ...]]]:
     """Yield (n, orbits of minimal period n) for n = 1..n_max.
 
     Each tuple is sorted by smallest point, as periodic_points lists it. The
-    Markov graph of f is built once, with the partition budget classify's
-    entropy stage uses (a BudgetExceeded("partition") surfaces at n = 1).
+    Markov graph of f is built once under point_budget (a
+    BudgetExceeded("partition") surfaces at n = 1); classify passes the
+    partition budget its entropy stage used, so both read one graph.
     When no recurrent class branches, the bare-cycle inventory answers every
     n at once. Otherwise the orbits of period n are read off the closed walks
     of length n (_walk_orbits); their count trace(A^n) is checked against
     piece_budget before any is enumerated, and a BudgetExceeded("walks")
     surfaces at the n that needed it.
     """
-    sys = build_markov_system(f, 4096)
+    sys = build_markov_system(f, point_budget)
     if not sys.recurrence.branching:
         ordered = sorted(_bare_cycle_orbits(sys), key=lambda o: o.points[0])
         for n in range(1, n_max + 1):
@@ -288,17 +307,11 @@ def _walk_orbits(
     A^n is kept in int64 while no product can overflow, in Python integers
     after that, so the walk count stays exact.
     """
-    f = sys.map
     adj = sys.adjacency
     k = adj.shape[0]
-    branch = []
-    for i in sys.nonflat:
-        lo = sys.cells[i].lo
-        s = f.right_slope(lo)
-        branch.append((s, f(lo) - s * lo))
     succ = [np.flatnonzero(row).tolist() for row in adj]
     partition = frozenset(sys.points)
-    cycles = _partition_cycles(f, sys.points)
+    cycles = _partition_cycles(sys)
     # bit u of back[m][s]: some walk of length m leads from cell u to cell s
     back = [[1 << s for s in range(k)]]
     power = adj
@@ -315,7 +328,7 @@ def _walk_orbits(
         found = [o for o in cycles if o.period == n]
         for s0 in range(k):
             if back[n][s0] >> s0 & 1:
-                found += _orbits_from_cell(s0, n, branch, succ, back, partition)
+                found += _orbits_from_cell(s0, n, sys.branches, succ, back, partition)
         found.sort(key=lambda o: o.points[0])
         yield n, tuple(found)
 
@@ -366,20 +379,20 @@ def _orbits_from_cell(s0, n, branch, succ, back, partition) -> list[PeriodicOrbi
     return found
 
 
-def _partition_cycles(f: PiecewiseLinearMap, points) -> tuple[PeriodicOrbit, ...]:
+def _partition_cycles(sys: MarkovSystem) -> tuple[PeriodicOrbit, ...]:
     """The periodic orbits through partition points, plateau cycles among them:
     f maps the partition into itself, so they are the cycles of f on a finite set."""
-    image = {p: f(p) for p in points}
+    image = dict(zip(sys.points, sys.image))
     orbits = []
     seen: set[Rat] = set()
-    for p in points:
+    for p in sys.points:
         trail: dict[Rat, int] = {}
         while p not in seen:
             seen.add(p)
             trail[p] = len(trail)
             p = image[p]
         if p in trail:
-            orbits.append(_canonical_orbit(f, tuple(trail)[trail[p]:]))
+            orbits.append(_canonical_orbit(sys.map, tuple(trail)[trail[p]:]))
     return tuple(orbits)
 
 
@@ -418,6 +431,7 @@ def omega_accumulation(
     k_max: int,
     cluster_radius,
     piece_budget: int = 1_000_000,
+    point_budget: int = 4096,
 ) -> tuple[Rat, ...]:
     """Cluster centers of 2^k-periodic points, k_min <= k <= k_max.
 
@@ -430,7 +444,7 @@ def omega_accumulation(
     radius = Fraction(cluster_radius)
     wanted = {1 << k for k in range(k_min, k_max + 1)}
     pts: set[Rat] = set()
-    for n, orbits in periodic_orbits(f, 1 << k_max, piece_budget):
+    for n, orbits in periodic_orbits(f, 1 << k_max, piece_budget, point_budget):
         if n in wanted:
             for orb in orbits:
                 pts.update(orb.points)

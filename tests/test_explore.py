@@ -7,12 +7,15 @@ import pytest
 from sawlab import (
     Budgets,
     ConstraintViolation,
+    Shape,
+    StuntedSawtoothMap,
     bisect_boundary,
     classify,
     refine_to_boundary,
     two_sided_perturbation_experiment,
 )
 from sawlab.entropy import EntropyEstimate
+from sawlab.markov import build_markov_system
 
 
 def test_finite_verdicts_track_the_doubling_cascade(stunted_tent):
@@ -35,6 +38,16 @@ def test_chaotic_verdict_carries_certificates(stunted_tent):
     assert isinstance(record.entropy, EntropyEstimate)
     assert record.certificates
     assert record.detail
+
+
+def test_chaotic_classify_builds_one_graph_under_its_partition_budget():
+    # the entropy stage, the period sweep and the homoclinic search all read
+    # the graph built under Budgets.partition_budget
+    m = StuntedSawtoothMap(Shape.from_string("+-+-"), (F(1, 2), F(0), F(9, 10)))
+    build_markov_system.cache_clear()
+    record = classify(m, Budgets(partition_budget=8192))
+    assert record.verdict == "Chaotic"
+    assert build_markov_system.cache_info().misses == 1
 
 
 def test_record_round_trips_to_json(stunted_tent):

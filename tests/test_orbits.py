@@ -1,5 +1,6 @@
 """Periodic orbit enumeration, period sets, Sharkovskii order."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -69,20 +70,45 @@ def test_period_set_reports_where_the_budget_ran_out(tent):
 
 
 def test_structural_enumerator_matches_the_literal_iterates():
-    # every zero-entropy cell of the 101-cell tent grid: the Markov inventory
-    # lists exactly the orbits f^n yields, in the same order
-    shape = Shape.from_string("+-")
-    checked = 0
-    for k in range(101):
-        w = F(1, 2) + F(k, 200)
-        f = StuntedSawtoothMap(shape, [w]).map
-        if entropy_markov(f).value > 0:
-            continue
-        assert markov_orbit_inventory(f)  # raises unless the route is structural
-        for n, orbits in periodic_orbits(f, 16):
-            assert orbits == periodic_points(f, n), (w, n)
-        checked += 1
-    assert checked == 65
+    # every zero-entropy cell of the 101-cell tent grid (n <= 16) and of the
+    # +-+- k/10 grid (n <= 8): the Markov inventory lists exactly the orbits
+    # f^n yields, in the same order
+    tenths = [F(k, 10) for k in range(11)]
+    grids = (
+        ("+-", [(F(1, 2) + F(k, 200),) for k in range(101)], 16),
+        ("+-+-", list(itertools.product(tenths, repeat=3)), 8),
+    )
+    checked = {}
+    for word, heights, n_max in grids:
+        shape = Shape.from_string(word)
+        checked[word] = 0
+        for w in heights:
+            try:
+                f = StuntedSawtoothMap(shape, w).map
+            except ConstraintViolation:
+                continue
+            if entropy_markov(f).value > 0:
+                continue
+            assert markov_orbit_inventory(f)  # raises unless the route is structural
+            for n, orbits in periodic_orbits(f, n_max):
+                assert orbits == periodic_points(f, n), (word, w, n)
+            checked[word] += 1
+    assert checked == {"+-": 65, "+-+-": 125}
+
+
+@pytest.mark.parametrize(
+    "w, representatives",
+    [
+        ((F(2, 5), F(1, 5), F(7, 10)), {1: (F(0),)}),
+        ((F(1, 2), F(1, 5), F(2, 5)), {1: (F(2, 5),), 2: (F(1, 5), F(1, 2))}),
+    ],
+)
+def test_complete_period_set_representatives_come_from_bare_cycles_first(w, representatives):
+    # the inventory lists the bare-cycle orbits before the cycles on the
+    # partition; in the other order period 1 of the second map reads 0
+    f = StuntedSawtoothMap(Shape.from_string("+-+-"), w).map
+    report = complete_period_set(f)
+    assert {n: o.points for n, o in report.representatives.items()} == representatives
 
 
 def test_complete_period_set_is_exhaustive(stunted_tent):

@@ -41,6 +41,7 @@ BOUNDARY_W = (
 
 INPUTS = {
     "family-33-40.json": {"shape": "+-", "w": ["33/40"]},
+    "budgets-partition-8192.json": {"partition_budget": 8192},
 }
 
 # name -> argv; run in order, so an invocation may read the stdout of an
@@ -64,6 +65,8 @@ INVOCATIONS = [
     ("renorm", ["renorm", "--shape", "+-", "--w", BOUNDARY_W, "--depth", "6"]),
     ("classify-finite", ["classify", "--shape", "+-", "--w", "823/1000"]),
     ("classify-chaotic", ["classify", "--shape", "+-", "--w", "33/40"]),
+    ("classify-partition-budget", ["classify", "--shape", "+-+", "--w", "9/10,1/10",
+                                   "--budgets", "budgets-partition-8192.json"]),
     ("classify-boundary", ["classify", "--shape", "+-", "--w", BOUNDARY_W]),
     ("bisect-refine", ["bisect", "--shape", "+-", "--lo", "4/5", "--hi", "9/10",
                        "--width", "1/1000000000", "--refine-level", "8"]),
