@@ -3,7 +3,9 @@
 Every subcommand reads a family from --shape/--w or --family, runs one
 operation, and writes a JSON report to stdout (or --out). Exit codes: 0 on
 success, 2 for bad input or a failed precondition, 3 when a budget ran out
-or the classifier returned Inconclusive, 1 for internal errors.
+or the classifier returned Inconclusive, 1 for internal errors. A usage
+error that argparse finds is bad input too: it exits 2 with the same JSON
+error on stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +35,13 @@ from .orbits import period_set, periodic_points
 from .rational import parse_rat
 from .renorm import build_tower, gap_fixed_point, semiconjugacy_check
 from .scan import ScanConfig, run_scan
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input: raised as ConstraintViolation, not printed."""
+
+    def error(self, message):
+        raise ConstraintViolation(message)
 
 
 def _add_family_args(p: argparse.ArgumentParser) -> None:
@@ -230,7 +239,7 @@ def _cmd_scan(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="sawlab",
         description="Exact dynamics of stunted sawtooth maps on [0, 1].",
     )
@@ -310,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ConstraintViolation, DomainError, KneadingNotRealizable) as e:
         print(json.dumps({"error": str(e), "kind": type(e).__name__}), file=sys.stderr)

@@ -1,9 +1,17 @@
 """Unstable sets and homoclinic search.
 
-The unstable set of an expanding fixed point is computed as the stabilized
-union of forward images of a shrinking seed neighborhood; for a point
-expanding on both available sides every image contains the point, so the
-union is an interval and the calculation is exact interval arithmetic.
+The unstable set of a point q of period n is read from the Markov partition
+P that the orbit sweep has already built, and it is exact. A side of q
+expands when the one-sided slope of f^2n there exceeds 1: then f^2n takes
+that side of q back to itself and stretches it, so the unstable set contains
+the partition cell next to q on that side (on either side when q is off P,
+where f^n has one slope around q). A side whose f^n slope folds it onto a
+side that does not expand, a flat one say, adds only neighbourhoods that
+shrink to q. From the hull W of the cells next to q on its expanding sides,
+W <- hull(W ∪ f^n(W)) reaches the unstable set. f is affine on each cell and
+maps P into itself, so f of a partition interval [P_i, P_j] is the partition
+interval spanned by the images of P_i .. P_j: every step is an index range
+and a lookup, and the loop ends within as many steps as there are cells.
 
 A homoclinic witness for a repelling periodic orbit is a point x, not on the
 orbit, lying strictly inside the unstable set and mapping onto the orbit
@@ -17,33 +25,26 @@ what makes a definitive "no homoclinic point" answer possible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, ConstraintViolation
+from .markov import MarkovSystem, build_markov_system
 from .orbits import PeriodicOrbit, orbit_side_slope, periodic_orbits
 from .plmap import Ivl, PiecewiseLinearMap
 from .rational import Rat, Wire
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def unstable_manifold(
-    f: PiecewiseLinearMap,
-    p,
-    max_images: int = 256,
-    seed_rounds: int = 12,
-    power: int = 1,
+    f: PiecewiseLinearMap, p, power: int = 1, point_budget: int = 4096
 ) -> Ivl:
-    """Closure of the union of forward images of small neighborhoods of p.
+    """The unstable set of p under f^power, exact.
 
-    p must be a fixed point of f, or of f^power when power > 1; image steps
-    then apply f power times, factor by factor, so the iterate is never
-    composed. Returns the degenerate interval when p does not expand on
-    either available side. When p expands on both sides the result is
-    exactly the unstable set; with one-sided expansion it is the interval
-    hull of it.
+    p must be a fixed point of f^power; the iterate is never composed. The
+    set is read from the Markov partition of f, built as
+    build_markov_system(f, point_budget). Returns the degenerate interval
+    when neither side of p expands.
     """
     p = Fraction(p)
     cycle = [p]
@@ -51,32 +52,33 @@ def unstable_manifold(
         cycle.append(f(cycle[-1]))
     if f(cycle[-1]) != p:
         raise ConstraintViolation(f"{p} is not a fixed point")
-    if (
-        abs(orbit_side_slope(f, cycle, -1)) <= 1
-        and abs(orbit_side_slope(f, cycle, +1)) <= 1
-    ):
-        return Ivl(p, p)
-    prev: Ivl | None = None
-    for r in range(seed_rounds):
-        delta = Fraction(1, 1 << (8 + r))
-        J = Ivl(max(ZERO, p - delta), min(ONE, p + delta))
-        U = J
-        stable = 0
-        for _ in range(max_images):
-            for _ in range(power):
-                J = f.image_of_interval(J)
-            nu = U.hull(J)
-            if nu == U:
-                stable += 1
-                if stable >= 3:
-                    break
-            else:
-                stable = 0
-            U = nu
-        if prev is not None and U == prev:
-            return U
-        prev = U
-    return prev
+    return _unstable_set(build_markov_system(f, point_budget), cycle)
+
+
+def _unstable_set(sys: MarkovSystem, cycle) -> Ivl:
+    """Unstable set of cycle[0] under f^n, given its orbit cycle of length n."""
+    f, points, image = sys.map, sys.points, sys.image
+    q = cycle[0]
+    i = bisect_left(points, q)
+    if points[i] != q:
+        # so is q's whole orbit, and f^n is affine around q with one slope
+        if abs(orbit_side_slope(f, cycle, +1)) <= 1:
+            return Ivl(q, q)
+        lo, hi = i - 1, i
+    else:
+        twice = [*cycle, *cycle]
+        lo = i - 1 if i > 0 and orbit_side_slope(f, twice, -1) > 1 else i
+        hi = i + 1 if i + 1 < len(points) and orbit_side_slope(f, twice, +1) > 1 else i
+        if lo == hi:
+            return Ivl(q, q)
+    while True:
+        a, b = lo, hi
+        for _ in cycle:
+            span = image[a : b + 1]
+            a, b = min(span), max(span)
+        if lo <= a and b <= hi:
+            return Ivl(points[lo], points[hi])
+        lo, hi = min(lo, a), max(hi, b)
 
 
 @dataclass(frozen=True)
@@ -103,14 +105,15 @@ class HomoclinicReport(Wire):
 
 
 def _search_orbit(
-    f: PiecewiseLinearMap,
+    sys: MarkovSystem,
     orb: PeriodicOrbit,
     m_budget: int,
     frontier_budget: int,
 ) -> tuple[HomoclinicWitness | None, bool]:
-    """(witness, saturated) for one repelling orbit."""
-    n = orb.period
-    wsets = [unstable_manifold(f, q, power=n) for q in orb.points]
+    """(witness, saturated) for one repelling orbit of sys.map."""
+    f, n = sys.map, orb.period
+    pts = orb.points
+    wsets = [_unstable_set(sys, pts[k:] + pts[:k]) for k in range(n)]
     base = orb.points[0]
     w0 = wsets[0]
     if w0.is_degenerate:
@@ -162,12 +165,14 @@ def find_homoclinic(
     searched = 0
     n = 0
     try:
+        # the graph periodic_orbits reads, from the same cache entry
+        sys = build_markov_system(f, point_budget)
         for n, orbits in periodic_orbits(f, period_bound, piece_budget, point_budget):
             for orb in orbits:
                 if orb.stability != "repelling":
                     continue
                 searched += 1
-                witness, saturated = _search_orbit(f, orb, m_budget, frontier_budget)
+                witness, saturated = _search_orbit(sys, orb, m_budget, frontier_budget)
                 if witness is not None:
                     return HomoclinicReport(
                         witness=witness,

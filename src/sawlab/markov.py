@@ -13,10 +13,11 @@ class otherwise. No power iteration runs.
 Building P is orbit closure of the breakpoints; for this package's maps that
 terminates fast because plateau hits collapse denominators, but the builder is
 budgeted so arbitrary inputs fail loudly instead of spinning. The closure
-evaluates f once at each point, and the system keeps those values (image)
-and the affine branch of each nonflat cell (branches): f restricted to P and
-to the cells, from which the orbit module reads every periodic orbit without
-evaluating f again.
+evaluates f once at each point, and the system keeps those values, as
+indices into P (image), and the affine branch of each nonflat cell
+(branches): f restricted to P and to the cells, from which the orbit module
+reads every periodic orbit and the homoclinic module every unstable set
+without evaluating f again.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceeded, StructureError
+from .errors import BudgetExceeded
 from .plmap import Ivl, PiecewiseLinearMap
 from .rational import Rat, float_down, float_up
 
@@ -52,7 +53,7 @@ class MarkovSystem:
     map: PiecewiseLinearMap
     points: tuple[Rat, ...]
     cells: tuple[Ivl, ...]
-    image: tuple[Rat, ...]  # f at each point, aligned with points
+    image: tuple[int, ...]  # index in points of f at each point, aligned with points
     nonflat: tuple[int, ...]  # indices into cells with nonzero slope
     branches: tuple[tuple[Rat, Rat], ...]  # (slope, intercept) of each nonflat cell
     adjacency: np.ndarray  # 0/1 over nonflat x nonflat, read-only
@@ -80,29 +81,29 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096) -> Mark
                 nxt.append(q)
         frontier = nxt
     points = tuple(sorted(pts))
-    image = tuple(fp[p] for p in points)
+    index = {p: i for i, p in enumerate(points)}
+    image = tuple(index[fp[p]] for p in points)
     cells = tuple(Ivl(a, b) for a, b in zip(points, points[1:]))
 
-    # images of affine cells are endpoint hulls; endpoints stay in P by closure
-    nonflat, branches, images = [], [], []
+    # a nonflat cell maps onto the cells between the images of its ends, an
+    # index range by closure; counting the nonflat cells below each index
+    # turns that range into a run of adjacency columns
+    nonflat, branches, runs, below = [], [], [], [0]
     for i, c in enumerate(cells):
         s = f.right_slope(c.lo)
+        below.append(below[-1] + (s != 0))
         if s == 0:
             continue
         lo, hi = sorted((image[i], image[i + 1]))
-        if lo not in pts or hi not in pts:
-            raise StructureError("partition not closed under the map")
         nonflat.append(i)
-        branches.append((s, image[i] - s * c.lo))
-        images.append((lo, hi))
+        branches.append((s, points[image[i]] - s * c.lo))
+        runs.append((lo, hi))
     nonflat = tuple(nonflat)
 
     k = len(nonflat)
     adj = np.zeros((k, k), dtype=np.int64)
-    for a, (lo, hi) in enumerate(images):
-        for b, j in enumerate(nonflat):
-            if lo <= cells[j].lo and cells[j].hi <= hi:
-                adj[a, b] = 1
+    for a, (lo, hi) in enumerate(runs):
+        adj[a, below[lo] : below[hi]] = 1
     adj.setflags(write=False)
     return MarkovSystem(
         map=f,

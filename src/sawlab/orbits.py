@@ -382,17 +382,17 @@ def _orbits_from_cell(s0, n, branch, succ, back, partition) -> list[PeriodicOrbi
 def _partition_cycles(sys: MarkovSystem) -> tuple[PeriodicOrbit, ...]:
     """The periodic orbits through partition points, plateau cycles among them:
     f maps the partition into itself, so they are the cycles of f on a finite set."""
-    image = dict(zip(sys.points, sys.image))
     orbits = []
-    seen: set[Rat] = set()
-    for p in sys.points:
-        trail: dict[Rat, int] = {}
-        while p not in seen:
-            seen.add(p)
-            trail[p] = len(trail)
-            p = image[p]
-        if p in trail:
-            orbits.append(_canonical_orbit(sys.map, tuple(trail)[trail[p]:]))
+    seen = [False] * len(sys.points)
+    for i in range(len(sys.points)):
+        trail: dict[int, int] = {}  # point index -> step, along the orbit from i
+        while not seen[i]:
+            seen[i] = True
+            trail[i] = len(trail)
+            i = sys.image[i]
+        if i in trail:
+            cycle = tuple(sys.points[j] for j in tuple(trail)[trail[i]:])
+            orbits.append(_canonical_orbit(sys.map, cycle))
     return tuple(orbits)
 
 

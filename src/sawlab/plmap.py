@@ -14,7 +14,7 @@ BudgetExceeded rather than grinding.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,29 +77,14 @@ class OrbitRecord(Wire):
         return self.points[self.preperiod : self.preperiod + self.period]
 
 
-def _merge_collinear(bps: list[Rat], vals: list[Rat]) -> tuple[tuple[Rat, ...], tuple[Rat, ...]]:
-    out_b = [bps[0]]
-    out_v = [vals[0]]
-    for i in range(1, len(bps) - 1):
-        left = (vals[i] - out_v[-1]) * (bps[i + 1] - bps[i])
-        right = (vals[i + 1] - vals[i]) * (bps[i] - out_b[-1])
-        if left == right:
-            continue
-        out_b.append(bps[i])
-        out_v.append(vals[i])
-    out_b.append(bps[-1])
-    out_v.append(vals[-1])
-    return tuple(out_b), tuple(out_v)
-
-
 class PiecewiseLinearMap:
     """A continuous piecewise linear map of [0, 1] into itself."""
 
     __slots__ = ("breakpoints", "values", "slopes")
 
     def __init__(self, breakpoints, values):
-        bps = [Fraction(b) for b in breakpoints]
-        vals = [Fraction(v) for v in values]
+        bps = [b if type(b) is Fraction else Fraction(b) for b in breakpoints]
+        vals = [v if type(v) is Fraction else Fraction(v) for v in values]
         if len(bps) != len(vals):
             raise StructureError("breakpoints and values must have equal length")
         if len(bps) < 2:
@@ -112,13 +97,15 @@ class PiecewiseLinearMap:
         for v in vals:
             if not (ZERO <= v <= ONE):
                 raise StructureError(f"value {v} escapes [0, 1]")
-        self.breakpoints, self.values = _merge_collinear(bps, vals)
-        self.slopes = tuple(
-            (v1 - v0) / (b1 - b0)
-            for b0, b1, v0, v1 in zip(
-                self.breakpoints, self.breakpoints[1:], self.values, self.values[1:]
-            )
-        )
+        slopes = [(v1 - v0) / (b1 - b0) for b0, b1, v0, v1 in zip(bps, bps[1:], vals, vals[1:])]
+        self._merge_collinear(bps, vals, slopes)
+
+    def _merge_collinear(self, bps: list[Rat], vals: list[Rat], slopes: list[Rat]) -> None:
+        """Store the table without the breakpoints where the slope does not change."""
+        keep = [0, *(i for i in range(1, len(slopes)) if slopes[i] != slopes[i - 1]), len(bps) - 1]
+        self.breakpoints = tuple(bps[i] for i in keep)
+        self.values = tuple(vals[i] for i in keep)
+        self.slopes = tuple(slopes[i] for i in keep[:-1])
 
     @property
     def piece_count(self) -> int:
@@ -275,25 +262,51 @@ class PiecewiseLinearMap:
         """Exact self ∘ inner.
 
         Breakpoints of the composition: inner's breakpoints plus every point
-        where inner crosses a breakpoint of self. Budgeted by resulting piece
-        count.
+        where inner crosses a breakpoint of self. A nonflat inner piece
+        crosses a run of self's sorted breakpoints, found by bisection, so
+        the piece count is known before anything is built; it is checked
+        against piece_budget as it grows. At a crossing the value is the
+        crossed breakpoint's value and the slopes are products, all read
+        from the two tables.
         """
-        outer_bps = self.breakpoints
-        new_bps: set[Rat] = set(inner.breakpoints)
+        outer = self.breakpoints
+        count = inner.piece_count
+        runs = []
         for i, s in enumerate(inner.slopes):
+            u, v = inner.values[i], inner.values[i + 1]
+            lo = bisect_right(outer, min(u, v))
+            hi = bisect_left(outer, max(u, v))
+            # the pieces of self that inner's piece i passes through, in order
+            runs.append(range(lo - 1, hi) if s > 0 else range(hi - 1, lo - 2, -1))
+            count += max(hi - lo, 0)
+            if count > piece_budget:
+                raise BudgetExceeded("pieces", piece_budget, needed=count)
+        bps, vals, slopes = [], [], []
+        scaled: dict[Rat, dict[int, Rat]] = {}
+        for b, fb, s, run in zip(inner.breakpoints, inner.values, inner.slopes, runs):
+            bps.append(b)
+            vals.append(self(fb))
             if s == 0:
+                slopes.append(s)
                 continue
-            u, v = inner.breakpoints[i], inner.breakpoints[i + 1]
-            fu = inner.values[i]
-            lo_val, hi_val = (fu, inner.values[i + 1]) if s > 0 else (inner.values[i + 1], fu)
-            for b in outer_bps:
-                if lo_val < b < hi_val:
-                    new_bps.add(u + (b - fu) / s)
-        if len(new_bps) - 1 > piece_budget:
-            raise BudgetExceeded("pieces", piece_budget, needed=len(new_bps) - 1)
-        bps = sorted(new_bps)
-        vals = [self(inner(b)) for b in bps]
-        return PiecewiseLinearMap(bps, vals)
+            # inner(x) = c at x = b + (c - fb) / s; entering piece j of self
+            # crosses the end of j that faces fb
+            step, ends = 1 / s, [j + (s < 0) for j in run[1:]]
+            start = b - fb * step
+            bps += [start + outer[e] * step for e in ends]
+            vals += [self.values[e] for e in ends]
+            # few distinct slopes recur across pieces: multiply each pair once
+            row = scaled.setdefault(s, {})
+            for j in run:
+                sl = row.get(j)
+                if sl is None:
+                    sl = row[j] = self.slopes[j] * s
+                slopes.append(sl)
+        bps.append(ONE)
+        vals.append(self(inner.values[-1]))
+        g = object.__new__(PiecewiseLinearMap)
+        g._merge_collinear(bps, vals, slopes)
+        return g
 
     def compose_self(self, n: int, piece_budget: int = 1_000_000) -> "PiecewiseLinearMap":
         """Exact n-th iterate f^n as a map, by repeated squaring."""

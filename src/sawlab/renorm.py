@@ -22,6 +22,7 @@ from .errors import ConstraintViolation
 from .family import StuntedSawtoothMap
 from .homoclinic import unstable_manifold
 from .odometer import index_word, word_index, adding_machine_step
+from .orbits import periodic_orbits
 from .plmap import Ivl, PiecewiseLinearMap
 from .rational import Rat, Wire, format_rat
 
@@ -103,11 +104,7 @@ class GapFixedPointReport(Wire):
     reason: str | None = None
 
 
-def gap_fixed_point(
-    m: StuntedSawtoothMap, max_steps: int = 100_000, piece_budget: int = 1_000_000
-) -> GapFixedPointReport:
-    from .orbits import iterate_fixed_points
-
+def gap_fixed_point(m: StuntedSawtoothMap, max_steps: int = 100_000) -> GapFixedPointReport:
     f = m.map
     rec = f.orbit_eventually_periodic(m.w[0], max_steps)
     cycle = rec.cycle
@@ -123,7 +120,8 @@ def gap_fixed_point(
         )
     lo, hi = min(cycle), max(cycle)
     hull = Ivl(lo, hi)
-    fixed = [x for x in iterate_fixed_points(f) if lo < x < hi]
+    orbits = dict(periodic_orbits(f, 2))
+    fixed = [o.points[0] for o in orbits[1] if lo < o.points[0] < hi]
     if not fixed:
         return GapFixedPointReport(
             ok=False,
@@ -135,12 +133,12 @@ def gap_fixed_point(
             reason="no fixed point inside the cycle gap",
         )
     p = min(fixed)
-    g = f.compose_self(2, piece_budget)
     candidates = sorted(
-        (x for x in iterate_fixed_points(g) if p <= x <= hi), reverse=True
+        (x for n in (1, 2) for o in orbits[n] for x in o.points if p <= x <= hi),
+        reverse=True,
     )
     for q in candidates:
-        w = unstable_manifold(g, q)
+        w = unstable_manifold(f, q, power=2)
         if w.contains_interval(hull):
             return GapFixedPointReport(
                 ok=True, level=1, cycle=cycle, p=p, q=q, unstable=w

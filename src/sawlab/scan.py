@@ -44,7 +44,9 @@ class ScanConfig:
             if kind == "line":
                 start = [parse_rat(x) for x in grid["start"]]
                 stop = [parse_rat(x) for x in grid["stop"]]
-                steps = int(grid["steps"])
+                steps = grid["steps"]
+                if type(steps) is not int:
+                    raise ConstraintViolation(f"steps must be an integer, got {steps!r}")
                 if len(start) != shape.d or len(stop) != shape.d:
                     raise ConstraintViolation("grid endpoints must match the shape arity")
                 if steps < 1:
@@ -211,6 +213,8 @@ def _resume_entries(manifest: Path, config: ScanConfig) -> dict[int, dict]:
 
 
 def run_scan(config: ScanConfig, resume: bool = False, workers: int = 0) -> ScanSummary:
+    if workers < 0:
+        raise ConstraintViolation(f"workers must be >= 0, got {workers}")
     done: dict[int, dict] = {}
     manifest = Path(config.manifest_path)
     if resume and manifest.exists():

@@ -3,8 +3,19 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from sawlab import ConstraintViolation, Ivl, find_homoclinic, unstable_manifold
+from sawlab import (
+    ConstraintViolation,
+    Ivl,
+    PiecewiseLinearMap,
+    Shape,
+    StuntedSawtoothMap,
+    find_homoclinic,
+    unstable_manifold,
+)
+from sawlab.orbits import periodic_orbits
 
 
 def test_tent_has_a_certified_witness(tent):
@@ -61,3 +72,84 @@ def test_minimal_budget_still_finds_a_one_step_witness(tent):
 def test_zero_period_bound_is_refused_not_a_definitive_miss(tent):
     with pytest.raises(ConstraintViolation):
         find_homoclinic(tent, period_bound=0)
+
+
+def test_unstable_set_of_a_side_folded_onto_a_plateau_is_the_point():
+    # +-+- (1/10, 0, 4/5) fixes 4/5 with left slope 0 and right slope -4:
+    # the right side lands on the left one, which the plateau flattens
+    f = StuntedSawtoothMap(Shape.from_string("+-+-"), [F(1, 10), F(0), F(4, 5)]).map
+    assert unstable_manifold(f, F(4, 5)) == Ivl(F(4, 5), F(4, 5))
+
+
+def test_unstable_set_leaves_out_a_side_that_folds_onto_the_other():
+    # 1/2 is fixed with slopes 2 on the left and -2 on the right: f^2 has
+    # slope -4 on the right but carries it to the left, so only the left
+    # cell expands, and its images stay in [0, 1/2]
+    f = PiecewiseLinearMap(
+        [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)], [F(1, 4), F(0), F(1, 2), F(0), F(0)]
+    )
+    w = unstable_manifold(f, F(1, 2))
+    assert w == Ivl(F(0), F(1, 2))
+    ref = _reference_unstable_hull(f, F(1, 2), 1)
+    assert ref.lo == w.lo and F(1, 2) < ref.hi < F(1, 2) + _COLLAR
+
+
+def test_unstable_set_ignores_images_of_a_wide_seed():
+    # +- at 1697/2000, the period-5 orbit through 20/33: a neighbourhood of
+    # radius 2^-8 images onto [303/1000, 1697/2000]; the unstable set is smaller
+    f = StuntedSawtoothMap(Shape.from_string("+-"), [F(1697, 2000)]).map
+    expected = Ivl(F(303, 500), F(76, 125))
+    assert unstable_manifold(f, F(20, 33), power=5) == expected
+    assert _reference_unstable_hull(f, F(20, 33), 5) == expected
+
+
+_RADIUS = F(1, 1 << 40)
+# a side that does not expand leaves a collar of (slope x radius) around q in
+# the reference hull; every partition cell of the k/20 maps below is at
+# least 1/80 wide, so a collar can never pass for a cell
+_COLLAR = F(1, 1 << 20)
+
+
+def _reference_unstable_hull(f, q, n, radius=_RADIUS):
+    """Union of the images of [q - radius, q + radius] under f^n, imaged until its hull stops changing.
+
+    Every image contains q, so the union is an interval; it is the unstable
+    set of q plus, on a side that does not expand, a collar that shrinks
+    with the radius.
+    """
+    hull = Ivl(max(F(0), q - radius), min(F(1), q + radius))
+    while True:
+        image = hull
+        for _ in range(n):
+            image = f.image_of_interval(image)
+        grown = hull.hull(image)
+        if grown == hull:
+            return hull
+        hull = grown
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(["+-", "+-+", "+-+-"]).flatmap(
+        lambda word: st.tuples(
+            st.just(word),
+            st.lists(st.integers(0, 20), min_size=len(word) - 1, max_size=len(word) - 1),
+        )
+    )
+)
+@example(case=("+-+-", [2, 0, 16]))  # the plateau-folded fixed point 4/5
+@example(case=("+-+", [18, 0]))  # one-sided period-4 points whose set is not a point
+def test_unstable_sets_match_the_imaged_neighbourhood(case):
+    word, heights = case
+    try:
+        f = StuntedSawtoothMap(Shape.from_string(word), [F(h, 20) for h in heights]).map
+    except ConstraintViolation:
+        assume(False)
+    for n, orbits in periodic_orbits(f, 4):
+        for orb in orbits:
+            for q in orb.points:
+                w = unstable_manifold(f, q, power=n)
+                ref = _reference_unstable_hull(f, q, n)
+                assert ref.contains_interval(w), (word, heights, q)
+                assert w.lo == ref.lo or (w.lo == q and q - ref.lo < _COLLAR), (word, heights, q)
+                assert w.hi == ref.hi or (w.hi == q and ref.hi - q < _COLLAR), (word, heights, q)

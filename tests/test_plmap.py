@@ -1,10 +1,11 @@
 """Exact piecewise-linear engine: evaluation, orbits, laps, composition."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from sawlab import BudgetExceeded, Shape, StuntedSawtoothMap
+from sawlab import BudgetExceeded, Shape, StuntedSawtoothMap, periodic_points
 from sawlab.plmap import Ivl, PiecewiseLinearMap
 
 
@@ -79,6 +80,17 @@ def test_eventually_periodic_closes(stunted_tent):
 def test_piece_budget_enforced(tent):
     with pytest.raises(BudgetExceeded):
         tent.compose_self(12, piece_budget=100)
+
+
+def test_composition_refuses_before_it_builds_an_oversize_map(tent):
+    # tent^100000 needs tent^32 = tent^16 o tent^16, 2^32 pieces; the count
+    # passes the budget a few inner pieces into that composition
+    start = time.process_time()
+    with pytest.raises(BudgetExceeded) as e:
+        periodic_points(tent, 100_000)
+    assert time.process_time() - start < 1
+    assert e.value.kind == "pieces"
+    assert 1_000_000 < e.value.needed <= 1_000_000 + 2**16
 
 
 def test_breakpoint_value_construction_validates():

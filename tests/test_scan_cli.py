@@ -203,6 +203,10 @@ def test_cli_classify_exit_codes(capsys):
         (["classify", "--shape", "+-", "--w", "4/5"], {"entropy_tol": -1}),
         (["bisect", "--shape", "+-", "--lo", "4/5", "--hi", "9/10", "--width", "1/1000",
           "--refine-level", "0"], None),
+        (["classify", "--shape", "+-", "--w", "-1/2"], None),
+        (["entropy", "--shape", "+-", "--w", "1", "--method", "nope"], None),
+        (["scan", "--config", "steps-fraction.json"], None),
+        (["scan", "--config", "scan.json", "--workers", "-1"], None),
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, budgets, tmp_path, capsys, monkeypatch):
@@ -215,6 +219,12 @@ def test_cli_rejects_bad_input_with_exit_2(argv, budgets, tmp_path, capsys, monk
     (tmp_path / "list.json").write_text(json.dumps([1, 2]))
     (tmp_path / "signs-number.json").write_text(
         json.dumps({"shape": "+-", "depth": 8, "signs": 3})
+    )
+    grid = {"kind": "line", "start": ["1/2"], "stop": ["1"], "steps": 3}
+    output = {"csv": "g.csv", "manifest": "g.jsonl"}
+    (tmp_path / "scan.json").write_text(json.dumps({"shape": "+-", "grid": grid, "output": output}))
+    (tmp_path / "steps-fraction.json").write_text(
+        json.dumps({"shape": "+-", "grid": {**grid, "steps": 2.5}, "output": output})
     )
     if budgets is not None:
         path = tmp_path / "budgets.json"
