@@ -40,7 +40,7 @@ from .rational import Wire, float_down, float_up, format_rat
 class EntropyEstimate(Wire):
     value: float
     lower: float
-    upper: float
+    upper: float | None  # None: the route bounds nothing from above (bowen)
     method: str
     parameters: dict = field(default_factory=dict)
 
@@ -179,10 +179,12 @@ def entropy_bowen(
     a neutral fixed point produces never form one. A small margin keeps the
     reported number on the safe side of greedy and grid noise.
 
-    So 0.0 is no verdict of zero entropy. Where every count reaches the cap
-    grid/8 within three to five steps, as on the full +-+- sawtooth, +- at
-    w = 9/10 and +-+ at w = (9/10, 1/10), there is no plateau to read and
-    the value is 0.0 although the entropy is positive.
+    The route bounds nothing from above, so upper is None (null on the
+    wire) and lower is the value. And 0.0 is no verdict of zero entropy.
+    Where every count reaches the cap grid/8 within three to five steps, as
+    on the full +-+- sawtooth, +- at w = 9/10 and +-+ at w = (9/10, 1/10),
+    there is no plateau to read and the value is 0.0 although the entropy is
+    positive.
 
     Each count list comes from one greedy scan per n, whose Python work is
     one step per kept orbit (see _separated_counts).
@@ -214,7 +216,7 @@ def entropy_bowen(
     return EntropyEstimate(
         value=est,
         lower=est,
-        upper=math.inf,
+        upper=None,
         method="bowen",
         parameters={
             "grid": grid,

@@ -6,11 +6,13 @@ doubling accumulation at that resolution, certified by a renormalization
 tower; Chaotic for positive entropy; Inconclusive when a budget ran out
 before the evidence closed, with the budget named.
 
-The pipeline decides entropy first, from the exact Markov partition. With
-entropy zero the period set is a finite set of powers of two and comes whole
-from the transition graph, so no period sweep is needed; with positive
-entropy the sweep runs only to collect a non-power-of-two witness orbit, and
-a homoclinic search supplies the second certificate.
+The pipeline decides the sign of entropy first, exactly, from the Markov
+graph: the entropy is positive if and only if some recurrent class branches
+(Block, Guckenheimer, Misiurewicz and Young, 1980). No float is compared with
+a threshold. With entropy zero the period set is a finite set of powers of
+two and comes whole from the transition graph, so no period sweep is needed;
+with positive entropy the sweep runs only to collect a non-power-of-two
+witness orbit, and a homoclinic search supplies the second certificate.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .family import (
     select_lambda_plateaus,
 )
 from .homoclinic import find_homoclinic
+from .markov import build_markov_system
 from .orbits import (
     complete_period_set,
     omega_accumulation,
@@ -54,37 +57,28 @@ class Budgets(Wire):
     homoclinic_period_bound: int = 6
     homoclinic_m_budget: int = 64
     homoclinic_frontier: int = 20_000
-    entropy_tol: float = 1e-9
 
     def __post_init__(self):
         # every count is at least 1: a zero search bound would certify
         # "nothing found" after searching nothing
         for f in fields(self):
-            least = 0 if isinstance(f.default, float) else 1
             value = getattr(self, f.name)
-            if not value >= least:
-                raise ConstraintViolation(f"budget {f.name!r} must be >= {least}, got {value!r}")
+            if not value >= 1:
+                raise ConstraintViolation(f"budget {f.name!r} must be >= 1, got {value!r}")
 
     @staticmethod
     def from_json(obj: dict) -> "Budgets":
-        """Defaults overridden by obj. An unknown key, a mistyped value or one
-        out of range is a ConstraintViolation; an int is accepted for a float
-        budget."""
+        """Defaults overridden by obj. An unknown key, a value that is not an
+        int or one out of range is a ConstraintViolation."""
         if not isinstance(obj, dict):
             raise ConstraintViolation("budgets must be a JSON object")
-        kinds = {f.name: type(f.default) for f in fields(Budgets)}
-        values = {}
+        names = {f.name for f in fields(Budgets)}
         for key, value in obj.items():
-            if key not in kinds:
+            if key not in names:
                 raise ConstraintViolation(f"unknown budget {key!r}")
-            kind = kinds[key]
-            accepted = (int, float) if kind is float else kind
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ConstraintViolation(
-                    f"budget {key!r} must be {kind.__name__}, got {value!r}"
-                )
-            values[key] = kind(value)
-        return Budgets(**values)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConstraintViolation(f"budget {key!r} must be int, got {value!r}")
+        return Budgets(**obj)
 
 
 @dataclass(frozen=True)
@@ -98,6 +92,12 @@ class ClassificationRecord(Wire):
     certificates: dict = field(default_factory=dict)
     budgets: Budgets = field(default_factory=Budgets)
     notes: tuple[str, ...] = ()
+
+
+def _positive_entropy(f, b: Budgets) -> bool:
+    """The exact sign of entropy: positive if and only if some recurrent
+    class of the Markov graph branches."""
+    return bool(build_markov_system(f, b.partition_budget).recurrence.branching)
 
 
 def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> ClassificationRecord:
@@ -115,7 +115,7 @@ def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> Classific
             **base,
         )
 
-    if h.value > b.entropy_tol:
+    if _positive_entropy(m.map, b):  # a cache hit: entropy_markov built this graph
         sweep = period_set(
             m.map,
             b.sweep_n_max,
@@ -133,7 +133,6 @@ def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> Classific
         )
         witness = sweep.stop_witness
         detail = {
-            "entropy": h.value,
             "period_witness": witness.to_json() if witness else None,
             "homoclinic_found": homo.found,
         }
@@ -143,7 +142,6 @@ def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> Classific
             entropy=h,
             detail=detail,
             certificates={
-                "entropy_markov": h.to_json(),
                 "period_sweep": sweep.to_json(),
                 "homoclinic": homo.to_json(),
             },
@@ -174,7 +172,7 @@ def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> Classific
             label=f"Finite({max_p})",
             entropy=h,
             detail={"max_period": max_p, "period_set": sorted(psr.periods)},
-            certificates={"entropy_markov": h.to_json(), "period_set": psr.to_json()},
+            certificates={"period_set": psr.to_json()},
             **base,
         )
 
@@ -191,7 +189,6 @@ def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> Classific
                 "semiconjugacy_ok": semi.ok,
             },
             certificates={
-                "entropy_markov": h.to_json(),
                 "period_set": psr.to_json(),
                 "tower": tower.to_json(),
                 "semiconjugacy": semi.to_json(),
@@ -238,11 +235,6 @@ def _vec_width(a, b) -> Rat:
     return max(abs(x - y) for x, y in zip(a, b))
 
 
-def _is_chaotic_side(shape: Shape, w, b: Budgets) -> bool:
-    m = StuntedSawtoothMap(shape, w)
-    return entropy_markov(m.map, b.partition_budget).value > b.entropy_tol
-
-
 def bisect_boundary(
     shape: Shape,
     w_lo,
@@ -253,10 +245,11 @@ def bisect_boundary(
 ) -> BoundaryBracket:
     """Shrink a zero-entropy/positive-entropy bracket to the target width.
 
-    Midpoints are discriminated by exact entropy sign alone, which is
-    equivalent to the Finite/non-Finite split being bracketed; the final
-    flanks get full classifications. Endpoints stay exact rationals
-    throughout, so the bracket can be refined again later.
+    Midpoints are discriminated by the exact entropy sign alone, read from
+    the Markov graph (some recurrent class branches), so a probe runs no
+    eigensolver; the sign split is the Finite/non-Finite split being
+    bracketed. The final flanks get full classifications. Endpoints stay
+    exact rationals throughout, so the bracket can be refined again later.
     """
     b = budgets or Budgets()
     target = Fraction(target_width)
@@ -264,16 +257,16 @@ def bisect_boundary(
         raise ConstraintViolation("target width must be positive")
     lo = _vec(shape, w_lo)
     hi = _vec(shape, w_hi)
-    if _is_chaotic_side(shape, lo, b):
+    if _positive_entropy(StuntedSawtoothMap(shape, lo).map, b):
         raise ConstraintViolation("low endpoint must have zero entropy")
-    if not _is_chaotic_side(shape, hi, b):
+    if not _positive_entropy(StuntedSawtoothMap(shape, hi).map, b):
         raise ConstraintViolation("high endpoint must have positive entropy")
     iters = 0
     while _vec_width(lo, hi) > target:
         if iters >= max_iterations:
             raise BudgetExceeded("steps", max_iterations)
         mid = tuple((a + c) / 2 for a, c in zip(lo, hi))
-        if _is_chaotic_side(shape, mid, b):
+        if _positive_entropy(StuntedSawtoothMap(shape, mid).map, b):
             hi = mid
         else:
             lo = mid

@@ -122,14 +122,15 @@ def spectral_radius(graph: MarkovSystem | np.ndarray) -> tuple[float, dict]:
 
     The radius is the largest over the recurrent classes. A bare cycle
     contributes exactly 1 and a transient singleton 0, so when no class
-    branches the radius is exact and no float is touched; the dense
-    eigensolver returns 1 +- 1e-8 on such matrices, which is enough to leak
-    past a zero-entropy threshold. A branching class C contributes its Perron
-    root, bracketed by Collatz-Wielandt: for every positive vector v,
-    min (Cv)_i/v_i <= rho(C) <= max (Cv)_i/v_i. Here v is the float Perron
-    vector of C rounded to integers, so both ends are exact rationals from
-    integer arithmetic and the bracket holds whatever error the float vector
-    carries; that error only widens it.
+    branches the radius is exact and no float is touched (the dense
+    eigensolver returns 1 +- 1e-8 on such matrices). So rho > 1, positive
+    entropy, exactly when some class branches: the sign needs no radius, and
+    classify reads it from recurrence.branching. A branching class C
+    contributes its Perron root, bracketed by Collatz-Wielandt: for every
+    positive vector v, min (Cv)_i/v_i <= rho(C) <= max (Cv)_i/v_i. Here v is
+    the float Perron vector of C rounded to integers, so both ends are exact
+    rationals from integer arithmetic and the bracket holds whatever error
+    the float vector carries; that error only widens it.
 
     The returned float is the dense eigensolver's radius of the whole matrix,
     clamped into the bracket: on a defective double root it can land 1e-8

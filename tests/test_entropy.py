@@ -20,6 +20,7 @@ from sawlab import (
     spectral_radius,
 )
 from sawlab.entropy import _grid_orbits, _separated_counts, entropy_bowen
+from sawlab.markov import build_markov_system, recurrent_classes
 
 
 def test_tent_markov_entropy_is_log_two(tent):
@@ -217,6 +218,7 @@ def test_spectral_radius_bracket_holds_the_true_radius(adj):
     assert lo <= F(math.nextafter(rho, math.inf))
     assert F(math.nextafter(rho, -math.inf)) <= hi
     assert diag["power_iterations"] == 0
+    assert bool(recurrent_classes(adj).branching) == (diag["rho_upper"] > 1)
     exact = _mp_spectral_radius(adj)
     with mpmath.workdps(40):
         slack = mpmath.mpf(10) ** -30
@@ -248,6 +250,7 @@ def test_chaos_ward_steps_never_lower_the_entropy_bracket():
         est = entropy_markov(m.map)
         assert est.lower <= est.value <= est.upper
         assert est.upper - est.lower <= 1e-10
+        assert (est.value > 0) == bool(build_markov_system(m.map, 4096).recurrence.branching)
         brackets[w] = (est.lower, est.upper)
     assert len(brackets) == 385
     for w, (lower, _) in brackets.items():
@@ -259,9 +262,11 @@ def test_chaos_ward_steps_never_lower_the_entropy_bracket():
 
 def test_markov_bracket_is_tight_on_the_tent_grid(stunted_tent):
     for k in range(101):
-        est = entropy_markov(stunted_tent(F(1, 2) + F(k, 200)).map)
+        m = stunted_tent(F(1, 2) + F(k, 200))
+        est = entropy_markov(m.map)
         assert est.lower <= est.value <= est.upper
         assert est.upper - est.lower <= 1e-10
+        assert (est.value > 0) == bool(build_markov_system(m.map, 4096).recurrence.branching)
         if est.value == 0.0:
             assert est.parameters["method"] == "bare-cycles"
             assert est.upper == 0.0

@@ -14,6 +14,7 @@ from sawlab import (
     refine_to_boundary,
     two_sided_perturbation_experiment,
 )
+from sawlab import explore
 from sawlab.entropy import EntropyEstimate
 from sawlab.markov import build_markov_system
 
@@ -74,6 +75,25 @@ def test_bisect_requires_straddling_verdicts(tent_shape):
         bisect_boundary(tent_shape, [F(3, 5)], [F(4, 5)], F(1, 100))
 
 
+def test_bisection_probes_read_the_sign_from_the_markov_graph(tent_shape, monkeypatch):
+    # the probes run no eigensolver: entropy_markov runs only in the two
+    # flank classifies, and the bracket is the one a threshold on the entropy
+    # value gives
+    calls = []
+    entropy_markov = explore.entropy_markov
+
+    def counted(f, point_budget=4096):
+        calls.append(f)
+        return entropy_markov(f, point_budget)
+
+    monkeypatch.setattr(explore, "entropy_markov", counted)
+    bracket = bisect_boundary(tent_shape, [F(4, 5)], [F(9, 10)], F(1, 10**4))
+    assert len(calls) == 2
+    assert (bracket.lo_w, bracket.hi_w) == ((F(8447, 10240),), (F(33, 40),))
+    assert bracket.iterations == 10
+    assert (bracket.lo_record.label, bracket.hi_record.label) == ("Finite(8)", "Chaotic")
+
+
 def test_refinement_deepens_the_midpoint_verdict(tent_shape):
     bracket = bisect_boundary(tent_shape, [F(4, 5)], [F(9, 10)], F(1, 10**4))
     refined = refine_to_boundary(bracket, target_level=4)
@@ -86,11 +106,18 @@ def test_perturbation_experiment_refuses_off_boundary_base(stunted_tent):
         two_sided_perturbation_experiment(stunted_tent(F(4, 5)))
 
 
-def test_budgets_round_trip_and_accept_an_int_for_a_float():
-    b = Budgets.from_json({"k": 3, "entropy_tol": 0})
-    assert b.entropy_tol == 0.0 and isinstance(b.entropy_tol, float)
+def test_budgets_round_trip_and_take_only_known_int_budgets():
+    b = Budgets.from_json({"k": 3})
+    assert b.k == 3
     assert Budgets.from_json(b.to_json()) == b
-    for bad in ({"k": True}, {"piece_budget": 1.5}, {"k": None}, []):
+    for bad in (
+        {"k": True},
+        {"piece_budget": 1.5},
+        {"k": None},
+        [],
+        {"entropy_tol": 1e-9},
+        {"k": float("inf")},
+    ):
         with pytest.raises(ConstraintViolation):
             Budgets.from_json(bad)
 

@@ -136,11 +136,17 @@ def test_cli_orbits_lists_requested_period(capsys):
     assert ("2/7", "4/7", "6/7") in pts
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_cli_entropy_methods_agree_on_the_tent(capsys):
     values = {}
     for method in ("markov", "lap", "bowen"):
         assert main(["entropy", "--shape", "+-", "--w", "1", "--method", method]) == 0
-        values[method] = json.loads(capsys.readouterr().out)["entropy"]
+        # strict JSON: Infinity or NaN in the output raises
+        payload = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+        values[method] = payload["entropy"]
     assert abs(values["markov"]["value"] - 0.6931471805599453) < 1e-9
     assert values["lap"]["upper"] >= values["markov"]["value"] - 1e-9
     assert values["bowen"]["value"] <= values["markov"]["value"] + 1e-9
@@ -200,7 +206,7 @@ def test_cli_classify_exit_codes(capsys):
         (["classify", "--shape", "+-", "--w", "4/5", "--k", "-1"], None),
         (["classify", "--shape", "+-", "--w", "4/5"], {"homoclinic_period_bound": 0}),
         (["classify", "--shape", "+-", "--w", "4/5"], {"k": 1, "tower_depth": 0}),
-        (["classify", "--shape", "+-", "--w", "4/5"], {"entropy_tol": -1}),
+        (["classify", "--shape", "+-", "--w", "4/5"], {"entropy_tol": 1e-9}),
         (["bisect", "--shape", "+-", "--lo", "4/5", "--hi", "9/10", "--width", "1/1000",
           "--refine-level", "0"], None),
         (["classify", "--shape", "+-", "--w", "-1/2"], None),

@@ -20,8 +20,8 @@ of the source must agree byte for byte where their wire format agrees:
 Scans run with relative output paths from inside OUTDIR, so their summaries
 do not name OUTDIR. The scan manifests are journals whose line order is not
 part of the deterministic surface; they are deleted. Uses the standard
-library only; a full snapshot takes about half a minute on a 2-core x86
-virtual machine.
+library only; a full snapshot takes 10-12 s on a 2-core x86 virtual machine
+with Python 3.11.
 """
 
 from __future__ import annotations
