@@ -29,7 +29,7 @@ from .explore import (
     refine_to_boundary,
     two_sided_perturbation_experiment,
 )
-from .family import Shape, StuntedSawtoothMap, build_sawtooth
+from .family import OrbitKernel, Shape, StuntedSawtoothMap, build_sawtooth
 from .kneading import KneadingData, compare_kneading, kneading_data, realize_kneading
 from .orbits import period_set, periodic_points
 from .rational import parse_rat
@@ -57,7 +57,8 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as e:
         raise ConstraintViolation(f"cannot read {path}: {e.strerror}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # a JSONDecodeError, or an integer of more digits than Python reads
         raise ConstraintViolation(f"{path} is not JSON: {e}") from e
 
 
@@ -113,7 +114,9 @@ def _cmd_orbits(args) -> int:
         _emit({"period": args.period, "orbits": [o.to_json() for o in orbits]}, args)
         return 0
     if args.start is not None:
-        rec = m.map.orbit_eventually_periodic(parse_rat(args.start), args.max_steps)
+        start = parse_rat(args.start)
+        kernel = OrbitKernel(m.shape, m.w, start.denominator)
+        rec = kernel.orbit(start, args.max_steps)
         _emit({"orbit": rec.to_json()}, args)
         return 0
     report = period_set(

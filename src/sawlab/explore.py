@@ -23,6 +23,7 @@ from fractions import Fraction
 from .entropy import EntropyEstimate, entropy_markov
 from .errors import BudgetExceeded, ConstraintViolation, StructureError
 from .family import (
+    OrbitKernel,
     PlateauSelection,
     Shape,
     StuntedSawtoothMap,
@@ -166,7 +167,7 @@ def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> Classific
             f"zero entropy but non-power-of-two periods {sorted(bad)}; inconsistent evidence"
         )
     max_p = max(psr.periods) if psr.periods else 1
-    if max_p < (1 << b.k):
+    if max_p.bit_length() <= b.k:  # max_p < 2^k, without building 2^k
         return ClassificationRecord(
             verdict="Finite",
             label=f"Finite({max_p})",
@@ -304,8 +305,10 @@ def refine_to_boundary(
     The per-midpoint probe is cheap: the principal critical orbit of a
     zero-entropy member is purely periodic with a power-of-two period 2^L,
     and L climbs without bound as the bracket closes on the accumulation
-    parameter. Once the midpoint's L reaches the target the full classifier
-    re-certifies it; the probe never decides the final verdict on its own.
+    parameter. The probe walks that orbit in the integer kernel of the
+    midpoint's heights and builds no map. Once the midpoint's L reaches the
+    target the full classifier re-certifies it; the probe never decides the
+    final verdict on its own.
     """
     if target_level is not None and target_level < 1:
         raise ConstraintViolation(f"target level must be >= 1, got {target_level}")
@@ -316,17 +319,19 @@ def refine_to_boundary(
     hi = bracket.hi_w
     for it in range(1, max_iterations + 1):
         mid = tuple((a + c) / 2 for a, c in zip(lo, hi))
-        m = StuntedSawtoothMap(shape, mid)
+        kernel = OrbitKernel(shape, mid)
         finite_side = False
         level = 0
         try:
-            rec = m.map.orbit_eventually_periodic(m.w[0], b.step_budget)
-            if rec.preperiod == 0 and rec.period & (rec.period - 1) == 0:
+            pts, preperiod = kernel.walk(kernel.heights[0], b.step_budget)
+            period = len(pts) - 1 - preperiod
+            if preperiod == 0 and period & (period - 1) == 0:
                 finite_side = True
-                level = rec.period.bit_length() - 1
+                level = period.bit_length() - 1
         except BudgetExceeded:
             pass  # no cycle within the step budget: treated as the chaotic side
         if finite_side and level >= level_goal:
+            m = StuntedSawtoothMap(shape, mid)
             record = classify(m, b)
             if record.verdict == "Boundary2Inf":
                 new_bracket = BoundaryBracket(

@@ -10,15 +10,23 @@ plateau [c_i - (1-w_i)/(d+1), c_i + (1-w_i)/(d+1)] at value w_i, a min is
 filled to [c_i - w_i/(d+1), c_i + w_i/(d+1)]. Heights must strictly
 alternate against the lap signs, (w_j - w_{j+1}) * s_{j+1} < 0 for adjacent
 turning points, which keeps the plateaus pairwise disjoint.
+
+Off its plateaus S_w is the sawtooth, x -> ±(d+1)x + k, and a plateau sends
+its points to its height. So with D the lcm of the heights' denominators,
+an orbit that starts at a/D stays on points a'/D with a' an integer.
+OrbitKernel walks orbits of S_w on those integer numerators: the kneading
+data, the boundary probe and the critical-cycle walks read it, and no
+Fraction map is evaluated along the way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .errors import ConstraintViolation
-from .plmap import Ivl, PiecewiseLinearMap
+from .errors import BudgetExceeded, ConstraintViolation, DomainError, StructureError
+from .plmap import Ivl, OrbitRecord, PiecewiseLinearMap
 from .rational import Rat, Wire, parse_rat, to_wire
 
 ZERO = Fraction(0)
@@ -104,6 +112,92 @@ def validate_heights(shape: Shape, w: tuple[Rat, ...]) -> None:
                 f"heights must satisfy (w_{j} - w_{j+1}) * s_{j+1} < 0; "
                 f"got w_{j} = {w[j-1]}, w_{j+1} = {w[j]}"
             )
+
+
+class OrbitKernel:
+    """S_w on integer numerators over one common denominator.
+
+    The point a/den, with den the lcm of the heights' denominators and of
+    the given den, steps to a/den again: on lap k (0-based, sign s) to
+    (d+1)a - k*den when s = +1 and to (k+1)*den - (d+1)a when s = -1, and on
+    plateau j to heights[j-1]. Positions are compared in units of
+    1/((d+1)*den): turning point j sits at j*den, and its plateau reaches
+    den - heights[j-1] (a max) or heights[j-1] (a min) to either side. A
+    plateau can reach past the middle of the lap next to it (plateau 1 of
+    +-+ at heights (3/10, 1/10) does), so a point is tested against both
+    turning points that bound its lap.
+
+    A rank locates a point among the plateaus: 2j - 1 on plateau j, 2j in
+    the gap right of plateau j (0 left of plateau 1).
+    """
+
+    __slots__ = ("den", "heights", "_n", "_d", "_lo", "_hi", "_lap")
+
+    def __init__(self, shape: Shape, w, den: int = 1):
+        w = tuple(x if type(x) is Fraction else Fraction(x) for x in w)
+        validate_heights(shape, w)
+        den = lcm(den, *(x.denominator for x in w))
+        heights = tuple(x.numerator * (den // x.denominator) for x in w)
+        n = shape.d + 1
+        half = [den - h if s > 0 else h for s, h in zip(shape.signs, heights)]
+        self.den = den
+        self.heights = heights
+        self._n = n
+        self._d = shape.d
+        # index 0 is never read: lap 0 has no turning point on its left
+        self._lo = (None, *(j * den - h for j, h in enumerate(half, start=1)))
+        self._hi = (None, *(j * den + h for j, h in enumerate(half, start=1)))
+        # lap k as (sign, offset): a -> sign * (d+1)a + offset
+        self._lap = tuple(
+            (1, -k * den) if s > 0 else (-1, (k + 1) * den) for k, s in enumerate(shape.signs)
+        )
+
+    def step(self, a: int) -> tuple[int, int]:
+        """(rank of a/den, numerator of its image)."""
+        x = self._n * a
+        k = min(x // self.den, self._d)
+        if k and x <= self._hi[k]:
+            return 2 * k - 1, self.heights[k - 1]
+        if k < self._d and x >= self._lo[k + 1]:
+            return 2 * k + 1, self.heights[k]
+        sign, offset = self._lap[k]
+        return 2 * k, sign * x + offset
+
+    def ranks(self, a: int, n: int) -> tuple[int, ...]:
+        """Ranks of a/den and its first n - 1 images."""
+        step = self.step
+        out = []
+        for _ in range(n):
+            r, a = step(a)
+            out.append(r)
+        return tuple(out)
+
+    def walk(self, a: int, max_steps: int) -> tuple[list[int], int]:
+        """Numerators a_0 .. a_t up to the first repeat, and the index j < t
+        with a_j = a_t. Raises BudgetExceeded if no repeat appears within
+        max_steps steps."""
+        step = self.step
+        seen = {a: 0}
+        pts = [a]
+        for t in range(1, max_steps + 1):
+            a = step(a)[1]
+            pts.append(a)
+            j = seen.setdefault(a, t)
+            if j != t:
+                return pts, j
+        raise BudgetExceeded("steps", max_steps)
+
+    def orbit(self, x: Rat, max_steps: int) -> OrbitRecord:
+        """The orbit of x as orbit_eventually_periodic reports it; x's
+        denominator must divide den."""
+        x = Fraction(x)
+        if not (ZERO <= x <= ONE):
+            raise DomainError(f"{x} outside [0, 1]")
+        if self.den % x.denominator:
+            raise StructureError(f"{x} is not a multiple of 1/{self.den}")
+        pts, j = self.walk(x.numerator * (self.den // x.denominator), max_steps)
+        points = tuple(Fraction(a, self.den) for a in pts)
+        return OrbitRecord(start=x, points=points, preperiod=j, period=len(pts) - 1 - j)
 
 
 def build_sawtooth(shape: Shape) -> PiecewiseLinearMap:

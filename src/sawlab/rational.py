@@ -19,12 +19,15 @@ not simply its fields overrides `to_json`, usually on top of the default.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import fields
 from fractions import Fraction
 
 from .errors import ConstraintViolation
 
 Rat = Fraction
+
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\Z")
 
 
 def parse_rat(text: str) -> Rat:
@@ -38,10 +41,16 @@ def parse_rat(text: str) -> Rat:
     s = text.strip()
     if not s:
         raise ConstraintViolation("empty rational literal")
+    # Fraction computes 10**exponent before anything can refuse it
+    exponent = _EXPONENT.search(s)
+    if exponent and len(exponent.group(1).lstrip("+-0_").replace("_", "")) > 4:
+        raise ConstraintViolation(f"bad rational literal {text!r}: exponent out of range")
     try:
-        return Fraction(s)
+        x = Fraction(s)
+        format_rat(x)  # raises when an integer has more digits than Python prints
     except (ValueError, ZeroDivisionError) as e:
         raise ConstraintViolation(f"bad rational literal {text!r}: {e}") from e
+    return x
 
 
 def format_rat(x: Rat) -> str:

@@ -42,8 +42,8 @@ class ScanConfig:
             grid = obj["grid"]
             kind = grid["kind"]
             if kind == "line":
-                start = [parse_rat(x) for x in grid["start"]]
-                stop = [parse_rat(x) for x in grid["stop"]]
+                start = [parse_rat(x) for x in _rat_list(grid["start"], "start")]
+                stop = [parse_rat(x) for x in _rat_list(grid["stop"], "stop")]
                 steps = grid["steps"]
                 if type(steps) is not int:
                     raise ConstraintViolation(f"steps must be an integer, got {steps!r}")
@@ -58,7 +58,8 @@ class ScanConfig:
                         tuple(a + (b - a) * t for a, b in zip(start, stop))
                     )
             elif kind == "product":
-                axes = [[parse_rat(x) for x in axis] for axis in grid["axes"]]
+                axes = [[parse_rat(x) for x in _rat_list(axis, "axis")]
+                        for axis in _rat_list(grid["axes"], "axes")]
                 if len(axes) != shape.d:
                     raise ConstraintViolation("need one axis per turning point")
                 cells = [()]
@@ -84,6 +85,14 @@ class ScanConfig:
         except (TypeError, ValueError, AttributeError) as e:
             # a list where an object belongs, a number where a list belongs
             raise ConstraintViolation(f"malformed scan config: {e}") from e
+
+
+def _rat_list(value, name: str) -> list:
+    """A grid entry that must be a JSON list: a string or an object would
+    iterate as its characters or keys."""
+    if not isinstance(value, list):
+        raise ConstraintViolation(f"grid {name} must be a list, got {value!r}")
+    return value
 
 
 CSV_FIELDS = (

@@ -1,5 +1,6 @@
 """Classification verdicts and boundary bracketing."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from sawlab import (
     Budgets,
     ConstraintViolation,
+    PiecewiseLinearMap,
     Shape,
     StuntedSawtoothMap,
     bisect_boundary,
@@ -128,3 +130,41 @@ def test_budget_resolution_bounds_finite_labels(stunted_tent):
     # period 4 exceeds the 2^1 resolution, so the shallow run cannot
     # certify Finite(4)
     assert record.label != "Finite(4)"
+
+
+def test_a_huge_resolution_builds_no_power_of_two(stunted_tent):
+    m = stunted_tent(F(4, 5))
+    classify(m)  # the Markov graph is cached after this
+    tracemalloc.start()
+    try:
+        record = classify(m, Budgets(k=10**8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.label == "Finite(2)"
+    assert peak < 2**20  # 2^k alone would take 12 MB
+
+
+# refined midpoints of the benchmark's boundary pipelines: bisect to width
+# 1e-9, then refine to level 8
+REFINED_MIDPOINTS = {
+    "+-": "95517828539092709965366156137658913408328847724187486795160068823243505718061/"
+    "115792089237316195423570985008687907853269984665640564039457584007913129639936",
+    "-+": "20274260698223485458204828871028994444941136941453077244297515184669623921875/"
+    "115792089237316195423570985008687907853269984665640564039457584007913129639936",
+}
+
+
+@pytest.mark.parametrize("word, lo, hi", [("+-", "4/5", "9/10"), ("-+", "1/5", "1/10")])
+def test_refine_on_the_benchmark_brackets_is_pinned(word, lo, hi, monkeypatch):
+    bracket = bisect_boundary(Shape.from_string(word), [F(lo)], [F(hi)], F(1, 10**9))
+
+    def refuse(self, x, max_steps=0):
+        raise AssertionError("the probe walked the Fraction map")
+
+    # the probe and the tower walk the integer kernel
+    monkeypatch.setattr(PiecewiseLinearMap, "orbit_eventually_periodic", refuse)
+    refined = refine_to_boundary(bracket, target_level=8)
+    assert refined.bracket.midpoint_w == (F(REFINED_MIDPOINTS[word]),)
+    assert (refined.level, refined.extra_iterations) == (8, 228)
+    assert refined.record.label == "Boundary2Inf(6)"

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 from sawlab import (
     Budgets,
-    PiecewiseLinearMap,
+    OrbitKernel,
     build_tower,
     check_renormalization,
     classify,
@@ -70,16 +70,17 @@ def test_window_verification_on_the_period_two_level(stunted_tent):
 def test_boundary_classify_walks_the_critical_cycle_once(stunted_tent, monkeypatch):
     m = stunted_tent(F(823, 1000))
     starts = []
-    walk = PiecewiseLinearMap.orbit_eventually_periodic
+    walk = OrbitKernel.walk
 
-    def counted(self, x, *args, **kwargs):
-        starts.append(x)
-        return walk(self, x, *args, **kwargs)
+    def counted(self, a, *args, **kwargs):
+        starts.append(F(a, self.den))
+        return walk(self, a, *args, **kwargs)
 
-    monkeypatch.setattr(PiecewiseLinearMap, "orbit_eventually_periodic", counted)
+    monkeypatch.setattr(OrbitKernel, "walk", counted)
     record = classify(m, Budgets(k=2, tower_depth=2))
     assert record.label == "Boundary2Inf(2)"
     # the period-set inventory reads the Markov graph; only the tower walks
+    # the kernel from the critical value
     assert starts.count(m.w[0]) == 1
     semi = record.certificates["semiconjugacy"]
     assert semi["ok"] and semi["permutation_ok"]

@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from sawlab import Budgets, ConstraintViolation, Shape, StructureError, classify
+from sawlab import (
+    Budgets,
+    ConstraintViolation,
+    Shape,
+    StructureError,
+    StuntedSawtoothMap,
+    classify,
+)
 from sawlab.cli import main
 from sawlab.scan import ScanConfig, run_scan
 
@@ -134,6 +141,16 @@ def test_cli_orbits_lists_requested_period(capsys):
     payload = json.loads(capsys.readouterr().out)
     pts = {tuple(o["points"]) for o in payload["orbits"]}
     assert ("2/7", "4/7", "6/7") in pts
+
+
+def test_cli_orbits_start_walks_over_both_denominators(capsys):
+    # the heights are over 5 and the start over 3: the walk is over 15
+    assert main(["orbits", "--shape", "+-", "--w", "4/5", "--start", "1/3"]) == 0
+    orbit = json.loads(capsys.readouterr().out)["orbit"]
+    m = StuntedSawtoothMap(Shape.from_string("+-"), [Fraction(4, 5)])
+    assert orbit == m.map.orbit_eventually_periodic(Fraction(1, 3)).to_json()
+    assert main(["orbits", "--shape", "+-", "--w", "4/5", "--start", "4/3"]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "DomainError"
 
 
 def _no_constant(name):

@@ -44,8 +44,14 @@ INPUTS = {
     "budgets-partition-8192.json": {"partition_budget": 8192},
 }
 
+# realize invocation -> the earlier invocation whose kneading payload it reads
+REALIZE_FROM = {
+    "kneading-realize": "kneading-tent",
+    "kneading-realize-bimodal": "kneading-bimodal",
+}
+
 # name -> argv; run in order, so an invocation may read the stdout of an
-# earlier one (kneading-realize reads the payload of kneading-tent)
+# earlier one (see REALIZE_FROM)
 INVOCATIONS = [
     ("describe-tent", ["describe", "--shape", "+-", "--w", "4/5"]),
     ("describe-bimodal", ["describe", "--shape", "+-+", "--w", "7/10,3/10"]),
@@ -61,7 +67,9 @@ INVOCATIONS = [
                            "--sequence", "2"]),
     ("kneading-compare", ["kneading", "--shape", "+-", "--w", "4/5", "--depth", "8",
                           "--compare", "family-33-40.json"]),
-    ("kneading-realize", ["kneading", "--realize", "realize-target.json"]),
+    ("kneading-realize", ["kneading", "--realize", "realize-kneading-tent.json"]),
+    ("kneading-bimodal", ["kneading", "--shape", "+-+", "--w", "41/64,5/64", "--depth", "12"]),
+    ("kneading-realize-bimodal", ["kneading", "--realize", "realize-kneading-bimodal.json"]),
     ("renorm", ["renorm", "--shape", "+-", "--w", BOUNDARY_W, "--depth", "6"]),
     ("classify-finite", ["classify", "--shape", "+-", "--w", "823/1000"]),
     ("classify-chaotic", ["classify", "--shape", "+-", "--w", "33/40"]),
@@ -70,6 +78,9 @@ INVOCATIONS = [
     ("classify-boundary", ["classify", "--shape", "+-", "--w", BOUNDARY_W]),
     ("bisect-refine", ["bisect", "--shape", "+-", "--lo", "4/5", "--hi", "9/10",
                        "--width", "1/1000000000", "--refine-level", "8"]),
+    # "--shape -+" would read -+ as an option
+    ("bisect-refine-mirrored", ["bisect", "--shape=-+", "--lo", "1/5", "--hi", "1/10",
+                                "--width", "1/1000000000", "--refine-level", "8"]),
     ("theorem1", ["theorem1", "--shape", "+-", "--w", BOUNDARY_W]),
 ]
 
@@ -99,9 +110,10 @@ def main(argv: list[str]) -> int:
         (out / name).write_text(json.dumps(obj))
     codes = []
     for name, args in INVOCATIONS:
-        if name == "kneading-realize":
-            tent = json.loads((out / "kneading-tent.json").read_text())
-            (out / "realize-target.json").write_text(json.dumps(tent["kneading"]))
+        if name in REALIZE_FROM:
+            source = REALIZE_FROM[name]
+            payload = json.loads((out / f"{source}.json").read_text())
+            (out / f"realize-{source}.json").write_text(json.dumps(payload["kneading"]))
         code, stdout = run(src, out, args)
         (out / f"{name}.json").write_text(stdout)
         codes.append(f"{name} {code}")
