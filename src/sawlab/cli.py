@@ -321,9 +321,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _attach_shape(argv: list[str]) -> list[str]:
+    """`--shape WORD` as `--shape=WORD`: argparse reads a WORD that starts
+    with a minus, such as -+, as an option rather than as the value."""
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok == "--shape" else None
+        out.append(tok if value is None else f"--shape={value}")
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_attach_shape(sys.argv[1:] if argv is None else argv))
         return args.fn(args)
     except (ConstraintViolation, DomainError, KneadingNotRealizable) as e:
         print(json.dumps({"error": str(e), "kind": type(e).__name__}), file=sys.stderr)

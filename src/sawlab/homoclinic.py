@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded, ConstraintViolation
 from .markov import MarkovSystem, build_markov_system
-from .orbits import PeriodicOrbit, orbit_side_slope, periodic_orbits
+from .orbits import PeriodicOrbit, periodic_orbits
 from .plmap import Ivl, PiecewiseLinearMap
 from .rational import Rat, Wire
 
@@ -57,18 +57,25 @@ def unstable_manifold(
 
 def _unstable_set(sys: MarkovSystem, cycle) -> Ivl:
     """Unstable set of cycle[0] under f^n, given its orbit cycle of length n."""
-    f, points, image = sys.map, sys.points, sys.image
+    points, image = sys.points, sys.image
     q = cycle[0]
     i = bisect_left(points, q)
     if points[i] != q:
-        # so is q's whole orbit, and f^n is affine around q with one slope
-        if abs(orbit_side_slope(f, cycle, +1)) <= 1:
+        # so is q's whole orbit, and f^n is affine around q with one slope,
+        # the product of the slopes of the cells the orbit visits
+        slope = 1
+        for p in cycle:
+            slope *= sys.slopes[bisect_left(points, p) - 1]
+        if abs(slope) <= 1:
             return Ivl(q, q)
         lo, hi = i - 1, i
     else:
-        twice = [*cycle, *cycle]
-        lo = i - 1 if i > 0 and orbit_side_slope(f, twice, -1) > 1 else i
-        hi = i + 1 if i + 1 < len(points) and orbit_side_slope(f, twice, +1) > 1 else i
+        orbit = [i]
+        for _ in cycle[1:]:
+            orbit.append(image[orbit[-1]])
+        twice = orbit + orbit
+        lo = i - 1 if i > 0 and sys.side_slope(twice, -1) > 1 else i
+        hi = i + 1 if i + 1 < len(points) and sys.side_slope(twice, +1) > 1 else i
         if lo == hi:
             return Ivl(q, q)
     while True:

@@ -12,24 +12,33 @@ class otherwise. No power iteration runs.
 
 Building P is orbit closure of the breakpoints; for this package's maps that
 terminates fast because plateau hits collapse denominators, but the builder is
-budgeted so arbitrary inputs fail loudly instead of spinning. The closure
-evaluates f once at each point, and the system keeps those values, as
-indices into P (image), and the affine branch of each nonflat cell
-(branches): f restricted to P and to the cells, from which the orbit module
-reads every periodic orbit and the homoclinic module every unstable set
-without evaluating f again.
+budgeted so arbitrary inputs fail loudly instead of spinning. The closure runs
+on a lattice: with den the lcm of the denominators of the breakpoints and the
+values, and every slope an integer (a stunted sawtooth's slopes are ±(d+1) or
+0, an iterate's their products), f maps (1/den)Z into itself. So the point
+a/den steps to V_i + s_i(a - B_i) over den, with B_i, V_i the numerators of
+piece i's left end and its value there, and the whole partition is a set of
+integer numerators. A map with a non-integer slope has no such lattice and
+raises StructureError. The system keeps f on P, as indices into P (image),
+the integer slope of every cell, and the affine branch of each nonflat cell
+as an integer pair (branches): f restricted to P and to the cells, from which
+the orbit module reads every periodic orbit and the homoclinic module every
+unstable set without evaluating f again.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from .errors import BudgetExceeded
-from .plmap import Ivl, PiecewiseLinearMap
+from .errors import BudgetExceeded, StructureError
+from .plmap import PiecewiseLinearMap
 from .rational import Rat, float_down, float_up
 
 
@@ -48,55 +57,100 @@ class Recurrence:
 
 @dataclass(frozen=True)
 class MarkovSystem:
-    """Partition plus transition data for one map."""
+    """Partition plus transition data for one map.
+
+    The partition lies on the lattice (1/den)Z: points[i] = nums[i] / den.
+    Cell i is [points[i], points[i + 1]].
+    """
 
     map: PiecewiseLinearMap
+    den: int
+    nums: tuple[int, ...]  # integer numerators of the points, ascending
     points: tuple[Rat, ...]
-    cells: tuple[Ivl, ...]
     image: tuple[int, ...]  # index in points of f at each point, aligned with points
-    nonflat: tuple[int, ...]  # indices into cells with nonzero slope
-    branches: tuple[tuple[Rat, Rat], ...]  # (slope, intercept) of each nonflat cell
+    slopes: tuple[int, ...]  # slope of f on each cell, flat cells included
+    nonflat: tuple[int, ...]  # indices of the cells with nonzero slope
+    branches: tuple[tuple[int, int], ...]  # (s, t), f(x) = s*x + t/den on each nonflat cell
     adjacency: np.ndarray  # 0/1 over nonflat x nonflat, read-only
     recurrence: Recurrence  # classified once, read by the spectral radius and the orbit inventory
+
+    def side_slope(self, orbit: Sequence[int], side: int) -> int:
+        """Derivative of f^n along an orbit of partition points, from one side at the start.
+
+        orbit lists the points' indices x_0 .. x_{n-1}; side is -1 (left) or
+        +1 (right) at x_0. The one-sided slopes are the slopes of the cells
+        next to each point; a negative slope reflects the side, a zero slope
+        kills the product. At the domain edges the only available side is
+        used.
+        """
+        slopes, last = self.slopes, len(self.slopes)
+        total, cur = 1, side
+        for i in orbit:
+            if i == 0:
+                cur = 1
+            elif i == last:
+                cur = -1
+            s = slopes[i - 1] if cur < 0 else slopes[i]
+            if s == 0:
+                return 0
+            total *= s
+            if s < 0:
+                cur = -cur
+        return total
 
 
 @functools.lru_cache(maxsize=1)
 def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096) -> MarkovSystem:
     """Close the breakpoint set under f and assemble the transition matrix.
 
-    The last result is memoized and shared, so its adjacency is read-only.
-    Callers pass (f, point_budget) positionally to hit the same entry.
+    The closure runs on integer numerators over one denominator; a map with
+    a non-integer slope raises StructureError. The last result is memoized
+    and shared, so its adjacency is read-only. Callers pass (f, point_budget)
+    positionally to hit the same entry.
     """
-    pts: set[Rat] = set(f.breakpoints)
-    fp: dict[Rat, Rat] = {}  # f at each point, evaluated once
-    frontier = list(pts)
+    odd = next((s for s in f.slopes if s.denominator != 1), None)
+    if odd is not None:
+        raise StructureError(f"slope {odd} is not an integer; f maps no lattice (1/den)Z into itself")
+    den = lcm(*(x.denominator for x in (*f.breakpoints, *f.values)))
+    bps = [b.numerator * (den // b.denominator) for b in f.breakpoints]
+    slopes = [s.numerator for s in f.slopes]
+    # piece i maps a to s_i * a + offset_i, the line through (B_i, V_i)
+    offsets = [v.numerator * (den // v.denominator) - s * b for v, s, b in zip(f.values, slopes, bps)]
+    last = len(slopes) - 1
+    pts: set[int] = set(bps)
+    fp: dict[int, int] = {}  # f at each point, evaluated once
+    frontier = bps
     while frontier:
         if len(pts) > point_budget:
             raise BudgetExceeded("partition", point_budget, needed=len(pts))
         nxt = []
-        for p in frontier:
-            q = fp[p] = f(p)
+        for a in frontier:
+            i = min(bisect_right(bps, a) - 1, last)
+            q = fp[a] = slopes[i] * a + offsets[i]
             if q not in pts:
                 pts.add(q)
                 nxt.append(q)
         frontier = nxt
-    points = tuple(sorted(pts))
-    index = {p: i for i, p in enumerate(points)}
-    image = tuple(index[fp[p]] for p in points)
-    cells = tuple(Ivl(a, b) for a, b in zip(points, points[1:]))
+    nums = tuple(sorted(pts))
+    index = {a: i for i, a in enumerate(nums)}
+    image = tuple(index[fp[a]] for a in nums)
 
     # a nonflat cell maps onto the cells between the images of its ends, an
     # index range by closure; counting the nonflat cells below each index
     # turns that range into a run of adjacency columns
-    nonflat, branches, runs, below = [], [], [], [0]
-    for i, c in enumerate(cells):
-        s = f.right_slope(c.lo)
+    cell_slopes, nonflat, branches, runs, below = [], [], [], [], [0]
+    piece = 0
+    for i, a in enumerate(nums[:-1]):
+        while bps[piece + 1] <= a:
+            piece += 1
+        s = slopes[piece]
+        cell_slopes.append(s)
         below.append(below[-1] + (s != 0))
         if s == 0:
             continue
         lo, hi = sorted((image[i], image[i + 1]))
         nonflat.append(i)
-        branches.append((s, points[image[i]] - s * c.lo))
+        branches.append((s, nums[image[i]] - s * a))
         runs.append((lo, hi))
     nonflat = tuple(nonflat)
 
@@ -107,9 +161,11 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096) -> Mark
     adj.setflags(write=False)
     return MarkovSystem(
         map=f,
-        points=points,
-        cells=cells,
+        den=den,
+        nums=nums,
+        points=tuple(Fraction(a, den) for a in nums),
         image=image,
+        slopes=tuple(cell_slopes),
         nonflat=nonflat,
         branches=tuple(branches),
         adjacency=adj,

@@ -21,6 +21,7 @@ structural route.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -83,7 +84,7 @@ class PeriodicOrbit(Wire):
 
 
 def _canonical_orbit(f: PiecewiseLinearMap, cycle: tuple[Rat, ...]) -> PeriodicOrbit:
-    """The orbit of a closed walk's points, rotated to start at the smallest."""
+    """The orbit of a cycle of f, rotated to start at the smallest point."""
     k = cycle.index(min(cycle))
     pts = cycle[k:] + cycle[:k]
     return PeriodicOrbit(pts, len(pts), classify_stability(f, pts))
@@ -219,30 +220,40 @@ def _bare_cycle_orbits(sys: MarkovSystem) -> tuple[PeriodicOrbit, ...]:
     """The orbit of each bare cycle, then the cycles of f on the partition.
 
     A bare cycle's composed affine branch has one fixed point in its first
-    cell; walked through the branches it tours the cycle, or returns early
-    when it lies on the partition with a shorter period. The partition
-    cycles add the attracting plateau cycles the graph cannot see.
+    cell, b/(den*m) in integers (see _orbits_from_cell). On the partition it
+    is a cycle of f there, read from image; off it, walked through the
+    branches it tours the cycle, and both one-sided slopes of f^n are the
+    composed slope. The partition cycles add the attracting plateau cycles
+    the graph cannot see.
     """
-    f = sys.map
+    nums = sys.nums
     orbits: dict[tuple[Rat, ...], PeriodicOrbit] = {}
     for cyc in sys.recurrence.cycles:
-        a, b = Fraction(1), Fraction(0)
+        a, b = 1, 0
         for row in cyc:
             s, t = sys.branches[row]
             a, b = s * a, s * b + t
         if a == 1:
             raise StructureError("neutral cycle composition; cannot solve fixed point")
-        x = b / (1 - a)
-        if not sys.cells[sys.nonflat[cyc[0]]].contains(x):
+        m = 1 - a
+        if m < 0:
+            m, b = -m, -b
+        cell = sys.nonflat[cyc[0]]
+        if not nums[cell] * m <= b <= nums[cell + 1] * m:
             raise StructureError("cycle fixed point escaped its cell")
-        pts = [x]
-        for row in cyc[:-1]:
-            s, t = sys.branches[row]
-            y = s * pts[-1] + t
-            if y == x:
-                break
-            pts.append(y)
-        orb = _canonical_orbit(f, tuple(pts))
+        i = bisect_left(nums, b // m)
+        if b % m == 0 and nums[i] == b // m:
+            cycle = [i]
+            while sys.image[cycle[-1]] != i:
+                cycle.append(sys.image[cycle[-1]])
+            orb = _partition_orbit(sys, tuple(cycle))
+        else:
+            cs = [b]
+            for row in cyc[:-1]:
+                s, t = sys.branches[row]
+                cs.append(s * cs[-1] + t * m)
+            k = cs.index(min(cs))
+            orb = _off_partition_orbit(cs[k:] + cs[:k], sys.den * m, a)
         orbits.setdefault(orb.points, orb)
     for orb in _partition_cycles(sys):
         orbits.setdefault(orb.points, orb)
@@ -302,7 +313,9 @@ def _walk_orbits(
     branch composed along a closed walk maps its cylinder onto its first
     cell, so it has exactly one fixed point there (or is the identity). That
     makes the orbits of period n off P the fixed points, off P, of the closed
-    walks of length n, one walk per orbit point.
+    walks of length n, one walk per orbit point. Every branch is x -> s*x +
+    t/den with integers s and t (build_markov_system refuses a map with a
+    non-integer slope), so the walks are composed in integers.
 
     A^n is kept in int64 while no product can overflow, in Python integers
     after that, so the walk count stays exact.
@@ -310,7 +323,7 @@ def _walk_orbits(
     adj = sys.adjacency
     k = adj.shape[0]
     succ = [np.flatnonzero(row).tolist() for row in adj]
-    partition = frozenset(sys.points)
+    lattice = frozenset(sys.nums)
     cycles = _partition_cycles(sys)
     # bit u of back[m][s]: some walk of length m leads from cell u to cell s
     back = [[1 << s for s in range(k)]]
@@ -328,23 +341,30 @@ def _walk_orbits(
         found = [o for o in cycles if o.period == n]
         for s0 in range(k):
             if back[n][s0] >> s0 & 1:
-                found += _orbits_from_cell(s0, n, sys.branches, succ, back, partition)
+                found += _orbits_from_cell(sys, s0, n, succ, back, lattice)
         found.sort(key=lambda o: o.points[0])
         yield n, tuple(found)
 
 
-def _orbits_from_cell(s0, n, branch, succ, back, partition) -> list[PeriodicOrbit]:
+def _orbits_from_cell(sys: MarkovSystem, s0, n, succ, back, lattice) -> list[PeriodicOrbit]:
     """Orbits of minimal period n off the partition whose smallest point lies in cell s0.
 
     Depth-first over the closed walks of length n from s0 through cells
     >= s0, so each orbit is met only from its lowest cell. Walks share their
-    prefixes: a stack entry carries the affine branch x -> a*x + b composed
-    along its walk so far, and a step is taken only when the cell it enters
-    can still return to s0 in the steps left. A closed walk's fixed point is
-    kept when it is off the partition and walking it through the branches
-    meets no point at or below it: the orbit's smallest point, with minimal
-    period n. Off the partition both one-sided slopes of f^n are a.
+    prefixes: a stack entry carries the affine branch x -> a*x + b/den
+    composed along its walk so far, in integers: entering a cell with branch
+    (s, t) makes it (s*a, s*b + t). A step is taken only when the cell it
+    enters can still return to s0 in the steps left.
+
+    A closed walk's fixed point is b/(den*m) with m = 1 - a, signs chosen so
+    that m > 0. It is on the partition when den*x = b/m is one of the
+    partition's numerators (lattice). Otherwise it is kept when walking it
+    through the branches, as numerators c over den*m (c -> s*c + t*m), meets
+    no point at or below it: the orbit's smallest point, with minimal period
+    n. Only a kept orbit's points become Fractions. Off the partition both
+    one-sided slopes of f^n are a.
     """
+    branch = sys.branches
     home = [back[m][s0] for m in range(n)]  # bit u of home[m]: u returns to s0 in m steps
     path = [s0] * n
     found = []
@@ -360,23 +380,41 @@ def _orbits_from_cell(s0, n, branch, succ, back, partition) -> list[PeriodicOrbi
                     s, t = branch[u]
                     stack.append((d + 1, u, s * a, s * b + t))
             continue
-        if a == 1:
+        m = 1 - a
+        if m == 0:
             if b == 0:
                 raise StructureError("slope-1 closed walk fixed pointwise; continuum of solutions")
             continue
-        x = b / (1 - a)
-        if x in partition:
+        if m < 0:
+            m, b = -m, -b
+        if b % m == 0 and b // m in lattice:
             continue
-        pts = [x]
+        cs = [b]
         for cell in path[:-1]:
             s, t = branch[cell]
-            y = s * pts[-1] + t
-            if y <= x:
+            y = s * cs[-1] + t * m
+            if y <= b:
                 break
-            pts.append(y)
+            cs.append(y)
         else:
-            found.append(PeriodicOrbit(tuple(pts), n, _stability(a, a)))
+            found.append(_off_partition_orbit(cs, sys.den * m, a))
     return found
+
+
+def _off_partition_orbit(cs: list[int], q: int, slope: int) -> PeriodicOrbit:
+    """The orbit through the points c/q, in orbit order, whose f^n has this slope on both sides."""
+    return PeriodicOrbit(tuple(Fraction(c, q) for c in cs), len(cs), _stability(slope, slope))
+
+
+def _partition_orbit(sys: MarkovSystem, cycle: tuple[int, ...]) -> PeriodicOrbit:
+    """The orbit of a cycle of f on the partition, given by index, from its smallest point."""
+    k = cycle.index(min(cycle))
+    idx = cycle[k:] + cycle[:k]
+    return PeriodicOrbit(
+        tuple(sys.points[i] for i in idx),
+        len(idx),
+        _stability(sys.side_slope(idx, -1), sys.side_slope(idx, +1)),
+    )
 
 
 def _partition_cycles(sys: MarkovSystem) -> tuple[PeriodicOrbit, ...]:
@@ -391,8 +429,7 @@ def _partition_cycles(sys: MarkovSystem) -> tuple[PeriodicOrbit, ...]:
             trail[i] = len(trail)
             i = sys.image[i]
         if i in trail:
-            cycle = tuple(sys.points[j] for j in tuple(trail)[trail[i]:])
-            orbits.append(_canonical_orbit(sys.map, cycle))
+            orbits.append(_partition_orbit(sys, tuple(trail)[trail[i]:]))
     return tuple(orbits)
 
 

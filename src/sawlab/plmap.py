@@ -80,7 +80,7 @@ class OrbitRecord(Wire):
 class PiecewiseLinearMap:
     """A continuous piecewise linear map of [0, 1] into itself."""
 
-    __slots__ = ("breakpoints", "values", "slopes")
+    __slots__ = ("breakpoints", "values", "slopes", "_hash")
 
     def __init__(self, breakpoints, values):
         bps = [b if type(b) is Fraction else Fraction(b) for b in breakpoints]
@@ -106,6 +106,7 @@ class PiecewiseLinearMap:
         self.breakpoints = tuple(bps[i] for i in keep)
         self.values = tuple(vals[i] for i in keep)
         self.slopes = tuple(slopes[i] for i in keep[:-1])
+        self._hash = None  # hashed on first use: a graph cache lookup hashes the map
 
     @property
     def piece_count(self) -> int:
@@ -120,6 +121,10 @@ class PiecewiseLinearMap:
         x = Fraction(x)
         if not (ZERO <= x <= ONE):
             raise DomainError(f"{x} outside [0, 1]")
+        return self._value(x)
+
+    def _value(self, x: Rat) -> Rat:
+        """f at a Fraction x already known to lie in [0, 1]."""
         i = self._piece_index(x)
         return self.values[i] + self.slopes[i] * (x - self.breakpoints[i])
 
@@ -229,7 +234,7 @@ class PiecewiseLinearMap:
         """Exact image f([a, b]): extremes occur at endpoints or breakpoints."""
         if not (ZERO <= ivl.lo and ivl.hi <= ONE):
             raise DomainError(f"{ivl} outside [0, 1]")
-        cand = [self(ivl.lo), self(ivl.hi)]
+        cand = [self._value(ivl.lo), self._value(ivl.hi)]
         i = bisect_right(self.breakpoints, ivl.lo)
         while i < len(self.breakpoints) and self.breakpoints[i] < ivl.hi:
             cand.append(self.values[i])
@@ -335,7 +340,9 @@ class PiecewiseLinearMap:
         return self.breakpoints == other.breakpoints and self.values == other.values
 
     def __hash__(self):
-        return hash((self.breakpoints, self.values))
+        if self._hash is None:
+            self._hash = hash((self.breakpoints, self.values))
+        return self._hash
 
     def __repr__(self):
         return f"PiecewiseLinearMap({self.piece_count} pieces)"

@@ -1,5 +1,6 @@
 """Classification verdicts and boundary bracketing."""
 
+import json
 import tracemalloc
 from fractions import Fraction as F
 
@@ -168,3 +169,29 @@ def test_refine_on_the_benchmark_brackets_is_pinned(word, lo, hi, monkeypatch):
     assert refined.bracket.midpoint_w == (F(REFINED_MIDPOINTS[word]),)
     assert (refined.level, refined.extra_iterations) == (8, 228)
     assert refined.record.label == "Boundary2Inf(6)"
+
+
+@pytest.mark.parametrize(
+    "word, w, verdict",
+    [
+        ("+-", ["823/1000"], "Finite"),
+        ("+-", ["33/40"], "Chaotic"),
+        ("+-", [REFINED_MIDPOINTS["+-"]], "Boundary2Inf"),
+        ("+-+-", ["1", "1/20", "1"], "Chaotic"),
+    ],
+)
+def test_classify_evaluates_no_fraction_map(word, w, verdict, monkeypatch):
+    m = StuntedSawtoothMap(Shape.from_string(word), [F(x) for x in w])
+    build_markov_system.cache_clear()
+    expected = json.dumps(classify(m).to_json(), sort_keys=True)
+    build_markov_system.cache_clear()
+
+    def refuse(self, *args):
+        raise AssertionError("classify evaluated the Fraction map")
+
+    # the graph, the orbits read off it and the tower never call back into f
+    for name in ("__call__", "left_slope", "right_slope"):
+        monkeypatch.setattr(PiecewiseLinearMap, name, refuse)
+    record = classify(m)
+    assert record.verdict == verdict
+    assert json.dumps(record.to_json(), sort_keys=True) == expected

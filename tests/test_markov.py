@@ -1,0 +1,112 @@
+"""The Markov graph on its integer lattice against a Fraction reference closure."""
+
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
+from sawlab import ConstraintViolation, PiecewiseLinearMap, Shape, StructureError, StuntedSawtoothMap
+from sawlab.markov import build_markov_system, recurrent_classes
+
+# the refined midpoint of the +- boundary bisection, Boundary2Inf(6); its
+# denominator has 78 digits
+BOUNDARY_W = F(
+    "95517828539092709965366156137658913408328847724187486795160068823243505718061/"
+    "115792089237316195423570985008687907853269984665640564039457584007913129639936"
+)
+
+
+def _reference_graph(f):
+    """Close the breakpoints under f in Fraction arithmetic, evaluating f at
+    every point, and read the cells, branches and transitions off f."""
+    pts = set(f.breakpoints)
+    frontier = list(pts)
+    while frontier:
+        frontier = [q for q in {f(p) for p in frontier} if q not in pts]
+        pts.update(frontier)
+    points = tuple(sorted(pts))
+    image = tuple(points.index(f(p)) for p in points)
+    cells = list(zip(points, points[1:]))
+    slopes = tuple(f.right_slope(lo) for lo, _ in cells)
+    nonflat = tuple(i for i, s in enumerate(slopes) if s != 0)
+    branches = tuple((slopes[i], f(cells[i][0]) - slopes[i] * cells[i][0]) for i in nonflat)
+    # nonflat cell a leads to nonflat cell b when f(a) covers b
+    adj = np.zeros((len(nonflat), len(nonflat)), dtype=np.int64)
+    for a, i in enumerate(nonflat):
+        lo, hi = sorted((f(cells[i][0]), f(cells[i][1])))
+        for b, j in enumerate(nonflat):
+            adj[a, b] = lo <= cells[j][0] and cells[j][1] <= hi
+    return points, image, slopes, nonflat, branches, adj
+
+
+def _assert_matches_reference(f):
+    build_markov_system.cache_clear()
+    sys = build_markov_system(f, 4096)
+    points, image, slopes, nonflat, branches, adj = _reference_graph(f)
+    assert sys.points == points
+    assert all(type(p) is F for p in sys.points)
+    assert tuple(F(a, sys.den) for a in sys.nums) == points
+    assert sys.image == image
+    assert sys.slopes == slopes
+    assert sys.nonflat == nonflat
+    assert tuple((s, F(t, sys.den)) for s, t in sys.branches) == branches
+    assert np.array_equal(sys.adjacency, adj)
+    assert sys.recurrence == recurrent_classes(adj)
+
+
+_HEIGHTS = st.sampled_from(["+-", "-+", "+-+", "-+-", "+-+-"]).flatmap(
+    lambda word: st.tuples(
+        st.just(word), st.lists(st.integers(0, 40), min_size=len(word) - 1, max_size=len(word) - 1)
+    )
+)
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(case=_HEIGHTS)
+@example(case=("+-+-", [40, 0, 40]))
+@example(case=("+-+", [12, 4]))
+def test_lattice_graph_matches_the_fraction_closure(case):
+    word, ks = case
+    try:
+        m = StuntedSawtoothMap(Shape.from_string(word), [F(k, 40) for k in ks])
+    except ConstraintViolation:
+        assume(False)
+    _assert_matches_reference(m.map)
+
+
+@pytest.mark.parametrize(
+    "word, ks",
+    [("+-", [33]), ("-+", [7]), ("+-+", [28, 12]), ("-+-", [10, 30]), ("+-+-", [40, 2, 40])],
+)
+def test_lattice_graph_of_a_second_iterate_matches_the_fraction_closure(word, ks):
+    m = StuntedSawtoothMap(Shape.from_string(word), [F(k, 40) for k in ks])
+    _assert_matches_reference(m.map.compose_self(2))
+
+
+def test_lattice_graph_at_the_boundary_midpoint_matches_the_fraction_closure():
+    m = StuntedSawtoothMap(Shape.from_string("+-"), [BOUNDARY_W])
+    _assert_matches_reference(m.map)
+
+
+def test_lattice_graph_of_a_hand_built_map_matches_the_fraction_closure():
+    # slopes -1, 2, -2, 0: not a stunted sawtooth
+    f = PiecewiseLinearMap(
+        [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)], [F(1, 4), F(0), F(1, 2), F(0), F(0)]
+    )
+    _assert_matches_reference(f)
+
+
+def test_a_non_integer_slope_is_refused():
+    # flat on [0, 1/2], slope 1/2 on [1/2, 1]: the Fraction closure {0, 1/4,
+    # 1/2, 1} is finite, but no lattice (1/den)Z is mapped into itself
+    f = PiecewiseLinearMap([F(0), F(1, 2), F(1)], [F(0), F(0), F(1, 4)])
+    build_markov_system.cache_clear()
+    with pytest.raises(StructureError):
+        build_markov_system(f, 4096)

@@ -335,3 +335,19 @@ def test_one_cells_error_becomes_its_row(line_config, monkeypatch):
         records = [json.loads(line)["record"] for line in fh]
     assert records[2] is None
     assert all(r is not None for i, r in enumerate(records) if i != 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--shape", "-+", "--w", "1/5"],
+        ["bisect", "--shape", "-+", "--lo", "1/5", "--hi", "1/10",
+         "--width", "1/1000000000", "--refine-level", "8"],
+    ],
+)
+def test_cli_reads_a_shape_starting_with_a_minus_as_the_value(argv, capsys):
+    attached = [*argv[:1], f"--shape={argv[2]}", *argv[3:]]
+    assert main(attached) == 0
+    expected = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected

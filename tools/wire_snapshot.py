@@ -20,7 +20,7 @@ of the source must agree byte for byte where their wire format agrees:
 Scans run with relative output paths from inside OUTDIR, so their summaries
 do not name OUTDIR. The scan manifests are journals whose line order is not
 part of the deterministic surface; they are deleted. Uses the standard
-library only; a full snapshot takes 10-12 s on a 2-core x86 virtual machine
+library only; a full snapshot takes 12-14 s on a 2-core x86 virtual machine
 with Python 3.11.
 """
 
@@ -59,8 +59,10 @@ INVOCATIONS = [
     ("orbits-start", ["orbits", "--shape", "+-", "--w", "4/5", "--start", "1/3"]),
     ("orbits-sweep-finite", ["orbits", "--shape", "+-", "--w", "823/1000", "--n-max", "8"]),
     ("orbits-sweep-chaotic", ["orbits", "--shape", "+-+", "--w", "9/10,1/10", "--n-max", "6"]),
+    ("orbits-sweep-trimodal", ["orbits", "--shape", "+-+-", "--w", "1,1/20,1", "--n-max", "6"]),
     ("entropy-markov", ["entropy", "--shape", "+-+", "--w", "7/10,3/10", "--method", "markov"]),
     ("entropy-lap", ["entropy", "--shape", "+-", "--w", "33/40", "--method", "lap"]),
+    ("entropy-boundary", ["entropy", "--shape", "+-", "--w", BOUNDARY_W, "--method", "markov"]),
     ("entropy-bowen", ["entropy", "--shape", "+-", "--w", "33/40", "--method", "bowen"]),
     ("kneading-tent", ["kneading", "--shape", "+-", "--w", "4/5", "--depth", "8"]),
     ("kneading-sequence", ["kneading", "--shape", "+-+", "--w", "9/10,1/10", "--depth", "6",
@@ -75,10 +77,11 @@ INVOCATIONS = [
     ("classify-chaotic", ["classify", "--shape", "+-", "--w", "33/40"]),
     ("classify-partition-budget", ["classify", "--shape", "+-+", "--w", "9/10,1/10",
                                    "--budgets", "budgets-partition-8192.json"]),
+    ("classify-bimodal", ["classify", "--shape", "+-+", "--w", "41/64,5/64"]),
     ("classify-boundary", ["classify", "--shape", "+-", "--w", BOUNDARY_W]),
     ("bisect-refine", ["bisect", "--shape", "+-", "--lo", "4/5", "--hi", "9/10",
                        "--width", "1/1000000000", "--refine-level", "8"]),
-    # "--shape -+" would read -+ as an option
+    # the = form also runs on older sources, whose parser read -+ as an option
     ("bisect-refine-mirrored", ["bisect", "--shape=-+", "--lo", "1/5", "--hi", "1/10",
                                 "--width", "1/1000000000", "--refine-level", "8"]),
     ("theorem1", ["theorem1", "--shape", "+-", "--w", BOUNDARY_W]),
