@@ -104,17 +104,23 @@ def _positive_entropy(f, b: Budgets) -> bool:
 def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> ClassificationRecord:
     b = budgets or Budgets()
     base = dict(shape=m.shape.to_string(), w=m.w, budgets=b)
-    try:
-        h = entropy_markov(m.map, b.partition_budget)
-    except BudgetExceeded as e:
+
+    def stopped(error, entropy, **detail) -> ClassificationRecord:
+        """Inconclusive: a stage ran out of budget or met a structure it
+        cannot read; detail names the stage, the note is the error."""
         return ClassificationRecord(
             verdict="Inconclusive",
             label="Inconclusive",
-            entropy=None,
-            detail={"stage": "entropy"},
-            notes=(str(e),),
+            entropy=entropy,
+            detail=detail,
+            notes=(str(error),),
             **base,
         )
+
+    try:
+        h = entropy_markov(m.map, b.partition_budget)
+    except BudgetExceeded as e:
+        return stopped(e, None, stage="entropy")
 
     if _positive_entropy(m.map, b):  # a cache hit: entropy_markov built this graph
         sweep = period_set(
@@ -153,14 +159,7 @@ def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> Classific
     try:
         psr = complete_period_set(m.map, b.partition_budget)
     except (BudgetExceeded, StructureError) as e:
-        return ClassificationRecord(
-            verdict="Inconclusive",
-            label="Inconclusive",
-            entropy=h,
-            detail={"stage": "period_structure"},
-            notes=(str(e),),
-            **base,
-        )
+        return stopped(e, h, stage="period_structure")
     bad = [p for p in psr.periods if p & (p - 1) != 0]
     if bad:
         raise StructureError(
@@ -177,7 +176,10 @@ def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> Classific
             **base,
         )
 
-    tower = build_tower(m, max_depth=b.tower_depth, max_steps=b.step_budget)
+    try:
+        tower = build_tower(m, max_depth=b.tower_depth, max_steps=b.step_budget)
+    except BudgetExceeded as e:
+        return stopped(e, h, stage="tower", max_period=max_p)
     if tower.depth >= b.tower_depth:
         semi = semiconjugacy_check(tower, tower.depth)
         return ClassificationRecord(

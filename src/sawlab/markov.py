@@ -188,11 +188,12 @@ def spectral_radius(graph: MarkovSystem | np.ndarray) -> tuple[float, dict]:
     rationals from integer arithmetic and the bracket holds whatever error
     the float vector carries; that error only widens it.
 
-    The returned float is the dense eigensolver's radius of the whole matrix,
-    clamped into the bracket: on a defective double root it can land 1e-8
-    outside. The diagnostics give the bracket as Fractions, rho_lower and
-    rho_upper. No power iteration runs; power_iterations stays in the
-    diagnostics at 0 for the benchmark's tracer, which counts it.
+    The returned float is the largest float Perron root over the branching
+    classes, from the eigensolve that gave each class its vector, clamped
+    into the bracket: on a defective double root it can land 1e-8 outside.
+    The diagnostics give the bracket as Fractions, rho_lower and rho_upper.
+    No power iteration runs; power_iterations stays in the diagnostics at 0
+    for the benchmark's tracer, which counts it.
 
     A MarkovSystem brings the recurrent classes computed when it was built;
     a bare matrix is classified here.
@@ -211,25 +212,27 @@ def spectral_radius(graph: MarkovSystem | np.ndarray) -> tuple[float, dict]:
         brackets = [_perron_bracket(adj, comp) for comp in rec.branching]
         lo = max(b[0] for b in brackets)
         hi = max(b[1] for b in brackets)
-    if lo == hi:
-        rho = float(lo)
-    else:
-        rho = float(max(abs(np.linalg.eigvals(adj.astype(np.float64)))))
-        rho = min(max(rho, float_down(lo)), float_up(hi))
+        root = max(b[2] for b in brackets)
+    # lo < hi only on the branching route, which set root
+    rho = float(lo) if lo == hi else min(max(root, float_down(lo)), float_up(hi))
     return rho, {"method": method, "power_iterations": 0, "rho_lower": lo, "rho_upper": hi}
 
 
-def _perron_bracket(adj: np.ndarray, comp: tuple[int, ...]) -> tuple[Fraction, Fraction]:
-    """Collatz-Wielandt bounds on the Perron root of one irreducible class."""
+def _perron_bracket(
+    adj: np.ndarray, comp: tuple[int, ...]
+) -> tuple[Fraction, Fraction, float]:
+    """Collatz-Wielandt bounds on the Perron root of one irreducible class,
+    and the float root they bracket."""
     sub = adj[np.ix_(comp, comp)]
     vals, vecs = np.linalg.eig(sub.astype(np.float64))
-    v = np.abs(vecs[:, np.argmax(vals.real)].real)
+    top = np.argmax(vals.real)
+    v = np.abs(vecs[:, top].real)
     # entries <= 2**bits keep every (sub @ v)_i below 2**62, exact in int64;
     # flooring at 1 keeps v positive, which is all the bound needs
     bits = 62 - len(comp).bit_length()
     v = np.maximum(np.rint(np.ldexp(v / v.max(), bits)), 1).astype(np.int64)
     ratios = [Fraction(int(a), int(b)) for a, b in zip(sub @ v, v)]
-    return min(ratios), max(ratios)
+    return min(ratios), max(ratios), float(vals.real[top])
 
 
 def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:

@@ -1,16 +1,22 @@
-"""Renormalization windows, towers, and the odometer comparison.
+"""Renormalization towers, gap fixed points, and the odometer comparison.
 
-An interval J is a period-p renormalization window when its first p images
-have pairwise disjoint interiors and the p-th image returns into J. Towers
-stack such windows along the doubling cascade: at level n the cycle of the
-principal critical value splits into 2^n residue classes, each class hull is
-a block, and the blocks must be disjoint, cycle correctly under the map, and
-nest strictly down the levels. Block r cycles to the block of the odometer
-step of its n-bit word, so each kept level is the depth-n semiconjugacy onto
-the binary adding machine, which the semiconjugacy check reads off the tower.
+Towers stack renormalization windows along the doubling cascade: at level n
+the cycle of the principal critical value splits into 2^n residue classes,
+and each class hull is a block. A level is kept when its blocks have
+pairwise disjoint interiors and each block maps into its successor, the
+block of the odometer step of its n-bit word. So each kept level is the
+depth-n semiconjugacy onto the binary adding machine, which the
+semiconjugacy check reads off the tower.
 
-Two independent routes certify a window on purpose: the iterated-image route
-and the composed-power route. They share no code path beyond the map itself.
+The window of level n is block 0, and the blocks alone certify it. The image
+of an interval is exact, so the successor test puts the i-th image of the
+window inside block i mod 2^n: the first 2^n images have disjoint interiors
+and the 2^n-th returns into the window. The windows nest strictly: block 0
+of level n is the hull of every other cycle point of block 0 of level n-1,
+so it lies inside. When the cycle is longer than 2^n, every block holds two
+or more points, and equal windows would put block 2^(n-1) of level n inside
+block 0, an overlap. When it is 2^n long, the window is one point and the
+level-(n-1) window holds two.
 """
 
 from __future__ import annotations
@@ -23,65 +29,8 @@ from .family import OrbitKernel, StuntedSawtoothMap
 from .homoclinic import unstable_manifold
 from .odometer import index_word, word_index, adding_machine_step
 from .orbits import periodic_orbits
-from .plmap import Ivl, PiecewiseLinearMap
-from .rational import Rat, Wire, format_rat
-
-
-@dataclass(frozen=True)
-class RenormCheck(Wire):
-    """Certificate or first violation for one window candidate."""
-
-    ok: bool
-    window: Ivl
-    period: int
-    images: tuple[Ivl, ...]
-    violation: dict | None = None
-
-
-def check_renormalization(f: PiecewiseLinearMap, J: Ivl, p: int) -> RenormCheck:
-    """Iterated-image route: disjoint interiors along the cycle, then return."""
-    if p < 1:
-        raise ConstraintViolation("period must be positive")
-    images = [J]
-    for _ in range(p):
-        images.append(f.image_of_interval(images[-1]))
-    cycle = images[:p]
-    for i in range(p):
-        for k in range(i + 1, p):
-            if cycle[i].interior_intersects(cycle[k]):
-                return RenormCheck(
-                    ok=False,
-                    window=J,
-                    period=p,
-                    images=tuple(images),
-                    violation={"kind": "overlap", "pair": [i, k]},
-                )
-    ret = images[p]
-    if not J.contains_interval(ret):
-        escape = ret.lo if ret.lo < J.lo else ret.hi
-        return RenormCheck(
-            ok=False,
-            window=J,
-            period=p,
-            images=tuple(images),
-            violation={"kind": "escape", "point": format_rat(escape)},
-        )
-    return RenormCheck(ok=True, window=J, period=p, images=tuple(images))
-
-
-def verify_window(
-    f: PiecewiseLinearMap, J: Ivl, p: int, piece_budget: int = 1_000_000
-) -> bool:
-    """Composed-power route: the same two conditions out of f^i as maps."""
-    ranges = [J]
-    for i in range(1, p + 1):
-        g = f.compose_self(i, piece_budget)
-        ranges.append(g.image_of_interval(J))
-    for i in range(p):
-        for k in range(i + 1, p):
-            if ranges[i].interior_intersects(ranges[k]):
-                return False
-    return J.contains_interval(ranges[p])
+from .plmap import Ivl
+from .rational import Rat, Wire
 
 
 @dataclass(frozen=True)
@@ -156,10 +105,14 @@ def gap_fixed_point(m: StuntedSawtoothMap, max_steps: int = 100_000) -> GapFixed
 
 @dataclass(frozen=True)
 class TowerLevel(Wire):
+    """Level n of a tower: the 2^n blocks, in the cycle's residue order."""
+
     n: int
-    window: Ivl
     blocks: tuple[Ivl, ...]
-    cert: RenormCheck
+
+    @property
+    def window(self) -> Ivl:
+        return self.blocks[0]
 
 
 @dataclass(frozen=True)
@@ -182,10 +135,10 @@ def build_tower(
     """Stack doubling levels out of the principal critical value cycle.
 
     Stops at the first level that fails: period not divisible, blocks
-    overlapping, a block escaping its successor (the block of the odometer
-    step of its n-bit word, so a kept level is the depth-n semiconjugacy),
-    window certification failing, or nesting going non-strict. The tower
-    reports how deep it got and why it stopped.
+    overlapping, or a block escaping its successor (the block of the
+    odometer step of its n-bit word, so a kept level is the depth-n
+    semiconjugacy). The window and nesting follow from these; see the
+    module docstring. The tower reports how deep it got and why it stopped.
     """
     if max_depth < 1:
         raise ConstraintViolation("depth must be positive")
@@ -194,7 +147,6 @@ def build_tower(
     cycle = rec.cycle
     levels: list[TowerLevel] = []
     stop = None
-    prev_window: Ivl | None = None
     for n in range(1, max_depth + 1):
         q = 1 << n
         if rec.period % q != 0:
@@ -221,20 +173,7 @@ def build_tower(
         if escape is not None:
             stop = f"image of block {escape} escapes its successor at level {n}"
             break
-        window = blocks[0]
-        cert = check_renormalization(f, window, q)
-        if not cert.ok:
-            stop = f"window certification failed at level {n}: {cert.violation}"
-            break
-        if prev_window is not None:
-            if not (
-                prev_window.contains_interval(window)
-                and window.length < prev_window.length
-            ):
-                stop = f"nesting not strict at level {n}"
-                break
-        levels.append(TowerLevel(n=n, window=window, blocks=tuple(blocks), cert=cert))
-        prev_window = window
+        levels.append(TowerLevel(n=n, blocks=tuple(blocks)))
     return RenormTower(levels=tuple(levels), cycle_period=rec.period, stop_reason=stop)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .errors import ConstraintViolation, SawlabError
 from .explore import Budgets, classify
-from .family import Shape, StuntedSawtoothMap, validate_heights
+from .family import Shape, StuntedSawtoothMap
 from .rational import Rat, Wire, format_rat, parse_rat
 
 FLOAT_FMT = "{:.12g}"
@@ -133,13 +133,13 @@ def _classify_cell(args) -> dict:
         "budgets": budgets_json,
     }
     try:
-        validate_heights(shape, w)
+        m = StuntedSawtoothMap(shape, w)
     except ConstraintViolation as e:
         entry["row"] = _blank_row("Skipped", str(e))
         entry["record"] = None
         return entry
     try:
-        record = classify(StuntedSawtoothMap(shape, w), Budgets.from_json(budgets_json))
+        record = classify(m, Budgets.from_json(budgets_json))
     except ConstraintViolation:
         raise
     except SawlabError as e:

@@ -133,6 +133,15 @@ def test_budget_resolution_bounds_finite_labels(stunted_tent):
     assert record.label != "Finite(4)"
 
 
+def test_a_step_budget_spent_in_the_tower_is_an_inconclusive_record(stunted_tent):
+    record = classify(stunted_tent(F(823, 1000)), Budgets(k=2, step_budget=3))
+    assert record.verdict == "Inconclusive"
+    assert record.detail == {"stage": "tower", "max_period": 4}
+    assert record.notes == ("budget exceeded: steps (limit 3)",)
+    assert record.entropy.value == 0.0
+    assert record.certificates == {}
+
+
 def test_a_huge_resolution_builds_no_power_of_two(stunted_tent):
     m = stunted_tent(F(4, 5))
     classify(m)  # the Markov graph is cached after this

@@ -2,16 +2,60 @@
 
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
 from sawlab import (
     Budgets,
+    ConstraintViolation,
     OrbitKernel,
+    Shape,
+    StuntedSawtoothMap,
     build_tower,
-    check_renormalization,
     classify,
     gap_fixed_point,
     semiconjugacy_check,
-    verify_window,
 )
+
+# the refined midpoint of the +- boundary bisection, Boundary2Inf(6)
+BOUNDARY_W = F(
+    "95517828539092709965366156137658913408328847724187486795160068823243505718061/"
+    "115792089237316195423570985008687907853269984665640564039457584007913129639936"
+)
+
+_HEIGHTS = st.sampled_from(["+-", "-+", "+-+", "-+-", "+-+-"]).flatmap(
+    lambda word: st.tuples(
+        st.just(word), st.lists(st.integers(0, 40), min_size=len(word) - 1, max_size=len(word) - 1)
+    )
+)
+
+
+def _thue_morse_height(L):
+    """x_L = 2 * sum over i < 2^L of t_i 2^-(i+1), t the Thue-Morse sequence:
+    the tent height whose critical cycle has period 2^(L-1)."""
+    return 2 * sum(F(bin(i).count("1") % 2, 2 ** (i + 1)) for i in range(1 << L))
+
+
+def _assert_windows_certified(m, tower):
+    """Each window's first 2^n images have pairwise disjoint interiors and the
+    2^n-th returns into it, and the windows nest strictly, checked here from
+    the map's interval images, not from the tower's own tests."""
+    f = m.map
+    prev = None
+    for level in tower.levels:
+        q = 1 << level.n
+        window = level.window
+        images = [window]
+        for _ in range(q):
+            images.append(f.image_of_interval(images[-1]))
+        for i in range(q):
+            for k in range(i + 1, q):
+                assert not images[i].interior_intersects(images[k])
+        assert window.contains_interval(images[q])
+        if prev is not None:
+            assert prev.contains_interval(window) and window.length < prev.length
+        prev = window
 
 
 def test_gap_fixed_point_between_cycle_blocks(stunted_tent):
@@ -38,6 +82,23 @@ def test_tower_stops_when_cycle_period_caps_depth(stunted_tent):
     assert blocks == (F(4, 5), F(2, 5))
 
 
+@pytest.mark.parametrize(
+    "w, reason",
+    [
+        (("19/20", "7/20"), "blocks 0 and 1 overlap at level 1"),
+        # the level-1 window [23/40, 33/40] returns into itself, but block 0
+        # maps onto [9/40, 19/40], past block 1 = [11/40, 19/40]
+        (("33/40", "9/40"), "image of block 0 escapes its successor at level 1"),
+    ],
+)
+def test_tower_stops_on_overlapping_or_escaping_blocks(w, reason):
+    m = StuntedSawtoothMap(Shape.from_string("+-+"), [F(x) for x in w])
+    tower = build_tower(m)
+    assert tower.cycle_period == 4
+    assert tower.levels == ()
+    assert tower.stop_reason == reason
+
+
 def test_tower_of_the_full_tent_is_empty(stunted_tent):
     tower = build_tower(stunted_tent(F(1)))
     assert tower.levels == ()
@@ -57,14 +118,43 @@ def test_semiconjugacy_at_matching_depth(stunted_tent):
     assert r2.reason == f"tower stopped at depth 1: {tower.stop_reason}"
 
 
-def test_window_verification_on_the_period_two_level(stunted_tent):
-    m = stunted_tent(F(4, 5))
-    level = build_tower(m).levels[0]
-    f = m.map
-    assert verify_window(f, level.window, 2, piece_budget=10000)
-    chk = check_renormalization(f, level.window, 2)
-    assert chk.ok
-    assert chk.period == 2
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(case=_HEIGHTS)
+def test_tower_blocks_certify_the_windows_and_their_nesting(case):
+    word, ks = case
+    try:
+        m = StuntedSawtoothMap(Shape.from_string(word), [F(k, 40) for k in ks])
+    except ConstraintViolation:
+        assume(False)
+    _assert_windows_certified(m, build_tower(m, max_depth=8))
+
+
+@pytest.mark.parametrize("w", [BOUNDARY_W, *(_thue_morse_height(L) for L in range(2, 9))])
+def test_tower_blocks_certify_the_windows_at_the_doubling_boundary(stunted_tent, w):
+    m = stunted_tent(w)
+    tower = build_tower(m, max_depth=8)
+    assert tower.depth >= 1
+    _assert_windows_certified(m, tower)
+
+
+@pytest.mark.parametrize("L", range(2, 9))
+def test_thue_morse_truncations_pin_the_tower_and_the_boundary_bracket(stunted_tent, L):
+    x = _thue_morse_height(L)
+    p = 1 << (L - 1)
+    tower = build_tower(stunted_tent(x), max_depth=12)
+    assert tower.depth == L - 1
+    assert tower.cycle_period == p
+    assert tower.stop_reason == f"cycle period {p} not divisible by {2 * p}"
+    # the cycle is 2^(L-1) long, so the last level's blocks are its points
+    assert all(b.is_degenerate for b in tower.levels[-1].blocks)
+    b = Budgets(k=13, tower_depth=2, partition_budget=2**14)
+    assert classify(stunted_tent(x), b).label == f"Finite({p})"
+    assert classify(stunted_tent(x + F(2) ** (1 - 2**L)), b).label == "Chaotic"
 
 
 def test_boundary_classify_walks_the_critical_cycle_once(stunted_tent, monkeypatch):

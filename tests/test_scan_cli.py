@@ -197,6 +197,28 @@ def test_cli_classify_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_a_tower_step_budget_is_an_inconclusive_row_and_exit_3(tmp_path, capsys):
+    (tmp_path / "budgets.json").write_text(json.dumps({"k": 2, "step_budget": 3}))
+    argv = ["classify", "--shape", "+-", "--w", "823/1000",
+            "--budgets", str(tmp_path / "budgets.json")]
+    assert main(argv) == 3
+    record = json.loads(capsys.readouterr().out)["classification"]
+    assert record["detail"] == {"stage": "tower", "max_period": 4}
+    config = ScanConfig.from_json(
+        {
+            "shape": "+-",
+            "grid": {"kind": "product", "axes": [["823/1000"]]},
+            "budgets": {"k": 2, "step_budget": 3},
+            "output": {"csv": str(tmp_path / "grid.csv"),
+                       "manifest": str(tmp_path / "grid.jsonl")},
+        }
+    )
+    run_scan(config)
+    with open(config.csv_path) as fh:
+        rows = fh.read().splitlines()
+    assert rows[1] == "0,823/1000,Inconclusive,Inconclusive,0,4,,,budget exceeded: steps (limit 3)"
+
+
 @pytest.mark.parametrize(
     "argv, budgets",
     [

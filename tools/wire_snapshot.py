@@ -42,6 +42,7 @@ BOUNDARY_W = (
 INPUTS = {
     "family-33-40.json": {"shape": "+-", "w": ["33/40"]},
     "budgets-partition-8192.json": {"partition_budget": 8192},
+    "budgets-tower-steps.json": {"k": 2, "step_budget": 3},
 }
 
 # realize invocation -> the earlier invocation whose kneading payload it reads
@@ -73,12 +74,17 @@ INVOCATIONS = [
     ("kneading-bimodal", ["kneading", "--shape", "+-+", "--w", "41/64,5/64", "--depth", "12"]),
     ("kneading-realize-bimodal", ["kneading", "--realize", "realize-kneading-bimodal.json"]),
     ("renorm", ["renorm", "--shape", "+-", "--w", BOUNDARY_W, "--depth", "6"]),
+    ("renorm-overlap", ["renorm", "--shape", "+-+", "--w", "19/20,7/20"]),
+    ("renorm-escape", ["renorm", "--shape", "+-+", "--w", "33/40,9/40"]),
     ("classify-finite", ["classify", "--shape", "+-", "--w", "823/1000"]),
     ("classify-chaotic", ["classify", "--shape", "+-", "--w", "33/40"]),
     ("classify-partition-budget", ["classify", "--shape", "+-+", "--w", "9/10,1/10",
                                    "--budgets", "budgets-partition-8192.json"]),
     ("classify-bimodal", ["classify", "--shape", "+-+", "--w", "41/64,5/64"]),
     ("classify-boundary", ["classify", "--shape", "+-", "--w", BOUNDARY_W]),
+    # the step budget runs out while the tower walks the critical cycle
+    ("classify-tower-budget", ["classify", "--shape", "+-", "--w", "823/1000",
+                               "--budgets", "budgets-tower-steps.json"]),
     ("bisect-refine", ["bisect", "--shape", "+-", "--lo", "4/5", "--hi", "9/10",
                        "--width", "1/1000000000", "--refine-level", "8"]),
     # the = form also runs on older sources, whose parser read -+ as an option
