@@ -29,7 +29,7 @@ from .explore import (
     refine_to_boundary,
     two_sided_perturbation_experiment,
 )
-from .family import OrbitKernel, Shape, StuntedSawtoothMap, build_sawtooth
+from .family import Shape, StuntedSawtoothMap, build_sawtooth
 from .kneading import KneadingData, compare_kneading, kneading_data, realize_kneading
 from .orbits import period_set, periodic_points
 from .rational import parse_rat
@@ -108,15 +108,17 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
+    # a budget below 1 would report "budget exceeded" or a sweep of nothing
+    for flag, value in (("--max-steps", args.max_steps), ("--piece-budget", args.piece_budget)):
+        if value < 1:
+            raise ConstraintViolation(f"{flag} must be >= 1, got {value}")
     m = _family(args)
     if args.period is not None:
         orbits = periodic_points(m.map, args.period, args.piece_budget)
         _emit({"period": args.period, "orbits": [o.to_json() for o in orbits]}, args)
         return 0
     if args.start is not None:
-        start = parse_rat(args.start)
-        kernel = OrbitKernel(m.shape, m.w, start.denominator)
-        rec = kernel.orbit(start, args.max_steps)
+        rec = m.orbit(parse_rat(args.start), args.max_steps)
         _emit({"orbit": rec.to_json()}, args)
         return 0
     report = period_set(

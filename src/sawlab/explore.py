@@ -23,7 +23,6 @@ from fractions import Fraction
 from .entropy import EntropyEstimate, entropy_markov
 from .errors import BudgetExceeded, ConstraintViolation, StructureError
 from .family import (
-    OrbitKernel,
     PlateauSelection,
     Shape,
     StuntedSawtoothMap,
@@ -227,15 +226,12 @@ class BoundaryBracket(Wire):
         return {**super().to_json(), "width_float": float(self.width)}
 
 
-def _vec(shape: Shape, w) -> tuple[Rat, ...]:
-    w = tuple(Fraction(x) for x in w)
-    if len(w) != shape.d:
-        raise ConstraintViolation(f"need {shape.d} heights, got {len(w)}")
-    return w
+def _width(lo: StuntedSawtoothMap, hi: StuntedSawtoothMap) -> Rat:
+    return max(abs(x - y) for x, y in zip(lo.w, hi.w))
 
 
-def _vec_width(a, b) -> Rat:
-    return max(abs(x - y) for x, y in zip(a, b))
+def _midpoint(lo: StuntedSawtoothMap, hi: StuntedSawtoothMap) -> StuntedSawtoothMap:
+    return StuntedSawtoothMap(lo.shape, [(a + c) / 2 for a, c in zip(lo.w, hi.w)])
 
 
 def bisect_boundary(
@@ -258,32 +254,31 @@ def bisect_boundary(
     target = Fraction(target_width)
     if target <= 0:
         raise ConstraintViolation("target width must be positive")
-    lo = _vec(shape, w_lo)
-    hi = _vec(shape, w_hi)
-    if _positive_entropy(StuntedSawtoothMap(shape, lo).map, b):
+    lo = StuntedSawtoothMap(shape, w_lo)
+    hi = StuntedSawtoothMap(shape, w_hi)
+    if _positive_entropy(lo.map, b):
         raise ConstraintViolation("low endpoint must have zero entropy")
-    if not _positive_entropy(StuntedSawtoothMap(shape, hi).map, b):
+    if not _positive_entropy(hi.map, b):
         raise ConstraintViolation("high endpoint must have positive entropy")
     iters = 0
-    while _vec_width(lo, hi) > target:
+    while _width(lo, hi) > target:
         if iters >= max_iterations:
             raise BudgetExceeded("steps", max_iterations)
-        mid = tuple((a + c) / 2 for a, c in zip(lo, hi))
-        if _positive_entropy(StuntedSawtoothMap(shape, mid).map, b):
+        mid = _midpoint(lo, hi)
+        if _positive_entropy(mid.map, b):
             hi = mid
         else:
             lo = mid
         iters += 1
-    mid = tuple((a + c) / 2 for a, c in zip(lo, hi))
     return BoundaryBracket(
         shape=shape.to_string(),
-        lo_w=lo,
-        hi_w=hi,
-        midpoint_w=mid,
-        width=_vec_width(lo, hi),
+        lo_w=lo.w,
+        hi_w=hi.w,
+        midpoint_w=_midpoint(lo, hi).w,
+        width=_width(lo, hi),
         iterations=iters,
-        lo_record=classify(StuntedSawtoothMap(shape, lo), b),
-        hi_record=classify(StuntedSawtoothMap(shape, hi), b),
+        lo_record=classify(lo, b),
+        hi_record=classify(hi, b),
     )
 
 
@@ -307,25 +302,24 @@ def refine_to_boundary(
     The per-midpoint probe is cheap: the principal critical orbit of a
     zero-entropy member is purely periodic with a power-of-two period 2^L,
     and L climbs without bound as the bracket closes on the accumulation
-    parameter. The probe walks that orbit in the integer kernel of the
-    midpoint's heights and builds no map. Once the midpoint's L reaches the
-    target the full classifier re-certifies it; the probe never decides the
-    final verdict on its own.
+    parameter. The probe walks that orbit on the midpoint's integers and
+    builds no Fraction map. Once the midpoint's L reaches the target the
+    full classifier re-certifies that same midpoint; the probe never decides
+    the final verdict on its own.
     """
     if target_level is not None and target_level < 1:
         raise ConstraintViolation(f"target level must be >= 1, got {target_level}")
     b = budgets or Budgets()
     level_goal = b.k if target_level is None else target_level
     shape = Shape.from_string(bracket.shape)
-    lo = bracket.lo_w
-    hi = bracket.hi_w
+    lo = StuntedSawtoothMap(shape, bracket.lo_w)
+    hi = StuntedSawtoothMap(shape, bracket.hi_w)
     for it in range(1, max_iterations + 1):
-        mid = tuple((a + c) / 2 for a, c in zip(lo, hi))
-        kernel = OrbitKernel(shape, mid)
+        mid = _midpoint(lo, hi)
         finite_side = False
         level = 0
         try:
-            pts, preperiod = kernel.walk(kernel.heights[0], b.step_budget)
+            pts, preperiod = mid.walk(mid.heights[0], b.step_budget)
             period = len(pts) - 1 - preperiod
             if preperiod == 0 and period & (period - 1) == 0:
                 finite_side = True
@@ -333,18 +327,17 @@ def refine_to_boundary(
         except BudgetExceeded:
             pass  # no cycle within the step budget: treated as the chaotic side
         if finite_side and level >= level_goal:
-            m = StuntedSawtoothMap(shape, mid)
-            record = classify(m, b)
+            record = classify(mid, b)
             if record.verdict == "Boundary2Inf":
                 new_bracket = BoundaryBracket(
                     shape=bracket.shape,
-                    lo_w=lo,
-                    hi_w=hi,
-                    midpoint_w=mid,
-                    width=_vec_width(lo, hi),
+                    lo_w=lo.w,
+                    hi_w=hi.w,
+                    midpoint_w=mid.w,
+                    width=_width(lo, hi),
                     iterations=bracket.iterations + it,
-                    lo_record=classify(StuntedSawtoothMap(shape, lo), b),
-                    hi_record=classify(StuntedSawtoothMap(shape, hi), b),
+                    lo_record=classify(lo, b),
+                    hi_record=classify(hi, b),
                 )
                 return RefinedBoundary(
                     bracket=new_bracket,
@@ -393,6 +386,10 @@ def two_sided_perturbation_experiment(
     near the attractor tips the map chaotic, flattening them makes it finite
     at every perturbation size tried. The precondition is strict: anything
     but a Boundary2Inf base is refused."""
+    eps_values = tuple(Fraction(eps) for eps in eps_values)
+    if not eps_values:
+        # no trial would make every trial pass
+        raise ConstraintViolation("the experiment needs at least one perturbation size")
     b = budgets or Budgets()
     base = classify(m, b)
     if base.verdict != "Boundary2Inf":
@@ -414,7 +411,6 @@ def two_sided_perturbation_experiment(
 
     trials = []
     for eps in eps_values:
-        eps = Fraction(eps)
         chaos_m = perturb_toward_chaos(m, eps, sel)
         order_m = perturb_toward_order(m, eps)
         chaos_rec = classify(chaos_m, b)

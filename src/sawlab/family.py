@@ -14,9 +14,10 @@ turning points, which keeps the plateaus pairwise disjoint.
 Off its plateaus S_w is the sawtooth, x -> ±(d+1)x + k, and a plateau sends
 its points to its height. So with D the lcm of the heights' denominators,
 an orbit that starts at a/D stays on points a'/D with a' an integer.
-OrbitKernel walks orbits of S_w on those integer numerators: the kneading
-data, the boundary probe and the critical-cycle walks read it, and no
-Fraction map is evaluated along the way.
+StuntedSawtoothMap holds S_w as those integer numerators and walks its
+orbits on them: the kneading data, the boundary probe and the critical-cycle
+walks read it, and no Fraction map is evaluated along the way. Its plateaus
+and its Fraction map are read off the same integers when first asked for.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import BudgetExceeded, ConstraintViolation, DomainError, StructureError
+from .errors import BudgetExceeded, ConstraintViolation, DomainError
 from .plmap import Ivl, OrbitRecord, PiecewiseLinearMap
 from .rational import Rat, Wire, parse_rat, to_wire
 
@@ -114,8 +115,15 @@ def validate_heights(shape: Shape, w: tuple[Rat, ...]) -> None:
             )
 
 
-class OrbitKernel:
-    """S_w on integer numerators over one common denominator.
+def build_sawtooth(shape: Shape) -> PiecewiseLinearMap:
+    """The unstunted sawtooth: full-height teeth, slopes ±(d+1). It is the
+    member whose heights are at their extremes, 1 at a max and 0 at a min."""
+    return StuntedSawtoothMap(shape, [int(s > 0) for s in shape.signs[:-1]]).map
+
+
+class StuntedSawtoothMap:
+    """A member S_w of the stunted family, held on integer numerators over
+    one common denominator.
 
     The point a/den, with den the lcm of the heights' denominators and of
     the given den, steps to a/den again: on lap k (0-based, sign s) to
@@ -129,9 +137,14 @@ class OrbitKernel:
 
     A rank locates a point among the plateaus: 2j - 1 on plateau j, 2j in
     the gap right of plateau j (0 left of plateau 1).
+
+    The plateaus and the Fraction map are views of the same integers, built
+    when first read.
     """
 
-    __slots__ = ("den", "heights", "_n", "_d", "_lo", "_hi", "_lap")
+    __slots__ = (
+        "shape", "w", "den", "heights", "_n", "_d", "_lo", "_hi", "_lap", "_plateaus", "_map"
+    )
 
     def __init__(self, shape: Shape, w, den: int = 1):
         w = tuple(x if type(x) is Fraction else Fraction(x) for x in w)
@@ -140,6 +153,8 @@ class OrbitKernel:
         heights = tuple(x.numerator * (den // x.denominator) for x in w)
         n = shape.d + 1
         half = [den - h if s > 0 else h for s, h in zip(shape.signs, heights)]
+        self.shape = shape
+        self.w = w
         self.den = den
         self.heights = heights
         self._n = n
@@ -151,6 +166,51 @@ class OrbitKernel:
         self._lap = tuple(
             (1, -k * den) if s > 0 else (-1, (k + 1) * den) for k, s in enumerate(shape.signs)
         )
+        self._plateaus = self._map = None
+
+    @property
+    def d(self) -> int:
+        return self.shape.d
+
+    @property
+    def plateaus(self) -> tuple[Plateau, ...]:
+        """Plateau j is [lo_j, hi_j] / ((d+1)*den) at height w_j."""
+        if self._plateaus is None:
+            s = self._n * self.den
+            self._plateaus = tuple(
+                Plateau(j, self.shape.turning_kind(j), Ivl(Fraction(lo, s), Fraction(hi, s)), wj)
+                for j, lo, hi, wj in zip(range(1, self._n), self._lo[1:], self._hi[1:], self.w)
+            )
+        return self._plateaus
+
+    def plateau(self, i: int) -> Plateau:
+        return self.plateaus[i - 1]
+
+    @property
+    def map(self) -> PiecewiseLinearMap:
+        """S_w as a breakpoint table read off the integers: breakpoints over
+        (d+1)*den, values 0, 1 and the heights, lap slopes ±(d+1)."""
+        if self._map is None:
+            scale = self._n * self.den
+            signs = self.shape.signs
+            # the corners 0, lo_1, hi_1, ..., lo_d, hi_d, 1 with their values;
+            # piece i runs from corner i to corner i + 1, lap i/2 when i is even
+            xs, ys = [0], [ZERO if signs[0] > 0 else ONE]
+            for j, wj in enumerate(self.w, start=1):
+                xs += [self._lo[j], self._hi[j]]
+                ys += [wj, wj]
+            xs.append(scale)
+            ys.append(ONE if signs[-1] > 0 else ZERO)
+            # a point plateau, or a lap a plateau covers to its end, has no piece
+            keep = [i for i in range(len(xs) - 1) if xs[i] < xs[i + 1]]
+            bps = [*(Fraction(xs[i], scale) for i in keep), ONE]
+            vals = [ys[i] for i in (*keep, -1)]
+            slope = {1: Fraction(self._n), -1: Fraction(-self._n)}
+            slopes = [slope[signs[i // 2]] if i % 2 == 0 else ZERO for i in keep]
+            f = object.__new__(PiecewiseLinearMap)
+            f._merge_collinear(bps, vals, slopes)
+            self._map = f
+        return self._map
 
     def step(self, a: int) -> tuple[int, int]:
         """(rank of a/den, numerator of its image)."""
@@ -188,74 +248,17 @@ class OrbitKernel:
         raise BudgetExceeded("steps", max_steps)
 
     def orbit(self, x: Rat, max_steps: int) -> OrbitRecord:
-        """The orbit of x as orbit_eventually_periodic reports it; x's
-        denominator must divide den."""
+        """The orbit of x as orbit_eventually_periodic reports it. A start
+        off the lattice (1/den)Z is walked on the finer lattice that holds
+        it."""
         x = Fraction(x)
         if not (ZERO <= x <= ONE):
             raise DomainError(f"{x} outside [0, 1]")
-        if self.den % x.denominator:
-            raise StructureError(f"{x} is not a multiple of 1/{self.den}")
-        pts, j = self.walk(x.numerator * (self.den // x.denominator), max_steps)
-        points = tuple(Fraction(a, self.den) for a in pts)
+        den = lcm(self.den, x.denominator)
+        on = self if den == self.den else StuntedSawtoothMap(self.shape, self.w, den)
+        pts, j = on.walk(x.numerator * (on.den // x.denominator), max_steps)
+        points = tuple(Fraction(a, on.den) for a in pts)
         return OrbitRecord(start=x, points=points, preperiod=j, period=len(pts) - 1 - j)
-
-
-def build_sawtooth(shape: Shape) -> PiecewiseLinearMap:
-    """The unstunted sawtooth: full-height teeth, slopes ±(d+1)."""
-    n = shape.d + 1
-    bps = [Fraction(k, n) for k in range(n + 1)]
-    y0 = ZERO if shape.signs[0] > 0 else ONE
-    vals = [y0 if k % 2 == 0 else ONE - y0 for k in range(n + 1)]
-    return PiecewiseLinearMap(bps, vals)
-
-
-class StuntedSawtoothMap:
-    """A member S_w of the stunted family: shape + heights + realized map."""
-
-    __slots__ = ("shape", "w", "map", "plateaus")
-
-    def __init__(self, shape: Shape, w):
-        w = tuple(Fraction(x) for x in w)
-        validate_heights(shape, w)
-        d = shape.d
-        n = d + 1
-        plateaus = []
-        for i in range(1, d + 1):
-            c = Fraction(i, n)
-            wi = w[i - 1]
-            if shape.turning_kind(i) == "max":
-                half = (ONE - wi) / n
-            else:
-                half = wi / n
-            plateaus.append(Plateau(i, shape.turning_kind(i), Ivl(c - half, c + half), wi))
-
-        y0 = ZERO if shape.signs[0] > 0 else ONE
-        y_end = y0 if n % 2 == 0 else ONE - y0
-        pts: list[tuple[Rat, Rat]] = [(ZERO, y0)]
-        for p in plateaus:
-            pts.append((p.interval.lo, p.height))
-            pts.append((p.interval.hi, p.height))
-        pts.append((ONE, y_end))
-        bps, vals = [], []
-        for b, v in pts:
-            if bps and b == bps[-1]:
-                # coincidence only at extreme heights, where values agree
-                assert v == vals[-1], "inconsistent value at shared breakpoint"
-                continue
-            bps.append(b)
-            vals.append(v)
-
-        self.shape = shape
-        self.w = w
-        self.map = PiecewiseLinearMap(bps, vals)
-        self.plateaus = tuple(plateaus)
-
-    @property
-    def d(self) -> int:
-        return self.shape.d
-
-    def plateau(self, i: int) -> Plateau:
-        return self.plateaus[i - 1]
 
     def to_json(self) -> dict:
         return to_wire({"shape": self.shape, "w": self.w, "map": self.map})

@@ -13,7 +13,7 @@ prefix. A plateau hit contributes a neutral +1 to the orientation; two
 sequences agreeing on a plateau hit have identical tails anyway, since both
 orbits continue from the same plateau value.
 
-The orbits are walked by family.OrbitKernel, exactly, on integers over the
+The orbits are walked by StuntedSawtoothMap, exactly, on integers over the
 heights' common denominator; the rank fixes the sign vector, so no point is
 compared with a plateau as a Fraction and no map is built.
 """
@@ -24,25 +24,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstraintViolation, KneadingNotRealizable
-from .family import OrbitKernel, Shape, StuntedSawtoothMap
+from .family import Shape, StuntedSawtoothMap
 from .rational import Rat, Wire
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _signs(kernel: OrbitKernel, depth: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _signs(m: StuntedSawtoothMap, depth: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """signs[i-1][n-1] for n = 1..depth. A rank r fixes the sign vector:
     plateau j reads +1 when 2j <= r (left of the point), 0 when 2j = r + 1
     (holding it) and -1 otherwise."""
-    d = len(kernel.heights)
     vectors = [
-        tuple(1 if 2 * j <= r else 0 if 2 * j == r + 1 else -1 for j in range(1, d + 1))
-        for r in range(2 * d + 1)
+        tuple(1 if 2 * j <= r else 0 if 2 * j == r + 1 else -1 for j in range(1, m.d + 1))
+        for r in range(2 * m.d + 1)
     ]
     # row i starts at f(c_i) = w_i, the critical value
     return tuple(
-        tuple(vectors[r] for r in kernel.ranks(h, depth)) for h in kernel.heights
+        tuple(vectors[r] for r in m.ranks(h, depth)) for h in m.heights
     )
 
 
@@ -98,7 +97,7 @@ class KneadingData(Wire):
 def kneading_data(m: StuntedSawtoothMap, depth: int) -> KneadingData:
     if depth < 1:
         raise ConstraintViolation("depth must be positive")
-    return KneadingData(shape=m.shape, depth=depth, signs=_signs(OrbitKernel(m.shape, m.w), depth))
+    return KneadingData(shape=m.shape, depth=depth, signs=_signs(m, depth))
 
 
 def compare_orbit_itineraries(shape: Shape, ranks_a, ranks_b) -> int:
@@ -168,8 +167,8 @@ def realize_kneading(
     a hittable target before the cells shrink. If some stage stalls without
     matching, the search reports failure.
 
-    A probe walks one row, orbit i up to the current stage, in the integer
-    kernel of the trial heights; no map is built.
+    A probe walks one row, orbit i up to the current stage, on the integers
+    of the trial member; no Fraction map is built.
     """
     shape = target.shape
     if depth is None:
@@ -190,12 +189,12 @@ def realize_kneading(
     stage = 1
 
     def ranks_at(i: int, wi: Rat) -> tuple[int, ...]:
-        # the kernel checks the trial heights: an inadmissible one raises
-        # the ConstraintViolation that run_stage catches at a bracket end
+        # the constructor checks the trial heights: an inadmissible one
+        # raises the ConstraintViolation that run_stage catches at a bracket end
         trial = w.copy()
         trial[i - 1] = wi
-        kernel = OrbitKernel(shape, trial)
-        return kernel.ranks(kernel.heights[i - 1], stage)
+        m = StuntedSawtoothMap(shape, trial)
+        return m.ranks(m.heights[i - 1], stage)
 
     def row_cmp(i: int, wi: Rat) -> int:
         return compare_orbit_itineraries(
@@ -286,7 +285,7 @@ def realize_kneading(
                         target = (band_edge(i, z, a) + band_edge(i, z, b)) / 2
                 moved = moved or w[i - 1] != target
                 w[i - 1] = target
-            if _signs(OrbitKernel(shape, w), stage) == stage_signs:
+            if _signs(StuntedSawtoothMap(shape, w), stage) == stage_signs:
                 return True
             if not moved:
                 return False

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ConstraintViolation
-from .family import OrbitKernel, StuntedSawtoothMap
+from .family import StuntedSawtoothMap
 from .homoclinic import unstable_manifold
 from .odometer import index_word, word_index, adding_machine_step
 from .orbits import periodic_orbits
@@ -55,7 +55,7 @@ class GapFixedPointReport(Wire):
 
 def gap_fixed_point(m: StuntedSawtoothMap, max_steps: int = 100_000) -> GapFixedPointReport:
     f = m.map
-    rec = OrbitKernel(m.shape, m.w).orbit(m.w[0], max_steps)
+    rec = m.orbit(m.w[0], max_steps)
     cycle = rec.cycle
     if rec.period != 2:
         return GapFixedPointReport(
@@ -143,7 +143,7 @@ def build_tower(
     if max_depth < 1:
         raise ConstraintViolation("depth must be positive")
     f = m.map
-    rec = OrbitKernel(m.shape, m.w).orbit(m.w[0], max_steps)
+    rec = m.orbit(m.w[0], max_steps)
     cycle = rec.cycle
     levels: list[TowerLevel] = []
     stop = None

@@ -109,6 +109,18 @@ def test_perturbation_experiment_refuses_off_boundary_base(stunted_tent):
         two_sided_perturbation_experiment(stunted_tent(F(4, 5)))
 
 
+def test_perturbation_experiment_refuses_an_empty_list_of_sizes(stunted_tent, monkeypatch):
+    # a Boundary2Inf base: with no trial the experiment would read ok
+    m = stunted_tent(F(REFINED_MIDPOINTS["+-"]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the empty experiment classified its base")
+
+    monkeypatch.setattr(explore, "classify", refuse)
+    with pytest.raises(ConstraintViolation, match="at least one perturbation size"):
+        two_sided_perturbation_experiment(m, eps_values=())
+
+
 def test_budgets_round_trip_and_take_only_known_int_budgets():
     b = Budgets.from_json({"k": 3})
     assert b.k == 3
@@ -172,7 +184,7 @@ def test_refine_on_the_benchmark_brackets_is_pinned(word, lo, hi, monkeypatch):
     def refuse(self, x, max_steps=0):
         raise AssertionError("the probe walked the Fraction map")
 
-    # the probe and the tower walk the integer kernel
+    # the probe and the tower walk the integers of the member
     monkeypatch.setattr(PiecewiseLinearMap, "orbit_eventually_periodic", refuse)
     refined = refine_to_boundary(bracket, target_level=8)
     assert refined.bracket.midpoint_w == (F(REFINED_MIDPOINTS[word]),)

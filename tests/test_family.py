@@ -3,14 +3,24 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from sawlab import (
+    Budgets,
     ConstraintViolation,
+    Ivl,
+    PiecewiseLinearMap,
+    Plateau,
     Shape,
     StuntedSawtoothMap,
+    bisect_boundary,
     build_sawtooth,
+    kneading_data,
     perturb_toward_chaos,
     perturb_toward_order,
+    realize_kneading,
+    refine_to_boundary,
     validate_heights,
 )
 
@@ -92,3 +102,84 @@ def test_family_json_round_trip(stunted_tent):
     m = stunted_tent(F(4, 5))
     again = StuntedSawtoothMap.from_json(m.to_json())
     assert again.shape.to_string() == "+-" and again.w == m.w
+
+
+def _fraction_member(shape, w):
+    """The plateaus and the map of S_w from the Fraction plateau geometry,
+    the map through the validating constructor."""
+    n = shape.d + 1
+    plateaus = []
+    for i, wi in enumerate(w, start=1):
+        kind = shape.turning_kind(i)
+        half = (1 - wi) / n if kind == "max" else wi / n
+        plateaus.append(Plateau(i, kind, Ivl(F(i, n) - half, F(i, n) + half), wi))
+    y0 = F(0) if shape.signs[0] > 0 else F(1)
+    y_end = y0 if n % 2 == 0 else 1 - y0
+    corners = [(F(0), y0)]
+    for p in plateaus:
+        corners += [(p.interval.lo, p.height), (p.interval.hi, p.height)]
+    corners.append((F(1), y_end))
+    bps, vals = [], []
+    for b, v in corners:
+        # a point plateau, or a plateau reaching 0 or 1, repeats a breakpoint
+        if bps and b == bps[-1]:
+            assert v == vals[-1]
+            continue
+        bps.append(b)
+        vals.append(v)
+    return tuple(plateaus), PiecewiseLinearMap(bps, vals)
+
+
+_HEIGHTS = st.sampled_from(["+-", "-+", "+-+", "-+-", "+-+-"]).flatmap(
+    lambda word: st.tuples(
+        st.just(word), st.lists(st.integers(0, 40), min_size=len(word) - 1, max_size=len(word) - 1)
+    )
+)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(case=_HEIGHTS)
+# extreme heights: each plateau is a single point, the turning point itself
+@example(case=("+-", [40]))
+@example(case=("-+-", [0, 40]))
+@example(case=("+-+-", [40, 0, 40]))
+# a plateau covering [0, 1]: the map is constant
+@example(case=("+-", [0]))
+@example(case=("-+", [40]))
+def test_the_map_and_plateaus_read_off_the_integers_match_the_fraction_geometry(case):
+    word, ks = case
+    shape = Shape.from_string(word)
+    w = tuple(F(k, 40) for k in ks)
+    try:
+        m = StuntedSawtoothMap(shape, w)
+    except ConstraintViolation:
+        assume(False)
+    plateaus, f = _fraction_member(shape, w)
+    assert m.plateaus == plateaus
+    assert m.map == f
+    assert m.map.slopes == f.slopes
+
+
+def test_the_orbit_probes_build_no_fraction_map(tent_shape, monkeypatch):
+    bimodal = StuntedSawtoothMap(Shape.from_string("+-+"), [F(41, 64), F(5, 64)])
+    bracket = bisect_boundary(tent_shape, [F(4, 5)], [F(9, 10)], F(1, 10**4))
+    builds = []
+    merge = PiecewiseLinearMap._merge_collinear
+
+    def counted(self, *args):
+        builds.append(self)
+        return merge(self, *args)
+
+    monkeypatch.setattr(PiecewiseLinearMap, "_merge_collinear", counted)
+    target = kneading_data(bimodal, 12)
+    realize_kneading(target)
+    assert builds == []
+    # one map for each classify: the certified midpoint and the two flanks
+    refined = refine_to_boundary(bracket, Budgets(k=4, tower_depth=4))
+    assert refined.record.label == "Boundary2Inf(4)"
+    assert len(builds) == 3

@@ -1,4 +1,4 @@
-"""The integer orbit kernel of the stunted family against the Fraction map."""
+"""The integer orbit walks of a stunted family member against its Fraction map."""
 
 from fractions import Fraction as F
 
@@ -10,7 +10,6 @@ from sawlab import (
     BudgetExceeded,
     ConstraintViolation,
     DomainError,
-    OrbitKernel,
     Shape,
     StuntedSawtoothMap,
 )
@@ -52,10 +51,9 @@ def test_kernel_walks_the_critical_orbits_of_the_fraction_map(case):
         m = StuntedSawtoothMap(Shape.from_string(word), [F(k, 40) for k in ks])
     except ConstraintViolation:
         assume(False)
-    kernel = OrbitKernel(m.shape, m.w)
-    for h, w in zip(kernel.heights, m.w):
-        assert kernel.orbit(w, 1000) == m.map.orbit_eventually_periodic(w, 1000)
-        assert kernel.ranks(h, 10) == _fraction_ranks(m, w, 10)
+    for h, w in zip(m.heights, m.w):
+        assert m.orbit(w, 1000) == m.map.orbit_eventually_periodic(w, 1000)
+        assert m.ranks(h, 10) == _fraction_ranks(m, w, 10)
 
 
 @pytest.mark.parametrize(
@@ -72,16 +70,18 @@ def test_kernel_orbits_from_plateau_edges_and_lap_breakpoints(word, w):
     edges = [e for p in m.plateaus for e in (p.interval.lo, p.interval.hi)]
     breakpoints = [F(k, m.d + 1) for k in range(m.d + 2)]
     for x in edges + breakpoints:
-        kernel = OrbitKernel(m.shape, m.w, x.denominator)
-        assert kernel.orbit(x, 1000) == m.map.orbit_eventually_periodic(x, 1000)
-        assert kernel.ranks(int(x * kernel.den), 8) == _fraction_ranks(m, x, 8)
+        fine = StuntedSawtoothMap(m.shape, m.w, x.denominator)
+        assert fine.orbit(x, 1000) == m.map.orbit_eventually_periodic(x, 1000)
+        assert fine.ranks(int(x * fine.den), 8) == _fraction_ranks(m, x, 8)
+        # off its own lattice, m walks the finer one itself
+        assert m.orbit(x, 1000) == fine.orbit(x, 1000)
 
 
 def test_kernel_raises_where_the_fraction_route_does():
     m = StuntedSawtoothMap(Shape.from_string("+-"), [F(1)])
-    kernel = OrbitKernel(m.shape, m.w, 7)
+    fine = StuntedSawtoothMap(m.shape, m.w, 7)
     # 1/7 -> 2/7 -> 4/7 -> 6/7 -> 2/7 repeats at step 4
-    for walk in (kernel.orbit, m.map.orbit_eventually_periodic):
+    for walk in (fine.orbit, m.orbit, m.map.orbit_eventually_periodic):
         with pytest.raises(BudgetExceeded) as e:
             walk(F(1, 7), 3)
         assert (e.value.kind, e.value.limit) == ("steps", 3)
@@ -89,4 +89,4 @@ def test_kernel_raises_where_the_fraction_route_does():
         with pytest.raises(DomainError):
             walk(F(8, 7), 4)
     with pytest.raises(ConstraintViolation):
-        OrbitKernel(m.shape, [F(3, 2)])
+        StuntedSawtoothMap(m.shape, [F(3, 2)])

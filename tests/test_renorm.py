@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sawlab import (
     Budgets,
     ConstraintViolation,
-    OrbitKernel,
     Shape,
     StuntedSawtoothMap,
     build_tower,
@@ -160,17 +159,17 @@ def test_thue_morse_truncations_pin_the_tower_and_the_boundary_bracket(stunted_t
 def test_boundary_classify_walks_the_critical_cycle_once(stunted_tent, monkeypatch):
     m = stunted_tent(F(823, 1000))
     starts = []
-    walk = OrbitKernel.walk
+    walk = StuntedSawtoothMap.walk
 
     def counted(self, a, *args, **kwargs):
         starts.append(F(a, self.den))
         return walk(self, a, *args, **kwargs)
 
-    monkeypatch.setattr(OrbitKernel, "walk", counted)
+    monkeypatch.setattr(StuntedSawtoothMap, "walk", counted)
     record = classify(m, Budgets(k=2, tower_depth=2))
     assert record.label == "Boundary2Inf(2)"
     # the period-set inventory reads the Markov graph; only the tower walks
-    # the kernel from the critical value
+    # the integers from the critical value
     assert starts.count(m.w[0]) == 1
     semi = record.certificates["semiconjugacy"]
     assert semi["ok"] and semi["permutation_ok"]

@@ -252,6 +252,10 @@ def test_a_tower_step_budget_is_an_inconclusive_row_and_exit_3(tmp_path, capsys)
         (["entropy", "--shape", "+-", "--w", "1", "--method", "nope"], None),
         (["scan", "--config", "steps-fraction.json"], None),
         (["scan", "--config", "scan.json", "--workers", "-1"], None),
+        (["orbits", "--shape", "+-", "--w", "4/5", "--start", "1/3", "--max-steps", "0"], None),
+        (["orbits", "--shape", "+-", "--w", "4/5", "--start", "1/3", "--max-steps", "-1"], None),
+        (["orbits", "--shape", "+-", "--w", "1", "--period", "3", "--piece-budget", "0"], None),
+        (["orbits", "--shape", "+-", "--w", "1", "--piece-budget", "-1"], None),
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, budgets, tmp_path, capsys, monkeypatch):
