@@ -24,6 +24,12 @@ the integer slope of every cell, and the affine branch of each nonflat cell
 as an integer pair (branches): f restricted to P and to the cells, from which
 the orbit module reads every periodic orbit and the homoclinic module every
 unstable set without evaluating f again.
+
+By closure a nonflat cell maps onto a run of consecutive cells, so each row
+of the transition matrix is 1 on one run of columns [lo, hi) and 0 elsewhere.
+The system keeps those runs beside the dense matrix: the recurrent classes
+read their successors off them, and the orbit sweep multiplies by the matrix
+through them, in O(k^2) per product by prefix sums instead of O(k^3).
 """
 
 from __future__ import annotations
@@ -71,7 +77,10 @@ class MarkovSystem:
     slopes: tuple[int, ...]  # slope of f on each cell, flat cells included
     nonflat: tuple[int, ...]  # indices of the cells with nonzero slope
     branches: tuple[tuple[int, int], ...]  # (s, t), f(x) = s*x + t/den on each nonflat cell
-    adjacency: np.ndarray  # 0/1 over nonflat x nonflat, read-only
+    # (lo, hi) per nonflat cell: it maps onto the nonflat cells lo .. hi - 1,
+    # in nonflat-index (column) coordinates, so its adjacency row is 1 exactly there
+    runs: tuple[tuple[int, int], ...]
+    adjacency: np.ndarray  # 0/1 over nonflat x nonflat, the runs written out, read-only
     recurrence: Recurrence  # classified once, read by the spectral radius and the orbit inventory
 
     def side_slope(self, orbit: Sequence[int], side: int) -> int:
@@ -138,7 +147,7 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096) -> Mark
     # a nonflat cell maps onto the cells between the images of its ends, an
     # index range by closure; counting the nonflat cells below each index
     # turns that range into a run of adjacency columns
-    cell_slopes, nonflat, branches, runs, below = [], [], [], [], [0]
+    cell_slopes, nonflat, branches, spans, below = [], [], [], [], [0]
     piece = 0
     for i, a in enumerate(nums[:-1]):
         while bps[piece + 1] <= a:
@@ -151,13 +160,14 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096) -> Mark
         lo, hi = sorted((image[i], image[i + 1]))
         nonflat.append(i)
         branches.append((s, nums[image[i]] - s * a))
-        runs.append((lo, hi))
+        spans.append((lo, hi))
     nonflat = tuple(nonflat)
+    runs = tuple((below[lo], below[hi]) for lo, hi in spans)
 
     k = len(nonflat)
     adj = np.zeros((k, k), dtype=np.int64)
     for a, (lo, hi) in enumerate(runs):
-        adj[a, below[lo] : below[hi]] = 1
+        adj[a, lo:hi] = 1
     adj.setflags(write=False)
     return MarkovSystem(
         map=f,
@@ -168,8 +178,9 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096) -> Mark
         slopes=tuple(cell_slopes),
         nonflat=nonflat,
         branches=tuple(branches),
+        runs=runs,
         adjacency=adj,
-        recurrence=recurrent_classes(adj),
+        recurrence=_recurrence([range(lo, hi) for lo, hi in runs]),
     )
 
 
@@ -235,10 +246,19 @@ def _perron_bracket(
     return min(ratios), max(ratios), float(vals.real[top])
 
 
+def _successors(adj: np.ndarray) -> list[list[int]]:
+    """The columns of the nonzero entries of each row."""
+    return [np.flatnonzero(row).tolist() for row in adj]
+
+
 def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
     """Tarjan, iterative. Returns components as lists of row indices."""
-    n = adj.shape[0]
-    succ = [np.nonzero(adj[i])[0].tolist() for i in range(n)]
+    return _components(_successors(adj))
+
+
+def _components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Tarjan over successor lists, one per vertex."""
+    n = len(succ)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -293,11 +313,16 @@ def recurrent_classes(adj: np.ndarray) -> Recurrence:
     member has two successors inside branches. A singleton without a self
     loop is transient and lands in neither list.
     """
+    return _recurrence(_successors(adj))
+
+
+def _recurrence(succ: Sequence[Sequence[int]]) -> Recurrence:
+    """recurrent_classes over successor lists, read once per row by both passes."""
     cycles: list[tuple[int, ...]] = []
     branching: list[tuple[int, ...]] = []
-    for comp in strongly_connected_components(adj):
+    for comp in _components(succ):
         cset = set(comp)
-        inside = {v: [u for u in np.nonzero(adj[v])[0].tolist() if u in cset] for v in comp}
+        inside = {v: [u for u in succ[v] if u in cset] for v in comp}
         if any(len(succ) > 1 for succ in inside.values()):
             branching.append(tuple(comp))
         elif inside[comp[0]]:

@@ -301,6 +301,43 @@ def periodic_orbits(
 _INT64_MAX = (1 << 63) - 1
 
 
+def _run_product(lo: np.ndarray, hi: np.ndarray, p: np.ndarray, pre: np.ndarray) -> None:
+    """Overwrite p with A @ p, for the 0/1 matrix A whose row a is 1 exactly on
+    columns lo[a] .. hi[a] - 1.
+
+    pre is a (k + 1) x k buffer of p's dtype with pre[0] = 0. It takes the
+    prefix sums of p's rows, pre[i + 1] = p[0] + ... + p[i], so row a of the
+    product is pre[hi[a]] - pre[lo[a]]: O(k^2), and an empty run gives a zero
+    row. Once the sums are taken p is free to hold the product.
+    """
+    np.cumsum(p, axis=0, out=pre[1:])
+    np.take(pre, hi, axis=0, out=p)
+    p -= pre[lo]
+
+
+def _walk_powers(sys: MarkovSystem) -> Iterator[np.ndarray]:
+    """A, A^2, A^3, ... for the adjacency A of a graph, each product through its runs.
+
+    A^n = A @ A^(n-1) is read off the prefix sums of A^(n-1)'s rows
+    (_run_product): O(k^2) per power, where a dense product costs O(k^3).
+    A^n is kept in int64 while its largest entry is at most INT64_MAX // k,
+    in Python integers after that, so it stays exact: every prefix sum, and
+    so every entry of the next power, is at most k times that entry. One
+    buffer holds the powers and one the prefix sums, so each yielded array
+    is overwritten by the next power.
+    """
+    k = len(sys.runs)
+    lo, hi = np.array(sys.runs, dtype=np.intp).T
+    power = sys.adjacency.copy()
+    pre = np.zeros((k + 1, k), dtype=np.int64)
+    while True:
+        yield power
+        if power.dtype != object and power.max() > _INT64_MAX // k:
+            power = power.astype(object)
+            pre = np.zeros((k + 1, k), dtype=object)
+        _run_product(lo, hi, power, pre)
+
+
 def _walk_orbits(
     sys: MarkovSystem, n_max: int, piece_budget: int
 ) -> Iterator[tuple[int, tuple[PeriodicOrbit, ...]]]:
@@ -317,22 +354,18 @@ def _walk_orbits(
     t/den with integers s and t (build_markov_system refuses a map with a
     non-integer slope), so the walks are composed in integers.
 
-    A^n is kept in int64 while no product can overflow, in Python integers
-    after that, so the walk count stays exact.
+    The walks are counted (trace(A^n), checked against piece_budget) and
+    pruned by the powers of A. _walk_powers forms them through the runs of
+    A's rows, O(k^2) each, and exactly: in int64 while no prefix sum can
+    overflow, in Python integers after. The successors of cell c are its run.
     """
-    adj = sys.adjacency
-    k = adj.shape[0]
-    succ = [np.flatnonzero(row).tolist() for row in adj]
+    k = len(sys.runs)
+    succ = [range(lo, hi) for lo, hi in sys.runs]
     lattice = frozenset(sys.nums)
     cycles = _partition_cycles(sys)
     # bit u of back[m][s]: some walk of length m leads from cell u to cell s
     back = [[1 << s for s in range(k)]]
-    power = adj
-    for n in range(1, n_max + 1):
-        if n > 1:
-            if power.dtype != object and power.max() > _INT64_MAX // k:
-                power = power.astype(object)
-            power = power @ adj
+    for n, power in zip(range(1, n_max + 1), _walk_powers(sys)):
         walks = int(np.trace(power))
         if walks > piece_budget:
             raise BudgetExceeded("walks", piece_budget, needed=walks)

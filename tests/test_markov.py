@@ -53,6 +53,12 @@ def _assert_matches_reference(f):
     assert sys.nonflat == nonflat
     assert tuple((s, F(t, sys.den)) for s, t in sys.branches) == branches
     assert np.array_equal(sys.adjacency, adj)
+    # each row is 1 on one run of columns, and the recorded runs rebuild it
+    from_runs = np.zeros_like(adj)
+    for a, (lo, hi) in enumerate(sys.runs):
+        assert 0 <= lo <= hi <= len(nonflat)
+        from_runs[a, lo:hi] = 1
+    assert np.array_equal(from_runs, adj)
     assert sys.recurrence == recurrent_classes(adj)
 
 

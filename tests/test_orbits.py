@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,14 @@ from sawlab import (
     sharkovskii_forces,
 )
 from sawlab.family import build_sawtooth
-from sawlab.orbits import markov_orbit_inventory, orbit_side_slope, periodic_orbits
+from sawlab.markov import build_markov_system
+from sawlab.orbits import (
+    _run_product,
+    _walk_powers,
+    markov_orbit_inventory,
+    orbit_side_slope,
+    periodic_orbits,
+)
 
 
 def test_fixed_points_of_stunted_tent(stunted_tent):
@@ -214,3 +222,86 @@ def test_walk_budget_refuses_up_front_with_the_exact_count(word, budget, n, need
     assert reached == list(range(1, n))
     assert e.value.kind == "walks"
     assert e.value.needed == needed
+
+
+def _dense(runs):
+    adj = np.zeros((len(runs), len(runs)), dtype=np.int64)
+    for a, (lo, hi) in enumerate(runs):
+        adj[a, lo:hi] = 1
+    return adj
+
+
+def _product_through_runs(runs, p):
+    lo, hi = (np.array(ends, dtype=np.intp) for ends in zip(*runs))
+    out = p.copy()
+    _run_product(lo, hi, out, np.zeros((len(runs) + 1, len(runs)), dtype=p.dtype))
+    return out
+
+
+# rows with empty runs (row 2 and the last), a full row, a single column
+RUNS = ((0, 2), (2, 5), (3, 3), (0, 6), (5, 6), (4, 4))
+
+
+def test_run_product_is_the_dense_product_in_int64():
+    rng = np.random.default_rng(7)
+    p = rng.integers(0, 10**6, size=(6, 6), dtype=np.int64)
+    out = _product_through_runs(RUNS, p)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, _dense(RUNS) @ p)
+    assert not out[2].any() and not out[5].any()
+
+
+def test_run_product_is_the_dense_product_in_python_integers():
+    # entries past int64: the object route must carry them exactly
+    p = np.array([[(1 << 70) + 3 * i + j for j in range(6)] for i in range(6)], dtype=object)
+    out = _product_through_runs(RUNS, p)
+    assert out.dtype == object
+    assert out.tolist() == (_dense(RUNS).astype(object) @ p).tolist()
+    assert out[3, 0] == sum(p[i, 0] for i in range(6))
+
+
+def test_a_nonflat_cell_onto_flat_cells_only_has_an_empty_run():
+    # +-+ at (25/40, 1/40): nonflat cell 2 maps onto flat cells only, yet a
+    # class branches, so the sweep multiplies through the empty run
+    m = StuntedSawtoothMap(Shape.from_string("+-+"), [F(25, 40), F(1, 40)])
+    sys = build_markov_system(m.map, 4096)
+    assert sys.runs[2] == (4, 4) and sys.recurrence.branching
+    adj = sys.adjacency
+    for n, power in zip(range(1, 13), _walk_powers(sys)):
+        assert np.array_equal(power, np.linalg.matrix_power(adj, n))
+        assert not power[2].any()
+
+
+def test_walk_powers_move_to_python_integers_and_stay_exact():
+    # the full 4-lap sawtooth: A is the 4 x 4 all-ones matrix, A^n = 4^(n-1) A,
+    # and A^32 = 2^62 A passes INT64_MAX // 4, so A^33 on are Python integers
+    sys = build_markov_system(build_sawtooth(Shape.from_string("+-+-")), 4096)
+    ones = np.ones((4, 4), dtype=np.int64)
+    assert np.array_equal(sys.adjacency, ones)
+    dtypes = []
+    for n, power in zip(range(1, 41), _walk_powers(sys)):
+        assert power.tolist() == (4 ** (n - 1) * ones.astype(object)).tolist()
+        dtypes.append(power.dtype)
+    assert dtypes[:32] == [np.int64] * 32 and dtypes[32:] == [object] * 8
+
+
+# the Chaotic flank of the +- bracket 4/5 .. 9/10 bisected to 1e-9 and
+# refined to level 8: the 193-cell graph the boundary refinement classifies
+CHAOTIC_FLANK = F(
+    "238794571347731774913415390344147283520822119310468716987900172058108764295153/"
+    "289480223093290488558927462521719769633174961664101410098643960019782824099840"
+)
+
+
+def test_walk_counts_on_the_boundary_flank_match_dense_powers():
+    m = StuntedSawtoothMap(Shape.from_string("+-"), [CHAOTIC_FLANK])
+    build_markov_system.cache_clear()
+    sys = build_markov_system(m.map, 4096)
+    assert len(sys.runs) == 193
+    assert np.array_equal(_dense(sys.runs), sys.adjacency)
+    for n, power in zip(range(1, 25), _walk_powers(sys)):
+        reference = np.linalg.matrix_power(sys.adjacency, n)
+        assert reference.min() >= 0 and reference.max() < 2**62  # no wrap in the reference
+        # the whole power, not only its trace (the walk count): the sweep
+        # prunes its walks by the off-diagonal entries too
+        assert np.array_equal(power, reference), n

@@ -34,7 +34,10 @@ def test_period_set_sorts_sets_and_strings_int_keys(stunted_tent):
 
 
 def test_plateau_selection_sorts_its_indices():
-    indices = frozenset({17, 9, 1})  # 1, 9, 17 share a hash slot: iterates 17, 9, 1
+    # built at run time: 1, 9, 17 share a hash slot, so inserted in this order
+    # they iterate 17, 9, 1. A set display would be folded into a frozenset
+    # constant, which a cached .pyc reloads in another order.
+    indices = frozenset([17, 9, 1])
     assert list(indices) != sorted(indices)
     selection = PlateauSelection(indices, F(1, 100))
     assert selection.to_json() == {"indices": [1, 9, 17], "delta": "1/100"}
