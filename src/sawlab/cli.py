@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="topological entropy estimates")
     _add_family_args(p)
     p.add_argument("--method", choices=("markov", "lap", "bowen"), default="markov")
-    p.add_argument("--n-max", type=int, default=10, help="lap route iterate bound")
+    p.add_argument("--n-max", type=int, default=10, help="lap counts the lap route lists")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_entropy)
 

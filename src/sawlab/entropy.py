@@ -6,12 +6,22 @@ and upper are the logs of the radius's exact rational bracket (exact when no
 recurrent class branches, Collatz-Wielandt bounds otherwise), rounded
 outward. The value is the float eigensolver's, clamped into that bracket.
 
-lap: growth rate of lap counts of the iterates. Submultiplicativity makes
-(1/n) log laps(f^n) an upper bound for every n, so the reported upper is the
-minimum over the window; the reported lower is the last consecutive-ratio
-slope, a heuristic with no certificate that can exceed the entropy. At
-n_max 10 it reads 0.105 on the tent at 4/5, whose entropy is 0, and 0.324 on
-the tent at 33/40, whose Markov entropy is 0.1733.
+lap: the growth rate of the lap counts l_n of the iterates f^n, which is e^h
+for a piecewise monotone map (Misiurewicz-Szlenk, Studia Math. 67, 1980).
+The counts come from pushing lap images forward, as in Milnor-Thurston ("On
+iterated maps of the interval", 1988). A lap of f^n is a lap J of f^(n-1) cut
+by the laps of f on the image I = f^(n-1)(J), and no two such pieces merge:
+across a turning point or a flat piece of f^(n-1), or of f on I, f^n turns
+or is flat. So the images of the laps of f^n are the images f(L ∩ I), over
+the images I of the laps of f^(n-1) and the laps L of f meeting I in more
+than a point. Every endpoint lies in the Markov partition, so the images are
+the nodes [p_i, p_j] of a finite graph M with integer edge counts, and
+l_n = 1^T M^(n-1) c with c counting the images of f's own laps. No iterate
+is composed. Every node is reached from c, so the entropy is the log of the
+largest Perron root over the recurrent classes of M: lower and upper are its
+Collatz-Wielandt bracket, rounded outward, and do not depend on n_max, which
+only sets how many counts are listed. The value is the float root clamped
+into the bracket, as on the Markov route.
 
 bowen: greedy (n, eps)-separated sets on a float grid. Purely numeric,
 deliberately independent of the exact machinery; used to cross-check the
@@ -28,11 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
-from .errors import ConstraintViolation
-from .markov import build_markov_system, spectral_radius
+from .errors import BudgetExceeded, ConstraintViolation
+from .markov import MarkovSystem, build_markov_system, spectral_radius
 from .plmap import PiecewiseLinearMap
 from .rational import Wire, float_down, float_up, format_rat
 
@@ -49,6 +60,23 @@ class EntropyEstimate(Wire):
 def entropy_markov(f: PiecewiseLinearMap, point_budget: int = 4096) -> EntropyEstimate:
     sys = build_markov_system(f, point_budget)
     rho, diag = spectral_radius(sys)
+    return _bracketed(
+        rho,
+        diag,
+        "markov",
+        {
+            "partition_points": len(sys.points),
+            "nonflat_cells": len(sys.nonflat),
+            "spectral_radius": rho,
+            "method": diag["method"],
+            "power_iterations": diag["power_iterations"],
+        },
+    )
+
+
+def _bracketed(rho: float, diag: dict, method: str, parameters: dict) -> EntropyEstimate:
+    """The entropy of a spectral radius: the logs of its bracket, rounded
+    outward, and the float's log clamped into them."""
     lo, hi = diag["rho_lower"], diag["rho_upper"]
     lower, upper = _log_down(lo), _log_up(hi)
     h = max(0.0, math.log(rho)) if rho > 0 else 0.0
@@ -56,16 +84,8 @@ def entropy_markov(f: PiecewiseLinearMap, point_budget: int = 4096) -> EntropyEs
         value=min(max(h, lower), upper),
         lower=lower,
         upper=upper,
-        method="markov",
-        parameters={
-            "partition_points": len(sys.points),
-            "nonflat_cells": len(sys.nonflat),
-            "spectral_radius": rho,
-            "method": diag["method"],
-            "power_iterations": diag["power_iterations"],
-            "rho_lower": format_rat(lo),
-            "rho_upper": format_rat(hi),
-        },
+        method=method,
+        parameters={**parameters, "rho_lower": format_rat(lo), "rho_upper": format_rat(hi)},
     )
 
 
@@ -85,34 +105,80 @@ def _log_up(q: Fraction) -> float:
     return math.nextafter(math.log(float_up(q)), math.inf)
 
 
+def _lap_graph(sys: MarkovSystem) -> tuple[list[list[int]], list[int]]:
+    """The lap-image graph: successor lists over the nodes, a multi-edge as
+    repeated entries, and the count vector c of the images of f's laps.
+
+    A node is a pair i < j of partition indices, the interval [p_i, p_j].
+    The laps of f are the maximal runs of cells whose slopes share a nonzero
+    sign; f maps the overlap of node (i, j) with lap (a, b) onto the node
+    between the images of its ends. Nodes are numbered as they are found
+    from c, so every node is reachable from c.
+    """
+    laps, start = [], 0
+    for sign, run in groupby(sys.slopes, key=lambda s: (s > 0) - (s < 0)):
+        end = start + len(list(run))
+        if sign:
+            laps.append((start, end))
+        start = end
+    image = sys.image
+
+    def images(i: int, j: int) -> list[tuple[int, int]]:
+        return [
+            tuple(sorted((image[lo], image[hi])))
+            for lo, hi in ((max(i, a), min(j, b)) for a, b in laps)
+            if lo < hi
+        ]
+
+    index: dict[tuple[int, int], int] = {}
+    nodes: list[tuple[int, int]] = []
+
+    def number(node: tuple[int, int]) -> int:
+        if node not in index:
+            index[node] = len(nodes)
+            nodes.append(node)
+        return index[node]
+
+    first = [number(node) for node in images(0, len(sys.points) - 1)]
+    succ: list[list[int]] = []
+    while len(succ) < len(nodes):  # a new image adds a node to visit
+        succ.append([number(node) for node in images(*nodes[len(succ)])])
+    return succ, [first.count(k) for k in range(len(nodes))]
+
+
 def entropy_lap(
     f: PiecewiseLinearMap, n_max: int = 10, piece_budget: int = 1_000_000
 ) -> EntropyEstimate:
+    """Entropy from the lap-image graph (see the module docstring).
+
+    lap_counts lists l_1 .. l_n_max, exact in Python integers. A count above
+    piece_budget raises BudgetExceeded("pieces"): f^n has at least l_n
+    pieces, so this refuses no window whose iterates fit the budget. The
+    graph is built on the partition entropy_markov uses, with its default
+    point budget of 4096, so the two routes raise the same errors.
+    """
     if n_max < 1:
         raise ConstraintViolation(f"n_max must be >= 1, got {n_max}")
+    succ, v = _lap_graph(build_markov_system(f, 4096))
     counts = []
-    g = f
     for n in range(1, n_max + 1):
-        counts.append(g.lap_count())
+        total = sum(v)
+        if total > piece_budget:
+            raise BudgetExceeded("pieces", piece_budget, needed=total)
+        counts.append(total)
         if n < n_max:
-            g = g.compose_with(f, piece_budget)
-    if all(c <= 1 for c in counts):
-        return EntropyEstimate(0.0, 0.0, 0.0, "lap", {"lap_counts": counts})
-    upper = min(
-        math.log(max(c, 1)) / n for n, c in enumerate(counts, start=1)
-    )
-    if len(counts) >= 2 and counts[-2] > 0:
-        lower = max(0.0, math.log(counts[-1] / counts[-2]))
-    else:
-        lower = 0.0
-    lower = min(lower, upper)
-    return EntropyEstimate(
-        value=upper,
-        lower=lower,
-        upper=upper,
-        method="lap",
-        parameters={"lap_counts": counts, "n_max": n_max},
-    )
+            nxt = [0] * len(v)
+            for x, row in zip(v, succ):
+                if x:
+                    for y in row:
+                        nxt[y] += x
+            v = nxt
+    k = len(succ)
+    weights = np.zeros((k, k), dtype=np.int64)
+    for x, row in enumerate(succ):
+        np.add.at(weights[x], row, 1)
+    rho, diag = spectral_radius(weights)
+    return _bracketed(rho, diag, "lap", {"lap_counts": counts, "n_max": n_max, "nodes": k})
 
 
 def _grid_orbits(f: PiecewiseLinearMap, n_max: int, grid: int) -> np.ndarray:

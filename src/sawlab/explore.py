@@ -306,11 +306,16 @@ def refine_to_boundary(
     builds no Fraction map. Once the midpoint's L reaches the target the
     full classifier re-certifies that same midpoint; the probe never decides
     the final verdict on its own.
+
+    The level sought is max(target_level, k) for the budgets' k, and k when
+    target_level is None. Below level k the classifier answers Finite
+    (Boundary2Inf needs a period of at least 2^k), so a lower target would
+    only add full classifies that cannot end the search.
     """
     if target_level is not None and target_level < 1:
         raise ConstraintViolation(f"target level must be >= 1, got {target_level}")
     b = budgets or Budgets()
-    level_goal = b.k if target_level is None else target_level
+    level_goal = max(target_level or b.k, b.k)
     shape = Shape.from_string(bracket.shape)
     lo = StuntedSawtoothMap(shape, bracket.lo_w)
     hi = StuntedSawtoothMap(shape, bracket.hi_w)

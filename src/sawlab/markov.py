@@ -50,7 +50,7 @@ from .rational import Rat, float_down, float_up
 
 @dataclass(frozen=True)
 class Recurrence:
-    """The recurrent classes of a 0/1 graph.
+    """The recurrent classes of a graph; a multi-edge counts as parallel edges.
 
     cycles: the bare-cycle classes, each in tour order; they make every
     periodic orbit of a zero-entropy map. branching: the classes carrying two
@@ -185,7 +185,8 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096) -> Mark
 
 
 def spectral_radius(graph: MarkovSystem | np.ndarray) -> tuple[float, dict]:
-    """Largest eigenvalue magnitude of a 0/1 matrix, with a proven bracket.
+    """Largest eigenvalue magnitude of a nonnegative integer matrix, with a
+    proven bracket.
 
     The radius is the largest over the recurrent classes. A bare cycle
     contributes exactly 1 and a transient singleton 0, so when no class
@@ -232,23 +233,27 @@ def spectral_radius(graph: MarkovSystem | np.ndarray) -> tuple[float, dict]:
 def _perron_bracket(
     adj: np.ndarray, comp: tuple[int, ...]
 ) -> tuple[Fraction, Fraction, float]:
-    """Collatz-Wielandt bounds on the Perron root of one irreducible class,
-    and the float root they bracket."""
+    """Collatz-Wielandt bounds on the Perron root of one irreducible class
+    of a nonnegative integer matrix, and the float root they bracket."""
     sub = adj[np.ix_(comp, comp)]
     vals, vecs = np.linalg.eig(sub.astype(np.float64))
     top = np.argmax(vals.real)
     v = np.abs(vecs[:, top].real)
-    # entries <= 2**bits keep every (sub @ v)_i below 2**62, exact in int64;
-    # flooring at 1 keeps v positive, which is all the bound needs
-    bits = 62 - len(comp).bit_length()
+    # entries <= 2**bits keep every (sub @ v)_i at most r * 2**bits < 2**62,
+    # exact in int64, for r the largest row sum or any bound above it;
+    # len(comp) bounds r on a 0/1 class and sets the headroom there, so the
+    # Markov brackets do not hang on the row sums. Flooring at 1 keeps v
+    # positive, which is all the bound needs
+    bits = 62 - max(len(comp), int(sub.sum(axis=1).max())).bit_length()
     v = np.maximum(np.rint(np.ldexp(v / v.max(), bits)), 1).astype(np.int64)
     ratios = [Fraction(int(a), int(b)) for a, b in zip(sub @ v, v)]
     return min(ratios), max(ratios), float(vals.real[top])
 
 
 def _successors(adj: np.ndarray) -> list[list[int]]:
-    """The columns of the nonzero entries of each row."""
-    return [np.flatnonzero(row).tolist() for row in adj]
+    """The columns of each row, each repeated as often as its entry counts."""
+    columns = np.arange(adj.shape[1])
+    return [np.repeat(columns, row).tolist() for row in adj]
 
 
 def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
@@ -305,13 +310,14 @@ def _components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def recurrent_classes(adj: np.ndarray) -> Recurrence:
-    """Sort the strongly connected components of a 0/1 graph, one Tarjan pass.
+    """Sort the strongly connected components of a graph, one Tarjan pass.
 
     A component is a bare cycle when each member has exactly one successor
-    inside it; strongly connected with out-degree one, it is then a single
-    cycle, listed in tour order from its first member. A component where some
-    member has two successors inside branches. A singleton without a self
-    loop is transient and lands in neither list.
+    inside it, an entry m of adj counting as m parallel edges; strongly
+    connected with out-degree one, it is then a single cycle, listed in tour
+    order from its first member. A component where some member has two
+    successors inside branches. A singleton without a self loop is transient
+    and lands in neither list.
     """
     return _recurrence(_successors(adj))
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import mpmath
 import networkx as nx
 import numpy as np
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sawlab import (
@@ -19,8 +19,8 @@ from sawlab import (
     entropy_markov,
     spectral_radius,
 )
-from sawlab.entropy import _grid_orbits, _separated_counts, entropy_bowen
-from sawlab.markov import build_markov_system, recurrent_classes
+from sawlab.entropy import _grid_orbits, _lap_graph, _separated_counts, entropy_bowen
+from sawlab.markov import _perron_bracket, build_markov_system, recurrent_classes
 
 
 def test_tent_markov_entropy_is_log_two(tent):
@@ -60,6 +60,75 @@ def test_lap_bounds_bracket_markov_value(stunted_tent):
     markov = entropy_markov(f).value
     assert markov <= lap.upper + 1e-12
     assert lap.lower <= lap.upper + 1e-12
+
+
+_LAP_CASES = st.sampled_from(["+-", "-+", "+-+", "-+-", "+-+-"]).flatmap(
+    lambda word: st.tuples(
+        st.just(word),
+        st.lists(st.integers(0, 40), min_size=len(word) - 1, max_size=len(word) - 1),
+        st.integers(1, 8),
+    )
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(case=_LAP_CASES)
+@example(case=("+-", [32], 8))
+@example(case=("+-+", [36, 4], 8))
+def test_lap_image_graph_counts_the_laps_of_the_iterates(case):
+    word, ks, n = case
+    try:
+        f = StuntedSawtoothMap(Shape.from_string(word), [F(k, 40) for k in ks]).map
+    except ConstraintViolation:
+        assume(False)
+    composed = [f.compose_self(m).lap_count() for m in range(1, n + 1)]
+    assert entropy_lap(f, n_max=n).parameters["lap_counts"] == composed
+
+
+def _assert_lap_bracket_meets_markov(f):
+    lap, markov = entropy_lap(f, n_max=6), entropy_markov(f)
+    assert lap.lower <= lap.value <= lap.upper
+    assert lap.lower <= markov.upper and markov.lower <= lap.upper
+    if markov.upper == 0.0:
+        assert lap.lower == lap.value == lap.upper == 0.0
+
+
+def test_lap_bracket_meets_the_markov_bracket_on_the_grids(stunted_tent):
+    # the tent grid holds 4/5 (entropy 0) and 9/10, where a ratio of
+    # consecutive lap counts lies above the entropy
+    for k in range(101):
+        _assert_lap_bracket_meets_markov(stunted_tent(F(1, 2) + F(k, 200)).map)
+    shape = Shape.from_string("+-+-")
+    for w in itertools.product([F(k, 10) for k in range(11)], repeat=3):
+        try:
+            m = StuntedSawtoothMap(shape, w)
+        except ConstraintViolation:
+            continue
+        _assert_lap_bracket_meets_markov(m.map)
+
+
+def test_lap_bracket_does_not_depend_on_the_window(stunted_tent):
+    f = stunted_tent(F(9, 10)).map
+    ests = [entropy_lap(f, n_max=n) for n in (1, 2, 10, 20)]
+    assert len({(e.lower, e.value, e.upper) for e in ests}) == 1
+    assert ests[-1].parameters["lap_counts"][:10] == ests[2].parameters["lap_counts"]
+
+
+def test_full_sawtooth_lap_graph_is_one_node_with_d_plus_one_loops():
+    for word in ("+-", "+-+", "+-+-"):
+        laps = len(word)
+        f = build_sawtooth(Shape.from_string(word))
+        assert _lap_graph(build_markov_system(f, 4096)) == ([[0] * laps], [laps])
+        # a weight-4 loop at full int64 headroom for one node overflowed
+        assert _perron_bracket(np.array([[laps]]), (0,))[:2] == (laps, laps)
+        est = entropy_lap(f, n_max=3)
+        assert F(est.parameters["rho_lower"]) == F(est.parameters["rho_upper"]) == laps
+        assert est.lower <= math.log(laps) <= est.upper
 
 
 def test_full_sawtooth_entropy_scales_with_modality():

@@ -104,6 +104,23 @@ def test_refinement_deepens_the_midpoint_verdict(tent_shape):
     assert refined.record.verdict == "Boundary2Inf"
 
 
+def test_a_target_level_below_k_classifies_only_at_level_k(tent_shape, monkeypatch):
+    # below level k = 8 a midpoint classifies as Finite, so the refinement
+    # classifies only the level-8 midpoint and the two final bracket ends
+    bracket = bisect_boundary(tent_shape, [F(4, 5)], [F(9, 10)], F(1, 10**4))
+    at_k = refine_to_boundary(bracket, target_level=8)
+    calls = []
+    counted = explore.classify
+
+    def counting(m, *args):
+        calls.append(m.w)
+        return counted(m, *args)
+
+    monkeypatch.setattr(explore, "classify", counting)
+    assert refine_to_boundary(bracket, target_level=4) == at_k
+    assert len(calls) == 3
+
+
 def test_perturbation_experiment_refuses_off_boundary_base(stunted_tent):
     with pytest.raises(ConstraintViolation):
         two_sided_perturbation_experiment(stunted_tent(F(4, 5)))

@@ -169,6 +169,18 @@ def test_cli_entropy_methods_agree_on_the_tent(capsys):
     assert values["bowen"]["value"] <= values["markov"]["value"] + 1e-9
 
 
+def test_cli_lap_window_past_the_piece_budget_exits_3(capsys):
+    # the full +-+- sawtooth has 4^n laps, so l_10 = 1048576 passes the
+    # default piece budget of 10^6
+    argv = ["entropy", "--shape", "+-+-", "--w", "1,0,1", "--method", "lap", "--n-max", "12"]
+    assert main(argv) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": "budget exceeded: pieces (limit 1000000, needed >= 1048576)",
+        "kind": "BudgetExceeded",
+    }
+
+
 def test_cli_kneading_realize_round_trip(tmp_path, capsys):
     assert main(["kneading", "--shape", "+-", "--w", "4/5", "--depth", "8"]) == 0
     kd = json.loads(capsys.readouterr().out)["kneading"]

@@ -63,6 +63,7 @@ INVOCATIONS = [
     ("orbits-sweep-trimodal", ["orbits", "--shape", "+-+-", "--w", "1,1/20,1", "--n-max", "6"]),
     ("entropy-markov", ["entropy", "--shape", "+-+", "--w", "7/10,3/10", "--method", "markov"]),
     ("entropy-lap", ["entropy", "--shape", "+-", "--w", "33/40", "--method", "lap"]),
+    ("entropy-lap-zero", ["entropy", "--shape", "+-", "--w", "4/5", "--method", "lap"]),
     ("entropy-boundary", ["entropy", "--shape", "+-", "--w", BOUNDARY_W, "--method", "markov"]),
     ("entropy-bowen", ["entropy", "--shape", "+-", "--w", "33/40", "--method", "bowen"]),
     ("kneading-tent", ["kneading", "--shape", "+-", "--w", "4/5", "--depth", "8"]),
