@@ -118,7 +118,7 @@ def _cmd_orbits(args) -> int:
         _emit({"period": args.period, "orbits": [o.to_json() for o in orbits]}, args)
         return 0
     if args.start is not None:
-        rec = m.orbit(parse_rat(args.start), args.max_steps)
+        rec = m.map.orbit_eventually_periodic(parse_rat(args.start), args.max_steps)
         _emit({"orbit": rec.to_json()}, args)
         return 0
     report = period_set(

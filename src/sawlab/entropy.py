@@ -153,12 +153,15 @@ def entropy_lap(
 
     lap_counts lists l_1 .. l_n_max, exact in Python integers. A count above
     piece_budget raises BudgetExceeded("pieces"): f^n has at least l_n
-    pieces, so this refuses no window whose iterates fit the budget. The
-    graph is built on the partition entropy_markov uses, with its default
+    pieces, so this refuses no window whose iterates fit the budget. An
+    n_max above piece_budget raises it too, before any work, so the list
+    has the same bound as each of its entries. The graph is built on the partition entropy_markov uses, with its default
     point budget of 4096, so the two routes raise the same errors.
     """
     if n_max < 1:
         raise ConstraintViolation(f"n_max must be >= 1, got {n_max}")
+    if n_max > piece_budget:
+        raise BudgetExceeded("pieces", piece_budget, needed=n_max)
     succ, v = _lap_graph(build_markov_system(f, 4096))
     counts = []
     for n in range(1, n_max + 1):

@@ -15,9 +15,10 @@ Off its plateaus S_w is the sawtooth, x -> ±(d+1)x + k, and a plateau sends
 its points to its height. So with D the lcm of the heights' denominators,
 an orbit that starts at a/D stays on points a'/D with a' an integer.
 StuntedSawtoothMap holds S_w as those integer numerators and walks its
-orbits on them: the kneading data, the boundary probe and the critical-cycle
-walks read it, and no Fraction map is evaluated along the way. Its plateaus
-and its Fraction map are read off the same integers when first asked for.
+orbits on them: the kneading data, the boundary probe and the
+renormalization tower's critical cycle read it, and no Fraction map is
+evaluated along the way. Its plateaus and its Fraction map are read off the
+same integers when first asked for.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import BudgetExceeded, ConstraintViolation, DomainError
-from .plmap import Ivl, OrbitRecord, PiecewiseLinearMap
+from .errors import BudgetExceeded, ConstraintViolation
+from .plmap import Ivl, PiecewiseLinearMap
 from .rational import Rat, Wire, parse_rat, to_wire
 
 ZERO = Fraction(0)
@@ -125,15 +126,15 @@ class StuntedSawtoothMap:
     """A member S_w of the stunted family, held on integer numerators over
     one common denominator.
 
-    The point a/den, with den the lcm of the heights' denominators and of
-    the given den, steps to a/den again: on lap k (0-based, sign s) to
-    (d+1)a - k*den when s = +1 and to (k+1)*den - (d+1)a when s = -1, and on
-    plateau j to heights[j-1]. Positions are compared in units of
-    1/((d+1)*den): turning point j sits at j*den, and its plateau reaches
-    den - heights[j-1] (a max) or heights[j-1] (a min) to either side. A
-    plateau can reach past the middle of the lap next to it (plateau 1 of
-    +-+ at heights (3/10, 1/10) does), so a point is tested against both
-    turning points that bound its lap.
+    The point a/den, with den the lcm of the heights' denominators, steps
+    to a point over den again: on lap k (0-based, sign s) to (d+1)a - k*den
+    when s = +1 and to (k+1)*den - (d+1)a when s = -1, and on plateau j to
+    heights[j-1]. Positions are compared in units of 1/((d+1)*den): turning
+    point j sits at j*den, and its plateau reaches den - heights[j-1] (a
+    max) or heights[j-1] (a min) to either side. A plateau can reach past
+    the middle of the lap next to it (plateau 1 of +-+ at heights
+    (3/10, 1/10) does), so a point is tested against both turning points
+    that bound its lap.
 
     A rank locates a point among the plateaus: 2j - 1 on plateau j, 2j in
     the gap right of plateau j (0 left of plateau 1).
@@ -146,10 +147,10 @@ class StuntedSawtoothMap:
         "shape", "w", "den", "heights", "_n", "_d", "_lo", "_hi", "_lap", "_plateaus", "_map"
     )
 
-    def __init__(self, shape: Shape, w, den: int = 1):
+    def __init__(self, shape: Shape, w):
         w = tuple(x if type(x) is Fraction else Fraction(x) for x in w)
         validate_heights(shape, w)
-        den = lcm(den, *(x.denominator for x in w))
+        den = lcm(*(x.denominator for x in w))
         heights = tuple(x.numerator * (den // x.denominator) for x in w)
         n = shape.d + 1
         half = [den - h if s > 0 else h for s, h in zip(shape.signs, heights)]
@@ -246,19 +247,6 @@ class StuntedSawtoothMap:
             if j != t:
                 return pts, j
         raise BudgetExceeded("steps", max_steps)
-
-    def orbit(self, x: Rat, max_steps: int) -> OrbitRecord:
-        """The orbit of x as orbit_eventually_periodic reports it. A start
-        off the lattice (1/den)Z is walked on the finer lattice that holds
-        it."""
-        x = Fraction(x)
-        if not (ZERO <= x <= ONE):
-            raise DomainError(f"{x} outside [0, 1]")
-        den = lcm(self.den, x.denominator)
-        on = self if den == self.den else StuntedSawtoothMap(self.shape, self.w, den)
-        pts, j = on.walk(x.numerator * (on.den // x.denominator), max_steps)
-        points = tuple(Fraction(a, on.den) for a in pts)
-        return OrbitRecord(start=x, points=points, preperiod=j, period=len(pts) - 1 - j)
 
     def to_json(self) -> dict:
         return to_wire({"shape": self.shape, "w": self.w, "map": self.map})

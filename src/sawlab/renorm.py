@@ -17,11 +17,16 @@ so it lies inside. When the cycle is longer than 2^n, every block holds two
 or more points, and equal windows would put block 2^(n-1) of level n inside
 block 0, an overlap. When it is 2^n long, the window is one point and the
 level-(n-1) window holds two.
+
+The cycle is walked on the member's integers (StuntedSawtoothMap.walk): it
+and each block's ends are numerators over den, and the overlap test compares
+them. Fraction blocks are built only for a level that passes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .errors import ConstraintViolation
@@ -53,11 +58,11 @@ class GapFixedPointReport(Wire):
     reason: str | None = None
 
 
-def gap_fixed_point(m: StuntedSawtoothMap, max_steps: int = 100_000) -> GapFixedPointReport:
+def gap_fixed_point(m: StuntedSawtoothMap, max_steps: int = 1_000_000) -> GapFixedPointReport:
     f = m.map
-    rec = m.orbit(m.w[0], max_steps)
-    cycle = rec.cycle
-    if rec.period != 2:
+    pts, j = m.walk(m.heights[0], max_steps)
+    cycle = tuple(Fraction(a, m.den) for a in pts[j:-1])
+    if len(cycle) != 2:
         return GapFixedPointReport(
             ok=False,
             level=1,
@@ -65,7 +70,7 @@ def gap_fixed_point(m: StuntedSawtoothMap, max_steps: int = 100_000) -> GapFixed
             p=None,
             q=None,
             unstable=None,
-            reason=f"critical value cycle has period {rec.period}, not 2",
+            reason=f"critical value cycle has period {len(cycle)}, not 2",
         )
     lo, hi = min(cycle), max(cycle)
     hull = Ivl(lo, hi)
@@ -143,27 +148,25 @@ def build_tower(
     if max_depth < 1:
         raise ConstraintViolation("depth must be positive")
     f = m.map
-    rec = m.orbit(m.w[0], max_steps)
-    cycle = rec.cycle
+    pts, j = m.walk(m.heights[0], max_steps)
+    cycle = pts[j:-1]
+    period = len(cycle)
     levels: list[TowerLevel] = []
     stop = None
     for n in range(1, max_depth + 1):
         q = 1 << n
-        if rec.period % q != 0:
-            stop = f"cycle period {rec.period} not divisible by {q}"
+        if period % q != 0:
+            stop = f"cycle period {period} not divisible by {q}"
             break
         # block r: hull of the residue class r mod 2^n along the temporal order
-        blocks = []
-        for r in range(q):
-            pts = cycle[r::q]
-            blocks.append(Ivl(min(pts), max(pts)))
+        lo = [min(cycle[r::q]) for r in range(q)]
+        hi = [max(cycle[r::q]) for r in range(q)]
         pairs = combinations(range(q), 2)
-        overlap = next(
-            ((i, k) for i, k in pairs if blocks[i].interior_intersects(blocks[k])), None
-        )
+        overlap = next(((i, k) for i, k in pairs if max(lo[i], lo[k]) < min(hi[i], hi[k])), None)
         if overlap:
             stop = f"blocks {overlap[0]} and {overlap[1]} overlap at level {n}"
             break
+        blocks = [Ivl(Fraction(a, m.den), Fraction(b, m.den)) for a, b in zip(lo, hi)]
         escape = None
         for r in range(q):
             successor = blocks[word_index(adding_machine_step(index_word(r, n)))]
@@ -174,7 +177,7 @@ def build_tower(
             stop = f"image of block {escape} escapes its successor at level {n}"
             break
         levels.append(TowerLevel(n=n, blocks=tuple(blocks)))
-    return RenormTower(levels=tuple(levels), cycle_period=rec.period, stop_reason=stop)
+    return RenormTower(levels=tuple(levels), cycle_period=period, stop_reason=stop)
 
 
 @dataclass(frozen=True)

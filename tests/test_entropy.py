@@ -2,15 +2,18 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction as F
 
 import mpmath
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sawlab import (
+    BudgetExceeded,
     ConstraintViolation,
     Shape,
     StuntedSawtoothMap,
@@ -117,6 +120,19 @@ def test_lap_bracket_does_not_depend_on_the_window(stunted_tent):
     ests = [entropy_lap(f, n_max=n) for n in (1, 2, 10, 20)]
     assert len({(e.lower, e.value, e.upper) for e in ests}) == 1
     assert ests[-1].parameters["lap_counts"][:10] == ests[2].parameters["lap_counts"]
+
+
+def test_lap_window_past_the_piece_budget_raises_before_any_work(stunted_tent):
+    # the tent at 1/2 has l_n = 2 for every n, so no count trips the budget
+    f = stunted_tent(F(1, 2)).map
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as e:
+        entropy_lap(f, n_max=10**9)
+    assert time.perf_counter() - start < 5
+    assert (e.value.kind, e.value.limit, e.value.needed) == ("pieces", 10**6, 10**9)
+    assert entropy_lap(f, n_max=20, piece_budget=20).parameters["lap_counts"] == [2] * 20
+    with pytest.raises(BudgetExceeded):
+        entropy_lap(f, n_max=21, piece_budget=20)
 
 
 def test_full_sawtooth_lap_graph_is_one_node_with_d_plus_one_loops():

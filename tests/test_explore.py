@@ -9,6 +9,7 @@ import pytest
 from sawlab import (
     Budgets,
     ConstraintViolation,
+    Ivl,
     PiecewiseLinearMap,
     Shape,
     StuntedSawtoothMap,
@@ -227,9 +228,11 @@ def test_classify_evaluates_no_fraction_map(word, w, verdict, monkeypatch):
     def refuse(self, *args):
         raise AssertionError("classify evaluated the Fraction map")
 
-    # the graph, the orbits read off it and the tower never call back into f
-    for name in ("__call__", "left_slope", "right_slope"):
+    # the graph, the orbits read off it and the tower never call back into f,
+    # and the tower walks the critical cycle and tests overlaps on integers
+    for name in ("__call__", "left_slope", "right_slope", "orbit_eventually_periodic"):
         monkeypatch.setattr(PiecewiseLinearMap, name, refuse)
+    monkeypatch.setattr(Ivl, "interior_intersects", refuse)
     record = classify(m)
     assert record.verdict == verdict
     assert json.dumps(record.to_json(), sort_keys=True) == expected

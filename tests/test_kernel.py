@@ -10,9 +10,19 @@ from sawlab import (
     BudgetExceeded,
     ConstraintViolation,
     DomainError,
+    OrbitRecord,
     Shape,
     StuntedSawtoothMap,
 )
+
+
+def _walk_record(m, x, max_steps):
+    """The walk from x, a point of (1/m.den)Z, read as the orbit record of
+    the Fraction route."""
+    pts, j = m.walk(int(x * m.den), max_steps)
+    return OrbitRecord(
+        start=x, points=tuple(F(a, m.den) for a in pts), preperiod=j, period=len(pts) - 1 - j
+    )
 
 
 def _fraction_ranks(m, x, n):
@@ -52,7 +62,7 @@ def test_kernel_walks_the_critical_orbits_of_the_fraction_map(case):
     except ConstraintViolation:
         assume(False)
     for h, w in zip(m.heights, m.w):
-        assert m.orbit(w, 1000) == m.map.orbit_eventually_periodic(w, 1000)
+        assert _walk_record(m, w, 1000) == m.map.orbit_eventually_periodic(w, 1000)
         assert m.ranks(h, 10) == _fraction_ranks(m, w, 10)
 
 
@@ -69,24 +79,22 @@ def test_kernel_orbits_from_plateau_edges_and_lap_breakpoints(word, w):
     m = StuntedSawtoothMap(Shape.from_string(word), [F(x) for x in w])
     edges = [e for p in m.plateaus for e in (p.interval.lo, p.interval.hi)]
     breakpoints = [F(k, m.d + 1) for k in range(m.d + 2)]
-    for x in edges + breakpoints:
-        fine = StuntedSawtoothMap(m.shape, m.w, x.denominator)
-        assert fine.orbit(x, 1000) == m.map.orbit_eventually_periodic(x, 1000)
-        assert fine.ranks(int(x * fine.den), 8) == _fraction_ranks(m, x, 8)
-        # off its own lattice, m walks the finer one itself
-        assert m.orbit(x, 1000) == fine.orbit(x, 1000)
+    # the walk holds only the points of m's own lattice (1/den)Z
+    for x in [x for x in edges + breakpoints if (x * m.den).denominator == 1]:
+        assert _walk_record(m, x, 1000) == m.map.orbit_eventually_periodic(x, 1000)
+        assert m.ranks(int(x * m.den), 8) == _fraction_ranks(m, x, 8)
 
 
 def test_kernel_raises_where_the_fraction_route_does():
-    m = StuntedSawtoothMap(Shape.from_string("+-"), [F(1)])
-    fine = StuntedSawtoothMap(m.shape, m.w, 7)
-    # 1/7 -> 2/7 -> 4/7 -> 6/7 -> 2/7 repeats at step 4
-    for walk in (fine.orbit, m.orbit, m.map.orbit_eventually_periodic):
+    m = StuntedSawtoothMap(Shape.from_string("+-"), [F(6, 7)])
+    # 1/7 -> 2/7 -> 4/7 (the right edge of the plateau [3/7, 4/7]) -> 6/7
+    # -> 2/7 repeats at step 4
+    for walk in (lambda x, n: _walk_record(m, x, n), m.map.orbit_eventually_periodic):
         with pytest.raises(BudgetExceeded) as e:
             walk(F(1, 7), 3)
         assert (e.value.kind, e.value.limit) == ("steps", 3)
         assert walk(F(1, 7), 4).period == 3
-        with pytest.raises(DomainError):
-            walk(F(8, 7), 4)
+    with pytest.raises(DomainError):
+        m.map.orbit_eventually_periodic(F(8, 7), 4)
     with pytest.raises(ConstraintViolation):
         StuntedSawtoothMap(m.shape, [F(3, 2)])

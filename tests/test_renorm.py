@@ -1,6 +1,8 @@
 """Renormalization towers, gap fixed points, odometer semiconjugacy."""
 
+import json
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -9,13 +11,18 @@ from hypothesis import strategies as st
 from sawlab import (
     Budgets,
     ConstraintViolation,
+    Ivl,
+    RenormTower,
     Shape,
     StuntedSawtoothMap,
+    TowerLevel,
     build_tower,
     classify,
     gap_fixed_point,
     semiconjugacy_check,
 )
+from sawlab.cli import main
+from sawlab.odometer import adding_machine_step, index_word, word_index
 
 # the refined midpoint of the +- boundary bisection, Boundary2Inf(6)
 BOUNDARY_W = F(
@@ -57,6 +64,36 @@ def _assert_windows_certified(m, tower):
         prev = window
 
 
+def _fraction_tower(m, max_depth):
+    """The tower from the Fraction map alone: the critical cycle from
+    orbit_eventually_periodic, blocks as Ivl hulls of Fractions, the overlap
+    test by interior_intersects and the successor test by image_of_interval."""
+    f = m.map
+    rec = f.orbit_eventually_periodic(m.w[0], 1_000_000)
+    levels, stop = [], None
+    for n in range(1, max_depth + 1):
+        q = 1 << n
+        if rec.period % q:
+            stop = f"cycle period {rec.period} not divisible by {q}"
+            break
+        blocks = [Ivl(min(rec.cycle[r::q]), max(rec.cycle[r::q])) for r in range(q)]
+        pairs = combinations(range(q), 2)
+        overlap = next(
+            ((i, k) for i, k in pairs if blocks[i].interior_intersects(blocks[k])), None
+        )
+        if overlap:
+            stop = f"blocks {overlap[0]} and {overlap[1]} overlap at level {n}"
+            break
+        successors = [blocks[word_index(adding_machine_step(index_word(r, n)))] for r in range(q)]
+        images = [f.image_of_interval(b) for b in blocks]
+        escape = next((r for r in range(q) if not successors[r].contains_interval(images[r])), None)
+        if escape is not None:
+            stop = f"image of block {escape} escapes its successor at level {n}"
+            break
+        levels.append(TowerLevel(n=n, blocks=tuple(blocks)))
+    return RenormTower(levels=tuple(levels), cycle_period=rec.period, stop_reason=stop)
+
+
 def test_gap_fixed_point_between_cycle_blocks(stunted_tent):
     report = gap_fixed_point(stunted_tent(F(4, 5)))
     assert report.ok
@@ -66,6 +103,16 @@ def test_gap_fixed_point_between_cycle_blocks(stunted_tent):
     assert report.p == F(2, 3)
     assert report.q == F(2, 3)
     assert report.unstable.contains(F(2, 3))
+
+
+def test_renorm_reports_the_gap_of_a_cycle_150002_long(capsys):
+    # the tower and the gap report walk the same cycle under the same step budget
+    assert main(["renorm", "--shape", "+-", "--w", "300005/300007"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["tower"]["cycle_period"] == 150002
+    gap = payload["gap_fixed_point"]
+    assert not gap["ok"]
+    assert gap["reason"] == "critical value cycle has period 150002, not 2"
 
 
 def test_tower_stops_when_cycle_period_caps_depth(stunted_tent):
@@ -130,7 +177,9 @@ def test_tower_blocks_certify_the_windows_and_their_nesting(case):
         m = StuntedSawtoothMap(Shape.from_string(word), [F(k, 40) for k in ks])
     except ConstraintViolation:
         assume(False)
-    _assert_windows_certified(m, build_tower(m, max_depth=8))
+    tower = build_tower(m, max_depth=8)
+    assert tower == _fraction_tower(m, 8)
+    _assert_windows_certified(m, tower)
 
 
 @pytest.mark.parametrize("w", [BOUNDARY_W, *(_thue_morse_height(L) for L in range(2, 9))])
@@ -138,6 +187,7 @@ def test_tower_blocks_certify_the_windows_at_the_doubling_boundary(stunted_tent,
     m = stunted_tent(w)
     tower = build_tower(m, max_depth=8)
     assert tower.depth >= 1
+    assert tower == _fraction_tower(m, 8)
     _assert_windows_certified(m, tower)
 
 

@@ -1,6 +1,7 @@
 """Grid scans and the command line front end."""
 
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -144,7 +145,7 @@ def test_cli_orbits_lists_requested_period(capsys):
 
 
 def test_cli_orbits_start_walks_over_both_denominators(capsys):
-    # the heights are over 5 and the start over 3: the walk is over 15
+    # the start 1/3 lies off the heights' lattice (1/5)Z; the Fraction map walks it
     assert main(["orbits", "--shape", "+-", "--w", "4/5", "--start", "1/3"]) == 0
     orbit = json.loads(capsys.readouterr().out)["orbit"]
     m = StuntedSawtoothMap(Shape.from_string("+-"), [Fraction(4, 5)])
@@ -177,6 +178,19 @@ def test_cli_lap_window_past_the_piece_budget_exits_3(capsys):
     err = json.loads(capsys.readouterr().err)
     assert err == {
         "error": "budget exceeded: pieces (limit 1000000, needed >= 1048576)",
+        "kind": "BudgetExceeded",
+    }
+
+
+def test_cli_lap_window_past_the_piece_budget_exits_3_at_once(capsys):
+    # l_n = 2 for every n on the tent at 1/2: the window alone is refused
+    argv = ["entropy", "--shape", "+-", "--w", "1/2", "--method", "lap", "--n-max", "1000000000"]
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 5
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": "budget exceeded: pieces (limit 1000000, needed >= 1000000000)",
         "kind": "BudgetExceeded",
     }
 

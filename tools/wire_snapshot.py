@@ -58,6 +58,7 @@ INVOCATIONS = [
     ("describe-bimodal", ["describe", "--shape", "+-+", "--w", "7/10,3/10"]),
     ("orbits-period", ["orbits", "--shape", "+-", "--w", "1", "--period", "3"]),
     ("orbits-start", ["orbits", "--shape", "+-", "--w", "4/5", "--start", "1/3"]),
+    ("orbits-start-outside", ["orbits", "--shape", "+-", "--w", "4/5", "--start", "4/3"]),
     ("orbits-sweep-finite", ["orbits", "--shape", "+-", "--w", "823/1000", "--n-max", "8"]),
     ("orbits-sweep-chaotic", ["orbits", "--shape", "+-+", "--w", "9/10,1/10", "--n-max", "6"]),
     ("orbits-sweep-trimodal", ["orbits", "--shape", "+-+-", "--w", "1,1/20,1", "--n-max", "6"]),
@@ -77,6 +78,8 @@ INVOCATIONS = [
     ("renorm", ["renorm", "--shape", "+-", "--w", BOUNDARY_W, "--depth", "6"]),
     ("renorm-overlap", ["renorm", "--shape", "+-+", "--w", "19/20,7/20"]),
     ("renorm-escape", ["renorm", "--shape", "+-+", "--w", "33/40,9/40"]),
+    # a certified gap fixed point, and a tower stopped by divisibility
+    ("renorm-gap", ["renorm", "--shape", "+-", "--w", "4/5"]),
     ("classify-finite", ["classify", "--shape", "+-", "--w", "823/1000"]),
     ("classify-chaotic", ["classify", "--shape", "+-", "--w", "33/40"]),
     ("classify-partition-budget", ["classify", "--shape", "+-+", "--w", "9/10,1/10",
