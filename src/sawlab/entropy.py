@@ -43,7 +43,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import BudgetExceeded, ConstraintViolation
-from .markov import MarkovSystem, build_markov_system, spectral_radius
+from .markov import MarkovSystem, build_markov_system, recurrent_classes, spectral_radius
 from .plmap import PiecewiseLinearMap
 from .rational import Wire, float_down, float_up, format_rat
 
@@ -59,7 +59,7 @@ class EntropyEstimate(Wire):
 
 def entropy_markov(f: PiecewiseLinearMap, point_budget: int = 4096) -> EntropyEstimate:
     sys = build_markov_system(f, point_budget)
-    rho, diag = spectral_radius(sys)
+    rho, diag = spectral_radius(sys.successors, sys.recurrence)
     return _bracketed(
         rho,
         diag,
@@ -106,14 +106,16 @@ def _log_up(q: Fraction) -> float:
 
 
 def _lap_graph(sys: MarkovSystem) -> tuple[list[list[int]], list[int]]:
-    """The lap-image graph: successor lists over the nodes, a multi-edge as
-    repeated entries, and the count vector c of the images of f's laps.
+    """The lap-image graph: ascending successor lists over the nodes, a
+    multi-edge as repeated entries, and the count vector c of the images of
+    f's laps.
 
     A node is a pair i < j of partition indices, the interval [p_i, p_j].
     The laps of f are the maximal runs of cells whose slopes share a nonzero
     sign; f maps the overlap of node (i, j) with lap (a, b) onto the node
     between the images of its ends. Nodes are numbered as they are found
-    from c, so every node is reachable from c.
+    from c, so every node is reachable from c. The lists are sorted: the
+    last bits of the Perron bracket follow the order of their entries.
     """
     laps, start = [], 0
     for sign, run in groupby(sys.slopes, key=lambda s: (s > 0) - (s < 0)):
@@ -142,7 +144,7 @@ def _lap_graph(sys: MarkovSystem) -> tuple[list[list[int]], list[int]]:
     first = [number(node) for node in images(0, len(sys.points) - 1)]
     succ: list[list[int]] = []
     while len(succ) < len(nodes):  # a new image adds a node to visit
-        succ.append([number(node) for node in images(*nodes[len(succ)])])
+        succ.append(sorted(number(node) for node in images(*nodes[len(succ)])))
     return succ, [first.count(k) for k in range(len(nodes))]
 
 
@@ -177,10 +179,7 @@ def entropy_lap(
                         nxt[y] += x
             v = nxt
     k = len(succ)
-    weights = np.zeros((k, k), dtype=np.int64)
-    for x, row in enumerate(succ):
-        np.add.at(weights[x], row, 1)
-    rho, diag = spectral_radius(weights)
+    rho, diag = spectral_radius(succ, recurrent_classes(succ))
     return _bracketed(rho, diag, "lap", {"lap_counts": counts, "n_max": n_max, "nodes": k})
 
 

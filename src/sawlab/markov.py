@@ -27,9 +27,9 @@ unstable set without evaluating f again.
 
 By closure a nonflat cell maps onto a run of consecutive cells, so each row
 of the transition matrix is 1 on one run of columns [lo, hi) and 0 elsewhere.
-The system keeps those runs beside the dense matrix: the recurrent classes
-read their successors off them, and the orbit sweep multiplies by the matrix
-through them, in O(k^2) per product by prefix sums instead of O(k^3).
+The system keeps each row as that range of successors, and no dense matrix:
+the recurrent classes, the spectral radius and the orbit sweep read the
+ranges, the sweep multiplying through them in O(k^2) by prefix sums.
 """
 
 from __future__ import annotations
@@ -77,10 +77,9 @@ class MarkovSystem:
     slopes: tuple[int, ...]  # slope of f on each cell, flat cells included
     nonflat: tuple[int, ...]  # indices of the cells with nonzero slope
     branches: tuple[tuple[int, int], ...]  # (s, t), f(x) = s*x + t/den on each nonflat cell
-    # (lo, hi) per nonflat cell: it maps onto the nonflat cells lo .. hi - 1,
-    # in nonflat-index (column) coordinates, so its adjacency row is 1 exactly there
-    runs: tuple[tuple[int, int], ...]
-    adjacency: np.ndarray  # 0/1 over nonflat x nonflat, the runs written out, read-only
+    # per nonflat cell, the nonflat cells it maps onto, in nonflat-index
+    # (column) coordinates: its transition row is 1 exactly on this range
+    successors: tuple[range, ...]
     recurrence: Recurrence  # classified once, read by the spectral radius and the orbit inventory
 
     def side_slope(self, orbit: Sequence[int], side: int) -> int:
@@ -110,12 +109,12 @@ class MarkovSystem:
 
 @functools.lru_cache(maxsize=1)
 def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096) -> MarkovSystem:
-    """Close the breakpoint set under f and assemble the transition matrix.
+    """Close the breakpoint set under f and read off the transition graph.
 
     The closure runs on integer numerators over one denominator; a map with
     a non-integer slope raises StructureError. The last result is memoized
-    and shared, so its adjacency is read-only. Callers pass (f, point_budget)
-    positionally to hit the same entry.
+    and shared. Callers pass (f, point_budget) positionally to hit the same
+    entry.
     """
     odd = next((s for s in f.slopes if s.denominator != 1), None)
     if odd is not None:
@@ -146,7 +145,7 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096) -> Mark
 
     # a nonflat cell maps onto the cells between the images of its ends, an
     # index range by closure; counting the nonflat cells below each index
-    # turns that range into a run of adjacency columns
+    # turns that range into a run of transition columns
     cell_slopes, nonflat, branches, spans, below = [], [], [], [], [0]
     piece = 0
     for i, a in enumerate(nums[:-1]):
@@ -161,14 +160,7 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096) -> Mark
         nonflat.append(i)
         branches.append((s, nums[image[i]] - s * a))
         spans.append((lo, hi))
-    nonflat = tuple(nonflat)
-    runs = tuple((below[lo], below[hi]) for lo, hi in spans)
-
-    k = len(nonflat)
-    adj = np.zeros((k, k), dtype=np.int64)
-    for a, (lo, hi) in enumerate(runs):
-        adj[a, lo:hi] = 1
-    adj.setflags(write=False)
+    successors = tuple(range(below[lo], below[hi]) for lo, hi in spans)
     return MarkovSystem(
         map=f,
         den=den,
@@ -176,17 +168,20 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096) -> Mark
         points=tuple(Fraction(a, den) for a in nums),
         image=image,
         slopes=tuple(cell_slopes),
-        nonflat=nonflat,
+        nonflat=tuple(nonflat),
         branches=tuple(branches),
-        runs=runs,
-        adjacency=adj,
-        recurrence=_recurrence([range(lo, hi) for lo, hi in runs]),
+        successors=successors,
+        recurrence=recurrent_classes(successors),
     )
 
 
-def spectral_radius(graph: MarkovSystem | np.ndarray) -> tuple[float, dict]:
-    """Largest eigenvalue magnitude of a nonnegative integer matrix, with a
-    proven bracket.
+def spectral_radius(succ: Sequence[Sequence[int]], rec: Recurrence) -> tuple[float, dict]:
+    """Largest eigenvalue magnitude of a graph's nonnegative integer matrix,
+    with a proven bracket.
+
+    succ lists each vertex's successors, one entry per parallel edge: entry
+    (a, b) of the matrix counts b in succ[a]. rec is recurrent_classes(succ);
+    a MarkovSystem carries it from its build.
 
     The radius is the largest over the recurrent classes. A bare cycle
     contributes exactly 1 and a transient singleton 0, so when no class
@@ -206,22 +201,15 @@ def spectral_radius(graph: MarkovSystem | np.ndarray) -> tuple[float, dict]:
     The diagnostics give the bracket as Fractions, rho_lower and rho_upper.
     No power iteration runs; power_iterations stays in the diagnostics at 0
     for the benchmark's tracer, which counts it.
-
-    A MarkovSystem brings the recurrent classes computed when it was built;
-    a bare matrix is classified here.
     """
-    if isinstance(graph, MarkovSystem):
-        adj, rec = graph.adjacency, graph.recurrence
-    else:
-        adj, rec = graph, recurrent_classes(graph)
-    if adj.shape[0] == 0 or not adj.any():
+    if not any(succ):
         method, lo, hi = "empty", Fraction(0), Fraction(0)
     elif not rec.branching:
         method = "bare-cycles"
         lo = hi = Fraction(1 if rec.cycles else 0)
     else:
         method = "eigvals+collatz-wielandt"
-        brackets = [_perron_bracket(adj, comp) for comp in rec.branching]
+        brackets = [_perron_bracket(succ, comp) for comp in rec.branching]
         lo = max(b[0] for b in brackets)
         hi = max(b[1] for b in brackets)
         root = max(b[2] for b in brackets)
@@ -231,11 +219,15 @@ def spectral_radius(graph: MarkovSystem | np.ndarray) -> tuple[float, dict]:
 
 
 def _perron_bracket(
-    adj: np.ndarray, comp: tuple[int, ...]
+    succ: Sequence[Sequence[int]], comp: tuple[int, ...]
 ) -> tuple[Fraction, Fraction, float]:
     """Collatz-Wielandt bounds on the Perron root of one irreducible class
-    of a nonnegative integer matrix, and the float root they bracket."""
-    sub = adj[np.ix_(comp, comp)]
+    of a graph, and the float root they bracket. The class block is the one
+    dense array: row i counts the successors of comp[i] inside the class."""
+    pos = {v: j for j, v in enumerate(comp)}
+    c = len(comp)
+    edges = [i * c + pos[u] for i, v in enumerate(comp) for u in succ[v] if u in pos]
+    sub = np.bincount(edges, minlength=c * c).reshape(c, c)
     vals, vecs = np.linalg.eig(sub.astype(np.float64))
     top = np.argmax(vals.real)
     v = np.abs(vecs[:, top].real)
@@ -250,19 +242,9 @@ def _perron_bracket(
     return min(ratios), max(ratios), float(vals.real[top])
 
 
-def _successors(adj: np.ndarray) -> list[list[int]]:
-    """The columns of each row, each repeated as often as its entry counts."""
-    columns = np.arange(adj.shape[1])
-    return [np.repeat(columns, row).tolist() for row in adj]
-
-
-def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
-    """Tarjan, iterative. Returns components as lists of row indices."""
-    return _components(_successors(adj))
-
-
 def _components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Tarjan over successor lists, one per vertex."""
+    """Tarjan, iterative, over successor lists, one per vertex; the order of
+    their entries sets the order of each component's members."""
     n = len(succ)
     index = [-1] * n
     low = [0] * n
@@ -309,21 +291,16 @@ def _components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
     return comps
 
 
-def recurrent_classes(adj: np.ndarray) -> Recurrence:
+def recurrent_classes(succ: Sequence[Sequence[int]]) -> Recurrence:
     """Sort the strongly connected components of a graph, one Tarjan pass.
 
-    A component is a bare cycle when each member has exactly one successor
-    inside it, an entry m of adj counting as m parallel edges; strongly
-    connected with out-degree one, it is then a single cycle, listed in tour
-    order from its first member. A component where some member has two
-    successors inside branches. A singleton without a self loop is transient
-    and lands in neither list.
+    succ lists each vertex's successors; a successor listed m times counts
+    as m parallel edges. A component is a bare cycle when each member has
+    exactly one successor inside it; strongly connected with out-degree one,
+    it is then a single cycle, listed in tour order from its first member. A
+    component where some member has two successors inside branches. A
+    singleton without a self loop is transient and lands in neither list.
     """
-    return _recurrence(_successors(adj))
-
-
-def _recurrence(succ: Sequence[Sequence[int]]) -> Recurrence:
-    """recurrent_classes over successor lists, read once per row by both passes."""
     cycles: list[tuple[int, ...]] = []
     branching: list[tuple[int, ...]] = []
     for comp in _components(succ):

@@ -316,7 +316,8 @@ def _run_product(lo: np.ndarray, hi: np.ndarray, p: np.ndarray, pre: np.ndarray)
 
 
 def _walk_powers(sys: MarkovSystem) -> Iterator[np.ndarray]:
-    """A, A^2, A^3, ... for the adjacency A of a graph, each product through its runs.
+    """A, A^2, A^3, ... for the transition matrix A of a graph, each product
+    through its successor ranges, from the identity on: A is never written out.
 
     A^n = A @ A^(n-1) is read off the prefix sums of A^(n-1)'s rows
     (_run_product): O(k^2) per power, where a dense product costs O(k^3).
@@ -326,16 +327,16 @@ def _walk_powers(sys: MarkovSystem) -> Iterator[np.ndarray]:
     buffer holds the powers and one the prefix sums, so each yielded array
     is overwritten by the next power.
     """
-    k = len(sys.runs)
-    lo, hi = np.array(sys.runs, dtype=np.intp).T
-    power = sys.adjacency.copy()
+    k = len(sys.successors)
+    lo, hi = np.array([(r.start, r.stop) for r in sys.successors], dtype=np.intp).T
+    power = np.eye(k, dtype=np.int64)
     pre = np.zeros((k + 1, k), dtype=np.int64)
     while True:
-        yield power
         if power.dtype != object and power.max() > _INT64_MAX // k:
             power = power.astype(object)
             pre = np.zeros((k + 1, k), dtype=object)
         _run_product(lo, hi, power, pre)
+        yield power
 
 
 def _walk_orbits(
@@ -355,12 +356,12 @@ def _walk_orbits(
     non-integer slope), so the walks are composed in integers.
 
     The walks are counted (trace(A^n), checked against piece_budget) and
-    pruned by the powers of A. _walk_powers forms them through the runs of
-    A's rows, O(k^2) each, and exactly: in int64 while no prefix sum can
-    overflow, in Python integers after. The successors of cell c are its run.
+    pruned by the powers of A. _walk_powers forms them through the successor
+    ranges, sys.successors, O(k^2) each, and exactly: in int64 while no
+    prefix sum can overflow, in Python integers after. The depth-first walks
+    step along the same ranges.
     """
-    k = len(sys.runs)
-    succ = [range(lo, hi) for lo, hi in sys.runs]
+    k = len(sys.successors)
     lattice = frozenset(sys.nums)
     cycles = _partition_cycles(sys)
     # bit u of back[m][s]: some walk of length m leads from cell u to cell s
@@ -374,12 +375,12 @@ def _walk_orbits(
         found = [o for o in cycles if o.period == n]
         for s0 in range(k):
             if back[n][s0] >> s0 & 1:
-                found += _orbits_from_cell(sys, s0, n, succ, back, lattice)
+                found += _orbits_from_cell(sys, s0, n, back, lattice)
         found.sort(key=lambda o: o.points[0])
         yield n, tuple(found)
 
 
-def _orbits_from_cell(sys: MarkovSystem, s0, n, succ, back, lattice) -> list[PeriodicOrbit]:
+def _orbits_from_cell(sys: MarkovSystem, s0, n, back, lattice) -> list[PeriodicOrbit]:
     """Orbits of minimal period n off the partition whose smallest point lies in cell s0.
 
     Depth-first over the closed walks of length n from s0 through cells
@@ -397,7 +398,7 @@ def _orbits_from_cell(sys: MarkovSystem, s0, n, succ, back, lattice) -> list[Per
     n. Only a kept orbit's points become Fractions. Off the partition both
     one-sided slopes of f^n are a.
     """
-    branch = sys.branches
+    branch, succ = sys.branches, sys.successors
     home = [back[m][s0] for m in range(n)]  # bit u of home[m]: u returns to s0 in m steps
     path = [s0] * n
     found = []

@@ -122,15 +122,14 @@ def _blank_row(verdict: str, reason: str) -> dict:
 
 
 def _classify_cell(args) -> dict:
-    """Worker: one cell to a manifest entry. Must stay picklable/top-level."""
-    index, shape_word, w_strs, budgets_json, want_record = args
-    shape = Shape.from_string(shape_word)
-    w = tuple(parse_rat(x) for x in w_strs)
+    """Worker: one cell, as the config holds it (Shape, Fractions, Budgets
+    pickle as they are), to a manifest entry. Must stay picklable/top-level."""
+    index, shape, w, budgets, want_record = args
     entry: dict = {
         "index": index,
         "w": [format_rat(x) for x in w],
-        "shape": shape_word,
-        "budgets": budgets_json,
+        "shape": shape.to_string(),
+        "budgets": budgets.to_json(),
     }
     try:
         m = StuntedSawtoothMap(shape, w)
@@ -139,7 +138,7 @@ def _classify_cell(args) -> dict:
         entry["record"] = None
         return entry
     try:
-        record = classify(m, Budgets.from_json(budgets_json))
+        record = classify(m, budgets)
     except ConstraintViolation:
         raise
     except SawlabError as e:
@@ -233,13 +232,7 @@ def run_scan(config: ScanConfig, resume: bool = False, workers: int = 0) -> Scan
 
     want_record = config.certificates_path is not None
     todo = [
-        (
-            i,
-            config.shape.to_string(),
-            [format_rat(x) for x in cell],
-            config.budgets.to_json(),
-            want_record,
-        )
+        (i, config.shape, cell, config.budgets, want_record)
         for i, cell in enumerate(config.cells)
         if i not in done
     ]

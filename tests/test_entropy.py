@@ -94,6 +94,8 @@ def test_lap_image_graph_counts_the_laps_of_the_iterates(case):
 
 
 def _assert_lap_bracket_meets_markov(f):
+    succ, _ = _lap_graph(build_markov_system(f, 4096))
+    assert all(row == sorted(row) for row in succ)
     lap, markov = entropy_lap(f, n_max=6), entropy_markov(f)
     assert lap.lower <= lap.value <= lap.upper
     assert lap.lower <= markov.upper and markov.lower <= lap.upper
@@ -113,6 +115,19 @@ def test_lap_bracket_meets_the_markov_bracket_on_the_grids(stunted_tent):
         except ConstraintViolation:
             continue
         _assert_lap_bracket_meets_markov(m.map)
+
+
+def test_lap_bracket_bits_are_pinned_on_a_trimodal_member():
+    # Tarjan lists a class's members in the order of the successor lists,
+    # and the last bits of the bracket follow that order: on this member an
+    # unsorted lap graph moves rho_lower
+    f = StuntedSawtoothMap(Shape.from_string("+-+-"), [F(7, 10), F(1, 10), F(4, 5)]).map
+    succ, _ = _lap_graph(build_markov_system(f, 4096))
+    assert all(row == sorted(row) for row in succ)
+    est = entropy_lap(f)
+    assert est.parameters["rho_lower"] == "8637586954968383/3372012051352938"
+    assert est.parameters["rho_upper"] == "6744024102705876/2632787451807725"
+    assert est.value == 0.9406136421072075
 
 
 def test_lap_bracket_does_not_depend_on_the_window(stunted_tent):
@@ -141,7 +156,7 @@ def test_full_sawtooth_lap_graph_is_one_node_with_d_plus_one_loops():
         f = build_sawtooth(Shape.from_string(word))
         assert _lap_graph(build_markov_system(f, 4096)) == ([[0] * laps], [laps])
         # a weight-4 loop at full int64 headroom for one node overflowed
-        assert _perron_bracket(np.array([[laps]]), (0,))[:2] == (laps, laps)
+        assert _perron_bracket([[0] * laps], (0,))[:2] == (laps, laps)
         est = entropy_lap(f, n_max=3)
         assert F(est.parameters["rho_lower"]) == F(est.parameters["rho_upper"]) == laps
         assert est.lower <= math.log(laps) <= est.upper
@@ -297,13 +312,16 @@ def zero_one_matrices(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(zero_one_matrices())
 def test_spectral_radius_bracket_holds_the_true_radius(adj):
-    rho, diag = spectral_radius(adj)
+    # the matrix as successor lists, column b repeated adj[a, b] times in row a
+    succ = [np.repeat(np.arange(adj.shape[1]), row).tolist() for row in adj]
+    rec = recurrent_classes(succ)
+    rho, diag = spectral_radius(succ, rec)
     lo, hi = diag["rho_lower"], diag["rho_upper"]
     # the float sits in the bracket up to its own rounding
     assert lo <= F(math.nextafter(rho, math.inf))
     assert F(math.nextafter(rho, -math.inf)) <= hi
     assert diag["power_iterations"] == 0
-    assert bool(recurrent_classes(adj).branching) == (diag["rho_upper"] > 1)
+    assert bool(rec.branching) == (diag["rho_upper"] > 1)
     exact = _mp_spectral_radius(adj)
     with mpmath.workdps(40):
         slack = mpmath.mpf(10) ** -30

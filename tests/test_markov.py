@@ -1,5 +1,6 @@
 """The Markov graph on its integer lattice against a Fraction reference closure."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -52,14 +53,15 @@ def _assert_matches_reference(f):
     assert sys.slopes == slopes
     assert sys.nonflat == nonflat
     assert tuple((s, F(t, sys.den)) for s, t in sys.branches) == branches
-    assert np.array_equal(sys.adjacency, adj)
-    # each row is 1 on one run of columns, and the recorded runs rebuild it
+    # each row is 1 on one run of columns, and the recorded ranges rebuild it
+    assert len(sys.successors) == len(nonflat)
     from_runs = np.zeros_like(adj)
-    for a, (lo, hi) in enumerate(sys.runs):
-        assert 0 <= lo <= hi <= len(nonflat)
-        from_runs[a, lo:hi] = 1
+    for a, run in enumerate(sys.successors):
+        assert type(run) is range and run.step == 1
+        assert 0 <= run.start <= run.stop <= len(nonflat)
+        from_runs[a, run.start : run.stop] = 1
     assert np.array_equal(from_runs, adj)
-    assert sys.recurrence == recurrent_classes(adj)
+    assert sys.recurrence == recurrent_classes([np.flatnonzero(row).tolist() for row in adj])
 
 
 _HEIGHTS = st.sampled_from(["+-", "-+", "+-+", "-+-", "+-+-"]).flatmap(
@@ -107,6 +109,28 @@ def test_lattice_graph_of_a_hand_built_map_matches_the_fraction_closure():
         [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)], [F(1, 4), F(0), F(1, 2), F(0), F(0)]
     )
     _assert_matches_reference(f)
+
+
+def _thue_morse_height(L):
+    """x_L = 2 * sum over i < 2^L of t_i 2^-(i+1), t the Thue-Morse sequence:
+    the tent height whose critical cycle has period 2^(L-1)."""
+    return 2 * sum(F(bin(i).count("1") % 2, 2 ** (i + 1)) for i in range(1 << L))
+
+
+def test_a_deep_zero_entropy_member_builds_no_dense_matrix():
+    # x_12 has 2,052 partition points; a k x k int64 matrix over its nonflat
+    # cells would take 32 MiB, its successor ranges take a few
+    f = StuntedSawtoothMap(Shape.from_string("+-"), [_thue_morse_height(12)]).map
+    build_markov_system.cache_clear()
+    tracemalloc.start()
+    try:
+        sys = build_markov_system(f, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sys.points) == 2052
+    assert not sys.recurrence.branching
+    assert peak < 12 * 2**20
 
 
 def test_a_non_integer_slope_is_refused():

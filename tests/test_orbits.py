@@ -224,22 +224,24 @@ def test_walk_budget_refuses_up_front_with_the_exact_count(word, budget, n, need
     assert e.value.needed == needed
 
 
-def _dense(runs):
-    adj = np.zeros((len(runs), len(runs)), dtype=np.int64)
-    for a, (lo, hi) in enumerate(runs):
-        adj[a, lo:hi] = 1
+def _dense(successors):
+    """The 0/1 matrix whose row a is 1 on the range successors[a]."""
+    adj = np.zeros((len(successors), len(successors)), dtype=np.int64)
+    for a, run in enumerate(successors):
+        adj[a, run.start : run.stop] = 1
     return adj
 
 
 def _product_through_runs(runs, p):
-    lo, hi = (np.array(ends, dtype=np.intp) for ends in zip(*runs))
+    lo = np.array([r.start for r in runs], dtype=np.intp)
+    hi = np.array([r.stop for r in runs], dtype=np.intp)
     out = p.copy()
     _run_product(lo, hi, out, np.zeros((len(runs) + 1, len(runs)), dtype=p.dtype))
     return out
 
 
 # rows with empty runs (row 2 and the last), a full row, a single column
-RUNS = ((0, 2), (2, 5), (3, 3), (0, 6), (5, 6), (4, 4))
+RUNS = tuple(range(lo, hi) for lo, hi in ((0, 2), (2, 5), (3, 3), (0, 6), (5, 6), (4, 4)))
 
 
 def test_run_product_is_the_dense_product_in_int64():
@@ -265,8 +267,9 @@ def test_a_nonflat_cell_onto_flat_cells_only_has_an_empty_run():
     # class branches, so the sweep multiplies through the empty run
     m = StuntedSawtoothMap(Shape.from_string("+-+"), [F(25, 40), F(1, 40)])
     sys = build_markov_system(m.map, 4096)
-    assert sys.runs[2] == (4, 4) and sys.recurrence.branching
-    adj = sys.adjacency
+    run = sys.successors[2]
+    assert (run.start, run.stop) == (4, 4) and sys.recurrence.branching
+    adj = _dense(sys.successors)
     for n, power in zip(range(1, 13), _walk_powers(sys)):
         assert np.array_equal(power, np.linalg.matrix_power(adj, n))
         assert not power[2].any()
@@ -277,7 +280,7 @@ def test_walk_powers_move_to_python_integers_and_stay_exact():
     # and A^32 = 2^62 A passes INT64_MAX // 4, so A^33 on are Python integers
     sys = build_markov_system(build_sawtooth(Shape.from_string("+-+-")), 4096)
     ones = np.ones((4, 4), dtype=np.int64)
-    assert np.array_equal(sys.adjacency, ones)
+    assert np.array_equal(_dense(sys.successors), ones)
     dtypes = []
     for n, power in zip(range(1, 41), _walk_powers(sys)):
         assert power.tolist() == (4 ** (n - 1) * ones.astype(object)).tolist()
@@ -297,10 +300,10 @@ def test_walk_counts_on_the_boundary_flank_match_dense_powers():
     m = StuntedSawtoothMap(Shape.from_string("+-"), [CHAOTIC_FLANK])
     build_markov_system.cache_clear()
     sys = build_markov_system(m.map, 4096)
-    assert len(sys.runs) == 193
-    assert np.array_equal(_dense(sys.runs), sys.adjacency)
+    assert len(sys.successors) == 193
+    adj = _dense(sys.successors)
     for n, power in zip(range(1, 25), _walk_powers(sys)):
-        reference = np.linalg.matrix_power(sys.adjacency, n)
+        reference = np.linalg.matrix_power(adj, n)
         assert reference.min() >= 0 and reference.max() < 2**62  # no wrap in the reference
         # the whole power, not only its trace (the walk count): the sweep
         # prunes its walks by the off-diagonal entries too

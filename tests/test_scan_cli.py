@@ -122,6 +122,22 @@ def test_scan_resume_rejects_rows_computed_for_the_mirrored_shape(line_config):
         run_scan(replace(cfg, shape=Shape.from_string("-+")), resume=True)
 
 
+def test_scan_workers_parse_nothing_the_config_holds(line_config, monkeypatch):
+    cfg = line_config(5)
+    run_scan(cfg)
+    csv, certs = open(cfg.csv_path).read(), open(cfg.certificates_path).read()
+
+    def refuse(*args):
+        raise AssertionError("the scan parsed a cell or its budgets again")
+
+    # the config is parsed; a worker gets its Shape, Fractions and Budgets
+    monkeypatch.setattr("sawlab.scan.parse_rat", refuse)
+    monkeypatch.setattr(Budgets, "from_json", staticmethod(refuse))
+    run_scan(cfg)
+    assert open(cfg.csv_path).read() == csv
+    assert open(cfg.certificates_path).read() == certs
+
+
 def test_manifest_journals_one_line_per_cell(line_config):
     cfg = line_config(3)
     run_scan(cfg)

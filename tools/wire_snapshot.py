@@ -65,6 +65,8 @@ INVOCATIONS = [
     ("entropy-markov", ["entropy", "--shape", "+-+", "--w", "7/10,3/10", "--method", "markov"]),
     ("entropy-lap", ["entropy", "--shape", "+-", "--w", "33/40", "--method", "lap"]),
     ("entropy-lap-zero", ["entropy", "--shape", "+-", "--w", "4/5", "--method", "lap"]),
+    ("entropy-lap-trimodal", ["entropy", "--shape", "+-+-", "--w", "7/10,1/10,4/5",
+                              "--method", "lap"]),
     ("entropy-boundary", ["entropy", "--shape", "+-", "--w", BOUNDARY_W, "--method", "markov"]),
     ("entropy-bowen", ["entropy", "--shape", "+-", "--w", "33/40", "--method", "bowen"]),
     ("kneading-tent", ["kneading", "--shape", "+-", "--w", "4/5", "--depth", "8"]),
