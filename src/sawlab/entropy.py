@@ -47,6 +47,11 @@ from .markov import MarkovSystem, build_markov_system, recurrent_classes, spectr
 from .plmap import PiecewiseLinearMap
 from .rational import Wire, float_down, float_up, format_rat
 
+# entropy_bowen's float grid, its separation scales and its longest orbit
+BOWEN_GRID = 8192
+BOWEN_EPS = (1.0 / 16, 1.0 / 64, 1.0 / 256)
+BOWEN_N_MAX = 12
+
 
 @dataclass(frozen=True)
 class EntropyEstimate(Wire):
@@ -232,12 +237,7 @@ def _separated_counts(traj: np.ndarray, eps: float, cap: int) -> list[int]:
     return counts
 
 
-def entropy_bowen(
-    f: PiecewiseLinearMap,
-    n_max: int = 12,
-    eps_list: tuple[float, ...] = (1.0 / 16, 1.0 / 64, 1.0 / 256),
-    grid: int = 8192,
-) -> EntropyEstimate:
+def entropy_bowen(f: PiecewiseLinearMap) -> EntropyEstimate:
     """Heuristic lower estimate from separated-orbit counts.
 
     Exponential growth shows as a plateau of equal per-step slopes in the
@@ -258,12 +258,12 @@ def entropy_bowen(
     Each count list comes from one greedy scan per n, whose Python work is
     one step per kept orbit (see _separated_counts).
     """
-    traj = _grid_orbits(f, n_max, grid)
-    cap = grid // 8
+    traj = _grid_orbits(f, BOWEN_N_MAX, BOWEN_GRID)
+    cap = BOWEN_GRID // 8
     margin = 0.02
     best = 0.0
     all_counts = {}
-    for eps in eps_list:
+    for eps in BOWEN_EPS:
         counts = _separated_counts(traj, eps, cap)
         pre = [c for c in counts if c < cap]
         all_counts[eps] = counts
@@ -288,9 +288,9 @@ def entropy_bowen(
         upper=None,
         method="bowen",
         parameters={
-            "grid": grid,
-            "eps_list": list(eps_list),
-            "n_max": n_max,
+            "grid": BOWEN_GRID,
+            "eps_list": list(BOWEN_EPS),
+            "n_max": BOWEN_N_MAX,
             "separated_counts": {str(e): c for e, c in all_counts.items()},
         },
     )

@@ -40,6 +40,10 @@ from .orbits import (
 from .rational import Rat, Wire
 from .renorm import build_tower, semiconjugacy_check
 
+# halvings allowed to bisect_boundary and to refine_to_boundary
+BISECT_MAX_ITERATIONS = 10_000
+REFINE_MAX_ITERATIONS = 3000
+
 
 @dataclass(frozen=True)
 class Budgets(Wire):
@@ -240,7 +244,6 @@ def bisect_boundary(
     w_hi,
     target_width,
     budgets: Budgets | None = None,
-    max_iterations: int = 10_000,
 ) -> BoundaryBracket:
     """Shrink a zero-entropy/positive-entropy bracket to the target width.
 
@@ -262,8 +265,8 @@ def bisect_boundary(
         raise ConstraintViolation("high endpoint must have positive entropy")
     iters = 0
     while _width(lo, hi) > target:
-        if iters >= max_iterations:
-            raise BudgetExceeded("steps", max_iterations)
+        if iters >= BISECT_MAX_ITERATIONS:
+            raise BudgetExceeded("steps", BISECT_MAX_ITERATIONS)
         mid = _midpoint(lo, hi)
         if _positive_entropy(mid.map, b):
             hi = mid
@@ -294,7 +297,6 @@ def refine_to_boundary(
     bracket: BoundaryBracket,
     budgets: Budgets | None = None,
     target_level: int | None = None,
-    max_iterations: int = 3000,
 ) -> RefinedBoundary:
     """Keep halving until the midpoint reaches the doubling accumulation at
     the verdict resolution.
@@ -319,7 +321,7 @@ def refine_to_boundary(
     shape = Shape.from_string(bracket.shape)
     lo = StuntedSawtoothMap(shape, bracket.lo_w)
     hi = StuntedSawtoothMap(shape, bracket.hi_w)
-    for it in range(1, max_iterations + 1):
+    for it in range(1, REFINE_MAX_ITERATIONS + 1):
         mid = _midpoint(lo, hi)
         finite_side = False
         level = 0
@@ -354,7 +356,7 @@ def refine_to_boundary(
             lo = mid
         else:
             hi = mid
-    raise BudgetExceeded("steps", max_iterations)
+    raise BudgetExceeded("steps", REFINE_MAX_ITERATIONS)
 
 
 # === the two-sided perturbation experiment ===

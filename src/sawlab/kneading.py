@@ -29,6 +29,8 @@ from .rational import Rat, Wire
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# realize_kneading's coordinate sweeps per depth before a stage counts as stalled
+MAX_SWEEPS = 24
 
 
 def _signs(m: StuntedSawtoothMap, depth: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -153,7 +155,6 @@ def realize_kneading(
     target: KneadingData,
     depth: int | None = None,
     tol: Rat | None = None,
-    max_sweeps: int = 24,
 ) -> tuple[Rat, ...]:
     """Heights whose kneading data matches the target to the given depth.
 
@@ -215,7 +216,7 @@ def realize_kneading(
 
     def run_stage() -> bool:
         stage_signs = tuple(row[:stage] for row in tgt_signs)
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             moved = False
             for i in range(1, d + 1):
                 if row_cmp(i, w[i - 1]) == 0:

@@ -14,9 +14,10 @@ in the cell graph whose fixed point avoids the partition (Block, Guckenheimer,
 Misiurewicz and Young, 1980).
 
 periodic_points (f^n by repeated squaring, then its fixed points piece by
-piece) is the literal reference route the tests compare the enumerator
-against; complete_period_set is the exhaustive all-periods answer of the
-structural route.
+piece, and each orbit's stability from the one-sided slopes of f^n at its
+smallest point) is the literal reference route the tests compare the
+enumerator against; complete_period_set is the exhaustive all-periods answer
+of the structural route.
 """
 
 from __future__ import annotations
@@ -32,34 +33,6 @@ from .errors import BudgetExceeded, ConstraintViolation, StructureError
 from .markov import MarkovSystem, build_markov_system
 from .plmap import PiecewiseLinearMap
 from .rational import Rat, Wire
-
-
-def orbit_side_slope(f: PiecewiseLinearMap, points, side: int) -> Rat:
-    """Derivative of f^n along an orbit, taken from one side at the start.
-
-    Chain rule with side tracking: a negative slope reflects the approach
-    side, a zero slope kills the product for good. points is the orbit
-    x_0 .. x_{n-1}; side is -1 (left) or +1 (right) at x_0. At domain edges
-    the only available side is used.
-    """
-    total = Fraction(1)
-    cur = side
-    for p in points:
-        if p == 0:
-            cur = 1
-        elif p == 1:
-            cur = -1
-        s = f.left_slope(p) if cur < 0 else f.right_slope(p)
-        if s == 0:
-            return Fraction(0)
-        total *= s
-        if s < 0:
-            cur = -cur
-    return total
-
-
-def classify_stability(f: PiecewiseLinearMap, cycle_points) -> str:
-    return _stability(orbit_side_slope(f, cycle_points, -1), orbit_side_slope(f, cycle_points, +1))
 
 
 def _stability(left: Rat, right: Rat) -> str:
@@ -81,13 +54,6 @@ class PeriodicOrbit(Wire):
     points: tuple[Rat, ...]
     period: int
     stability: str
-
-
-def _canonical_orbit(f: PiecewiseLinearMap, cycle: tuple[Rat, ...]) -> PeriodicOrbit:
-    """The orbit of a cycle of f, rotated to start at the smallest point."""
-    k = cycle.index(min(cycle))
-    pts = cycle[k:] + cycle[:k]
-    return PeriodicOrbit(pts, len(pts), classify_stability(f, pts))
 
 
 def _cycle(f: PiecewiseLinearMap, x: Rat, n: int) -> tuple[Rat, ...] | None:
@@ -127,8 +93,10 @@ def periodic_points(
 ) -> tuple[PeriodicOrbit, ...]:
     """All orbits of minimal period exactly n, via the exact n-th iterate.
 
-    The literal route: compose f^n, solve its fixed points piece by piece and
-    walk each under f. It is the oracle periodic_orbits is tested against.
+    The literal route: compose g = f^n, solve its fixed points piece by
+    piece and walk each under f. An orbit's stability is read off g's
+    one-sided slopes at its smallest point. It is the oracle periodic_orbits
+    is tested against.
     """
     if n < 1:
         raise ConstraintViolation(f"period must be >= 1, got {n}")
@@ -141,10 +109,12 @@ def periodic_points(
         cycle = _cycle(f, x, n)
         if cycle is None:
             raise StructureError("iterate fixed point does not close under the map")
-        orb = _canonical_orbit(f, cycle)
-        consumed.update(orb.points)
-        if orb.period == n:
-            orbits[orb.points[0]] = orb
+        consumed.update(cycle)
+        if len(cycle) == n:
+            p = min(cycle)
+            i = cycle.index(p)
+            stability = _stability(g.left_slope(p), g.right_slope(p))
+            orbits[p] = PeriodicOrbit(cycle[i:] + cycle[:i], n, stability)
     return tuple(orbits[k] for k in sorted(orbits))
 
 

@@ -4,23 +4,26 @@ Towers stack renormalization windows along the doubling cascade: at level n
 the cycle of the principal critical value splits into 2^n residue classes,
 and each class hull is a block. A level is kept when its blocks have
 pairwise disjoint interiors and each block maps into its successor, the
-block of the odometer step of its n-bit word. So each kept level is the
-depth-n semiconjugacy onto the binary adding machine, which the
-semiconjugacy check reads off the tower.
+block of the odometer step of its n-bit word, which is block (r + 1) mod 2^n
+for block r. So each kept level is the depth-n semiconjugacy onto the binary
+adding machine, which the semiconjugacy check reads off the tower.
 
-The window of level n is block 0, and the blocks alone certify it. The image
-of an interval is exact, so the successor test puts the i-th image of the
-window inside block i mod 2^n: the first 2^n images have disjoint interiors
-and the 2^n-th returns into the window. The windows nest strictly: block 0
-of level n is the hull of every other cycle point of block 0 of level n-1,
-so it lies inside. When the cycle is longer than 2^n, every block holds two
-or more points, and equal windows would put block 2^(n-1) of level n inside
-block 0, an overlap. When it is 2^n long, the window is one point and the
-level-(n-1) window holds two.
+The window of level n is block 0, and the blocks alone certify it. The
+successor test puts the exact image of block r inside block r + 1, so the
+i-th image of the window lies inside block i mod 2^n: the first 2^n images
+have disjoint interiors and the 2^n-th returns into the window. The windows
+nest strictly: block 0 of level n is the hull of every other cycle point of
+block 0 of level n-1, so it lies inside. When the cycle is longer than 2^n,
+every block holds two or more points, and equal windows would put block
+2^(n-1) of level n inside block 0, an overlap. When it is 2^n long, the
+window is one point and the level-(n-1) window holds two.
 
-The cycle is walked on the member's integers (StuntedSawtoothMap.walk): it
-and each block's ends are numerators over den, and the overlap test compares
-them. Fraction blocks are built only for a level that passes it.
+Both tests run on the member's integers: the cycle is walked by
+StuntedSawtoothMap.walk, and it and the block ends are numerators over den.
+S_w's only interior extrema are its plateaus, and a block's ends map to cycle
+points of the next class, so the successor test checks only the heights of
+the plateaus the block meets, which the ranks of its ends give (step).
+Fraction blocks are built only for a kept level.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from itertools import combinations
 from .errors import ConstraintViolation
 from .family import StuntedSawtoothMap
 from .homoclinic import unstable_manifold
-from .odometer import index_word, word_index, adding_machine_step
 from .orbits import periodic_orbits
 from .plmap import Ivl
 from .rational import Rat, Wire
@@ -140,14 +142,13 @@ def build_tower(
     """Stack doubling levels out of the principal critical value cycle.
 
     Stops at the first level that fails: period not divisible, blocks
-    overlapping, or a block escaping its successor (the block of the
-    odometer step of its n-bit word, so a kept level is the depth-n
+    overlapping, or a block escaping its successor, block (r + 1) mod 2^n,
+    the odometer step of its n-bit word (so a kept level is the depth-n
     semiconjugacy). The window and nesting follow from these; see the
     module docstring. The tower reports how deep it got and why it stopped.
     """
     if max_depth < 1:
         raise ConstraintViolation("depth must be positive")
-    f = m.map
     pts, j = m.walk(m.heights[0], max_steps)
     cycle = pts[j:-1]
     period = len(cycle)
@@ -166,17 +167,19 @@ def build_tower(
         if overlap:
             stop = f"blocks {overlap[0]} and {overlap[1]} overlap at level {n}"
             break
-        blocks = [Ivl(Fraction(a, m.den), Fraction(b, m.den)) for a, b in zip(lo, hi)]
+        # plateau j meets [a, b] exactly when rank(a) <= 2j - 1 <= rank(b)
         escape = None
         for r in range(q):
-            successor = blocks[word_index(adding_machine_step(index_word(r, n)))]
-            if not successor.contains_interval(f.image_of_interval(blocks[r])):
+            met = m.heights[m.step(lo[r])[0] // 2 : (m.step(hi[r])[0] + 1) // 2]
+            a, b = lo[(r + 1) % q], hi[(r + 1) % q]
+            if not all(a <= h <= b for h in met):
                 escape = r
                 break
         if escape is not None:
             stop = f"image of block {escape} escapes its successor at level {n}"
             break
-        levels.append(TowerLevel(n=n, blocks=tuple(blocks)))
+        blocks = tuple(Ivl(Fraction(a, m.den), Fraction(b, m.den)) for a, b in zip(lo, hi))
+        levels.append(TowerLevel(n=n, blocks=blocks))
     return RenormTower(levels=tuple(levels), cycle_period=period, stop_reason=stop)
 
 

@@ -229,8 +229,11 @@ def test_classify_evaluates_no_fraction_map(word, w, verdict, monkeypatch):
         raise AssertionError("classify evaluated the Fraction map")
 
     # the graph, the orbits read off it and the tower never call back into f,
-    # and the tower walks the critical cycle and tests overlaps on integers
-    for name in ("__call__", "left_slope", "right_slope", "orbit_eventually_periodic"):
+    # and the tower walks the critical cycle and tests overlaps and successors
+    # on integers
+    names = ("__call__", "left_slope", "right_slope", "orbit_eventually_periodic",
+             "image_of_interval")
+    for name in names:
         monkeypatch.setattr(PiecewiseLinearMap, name, refuse)
     monkeypatch.setattr(Ivl, "interior_intersects", refuse)
     record = classify(m)

@@ -19,9 +19,11 @@ def test_word_index_round_trip():
 
 
 def test_adding_machine_is_plus_one_mod_2n():
-    for k in range(16):
-        w = index_word(k, 4)
-        assert word_index(adding_machine_step(w)) == (k + 1) % 16
+    # the tower's successor of block r is block (r + 1) mod 2^n on this identity
+    for n in range(1, 11):
+        for k in range(2**n):
+            w = index_word(k, n)
+            assert word_index(adding_machine_step(w)) == (k + 1) % 2**n
 
 
 def test_odometer_orbit_is_full_cycle():

@@ -14,7 +14,6 @@ from sawlab import (
     ConstraintViolation,
     Shape,
     StuntedSawtoothMap,
-    classify_stability,
     complete_period_set,
     entropy_markov,
     period_set,
@@ -28,7 +27,6 @@ from sawlab.orbits import (
     _run_product,
     _walk_powers,
     markov_orbit_inventory,
-    orbit_side_slope,
     periodic_orbits,
 )
 
@@ -134,11 +132,29 @@ def test_markov_inventory_matches_iterate_search(stunted_tent):
     assert {p for p, _ in inventory} == {1, 2, 4}
 
 
-def test_orbit_side_slope_tracks_orientation(tent):
+def test_orbit_side_slope_tracks_orientation(tent, stunted_tent):
     # slope of tent^2 at the period-2 point 2/5: both steps hit slope +-2
     (orb,) = periodic_points(tent, 2)
-    assert abs(orbit_side_slope(tent, orb.points, +1)) == 4
-    assert classify_stability(tent, orb.points) == "repelling"
+    g = tent.compose_self(2)
+    assert orb.points == (F(2, 5), F(4, 5))
+    assert (g.left_slope(F(2, 5)), g.right_slope(F(2, 5))) == (-4, -4)
+    assert orb.stability == "repelling"
+    # at 4/5 the cycle {2/5, 4/5} meets the plateau [2/5, 3/5] at its left
+    # end, so f^2 is flat on the right of 2/5 only
+    f = stunted_tent(F(4, 5)).map
+    (orb,) = periodic_points(f, 2)
+    g = f.compose_self(2)
+    assert orb.points == (F(2, 5), F(4, 5))
+    assert (g.left_slope(F(2, 5)), g.right_slope(F(2, 5))) == (-4, 0)
+    assert orb.stability == "one_sided_attracting"
+    # at 3/4 the cycle {1/2, 3/4} passes through the middle of the plateau
+    # [3/8, 5/8], so f^2 is flat on both sides
+    f = stunted_tent(F(3, 4)).map
+    (orb,) = periodic_points(f, 2)
+    g = f.compose_self(2)
+    assert orb.points == (F(1, 2), F(3, 4))
+    assert (g.left_slope(F(1, 2)), g.right_slope(F(1, 2))) == (0, 0)
+    assert orb.stability == "superattracting_plateau"
 
 
 def test_sharkovskii_order():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sawlab import (
@@ -164,22 +164,38 @@ def test_semiconjugacy_at_matching_depth(stunted_tent):
     assert r2.reason == f"tower stopped at depth 1: {tower.stop_reason}"
 
 
-@settings(
-    max_examples=100,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.filter_too_much],
-)
-@given(case=_HEIGHTS)
-def test_tower_blocks_certify_the_windows_and_their_nesting(case):
-    word, ks = case
-    try:
-        m = StuntedSawtoothMap(Shape.from_string(word), [F(k, 40) for k in ks])
-    except ConstraintViolation:
-        assume(False)
-    tower = build_tower(m, max_depth=8)
-    assert tower == _fraction_tower(m, 8)
-    _assert_windows_certified(m, tower)
+def test_tower_blocks_certify_the_windows_and_their_nesting():
+    towers = []
+
+    # the random draw meets few escaping blocks and few levels past the
+    # first, so members with each are drawn explicitly
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.filter_too_much],
+    )
+    @example(case=("+-+", [29, 0]))
+    @example(case=("-+-", [1, 12]))
+    @example(case=("+-+-", [25, 6, 15]))
+    @example(case=("+-+", [33, 11]))
+    @example(case=("-+-", [4, 9]))
+    @example(case=("+-+-", [24, 10, 15]))
+    @given(case=_HEIGHTS)
+    def check(case):
+        word, ks = case
+        try:
+            m = StuntedSawtoothMap(Shape.from_string(word), [F(k, 40) for k in ks])
+        except ConstraintViolation:
+            assume(False)
+        tower = build_tower(m, max_depth=8)
+        assert tower == _fraction_tower(m, 8)
+        _assert_windows_certified(m, tower)
+        towers.append(tower)
+
+    check()
+    assert any("escapes its successor" in (t.stop_reason or "") for t in towers)
+    assert any(t.depth >= 2 for t in towers)
 
 
 @pytest.mark.parametrize("w", [BOUNDARY_W, *(_thue_morse_height(L) for L in range(2, 9))])

@@ -57,6 +57,9 @@ INVOCATIONS = [
     ("describe-tent", ["describe", "--shape", "+-", "--w", "4/5"]),
     ("describe-bimodal", ["describe", "--shape", "+-+", "--w", "7/10,3/10"]),
     ("orbits-period", ["orbits", "--shape", "+-", "--w", "1", "--period", "3"]),
+    # the literal route's non-repelling labels
+    ("orbits-period-one-sided", ["orbits", "--shape", "+-", "--w", "4/5", "--period", "2"]),
+    ("orbits-period-plateau", ["orbits", "--shape", "+-", "--w", "3/4", "--period", "2"]),
     ("orbits-start", ["orbits", "--shape", "+-", "--w", "4/5", "--start", "1/3"]),
     ("orbits-start-outside", ["orbits", "--shape", "+-", "--w", "4/5", "--start", "4/3"]),
     ("orbits-sweep-finite", ["orbits", "--shape", "+-", "--w", "823/1000", "--n-max", "8"]),
