@@ -5,6 +5,7 @@ sharp answer whenever the breakpoint orbits close, and a proven one: lower
 and upper are the logs of the radius's exact rational bracket (exact when no
 recurrent class branches, Collatz-Wielandt bounds otherwise), rounded
 outward. The value is the float eigensolver's, clamped into that bracket.
+Both exact routes list class_periods, the period of each branching class.
 
 lap: the growth rate of the lap counts l_n of the iterates f^n, which is e^h
 for a piecewise monotone map (Misiurewicz-Szlenk, Studia Math. 67, 1980).
@@ -90,7 +91,12 @@ def _bracketed(rho: float, diag: dict, method: str, parameters: dict) -> Entropy
         lower=lower,
         upper=upper,
         method=method,
-        parameters={**parameters, "rho_lower": format_rat(lo), "rho_upper": format_rat(hi)},
+        parameters={
+            **parameters,
+            "class_periods": diag["class_periods"],
+            "rho_lower": format_rat(lo),
+            "rho_upper": format_rat(hi),
+        },
     )
 
 

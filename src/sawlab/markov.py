@@ -8,7 +8,10 @@ strongly connected components the recurrent structure. The components are
 sorted into bare cycles and branching classes once per graph. The spectral
 radius comes with a proven rational bracket: exact 1 or 0 when no class
 branches, Collatz-Wielandt bounds in integer arithmetic on each branching
-class otherwise. No power iteration runs.
+class otherwise. No power iteration runs. The float Perron vector behind
+the bounds comes from one cyclic class of each branching class: the
+eigensolve runs on the class's p-step path counts there, p its period, and
+the vector is lifted to the other p - 1 cyclic classes along the graph.
 
 Building P is orbit closure of the breakpoints; for this package's maps that
 terminates fast because plateau hits collapse denominators, but the builder is
@@ -39,7 +42,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, ldexp, log2
 
 import numpy as np
 
@@ -191,55 +194,113 @@ def spectral_radius(succ: Sequence[Sequence[int]], rec: Recurrence) -> tuple[flo
     classify reads it from recurrence.branching. A branching class C
     contributes its Perron root, bracketed by Collatz-Wielandt: for every
     positive vector v, min (Cv)_i/v_i <= rho(C) <= max (Cv)_i/v_i. Here v is
-    the float Perron vector of C rounded to integers, so both ends are exact
+    a float Perron vector of C rounded to integers, so both ends are exact
     rationals from integer arithmetic and the bracket holds whatever error
-    the float vector carries; that error only widens it.
+    the float vector carries; that error only widens it. The float vector
+    comes from an eigensolve on one cyclic class of C (see _perron_bracket),
+    which is C itself when C is primitive.
 
     The returned float is the largest float Perron root over the branching
     classes, from the eigensolve that gave each class its vector, clamped
     into the bracket: on a defective double root it can land 1e-8 outside.
-    The diagnostics give the bracket as Fractions, rho_lower and rho_upper.
-    No power iteration runs; power_iterations stays in the diagnostics at 0
-    for the benchmark's tracer, which counts it.
+    The diagnostics give the bracket as Fractions, rho_lower and rho_upper,
+    and class_periods, the period of each branching class in
+    rec.branching order. No power iteration runs; power_iterations stays in
+    the diagnostics at 0 for the benchmark's tracer, which counts it.
     """
+    periods = []
     if not any(succ):
         method, lo, hi = "empty", Fraction(0), Fraction(0)
     elif not rec.branching:
         method = "bare-cycles"
         lo = hi = Fraction(1 if rec.cycles else 0)
     else:
-        method = "eigvals+collatz-wielandt"
+        method = "cyclic-eig+collatz-wielandt"
         brackets = [_perron_bracket(succ, comp) for comp in rec.branching]
         lo = max(b[0] for b in brackets)
         hi = max(b[1] for b in brackets)
         root = max(b[2] for b in brackets)
+        periods = [b[3] for b in brackets]
     # lo < hi only on the branching route, which set root
     rho = float(lo) if lo == hi else min(max(root, float_down(lo)), float_up(hi))
-    return rho, {"method": method, "power_iterations": 0, "rho_lower": lo, "rho_upper": hi}
+    return rho, {
+        "method": method,
+        "power_iterations": 0,
+        "rho_lower": lo,
+        "rho_upper": hi,
+        "class_periods": periods,
+    }
 
 
 def _perron_bracket(
     succ: Sequence[Sequence[int]], comp: tuple[int, ...]
-) -> tuple[Fraction, Fraction, float]:
+) -> tuple[Fraction, Fraction, float, int]:
     """Collatz-Wielandt bounds on the Perron root of one irreducible class
-    of a graph, and the float root they bracket. The class block is the one
-    dense array: row i counts the successors of comp[i] inside the class."""
+    of a graph, the float root they bracket, and the class's period p.
+
+    An irreducible matrix A of period p permutes p cyclic classes
+    V_0 .. V_(p-1): V_r holds the members whose BFS level from comp[0] is
+    r mod p, and every edge steps from V_r into V_(r+1) mod p. The p-step
+    path counts from V_0 to V_0 form B = A_01 A_12 ... A_(p-1)0, which is
+    primitive with Perron root rho^p, and rho's Perron vector is
+    A_(r,r+1) v_(r+1) / rho on V_r (Frobenius; Gantmacher, The Theory of
+    Matrices II, ch. XIII). So the float eigensolve runs on B alone, and its
+    vector is lifted class by class along the successor lists. For p = 1, B
+    is the class block. Near the boundary of chaos the chaotic class is 2^n
+    bands that f permutes, and this is h(f) = h(f^(2^n) on a band) / 2^n.
+    """
     pos = {v: j for j, v in enumerate(comp)}
-    c = len(comp)
-    edges = [i * c + pos[u] for i, v in enumerate(comp) for u in succ[v] if u in pos]
-    sub = np.bincount(edges, minlength=c * c).reshape(c, c)
-    vals, vecs = np.linalg.eig(sub.astype(np.float64))
+    inside = [[pos[u] for u in succ[v] if u in pos] for v in comp]
+    level = [0] + [-1] * (len(comp) - 1)
+    queue = [0]
+    for v in queue:
+        for u in inside[v]:
+            if level[u] < 0:
+                level[u] = level[v] + 1
+                queue.append(u)
+    # the period divides the length of every closed walk, and so every
+    # level(v) + 1 - level(u) over the edges v -> u; their gcd is it
+    p = gcd(*(level[v] + 1 - level[u] for v, row in enumerate(inside) for u in row))
+    cyclic: list[list[int]] = [[] for _ in range(p)]
+    for j, lv in enumerate(level):
+        cyclic[lv % p].append(j)
+    base = cyclic[0]
+    rows = []
+    for x in base:
+        paths = {x: 1}
+        for _ in range(p):
+            nxt: dict[int, int] = {}
+            for v, n in paths.items():
+                for u in inside[v]:
+                    nxt[u] = nxt.get(u, 0) + n
+            paths = nxt
+        rows.append([paths.get(y, 0) for y in base])
+    # B's entries grow like rho^p; dividing by 2**shift keeps them finite
+    # floats, and a class whose entries fit 53 bits goes to eig unscaled
+    shift = max(0, max(map(max, rows)).bit_length() - 53)
+    b = [[n / (1 << shift) for n in row] for row in rows]
+    vals, vecs = np.linalg.eig(np.array(b))
     top = np.argmax(vals.real)
-    v = np.abs(vecs[:, top].real)
-    # entries <= 2**bits keep every (sub @ v)_i at most r * 2**bits < 2**62,
-    # exact in int64, for r the largest row sum or any bound above it;
-    # len(comp) bounds r on a 0/1 class and sets the headroom there, so the
+    rho_b = float(vals.real[top])
+    # rho_b * 2**shift need not be a float, so a scaled root goes through log2
+    root = 2 ** ((log2(rho_b) + shift) / p) if shift else rho_b ** (1 / p)
+    v = [0.0] * len(comp)
+    for j, x in zip(base, np.abs(vecs[:, top].real).tolist()):
+        v[j] = x
+    # V_(p-1) reads V_0, then each class the one after it
+    for r in range(p - 1, 0, -1):
+        for w in cyclic[r]:
+            v[w] = sum(v[u] for u in inside[w]) / root
+    # v rounds to integers up to 2**bits, which keeps every (Av)_i at most
+    # r * 2**bits < 2**62 for r the largest row sum or any bound above it;
+    # len(comp) bounds r on a 0/1 class and sets the grain there, so the
     # Markov brackets do not hang on the row sums. Flooring at 1 keeps v
     # positive, which is all the bound needs
-    bits = 62 - max(len(comp), int(sub.sum(axis=1).max())).bit_length()
-    v = np.maximum(np.rint(np.ldexp(v / v.max(), bits)), 1).astype(np.int64)
-    ratios = [Fraction(int(a), int(b)) for a, b in zip(sub @ v, v)]
-    return min(ratios), max(ratios), float(vals.real[top])
+    bits = 62 - max(len(comp), max(map(len, inside))).bit_length()
+    peak = max(v)
+    v = [max(round(ldexp(x / peak, bits)), 1) for x in v]
+    ratios = [Fraction(sum(v[u] for u in row), x) for row, x in zip(inside, v)]
+    return min(ratios), max(ratios), root, p
 
 
 def _components(succ: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -44,6 +44,9 @@ from .rational import Rat, Wire
 class GapFixedPointReport(Wire):
     """The fixed point in the gap of the level-1 cycle and its certified mate.
 
+    period: the period of the principal critical cycle. cycle: its points,
+    only when the period is 2; no other period has a level-1 gap, and the
+    report then stops at the period.
     p: smallest fixed point strictly between the two cycle points.
     q: the largest second-iterate fixed point at or above p whose unstable set
     under the second iterate covers the cycle hull. Candidates are tried in
@@ -53,7 +56,8 @@ class GapFixedPointReport(Wire):
 
     ok: bool
     level: int
-    cycle: tuple[Rat, ...]
+    period: int
+    cycle: tuple[Rat, ...] | None
     p: Rat | None
     q: Rat | None
     unstable: Ivl | None
@@ -63,17 +67,19 @@ class GapFixedPointReport(Wire):
 def gap_fixed_point(m: StuntedSawtoothMap, max_steps: int = 1_000_000) -> GapFixedPointReport:
     f = m.map
     pts, j = m.walk(m.heights[0], max_steps)
-    cycle = tuple(Fraction(a, m.den) for a in pts[j:-1])
-    if len(cycle) != 2:
+    period = len(pts) - 1 - j
+    if period != 2:
         return GapFixedPointReport(
             ok=False,
             level=1,
-            cycle=cycle,
+            period=period,
+            cycle=None,
             p=None,
             q=None,
             unstable=None,
-            reason=f"critical value cycle has period {len(cycle)}, not 2",
+            reason=f"critical value cycle has period {period}, not 2",
         )
+    cycle = tuple(Fraction(a, m.den) for a in pts[j:-1])
     lo, hi = min(cycle), max(cycle)
     hull = Ivl(lo, hi)
     orbits = dict(periodic_orbits(f, 2))
@@ -82,6 +88,7 @@ def gap_fixed_point(m: StuntedSawtoothMap, max_steps: int = 1_000_000) -> GapFix
         return GapFixedPointReport(
             ok=False,
             level=1,
+            period=period,
             cycle=cycle,
             p=None,
             q=None,
@@ -97,11 +104,12 @@ def gap_fixed_point(m: StuntedSawtoothMap, max_steps: int = 1_000_000) -> GapFix
         w = unstable_manifold(f, q, power=2)
         if w.contains_interval(hull):
             return GapFixedPointReport(
-                ok=True, level=1, cycle=cycle, p=p, q=q, unstable=w
+                ok=True, level=1, period=period, cycle=cycle, p=p, q=q, unstable=w
             )
     return GapFixedPointReport(
         ok=False,
         level=1,
+        period=period,
         cycle=cycle,
         p=p,
         q=None,

@@ -17,9 +17,11 @@ from sawlab import (
     ConstraintViolation,
     Shape,
     StuntedSawtoothMap,
+    bisect_boundary,
     build_sawtooth,
     entropy_lap,
     entropy_markov,
+    refine_to_boundary,
     spectral_radius,
 )
 from sawlab.entropy import _grid_orbits, _lap_graph, _separated_counts, entropy_bowen
@@ -296,21 +298,46 @@ def _mp_spectral_radius(adj):
 
 @st.composite
 def zero_one_matrices(draw):
-    """Random 0/1 matrices, and block-triangular [[B, C], [0, B]] ones whose
+    """Random 0/1 matrices; block-triangular [[B, C], [0, B]] ones whose
     two diagonal blocks share their Perron root (a defective double root
-    when the coupling C links them), with rows and columns shuffled."""
-    n = draw(st.integers(1, 7))
-    cells = st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)
-    b = np.array(draw(cells), dtype=np.int64).reshape(n, n)
-    if draw(st.booleans()):
-        c = np.array(draw(cells), dtype=np.int64).reshape(n, n)
-        b = np.block([[b, c], [np.zeros_like(b), b]])
+    when the coupling C links them); and block-cyclic ones of period p, in
+    which block r links only to block r + 1 mod p, every row and column of
+    a link holding a 1. Rows and columns are shuffled."""
+    kind = draw(st.sampled_from(["plain", "triangular", "cyclic"]))
+    if kind == "cyclic":
+        p = draw(st.sampled_from([2, 3, 4, 8]))
+        sizes = draw(st.lists(st.integers(1, 3 if p < 8 else 2), min_size=p, max_size=p))
+        starts = np.cumsum([0, *sizes])
+        b = np.zeros((starts[-1], starts[-1]), dtype=np.int64)
+        for r in range(p):
+            s, t = sizes[r], sizes[(r + 1) % p]
+            cells = st.lists(st.integers(0, 1), min_size=s * t, max_size=s * t)
+            link = np.array(draw(cells), dtype=np.int64).reshape(s, t)
+            k = np.arange(max(s, t))
+            link[k % s, k % t] = 1
+            col = starts[(r + 1) % p]
+            b[starts[r] : starts[r + 1], col : col + t] = link
+    else:
+        n = draw(st.integers(1, 7))
+        cells = st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)
+        b = np.array(draw(cells), dtype=np.int64).reshape(n, n)
+        if kind == "triangular":
+            c = np.array(draw(cells), dtype=np.int64).reshape(n, n)
+            b = np.block([[b, c], [np.zeros_like(b), b]])
     perm = draw(st.permutations(range(b.shape[0])))
     return b[np.ix_(perm, perm)]
 
 
+# period 4: four cyclic classes of two cells, each linked to the next by
+# [[1, 1], [1, 0]], so rho is the golden ratio; shuffled
+_GOLDEN_CYCLE = np.kron(np.roll(np.eye(4, dtype=np.int64), 1, axis=1), [[1, 1], [1, 0]])[
+    np.ix_(*[[5, 2, 7, 0, 3, 6, 1, 4]] * 2)
+]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(zero_one_matrices())
+@example(_GOLDEN_CYCLE)
 def test_spectral_radius_bracket_holds_the_true_radius(adj):
     # the matrix as successor lists, column b repeated adj[a, b] times in row a
     succ = [np.repeat(np.arange(adj.shape[1]), row).tolist() for row in adj]
@@ -337,6 +364,39 @@ def test_double_root_stays_at_log_two():
     assert est.lower <= math.log(2) <= est.upper
     assert est.value <= math.log(2) + 1e-15
     assert F(est.parameters["rho_lower"]) <= 2 <= F(est.parameters["rho_upper"])
+
+
+def test_boundary_flank_eigensolve_runs_on_one_cyclic_class(monkeypatch):
+    # the Chaotic flank of the refined +- bracket: its chaotic class is 128
+    # cells in 64 cyclic bands of 2, so only 2x2 blocks reach eig
+    tent = Shape.from_string("+-")
+    bracket = bisect_boundary(tent, [F(4, 5)], [F(9, 10)], F(1, 10**9))
+    f = StuntedSawtoothMap(tent, refine_to_boundary(bracket, target_level=8).bracket.hi_w).map
+    shapes, eig = [], np.linalg.eig
+
+    def recording_eig(a):
+        shapes.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+    est = entropy_markov(f)
+    assert est.parameters["class_periods"] == [64]
+    assert shapes and all(max(shape) <= 2 for shape in shapes)
+    lo, hi = F(est.parameters["rho_lower"]), F(est.parameters["rho_upper"])
+    assert 1 < lo <= hi < lo + F(1, 10**13)
+    assert est.lower <= est.value <= est.upper
+
+
+def test_a_long_cyclic_class_brackets_its_root_exactly():
+    # 1100 cyclic classes of 2 vertices, each joined to both vertices of the
+    # next: rho = 2 and B = 2**1099 on every entry, beyond a float, so B is
+    # scaled before its eigensolve
+    p = 1100
+    succ = [[2 * ((j // 2 + 1) % p), 2 * ((j // 2 + 1) % p) + 1] for j in range(2 * p)]
+    rho, diag = spectral_radius(succ, recurrent_classes(succ))
+    assert diag["class_periods"] == [p]
+    assert diag["rho_lower"] == diag["rho_upper"] == 2
+    assert rho == 2.0
 
 
 def test_chaos_ward_steps_never_lower_the_entropy_bracket():

@@ -98,6 +98,7 @@ def test_gap_fixed_point_between_cycle_blocks(stunted_tent):
     report = gap_fixed_point(stunted_tent(F(4, 5)))
     assert report.ok
     assert report.level == 1
+    assert report.period == 2
     assert tuple(report.cycle) == (F(4, 5), F(2, 5))
     # the repelling fixed point 2/3 separates the two period-2 blocks
     assert report.p == F(2, 3)
@@ -108,10 +109,14 @@ def test_gap_fixed_point_between_cycle_blocks(stunted_tent):
 def test_renorm_reports_the_gap_of_a_cycle_150002_long(capsys):
     # the tower and the gap report walk the same cycle under the same step budget
     assert main(["renorm", "--shape", "+-", "--w", "300005/300007"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    # the gap report names the period and leaves the 150002 points out
+    assert len(out.encode()) < 10_000
+    payload = json.loads(out)
     assert payload["tower"]["cycle_period"] == 150002
     gap = payload["gap_fixed_point"]
     assert not gap["ok"]
+    assert (gap["period"], gap["cycle"]) == (150002, None)
     assert gap["reason"] == "critical value cycle has period 150002, not 2"
 
 

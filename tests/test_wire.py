@@ -47,7 +47,8 @@ def test_none_passes_through(stunted_tent):
     report = gap_fixed_point(stunted_tent(F(3, 5)))
     payload = report.to_json()
     assert payload["p"] is None and payload["q"] is None and payload["unstable"] is None
-    assert payload["cycle"] == ["3/5"]
+    # the critical value 3/5 is fixed: a period-1 cycle has no gap to report
+    assert payload["period"] == 1 and payload["cycle"] is None
 
 
 def test_kneading_shape_goes_on_the_wire_as_its_word():

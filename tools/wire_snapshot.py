@@ -20,7 +20,7 @@ of the source must agree byte for byte where their wire format agrees:
 Scans run with relative output paths from inside OUTDIR, so their summaries
 do not name OUTDIR. The scan manifests are journals whose line order is not
 part of the deterministic surface; they are deleted. Uses the standard
-library only; a full snapshot takes 12-14 s on a 2-core x86 virtual machine
+library only; a full snapshot takes 17-18 s on a 2-core x86 virtual machine
 with Python 3.11.
 """
 
@@ -85,6 +85,8 @@ INVOCATIONS = [
     ("renorm-escape", ["renorm", "--shape", "+-+", "--w", "33/40,9/40"]),
     # a certified gap fixed point, and a tower stopped by divisibility
     ("renorm-gap", ["renorm", "--shape", "+-", "--w", "4/5"]),
+    # a critical cycle 150,002 long: the gap report gives its period alone
+    ("renorm-gap-long", ["renorm", "--shape", "+-", "--w", "300005/300007"]),
     ("classify-finite", ["classify", "--shape", "+-", "--w", "823/1000"]),
     ("classify-chaotic", ["classify", "--shape", "+-", "--w", "33/40"]),
     ("classify-partition-budget", ["classify", "--shape", "+-+", "--w", "9/10,1/10",
