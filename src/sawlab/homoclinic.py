@@ -21,6 +21,12 @@ means any candidate's whole forward chain must stay inside the matching
 orbit-point's unstable set, so tree nodes outside it can be dropped with all
 their descendants. On zero-entropy maps the pruned tree is finite, which is
 what makes a definitive "no homoclinic point" answer possible.
+
+The tree walks integers on the Markov system. A node x = c/(den*q) is the
+reduced pair (c, q); the branch (s, t) of a piece of f inverts to
+(sign(s)(c - tq), |s|q), and a flat piece at x's height adds its ends and
+midpoint. Every unstable set is a pair of partition indices, so the pruning
+test is two integer products, and only a witness becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import BudgetExceeded, ConstraintViolation
 from .markov import MarkovSystem, build_markov_system
@@ -41,22 +48,28 @@ def unstable_manifold(
 ) -> Ivl:
     """The unstable set of p under f^power, exact.
 
-    p must be a fixed point of f^power; the iterate is never composed. The
-    set is read from the Markov partition of f, built as
+    p must be a fixed point of f^power, power >= 1; the iterate is never
+    composed. The set is read from the Markov partition of f, built as
     build_markov_system(f, point_budget). Returns the degenerate interval
     when neither side of p expands.
     """
+    if power < 1:
+        raise ConstraintViolation(f"power must be >= 1, got {power}")
     p = Fraction(p)
     cycle = [p]
     for _ in range(power - 1):
         cycle.append(f(cycle[-1]))
     if f(cycle[-1]) != p:
         raise ConstraintViolation(f"{p} is not a fixed point")
-    return _unstable_set(build_markov_system(f, point_budget), cycle)
+    sys = build_markov_system(f, point_budget)
+    w = _unstable_set(sys, cycle)
+    return Ivl(p, p) if w is None else Ivl(sys.points[w[0]], sys.points[w[1]])
 
 
-def _unstable_set(sys: MarkovSystem, cycle) -> Ivl:
-    """Unstable set of cycle[0] under f^n, given its orbit cycle of length n."""
+def _unstable_set(sys: MarkovSystem, cycle) -> tuple[int, int] | None:
+    """Unstable set of cycle[0] under f^n, given its orbit cycle of length n,
+    as the indices of its ends in the partition; None when cycle[0] lies
+    off the partition and neither side expands."""
     points, image = sys.points, sys.image
     q = cycle[0]
     i = bisect_left(points, q)
@@ -67,7 +80,7 @@ def _unstable_set(sys: MarkovSystem, cycle) -> Ivl:
         for p in cycle:
             slope *= sys.slopes[bisect_left(points, p) - 1]
         if abs(slope) <= 1:
-            return Ivl(q, q)
+            return None
         lo, hi = i - 1, i
     else:
         orbit = [i]
@@ -76,15 +89,13 @@ def _unstable_set(sys: MarkovSystem, cycle) -> Ivl:
         twice = orbit + orbit
         lo = i - 1 if i > 0 and sys.side_slope(twice, -1) > 1 else i
         hi = i + 1 if i + 1 < len(points) and sys.side_slope(twice, +1) > 1 else i
-        if lo == hi:
-            return Ivl(q, q)
     while True:
         a, b = lo, hi
         for _ in cycle:
             span = image[a : b + 1]
             a, b = min(span), max(span)
         if lo <= a and b <= hi:
-            return Ivl(points[lo], points[hi])
+            return lo, hi
         lo, hi = min(lo, a), max(hi, b)
 
 
@@ -117,37 +128,56 @@ def _search_orbit(
     m_budget: int,
     frontier_budget: int,
 ) -> tuple[HomoclinicWitness | None, bool]:
-    """(witness, saturated) for one repelling orbit of sys.map."""
-    f, n = sys.map, orb.period
-    pts = orb.points
+    """(witness, saturated) for one repelling orbit of sys.map, on integer nodes."""
+    n, nums, den, pts = orb.period, sys.nums, sys.den, orb.points
     wsets = [_unstable_set(sys, pts[k:] + pts[:k]) for k in range(n)]
-    base = orb.points[0]
     w0 = wsets[0]
-    if w0.is_degenerate:
+    if None in wsets or w0[0] == w0[1]:
         return None, True
-    orbit_set = set(orb.points)
-
-    visited: set[Rat] = {base}
-    current: list[Rat] = [base]
+    lo0, hi0 = nums[w0[0]], nums[w0[1]]
+    # f's pieces from the left as [u, v, (s, t)], f(x) = s*x + t/den on
+    # [u/den, v/den]: a run of cells on one branch, a flat run as (0, height)
+    branch = dict(zip(sys.nonflat, sys.branches))
+    pieces: list[list] = []
+    for i, (u, v) in enumerate(zip(nums, nums[1:])):
+        br = branch.get(i, (0, nums[sys.image[i]]))
+        if pieces and pieces[-1][2] == br:
+            pieces[-1][1] = v
+        else:
+            pieces.append([u, v, br])
+    nodes = [((x * den).numerator, (x * den).denominator) for x in pts]
+    visited, current = {nodes[0]}, [nodes[0]]
     for k in range(1, m_budget + 1):
-        allowed = wsets[(n - k % n) % n]
-        nxt: list[Rat] = []
-        for y in current:
-            pts, flats = f.preimages_of_point(y)
-            cands = list(pts)
-            for fl in flats:
-                lo = max(fl.lo, allowed.lo)
-                hi = min(fl.hi, allowed.hi)
-                if lo <= hi:
-                    cands.extend((lo, hi, (lo + hi) / 2))
-            for z in cands:
-                if not allowed.contains(z) or z in visited:
+        lo, hi = (nums[e] for e in wsets[-k % n])
+        nxt = []
+        for c, q in current:
+            # isolated preimages ascend; a flat at the node's height drops those on
+            # it and adds its ends and midpoint in the allowed set
+            found, flats = [], []
+            for u, v, (s, t) in pieces:
+                if s == 0:
+                    if t * q == c:
+                        flats.append((u, v))
+                    continue
+                x, r = (c - t * q, s * q) if s > 0 else (t * q - c, -s * q)
+                if u * r <= x <= v * r:
+                    found.append((x, r))
+            cands = [(x, r) for x, r in found if not any(u * r <= x <= v * r for u, v in flats)]
+            for u, v in flats:
+                a, b = max(u, lo), min(v, hi)
+                if a <= b:
+                    cands += [(a, 1), (b, 1), (a + b, 2)]
+            for x, r in cands:
+                g = gcd(x, r)
+                z = (x // g, r // g)
+                if not lo * r <= x <= hi * r or z in visited:
                     continue
                 visited.add(z)
                 if len(visited) > frontier_budget:
                     return None, False
-                if k % n == 0 and z not in orbit_set and w0.lo < z < w0.hi:
-                    return HomoclinicWitness(orbit=orb, x=z, m=k, unstable=w0), True
+                if k % n == 0 and z not in nodes and lo0 * z[1] < z[0] < hi0 * z[1]:
+                    unstable = Ivl(sys.points[w0[0]], sys.points[w0[1]])
+                    return HomoclinicWitness(orb, Fraction(z[0], den * z[1]), k, unstable), True
                 nxt.append(z)
         if not nxt:
             return None, True

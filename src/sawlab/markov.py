@@ -299,8 +299,15 @@ def _perron_bracket(
     bits = 62 - max(len(comp), max(map(len, inside))).bit_length()
     peak = max(v)
     v = [max(round(ldexp(x / peak, bits)), 1) for x in v]
-    ratios = [Fraction(sum(v[u] for u in row), x) for row, x in zip(inside, v)]
-    return min(ratios), max(ratios), root, p
+    # the ends of the ratios (Av)_i / v_i, compared by cross-multiplying
+    lo = hi = (sum(v[u] for u in inside[0]), v[0])
+    for row, x in zip(inside, v):
+        av = sum(v[u] for u in row)
+        if av * lo[1] < lo[0] * x:
+            lo = (av, x)
+        elif av * hi[1] > hi[0] * x:
+            hi = (av, x)
+    return Fraction(*lo), Fraction(*hi), root, p
 
 
 def _components(succ: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -36,26 +36,12 @@ class Ivl(Wire):
         if self.lo > self.hi:
             raise StructureError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
-    def contains(self, x: Rat) -> bool:
-        return self.lo <= x <= self.hi
-
     def contains_interval(self, other: "Ivl") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
     @property
     def length(self) -> Rat:
         return self.hi - self.lo
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.lo == self.hi
-
-    def interior_intersects(self, other: "Ivl") -> bool:
-        """True iff the open interiors overlap. Degenerate intervals never do."""
-        return max(self.lo, other.lo) < min(self.hi, other.hi)
-
-    def hull(self, other: "Ivl") -> "Ivl":
-        return Ivl(min(self.lo, other.lo), max(self.hi, other.hi))
 
 
 @dataclass(frozen=True)
@@ -121,27 +107,8 @@ class PiecewiseLinearMap:
         x = Fraction(x)
         if not (ZERO <= x <= ONE):
             raise DomainError(f"{x} outside [0, 1]")
-        return self._value(x)
-
-    def _value(self, x: Rat) -> Rat:
-        """f at a Fraction x already known to lie in [0, 1]."""
         i = self._piece_index(x)
         return self.values[i] + self.slopes[i] * (x - self.breakpoints[i])
-
-    def iterate(self, x, n: int) -> Rat:
-        x = Fraction(x)
-        for _ in range(n):
-            x = self(x)
-        return x
-
-    def orbit(self, x, n: int) -> tuple[Rat, ...]:
-        """x, f(x), ..., f^n(x): n+1 points."""
-        x = Fraction(x)
-        pts = [x]
-        for _ in range(n):
-            x = self(x)
-            pts.append(x)
-        return tuple(pts)
 
     def orbit_eventually_periodic(self, x, max_steps: int = 100_000) -> OrbitRecord:
         """Follow x until the orbit revisits a point; exact detection.
@@ -229,37 +196,6 @@ class PiecewiseLinearMap:
             return self.slopes[-1]
         i = bisect_right(self.breakpoints, x) - 1
         return self.slopes[min(i, self.piece_count - 1)]
-
-    def image_of_interval(self, ivl: Ivl) -> Ivl:
-        """Exact image f([a, b]): extremes occur at endpoints or breakpoints."""
-        if not (ZERO <= ivl.lo and ivl.hi <= ONE):
-            raise DomainError(f"{ivl} outside [0, 1]")
-        cand = [self._value(ivl.lo), self._value(ivl.hi)]
-        i = bisect_right(self.breakpoints, ivl.lo)
-        while i < len(self.breakpoints) and self.breakpoints[i] < ivl.hi:
-            cand.append(self.values[i])
-            i += 1
-        return Ivl(min(cand), max(cand))
-
-    def preimages_of_point(self, y) -> tuple[tuple[Rat, ...], tuple[Ivl, ...]]:
-        """All solutions of f(x) = y: isolated points plus flat intervals."""
-        y = Fraction(y)
-        pts: list[Rat] = []
-        flats: list[Ivl] = []
-        for i, s in enumerate(self.slopes):
-            b0, b1 = self.breakpoints[i], self.breakpoints[i + 1]
-            v0 = self.values[i]
-            if s == 0:
-                if v0 == y:
-                    flats.append(Ivl(b0, b1))
-                continue
-            x = b0 + (y - v0) / s
-            if b0 <= x <= b1:
-                pts.append(x)
-        pts = sorted(set(pts))
-        # drop points swallowed by a flat preimage interval
-        out_pts = tuple(p for p in pts if not any(f.contains(p) for f in flats))
-        return out_pts, tuple(flats)
 
     # --- composition ---
 

@@ -35,6 +35,8 @@ from sawlab import (
 )
 from sawlab.orbits import markov_orbit_inventory
 
+from oracles import contains
+
 TENT = Shape.from_string("+-")
 
 
@@ -185,8 +187,8 @@ def test_criterion_6_gap_orbits_expand_onto_deeper_blocks(boundary):
             if orb.period not in (2**n, 2 ** (n + 1)):
                 continue
             for x in orb.points:
-                if any(b.contains(x) for b in cur) and not any(
-                    b.contains(x) for b in nxt
+                if any(contains(b, x) for b in cur) and not any(
+                    contains(b, x) for b in nxt
                 ):
                     manifold = unstable_manifold(f, x, power=orb.period)
                     if any(manifold.contains_interval(b) for b in nxt):

@@ -217,6 +217,8 @@ def test_refine_on_the_benchmark_brackets_is_pinned(word, lo, hi, monkeypatch):
         ("+-", ["33/40"], "Chaotic"),
         ("+-", [REFINED_MIDPOINTS["+-"]], "Boundary2Inf"),
         ("+-+-", ["1", "1/20", "1"], "Chaotic"),
+        # the homoclinic tree meets a flat preimage; the witness is 1/8
+        ("+-+-", ["1/2", "0", "1/10"], "Chaotic"),
     ],
 )
 def test_classify_evaluates_no_fraction_map(word, w, verdict, monkeypatch):
@@ -229,13 +231,14 @@ def test_classify_evaluates_no_fraction_map(word, w, verdict, monkeypatch):
         raise AssertionError("classify evaluated the Fraction map")
 
     # the graph, the orbits read off it and the tower never call back into f,
-    # and the tower walks the critical cycle and tests overlaps and successors
-    # on integers
-    names = ("__call__", "left_slope", "right_slope", "orbit_eventually_periodic",
-             "image_of_interval")
-    for name in names:
+    # the tower walks the critical cycle and tests overlaps and successors on
+    # integers, and the homoclinic tree inverts the branches on integers; the
+    # Fraction inverse and interval routes are gone from the package
+    for name in ("__call__", "left_slope", "right_slope", "orbit_eventually_periodic"):
         monkeypatch.setattr(PiecewiseLinearMap, name, refuse)
-    monkeypatch.setattr(Ivl, "interior_intersects", refuse)
+    assert not hasattr(PiecewiseLinearMap, "preimages_of_point")
+    assert not hasattr(PiecewiseLinearMap, "image_of_interval")
+    assert not hasattr(Ivl, "interior_intersects")
     record = classify(m)
     assert record.verdict == verdict
     assert json.dumps(record.to_json(), sort_keys=True) == expected

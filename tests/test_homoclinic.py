@@ -1,5 +1,7 @@
 """Homoclinic witnesses and unstable manifolds."""
 
+import itertools
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +17,11 @@ from sawlab import (
     find_homoclinic,
     unstable_manifold,
 )
+from sawlab import homoclinic
 from sawlab.orbits import periodic_orbits
+
+import oracles
+from oracles import contains, hull, image_of_interval, iterate
 
 
 def test_tent_has_a_certified_witness(tent):
@@ -33,8 +39,8 @@ def test_witness_is_genuinely_homoclinic(tent):
     w = find_homoclinic(tent, period_bound=2, m_budget=8).witness
     p = w.orbit.points[0]
     assert w.x != p
-    assert w.unstable.contains(w.x)
-    assert tent.iterate(w.x, w.m) == p
+    assert contains(w.unstable, w.x)
+    assert iterate(tent, w.x, w.m) == p
 
 
 def test_zero_entropy_map_has_no_witness(stunted_tent):
@@ -58,6 +64,13 @@ def test_unstable_manifold_under_iterate_power(tent):
     # the repelling period-2 point 2/5 expands under f^2 until it covers
     # the whole interval
     assert unstable_manifold(tent, F(2, 5), power=2) == Ivl(F(0), F(1))
+
+
+@pytest.mark.parametrize("power", [0, -5])
+def test_unstable_manifold_refuses_a_power_below_one(tent, power):
+    # 2/3 is fixed, so every power >= 1 is a valid question; 0 and -5 are not
+    with pytest.raises(ConstraintViolation):
+        unstable_manifold(tent, F(2, 3), power=power)
 
 
 def test_minimal_budget_still_finds_a_one_step_witness(tent):
@@ -117,15 +130,15 @@ def _reference_unstable_hull(f, q, n, radius=_RADIUS):
     set of q plus, on a side that does not expand, a collar that shrinks
     with the radius.
     """
-    hull = Ivl(max(F(0), q - radius), min(F(1), q + radius))
+    span = Ivl(max(F(0), q - radius), min(F(1), q + radius))
     while True:
-        image = hull
+        image = span
         for _ in range(n):
-            image = f.image_of_interval(image)
-        grown = hull.hull(image)
-        if grown == hull:
-            return hull
-        hull = grown
+            image = image_of_interval(f, image)
+        grown = hull(span, image)
+        if grown == span:
+            return span
+        span = grown
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -153,3 +166,52 @@ def test_unstable_sets_match_the_imaged_neighbourhood(case):
                 assert ref.contains_interval(w), (word, heights, q)
                 assert w.lo == ref.lo or (w.lo == q and q - ref.lo < _COLLAR), (word, heights, q)
                 assert w.hi == ref.hi or (w.hi == q and ref.hi - q < _COLLAR), (word, heights, q)
+
+
+# the defaults, a shorter sweep, and a tree cut at depth 2 or at four nodes
+_SEARCH_BUDGETS = [{}, {"period_bound": 3, "m_budget": 12, "frontier_budget": 300},
+                   {"m_budget": 2, "frontier_budget": 4}]
+
+
+def _report_json(f, reference):
+    """find_homoclinic's reports under each budget, with the Fraction
+    reference tree in place of the integer one when reference is set."""
+    with pytest.MonkeyPatch.context() as mp:
+        if reference:
+            mp.setattr(homoclinic, "_search_orbit", oracles.search_orbit)
+        return [json.dumps(find_homoclinic(f, **b).to_json(), sort_keys=True) for b in _SEARCH_BUDGETS]
+
+
+def _member(word, nums, den):
+    try:
+        return StuntedSawtoothMap(Shape.from_string(word), [F(k, den) for k in nums]).map
+    except ConstraintViolation:
+        return None
+
+
+def test_integer_tree_reports_what_the_fraction_tree_reports_on_the_k10_grid():
+    maps = (_member("+-+-", ks, 10) for ks in itertools.product(range(11), repeat=3))
+    maps = [f for f in maps if f is not None]
+    witnesses = 0
+    for f in maps:
+        new = _report_json(f, reference=False)
+        assert new == _report_json(f, reference=True), f.to_json()
+        witnesses += '"witness": null' not in new[0]
+    # the grid holds both sides of the boundary of chaos
+    assert 0 < witnesses < len(maps)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(["+-", "+-+", "+-+-"]).flatmap(
+        lambda word: st.tuples(
+            st.just(word),
+            st.lists(st.integers(0, 20), min_size=len(word) - 1, max_size=len(word) - 1),
+        )
+    )
+)
+@example(case=("+-+-", [10, 0, 2]))  # the tree meets a flat preimage; witness 1/8
+def test_integer_tree_reports_what_the_fraction_tree_reports(case):
+    f = _member(*case, 20)
+    assume(f is not None)
+    assert _report_json(f, reference=False) == _report_json(f, reference=True)

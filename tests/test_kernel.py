@@ -15,6 +15,8 @@ from sawlab import (
     StuntedSawtoothMap,
 )
 
+from oracles import contains
+
 
 def _walk_record(m, x, max_steps):
     """The walk from x, a point of (1/m.den)Z, read as the orbit record of
@@ -29,7 +31,7 @@ def _fraction_ranks(m, x, n):
     """Ranks of x, f(x), ..., f^(n-1)(x), read off the plateau intervals."""
     out = []
     for _ in range(n):
-        out.append(sum(2 * (x > p.interval.hi) + p.interval.contains(x) for p in m.plateaus))
+        out.append(sum(2 * (x > p.interval.hi) + contains(p.interval, x) for p in m.plateaus))
         x = m.map(x)
     return tuple(out)
 

@@ -30,6 +30,8 @@ from sawlab.orbits import (
     periodic_orbits,
 )
 
+from oracles import iterate
+
 
 def test_fixed_points_of_stunted_tent(stunted_tent):
     orbits = periodic_points(stunted_tent(F(4, 5)).map, 1)
@@ -182,7 +184,7 @@ def test_structural_inventory_refuses_branching_graphs(tent):
 
 def _plateau_is_periodic(f):
     return any(
-        f.iterate(f(plat.lo), n) == f(plat.lo) for plat in f.plateaus() for n in range(1, 65)
+        iterate(f, f(plat.lo), n) == f(plat.lo) for plat in f.plateaus() for n in range(1, 65)
     )
 
 
