@@ -16,12 +16,20 @@ orbits continue from the same plateau value.
 The orbits are walked by StuntedSawtoothMap, exactly, on integers over the
 heights' common denominator; the rank fixes the sign vector, so no point is
 compared with a plateau as a Fraction and no map is built.
+
+Realization runs backwards, from ranks to heights, on a parameter line
+w(t) = w0 + t·v. The heights, the plateau edges and, along fixed ranks, the
+orbit point are affine in t, so the t whose orbit has a given rank prefix
+form one interval with exact ends (`itinerary_cylinder`). realize_kneading
+moves each height to the midpoint of its row's cylinder; nothing is
+bisected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 
 from .errors import ConstraintViolation, KneadingNotRealizable
 from .family import Shape, StuntedSawtoothMap
@@ -138,17 +146,158 @@ def compare_kneading(a: KneadingData, b: KneadingData, orbit: int | None = None)
     return None
 
 
-def _admissible_bracket(shape: Shape, w: list[Rat], i: int) -> tuple[Rat, Rat]:
-    """Open range of w_i keeping the height constraints, other coords fixed."""
-    lo, hi = ZERO, ONE
-    kind = shape.turning_kind(i)
-    for j in (i - 1, i + 1):
-        if 1 <= j <= shape.d:
-            if kind == "max":
-                lo = max(lo, w[j - 1])
-            else:
-                hi = min(hi, w[j - 1])
-    return lo, hi
+@dataclass(frozen=True)
+class Cylinder:
+    """An interval of the line parameter t from lo to hi, each end closed or
+    open; lo == hi only as a closed point."""
+
+    lo: Rat
+    hi: Rat
+    lo_closed: bool
+    hi_closed: bool
+
+    @property
+    def midpoint(self) -> Rat:
+        return (self.lo + self.hi) / 2
+
+
+class _Line:
+    """The heights and plateau edges of w(t) = w0 + t·v as affine forms
+    (a, b), meaning a + b·t, in Fractions: heights[j-1] is w_j, and lo[j-1]
+    and hi[j-1] are the ends of plateau j."""
+
+    def __init__(self, shape: Shape, w0, v):
+        d = shape.d
+        w0, v = tuple(Fraction(x) for x in w0), tuple(Fraction(x) for x in v)
+        if len(w0) != d or len(v) != d:
+            raise ConstraintViolation(f"need {d} heights and {d} direction coordinates")
+        if not any(v):
+            raise ConstraintViolation("the direction v must be nonzero")
+        n = d + 1
+        self.shape = shape
+        self.n = n
+        self.heights = tuple(zip(w0, v))
+        # plateau j reaches half_j / n to either side of j / n, with
+        # half_j = 1 - w_j at a max and w_j at a min
+        halves = [(1 - a, -b) if s > 0 else (a, b) for s, (a, b) in zip(shape.signs, self.heights)]
+        self.lo = tuple(((j - a) / n, -b / n) for j, (a, b) in enumerate(halves, start=1))
+        self.hi = tuple(((j + a) / n, b / n) for j, (a, b) in enumerate(halves, start=1))
+
+    def admissibility(self):
+        """(a, b, strict): a + b·t >= 0, or > 0 when strict, keeps w(t)
+        admissible."""
+        for a, b in self.heights:
+            yield a, b, False
+            yield 1 - a, -b, False
+        h, signs = self.heights, self.shape.signs
+        for j in range(1, self.shape.d):
+            # (w_j - w_{j+1}) * s_{j+1} < 0
+            s = signs[j]
+            yield s * (h[j][0] - h[j - 1][0]), s * (h[j][1] - h[j - 1][1]), True
+
+    def conditions(self, x, r: int):
+        """(a, b, strict) conditions for the point x to have rank r."""
+        (xa, xb), d = x, self.shape.d
+        if r % 2:
+            (la, lb), (ha, hb) = self.lo[r // 2], self.hi[r // 2]
+            yield xa - la, xb - lb, False
+            yield ha - xa, hb - xb, False
+        else:
+            k = r // 2
+            if k >= 1:
+                ha, hb = self.hi[k - 1]
+                yield xa - ha, xb - hb, True
+            if k < d:
+                la, lb = self.lo[k]
+                yield la - xa, lb - xb, True
+
+    def image(self, x, r: int):
+        """The image of the point x of rank r."""
+        if r % 2:
+            return self.heights[r // 2]
+        k = r // 2
+        (a, b), n = x, self.n
+        if self.shape.signs[k] > 0:
+            return n * a - k, n * b
+        return k + 1 - n * a, -n * b
+
+    def ranks_beside(self, orbit: int, t: Rat, side: int, depth: int) -> tuple[int, ...]:
+        """The first depth ranks of orbit's critical value at t + side·ε for
+        every small enough ε > 0, or at t itself when side is 0: a condition
+        that holds with equality at t goes by its slope."""
+
+        def holds(a, b, strict) -> bool:
+            value = a + b * t
+            sign = (value > 0) - (value < 0) if value else side * ((b > 0) - (b < 0))
+            return sign > 0 or (sign == 0 and not strict)
+
+        x = self.heights[orbit - 1]
+        out = []
+        for _ in range(depth):
+            r = next(
+                r for r in range(2 * self.shape.d + 1)
+                if all(holds(*c) for c in self.conditions(x, r))
+            )
+            out.append(r)
+            x = self.image(x, r)
+        return tuple(out)
+
+    def cylinders(self, orbit: int, ranks):
+        """Yield the cylinder of each prefix of ranks, the empty prefix's (the
+        admissible range) first, and stop at the first empty one.
+
+        Along fixed ranks the orbit point is affine in t, so each step meets
+        the cylinder with at most two half-lines."""
+        lo, hi, lo_closed, hi_closed = -inf, inf, True, True
+
+        def meet(conditions) -> bool:
+            nonlocal lo, hi, lo_closed, hi_closed
+            for a, b, strict in conditions:
+                if not b:
+                    if a < 0 or (strict and not a):
+                        return False
+                    continue
+                t = -a / b
+                if b > 0:
+                    if t > lo:
+                        lo, lo_closed = t, not strict
+                    elif t == lo and strict:
+                        lo_closed = False
+                elif t < hi:
+                    hi, hi_closed = t, not strict
+                elif t == hi and strict:
+                    hi_closed = False
+            return lo < hi or (lo == hi and lo_closed and hi_closed)
+
+        if not meet(self.admissibility()):
+            return
+        yield Cylinder(lo, hi, lo_closed, hi_closed)
+        x = self.heights[orbit - 1]
+        for r in ranks:
+            if not meet(self.conditions(x, r)):
+                return
+            yield Cylinder(lo, hi, lo_closed, hi_closed)
+            x = self.image(x, r)
+
+
+def itinerary_cylinder(shape: Shape, w0, v, orbit: int, ranks) -> Cylinder | None:
+    """The set of t for which w(t) = w0 + t·v is admissible and the critical
+    orbit `orbit` has the rank prefix `ranks`, or None when it is empty.
+
+    On the line every height and every plateau edge is affine in t. Along
+    fixed ranks so is the orbit point: a lap multiplies it by ±(d+1) and adds
+    an offset, and plateau j resets it to w_j(t). Each step is then at most
+    two linear inequalities in t, and admissibility adds its own
+    (0 <= w_j <= 1, strict pair order), so the set is one interval with
+    exact ends. An end set by a plateau hit or by 0 <= w_j <= 1 is closed,
+    one set by a gap or by the pair order open."""
+    if type(orbit) is not int or not 1 <= orbit <= shape.d:
+        raise ConstraintViolation(f"no critical orbit {orbit!r}")
+    ranks = tuple(ranks)
+    if not all(type(r) is int and 0 <= r <= 2 * shape.d for r in ranks):
+        raise ConstraintViolation(f"ranks must be integers in 0..{2 * shape.d}")
+    cells = list(_Line(shape, w0, v).cylinders(orbit, ranks))
+    return cells[-1] if len(cells) == len(ranks) + 1 else None
 
 
 def realize_kneading(
@@ -158,135 +307,92 @@ def realize_kneading(
 ) -> tuple[Rat, ...]:
     """Heights whose kneading data matches the target to the given depth.
 
-    Coordinatewise bisection, one depth at a time: stage n adjusts each height
-    to match that orbit's itinerary truncated at n, bracketing inside the
-    admissible range down to width tol. Matching at depth n is a prefix
-    condition, so each stage refines inside the parameter cell the previous
-    stage found and earlier matches are never lost. Going depth by depth
-    matters: with the other heights far off, a row can jump past its target
-    with no match anywhere, and the wide depth-1 cells give every coordinate
-    a hittable target before the cells shrink. If some stage stalls without
-    matching, the search reports failure.
+    Coordinatewise sweeps, one depth at a time: stage n moves each height
+    whose row does not yet match the target truncated at n to the midpoint of
+    that row's target cylinder along its own axis (`itinerary_cylinder` with
+    v = e_i). Matching at depth n is a prefix condition, so each stage refines
+    inside the cell the previous stage found and earlier matches are never
+    lost. Going depth by depth matters: with the other heights far off, a
+    row's target cylinder can be empty, and the wide depth-1 cells give every
+    coordinate a reachable target before the cells shrink. If some stage
+    stalls without matching, the search reports failure.
 
-    A probe walks one row, orbit i up to the current stage, on the integers
-    of the trial member; no Fraction map is built.
+    A row is first probed at its current height, walking orbit i up to the
+    current stage on the integers of the member; no Fraction map is built.
+    Every height is an exact point: a cylinder midpoint, or the midpoint of
+    the cell next to an end of a cylinder when the row parks.
+
+    tol is not read: the cylinders are exact, so no height is bisected. It
+    stays in the signature, and a value that is not positive is still
+    refused, because the benchmark's crosscheck workload passes it
+    positionally; it goes once that call drops it.
     """
     shape = target.shape
     if depth is None:
         depth = target.depth
     if not 1 <= depth <= target.depth:
         raise ConstraintViolation(f"depth must be in 1..{target.depth}")
-    tol = Fraction(1, 10**12) if tol is None else Fraction(tol)
-    if tol <= 0:
+    if tol is not None and Fraction(tol) <= 0:
         raise ConstraintViolation("tol must be positive")
     d = shape.d
     # admissible seed: staggered heights, maxes high, mins low
     w: list[Rat] = []
     for i in range(1, d + 1):
         w.append(Fraction(2, 3) if shape.turning_kind(i) == "max" else Fraction(1, 3))
+    axes = [tuple(ONE if j == i else ZERO for j in range(d)) for i in range(d)]
 
     tgt_ranks = [target.row_ranks(i)[:depth] for i in range(1, d + 1)]
     tgt_signs = tuple(tuple(row[:depth]) for row in target.signs)
     stage = 1
 
-    def ranks_at(i: int, wi: Rat) -> tuple[int, ...]:
-        # the constructor checks the trial heights: an inadmissible one
-        # raises the ConstraintViolation that run_stage catches at a bracket end
-        trial = w.copy()
-        trial[i - 1] = wi
-        m = StuntedSawtoothMap(shape, trial)
-        return m.ranks(m.heights[i - 1], stage)
+    def row_cmp(i: int, ranks) -> int:
+        return compare_orbit_itineraries(shape, ranks, tgt_ranks[i - 1][:stage])
 
-    def row_cmp(i: int, wi: Rat) -> int:
-        return compare_orbit_itineraries(
-            shape, ranks_at(i, wi), tgt_ranks[i - 1][:stage]
-        )
+    def beside(line: _Line, i: int, cell: Cylinder, upper: bool):
+        # the ranks next to one end of cell, from inside it, and their cylinder
+        side = 0 if cell.lo == cell.hi else -1 if upper else 1
+        ranks = line.ranks_beside(i, cell.hi if upper else cell.lo, side, stage)
+        *_, near = line.cylinders(i, ranks)
+        return ranks, near
 
-    def band_edge(i: int, z: Rat, far: Rat) -> Rat:
-        # boundary of the matching interval between a matching point z and a
-        # non-matching point far, from the matching side
-        a, b = z, far
-        while abs(b - a) > tol:
-            mid = (a + b) / 2
-            if row_cmp(i, mid) == 0:
-                a = mid
-            else:
-                b = mid
-        return a
+    def park(line: _Line, i: int, cells: list[Cylinder]) -> Rat:
+        # the row's target cylinder is empty while other heights are still
+        # wrong. An open end is not admissible, so the row parks in the cell
+        # next to an end, at its midpoint, never on the end itself: parking at
+        # the edge of a band can pin a neighbor's matching set to a single
+        # point (a height of 1 shrinks that plateau to a point).
+        lo_ranks, lo_cell = beside(line, i, cells[0], upper=False)
+        hi_ranks, hi_cell = beside(line, i, cells[0], upper=True)
+        ca, cb = row_cmp(i, lo_ranks), row_cmp(i, hi_ranks)
+        if ca == cb:
+            # out of reach: park next to the end that falls short the least
+            direction = compare_orbit_itineraries(shape, hi_ranks, lo_ranks)
+            return (hi_cell if (ca < 0) == (direction >= 0) else lo_cell).midpoint
+        # the row jumps past its target. On the longest cylinder of a target
+        # prefix the first differing rank cannot cross the target's, so the
+        # verdict is constant there and flips beyond the end that faces the
+        # admissible end comparing the other way; park next to that end
+        ranks, near = beside(line, i, cells[-1], upper=False)
+        if row_cmp(i, ranks) == ca:
+            _, near = beside(line, i, cells[-1], upper=True)
+        return near.midpoint
 
     def run_stage() -> bool:
         stage_signs = tuple(row[:stage] for row in tgt_signs)
         for _ in range(MAX_SWEEPS):
             moved = False
+            m = StuntedSawtoothMap(shape, w)
             for i in range(1, d + 1):
-                if row_cmp(i, w[i - 1]) == 0:
+                if row_cmp(i, m.ranks(m.heights[i - 1], stage)) == 0:
                     continue
-                lo, hi = _admissible_bracket(shape, w, i)
-                span = hi - lo
-                if span <= 0:
-                    continue
-                # pair constraints are strict, so the bracket end shared
-                # with a neighbor height is only approachable; the outer end
-                # (0 or 1) is a legal height and targets generated there
-                # need the exact probe
-                try:
-                    ca = row_cmp(i, lo)
-                except ConstraintViolation:
-                    lo = lo + span / 1024
-                    ca = row_cmp(i, lo)
-                try:
-                    cb = row_cmp(i, hi)
-                except ConstraintViolation:
-                    hi = hi - span / 1024
-                    cb = row_cmp(i, hi)
-                # the matching set is an interval: each row's itinerary is
-                # monotone in its own height.  Settle on its midpoint, never
-                # an endpoint: parking at the edge of the band can pin a
-                # neighbor's matching set to a single point (a height of 1
-                # shrinks that plateau to a point) and strand the sweep.
-                if ca == 0 and cb == 0:
-                    target = (lo + hi) / 2
-                elif ca == 0:
-                    target = (lo + band_edge(i, lo, hi)) / 2
-                elif cb == 0:
-                    target = (band_edge(i, hi, lo) + hi) / 2
-                elif ca == cb:
-                    # the target row is out of reach while the other heights
-                    # are still wrong; park at the end that falls short the
-                    # least so the next sweep starts from there
-                    direction = compare_orbit_itineraries(
-                        shape, ranks_at(i, hi), ranks_at(i, lo)
-                    )
-                    if ca < 0:
-                        target = hi if direction >= 0 else lo
-                    else:
-                        target = lo if direction >= 0 else hi
-                else:
-                    a, b = lo, hi
-                    if ca > cb:
-                        a, b = b, a
-                    z = None
-                    while abs(b - a) > tol:
-                        mid = (a + b) / 2
-                        c = row_cmp(i, mid)
-                        if c == 0:
-                            z = mid
-                            break
-                        if c < 0:
-                            a = mid
-                        else:
-                            b = mid
-                    if z is None:
-                        # the row jumps past its target here because another
-                        # height is still wrong; move to the jump locus
-                        # anyway so the next sweep sees the neighbor
-                        # constraint from the right side
-                        target = (a + b) / 2
-                    else:
-                        target = (band_edge(i, z, a) + band_edge(i, z, b)) / 2
-                moved = moved or w[i - 1] != target
-                w[i - 1] = target
-            if _signs(StuntedSawtoothMap(shape, w), stage) == stage_signs:
+                line = _Line(shape, w, axes[i - 1])
+                cells = list(line.cylinders(i, tgt_ranks[i - 1][:stage]))
+                t = cells[-1].midpoint if len(cells) > stage else park(line, i, cells)
+                if t:
+                    w[i - 1] += t
+                    m = StuntedSawtoothMap(shape, w)
+                    moved = True
+            if _signs(m, stage) == stage_signs:
                 return True
             if not moved:
                 return False

@@ -1,18 +1,23 @@
-"""Kneading data, itinerary order, realization by height bisection."""
+"""Kneading data, itinerary order, itinerary cylinders and realization."""
 
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sawlab import (
+    ConstraintViolation,
     KneadingNotRealizable,
     PiecewiseLinearMap,
     Shape,
     StuntedSawtoothMap,
     compare_kneading,
+    itinerary_cylinder,
     kneading_data,
     realize_kneading,
 )
+from sawlab import kneading as kneading_module
 
 
 def test_tent_kneading_row(tent_shape):
@@ -99,8 +104,6 @@ def test_unrealizable_target_raises(tent_shape):
 
 def test_depth_bounds_validated(stunted_tent):
     target = kneading_data(stunted_tent(F(4, 5)), 4)
-    from sawlab import ConstraintViolation
-
     with pytest.raises(ConstraintViolation):
         realize_kneading(target, 9)
     with pytest.raises(ConstraintViolation):
@@ -118,7 +121,7 @@ def test_kneading_evaluates_no_fraction_map(monkeypatch):
     assert kneading_data(StuntedSawtoothMap(shape, list(w)), 12).signs == target.signs
 
 
-# shape, heights and the heights realize_kneading(target, 12, 1e-12) returns
+# shape, heights and the heights realize_kneading(target, 12) returns
 # for their depth-12 kneading data, on the 20 maps of acceptance criterion 8
 REALIZED_CRITERION_8 = (
     ("+-", ("9/32",), (
@@ -128,41 +131,30 @@ REALIZED_CRITERION_8 = (
         "2/3",
     )),
     ("+-+", ("1", "1/32"), (
-        "469219374135208277817374379382734777617261392742174127736608252791282038"
-        "507228242672115345835307394118762287707148988735523550561422095124329221"
-        "807138297525846719439357314387958296962448471212914244048250603265369301"
-        "203003612659225350245729778096497250437/46921980180029376437319735596932"
-        "855383198497459684397104236871192266447266370198174671313741127071130303"
-        "462619904409141369891816664389020386009130666499407250248293266193141108"
-        "353927186807158826999873549486891413464564619029278856995403836795247485"
-        "4129664",
-        "330182528700747232240229178210644299776993967829025355213633047935421928"
-        "233533720686249290964426314042993129917576305577893969398413230840762947"
-        "482755928010242137158834130429540905791190469036811932664933425447053791"
-        "82373701117354017112175792454350717043808379905384657/105658906227133049"
-        "270467956983303321303769465207224304425592141805334780511344971894883451"
-        "177531437578934878998651425735776469511900537107450107795692587915381677"
-        "336799801016833746303535285288210604846581642237680829605658550312347767"
-        "6793797534072952979077161795475996672",
+        "5655817818631389659968261516635505019632360750172299748509381556953/5655"
+        "822973568605969780402592276422477009285142676806892939649843200",
+        "187857629826859747696008959452253721967710591628268466259029214497867047"
+        "/60114724337925470503721338680839484752085830110186098639814809046401024"
+        "00",
     )),
     ("-+-", ("5/64", "1/4"), (
-        "1099511627775/8796093022208",
-        "2475882407971806159111482309/9903520314283042199192993792",
+        "1/8",
+        "1062883/4251528",
     )),
     ("+-+", ("1/2", "1/32"), (
-        "469491465060267/1125899906842624",
-        "29366688709415445496780898655/1267650600228229401496703205376",
+        "5/12",
+        "5/216",
     )),
     ("+-+", ("41/64", "5/64"), (
         "2/3",
-        "125099989648953/1125899906842624",
+        "1/9",
     )),
     ("+-", ("45/64",), (
-        "1612617054071/2199023255552",
+        "11/15",
     )),
     ("+-+", ("21/32", "11/64"), (
         "2/3",
-        "193413398631013/1125899906842624",
+        "1141/6642",
     )),
     ("-+", ("27/32",), (
         "1/3",
@@ -172,75 +164,218 @@ REALIZED_CRITERION_8 = (
         "1/3",
     )),
     ("+-", ("45/64",), (
-        "1612617054071/2199023255552",
+        "11/15",
     )),
     ("-+-", ("41/64", "7/8"), (
-        "475749230902109950614534642624129705314074353/71362384635297994052914298"
-        "4724747568191373312",
-        "554597137599963123854455400843/633825300114114700748351602688",
+        "2/3",
+        "7/8",
     )),
     ("-+-", ("3/32", "5/16"), (
-        "1099511627775/8796093022208",
-        "3301173438093120501827489549/9903520314283042199192993792",
+        "1/8",
+        "1/3",
     )),
     ("-+-", ("49/64", "27/32"), (
-        "128385936180947794938742249018923/162259276829213363391578010288128",
-        "126100789566379019/144115188075855872",
+        "19/24",
+        "7/8",
     )),
     ("-+-", ("17/32", "41/64"), (
-        "594224950833635/1125899906842624",
+        "19/36",
         "2/3",
     )),
     ("-+", ("7/32",), (
-        "586406201481/2199023255552",
+        "4/15",
     )),
     ("-+-", ("43/64", "53/64"), (
-        "475749230902109950614534642624129705314074353/71362384635297994052914298"
-        "4724747568191373312",
-        "554597137599963123854455400843/633825300114114700748351602688",
+        "2/3",
+        "7/8",
     )),
     ("+-+", ("31/32", "0"), (
-        "116366528504794329422590278810941766433599145986819062210453736389883023"
-        "641271616667891567758889977656693656320161586202962581728960555698392451"
-        "751198070674864482634246012012421881193576825945096882603325353871261611"
-        "299239049746833203101516225968998603115959/12012026926087520367953852312"
-        "814810978098815349679205658684639025220210500190770732715856317728530209"
-        "357686430695528740190692305066083589218818337450623848256063563076145444"
-        "123738605359822632659711967628668644201846928542471495387390823382219583"
-        "3562657193984",
-        "246531658108888923083823746745735136992881196147396170885386242297773716"
-        "958519402930160999462808030777035282897200879020898884987954126488582884"
-        "090654523859906242959456584983388105916814816940612526472653134750971055"
-        "398437692240244246037135665265121604380111219865979/27048679994146060613"
-        "239796987725650253764983093049421932951588302165703810904312805090163501"
-        "448048020207329023654764988358776195046537499507227595697302506337709398"
-        "220749060309439053705033033781914840724900412846292379048588879961028525"
-        "9212168722675962643753419641855148032",
+        "147935142101188269782303463490741956038572861927151313424095339791657/15"
+        "2707220286352361184070869991463406879250698852273786109370545766400",
+        "147935142101188269782303463490741956038572861927151313424095339791657/16"
+        "230975571239877036004761443826660883063174129750246632749998442528276480"
+        "0",
     )),
     ("+-+", ("63/64", "17/64"), (
-        "142820372920913806459718861662755758785800955876375848426252570729441770"
-        "30777/144740111546645244279463731260859884816587480832050705049321980009"
-        "89141204992",
-        "865740354986616370690355332656441547013570855849735440540845429379487934"
-        "0202244748351753189/3259257562135177738029513101455005057682349429865498"
-        "0010178247189670100796213387298934358016",
+        "310751/314928",
+        "97221435626831/366010083095904",
     )),
     ("-+-", ("1/32", "63/64"), (
-        "359903962843867315322751514281414512166719531653722335406972227364322211"
-        "964273034348558325696853285487965849705316557555023640078735968303681275"
-        "7776798042337381505/1151721931403058273999497857967611355870642462285290"
-        "658073793426588630420651900894801674415642596059430379753122181349151541"
-        "31611020654072038617988630148194691448832",
-        "398894697863770370796951723900409955524809560566228964037334452404683667"
-        "294243341578185560515997880875571315578276214653477477731183664449384606"
-        "8103290957430628651483443447707533/4052261297735344686047273304385899561"
-        "535592023674254785152009111026028136145418111718463914987406049109568248"
-        "643848426935932764722081811824108276205189417663145685354884286644224",
+        "10809009911397487/345897101919010320",
+        "180951755964166172676487/183823901740940763471120",
     )),
 )
 
 
-def test_realized_heights_on_the_criterion_8_targets_are_pinned():
+def _criterion_8_targets():
     for word, w, realized in REALIZED_CRITERION_8:
-        target = kneading_data(StuntedSawtoothMap(Shape.from_string(word), [F(x) for x in w]), 12)
-        assert realize_kneading(target, 12, F(1, 10**12)) == tuple(F(x) for x in realized)
+        shape = Shape.from_string(word)
+        yield shape, kneading_data(StuntedSawtoothMap(shape, [F(x) for x in w]), 12), realized
+
+
+def test_realized_heights_on_the_criterion_8_targets_are_pinned():
+    for shape, target, realized in _criterion_8_targets():
+        heights = tuple(F(x) for x in realized)
+        assert realize_kneading(target, 12, F(1, 10**12)) == heights
+        assert kneading_data(StuntedSawtoothMap(shape, heights), 12).signs == target.signs
+        # the coordinatewise bisection to 1e-12 reached 906-bit denominators
+        assert all(x.denominator.bit_length() < 906 for x in heights)
+
+
+def test_realizing_the_criterion_8_targets_builds_few_maps(monkeypatch):
+    # one member per sweep and one per move (405); the bisection built one
+    # per probe, 6,845
+    built = []
+    init = StuntedSawtoothMap.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    targets = [target for _, target, _ in _criterion_8_targets()]
+    monkeypatch.setattr(StuntedSawtoothMap, "__init__", counted)
+    for target in targets:
+        realize_kneading(target, 12)
+    assert len(built) < 1000
+
+
+def test_tol_is_not_read():
+    for _, target, _ in _criterion_8_targets():
+        coarse = realize_kneading(target, 12, F(1, 10**3))
+        assert coarse == realize_kneading(target, 12, F(1, 10**12))
+
+
+@pytest.mark.parametrize(
+    "word, w, depth",
+    [
+        # parameter cells narrower than 1e-12, which the bisection reported
+        # as not realizable to depths 41 and 27
+        ("+-", ("99912345/100000000",), 45),
+        ("+-+", ("99912345/100000000", "123457/100000000"), 30),
+    ],
+)
+def test_deep_targets_realize(word, w, depth):
+    shape = Shape.from_string(word)
+    target = kneading_data(StuntedSawtoothMap(shape, [F(x) for x in w]), depth)
+    heights = realize_kneading(target)
+    assert kneading_data(StuntedSawtoothMap(shape, heights), depth).signs == target.signs
+
+
+def _spy_on_parking(monkeypatch):
+    # ranks_beside is read only when a row parks: it records each point
+    # looked at as (height, side)
+    looked = []
+    beside = kneading_module._Line.ranks_beside
+
+    def spied(self, orbit, t, side, depth):
+        looked.append((self.heights[orbit - 1][0] + t, side))
+        return beside(self, orbit, t, side, depth)
+
+    monkeypatch.setattr(kneading_module._Line, "ranks_beside", spied)
+    return looked
+
+
+def test_a_row_out_of_reach_parks_next_to_an_end_of_its_range(monkeypatch):
+    looked = _spy_on_parking(monkeypatch)
+    shape = Shape.from_string("-+-")
+    target = kneading_data(StuntedSawtoothMap(shape, [F(49, 64), F(27, 32)]), 12)
+    heights = realize_kneading(target, 12)
+    assert kneading_data(StuntedSawtoothMap(shape, heights), 12).signs == target.signs
+    # at the seed (1/3, 2/3), row 1 cannot reach its depth-1 target: both ends
+    # of w_1's range [0, 2/3) fall short, and nothing else is looked at
+    assert looked == [(F(0), 1), (F(2, 3), -1)]
+
+
+def test_a_row_that_jumps_past_its_target_parks_next_to_a_prefix_cylinder_end(monkeypatch):
+    looked = _spy_on_parking(monkeypatch)
+    tent = Shape.from_string("+-")
+    base = kneading_data(StuntedSawtoothMap(tent, [F(1)]), 3)
+    fake = type(base)(shape=tent, depth=3, signs=(((1,), (1,), (-1,)),))
+    with pytest.raises(KneadingNotRealizable, match="depth 2"):
+        realize_kneading(fake, 3)
+    # ranks (2, 2) need w > 2/3 and w < 2/3. Near 0 the row falls short and
+    # near 1 it overshoots; the depth-1 cylinder (2/3, 1] overshoots
+    # throughout, so the row parks next to its lower end, in two sweeps: the
+    # second one does not move
+    assert looked == [(F(0), 1), (F(1), -1), (F(2, 3), 1)] * 2
+
+
+def test_itinerary_cylinder_on_the_tent():
+    tent = Shape.from_string("+-")
+    # the empty prefix is the admissible range
+    c = itinerary_cylinder(tent, [F(4, 5)], [1], 1, ())
+    assert (c.lo, c.hi, c.lo_closed, c.hi_closed) == (F(-4, 5), F(1, 5), True, True)
+    # w right of its plateau [w/2, 1 - w/2] is w > 2/3; then 2 - 2w lies on it
+    # for w <= 4/5
+    c = itinerary_cylinder(tent, [0], [1], 1, (2, 1))
+    assert (c.lo, c.hi, c.lo_closed, c.hi_closed) == (F(2, 3), F(4, 5), False, True)
+    assert itinerary_cylinder(tent, [0], [1], 1, (2, 2)) is None
+    # w = 1 alone reaches the point plateau at 1/2 on the second step
+    c = itinerary_cylinder(tent, [0], [1], 1, (2, 0))
+    assert (c.lo, c.hi, c.lo_closed, c.hi_closed) == (F(4, 5), F(1), False, True)
+
+
+def test_itinerary_cylinder_refuses_bad_input():
+    tent = Shape.from_string("+-")
+    with pytest.raises(ConstraintViolation):
+        itinerary_cylinder(tent, [F(1, 2)], [0], 1, (2,))
+    with pytest.raises(ConstraintViolation):
+        itinerary_cylinder(tent, [F(1, 2)], [1], 2, (2,))
+    with pytest.raises(ConstraintViolation):
+        itinerary_cylinder(tent, [F(1, 2)], [1], 1.0, (2,))
+    with pytest.raises(ConstraintViolation):
+        itinerary_cylinder(tent, [F(1, 2)], [1], 1, (3,))
+    with pytest.raises(ConstraintViolation):
+        itinerary_cylinder(tent, [F(1, 2), F(1, 3)], [1], 1, (2,))
+
+
+def _probe(shape, w0, v, orbit, t, depth) -> tuple[int, ...] | None:
+    """The ranks of w0 + t·v, walked on its own integers; None when it is
+    not admissible."""
+    try:
+        m = StuntedSawtoothMap(shape, [a + t * b for a, b in zip(w0, v)])
+    except ConstraintViolation:
+        return None
+    return m.ranks(m.heights[orbit - 1], depth)
+
+
+@st.composite
+def _lines(draw):
+    shape = Shape.from_string(draw(st.sampled_from(["+-", "-+", "+-+", "-+-", "+-+-"])))
+    d = shape.d
+    w = [F(draw(st.integers(0, 200)), 200) for _ in range(d)]
+    i = draw(st.integers(1, d))
+    v = [F(int(j == i)) for j in range(1, d + 1)]
+    if d > 1 and draw(st.booleans()):
+        j = draw(st.sampled_from([j for j in range(1, d + 1) if j != i]))
+        v[j - 1] = F(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.integers(1, 4)))
+    return shape, w, v, draw(st.integers(1, d)), draw(st.integers(1, 14))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_lines())
+def test_itinerary_cylinder_ends_agree_with_probes(line):
+    shape, w, v, orbit, depth = line
+    try:
+        m = StuntedSawtoothMap(shape, w)
+    except ConstraintViolation:
+        assume(False)
+    ranks = m.ranks(m.heights[orbit - 1], depth)
+    c = itinerary_cylinder(shape, w, v, orbit, ranks)
+    assert c.lo <= 0 <= c.hi
+    for k in range(1, 8):
+        assert _probe(shape, w, v, orbit, c.lo + (c.hi - c.lo) * k / 8, depth) == ranks
+    eps = F(1, 10**30)
+    line = kneading_module._Line(shape, w, v)
+    for end, closed, inward in ((c.lo, c.lo_closed, 1), (c.hi, c.hi_closed, -1)):
+        outside = _probe(shape, w, v, orbit, end - inward * eps, depth)
+        assert outside != ranks
+        at_end = _probe(shape, w, v, orbit, end, depth)
+        assert (at_end == ranks) == closed
+        # the ranks beside an end: inside it, on it, and past it
+        if c.lo < c.hi:
+            assert line.ranks_beside(orbit, end, inward, depth) == ranks
+        if at_end is not None:
+            assert line.ranks_beside(orbit, end, 0, depth) == at_end
+        if outside is not None:
+            assert line.ranks_beside(orbit, end, -inward, depth) == outside

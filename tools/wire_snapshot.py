@@ -49,6 +49,7 @@ INPUTS = {
 REALIZE_FROM = {
     "kneading-realize": "kneading-tent",
     "kneading-realize-bimodal": "kneading-bimodal",
+    "kneading-realize-deep": "kneading-deep",
 }
 
 # name -> argv; run in order, so an invocation may read the stdout of an
@@ -80,6 +81,9 @@ INVOCATIONS = [
     ("kneading-realize", ["kneading", "--realize", "realize-kneading-tent.json"]),
     ("kneading-bimodal", ["kneading", "--shape", "+-+", "--w", "41/64,5/64", "--depth", "12"]),
     ("kneading-realize-bimodal", ["kneading", "--realize", "realize-kneading-bimodal.json"]),
+    # a depth-45 target whose parameter cell is narrower than 1e-12
+    ("kneading-deep", ["kneading", "--shape", "+-", "--w", "99912345/100000000", "--depth", "45"]),
+    ("kneading-realize-deep", ["kneading", "--realize", "realize-kneading-deep.json"]),
     ("renorm", ["renorm", "--shape", "+-", "--w", BOUNDARY_W, "--depth", "6"]),
     ("renorm-overlap", ["renorm", "--shape", "+-+", "--w", "19/20,7/20"]),
     ("renorm-escape", ["renorm", "--shape", "+-+", "--w", "33/40,9/40"]),
