@@ -17,28 +17,26 @@ The orbits are walked by StuntedSawtoothMap, exactly, on integers over the
 heights' common denominator; the rank fixes the sign vector, so no point is
 compared with a plateau as a Fraction and no map is built.
 
-Realization runs backwards, from ranks to heights, on a parameter line
-w(t) = w0 + t·v. The heights, the plateau edges and, along fixed ranks, the
-orbit point are affine in t, so the t whose orbit has a given rank prefix
-form one interval with exact ends (`itinerary_cylinder`). realize_kneading
-moves each height to the midpoint of its row's cylinder; nothing is
-bisected.
+Realization runs backwards, from ranks to heights. The plateau edges and,
+along fixed ranks, every orbit point are affine in the height vector w, so
+the heights whose orbits have given rank prefixes are one convex polytope,
+cut out by integer linear inequalities in w (`_conditions`). On a parameter
+line w(t) = w0 + t·v it is one interval with exact ends
+(`itinerary_cylinder`); realize_kneading finds a point of the whole
+polytope with one exact simplex solve, or proves that it is empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 from .errors import ConstraintViolation, KneadingNotRealizable
 from .family import Shape, StuntedSawtoothMap
 from .rational import Rat, Wire
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-# realize_kneading's coordinate sweeps per depth before a stage counts as stalled
-MAX_SWEEPS = 24
 
 
 def _signs(m: StuntedSawtoothMap, depth: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -156,148 +154,162 @@ class Cylinder:
     lo_closed: bool
     hi_closed: bool
 
-    @property
-    def midpoint(self) -> Rat:
-        return (self.lo + self.hi) / 2
 
+def _conditions(shape: Shape, rows):
+    """Integer forms (c, strict), c = (c_0, c_1, ..., c_d), such that w is
+    admissible and each critical orbit i of rows, pairs (i, ranks), has the
+    rank prefix ranks exactly when c_0 + c_1·w_1 + ... + c_d·w_d >= 0 for
+    every form, > 0 for the strict ones.
 
-class _Line:
-    """The heights and plateau edges of w(t) = w0 + t·v as affine forms
-    (a, b), meaning a + b·t, in Fractions: heights[j-1] is w_j, and lo[j-1]
-    and hi[j-1] are the ends of plateau j."""
+    Along fixed ranks every orbit point is affine in w: a lap sends x to
+    ±(d+1)·x plus an integer and plateau j resets it to w_j. A point is
+    carried as (d+1)·x, so plateau j's ends, (d+1)·x = j ∓ half_j with
+    half_j = 1 - w_j at a max and w_j at a min, are integral forms too. A
+    plateau hit is closed, a gap open."""
+    d, n = shape.d, shape.d + 1
+    one = (1,) + (0,) * d
+    w = [tuple(int(k == j) for k in range(d + 1)) for j in range(1, d + 1)]
 
-    def __init__(self, shape: Shape, w0, v):
-        d = shape.d
-        w0, v = tuple(Fraction(x) for x in w0), tuple(Fraction(x) for x in v)
-        if len(w0) != d or len(v) != d:
-            raise ConstraintViolation(f"need {d} heights and {d} direction coordinates")
-        if not any(v):
-            raise ConstraintViolation("the direction v must be nonzero")
-        n = d + 1
-        self.shape = shape
-        self.n = n
-        self.heights = tuple(zip(w0, v))
-        # plateau j reaches half_j / n to either side of j / n, with
-        # half_j = 1 - w_j at a max and w_j at a min
-        halves = [(1 - a, -b) if s > 0 else (a, b) for s, (a, b) in zip(shape.signs, self.heights)]
-        self.lo = tuple(((j - a) / n, -b / n) for j, (a, b) in enumerate(halves, start=1))
-        self.hi = tuple(((j + a) / n, b / n) for j, (a, b) in enumerate(halves, start=1))
+    def lin(*terms):
+        return tuple(sum(k * f[i] for k, f in terms) for i in range(d + 1))
 
-    def admissibility(self):
-        """(a, b, strict): a + b·t >= 0, or > 0 when strict, keeps w(t)
-        admissible."""
-        for a, b in self.heights:
-            yield a, b, False
-            yield 1 - a, -b, False
-        h, signs = self.heights, self.shape.signs
-        for j in range(1, self.shape.d):
-            # (w_j - w_{j+1}) * s_{j+1} < 0
-            s = signs[j]
-            yield s * (h[j][0] - h[j - 1][0]), s * (h[j][1] - h[j - 1][1]), True
-
-    def conditions(self, x, r: int):
-        """(a, b, strict) conditions for the point x to have rank r."""
-        (xa, xb), d = x, self.shape.d
-        if r % 2:
-            (la, lb), (ha, hb) = self.lo[r // 2], self.hi[r // 2]
-            yield xa - la, xb - lb, False
-            yield ha - xa, hb - xb, False
-        else:
-            k = r // 2
-            if k >= 1:
-                ha, hb = self.hi[k - 1]
-                yield xa - ha, xb - hb, True
-            if k < d:
-                la, lb = self.lo[k]
-                yield la - xa, lb - xb, True
-
-    def image(self, x, r: int):
-        """The image of the point x of rank r."""
-        if r % 2:
-            return self.heights[r // 2]
-        k = r // 2
-        (a, b), n = x, self.n
-        if self.shape.signs[k] > 0:
-            return n * a - k, n * b
-        return k + 1 - n * a, -n * b
-
-    def ranks_beside(self, orbit: int, t: Rat, side: int, depth: int) -> tuple[int, ...]:
-        """The first depth ranks of orbit's critical value at t + side·ε for
-        every small enough ε > 0, or at t itself when side is 0: a condition
-        that holds with equality at t goes by its slope."""
-
-        def holds(a, b, strict) -> bool:
-            value = a + b * t
-            sign = (value > 0) - (value < 0) if value else side * ((b > 0) - (b < 0))
-            return sign > 0 or (sign == 0 and not strict)
-
-        x = self.heights[orbit - 1]
-        out = []
-        for _ in range(depth):
-            r = next(
-                r for r in range(2 * self.shape.d + 1)
-                if all(holds(*c) for c in self.conditions(x, r))
-            )
-            out.append(r)
-            x = self.image(x, r)
-        return tuple(out)
-
-    def cylinders(self, orbit: int, ranks):
-        """Yield the cylinder of each prefix of ranks, the empty prefix's (the
-        admissible range) first, and stop at the first empty one.
-
-        Along fixed ranks the orbit point is affine in t, so each step meets
-        the cylinder with at most two half-lines."""
-        lo, hi, lo_closed, hi_closed = -inf, inf, True, True
-
-        def meet(conditions) -> bool:
-            nonlocal lo, hi, lo_closed, hi_closed
-            for a, b, strict in conditions:
-                if not b:
-                    if a < 0 or (strict and not a):
-                        return False
-                    continue
-                t = -a / b
-                if b > 0:
-                    if t > lo:
-                        lo, lo_closed = t, not strict
-                    elif t == lo and strict:
-                        lo_closed = False
-                elif t < hi:
-                    hi, hi_closed = t, not strict
-                elif t == hi and strict:
-                    hi_closed = False
-            return lo < hi or (lo == hi and lo_closed and hi_closed)
-
-        if not meet(self.admissibility()):
-            return
-        yield Cylinder(lo, hi, lo_closed, hi_closed)
-        x = self.heights[orbit - 1]
+    half = [lin((1, one), (-1, wj)) if s > 0 else wj for s, wj in zip(shape.signs, w)]
+    lo = [lin((j, one), (-1, h)) for j, h in enumerate(half, start=1)]
+    hi = [lin((j, one), (1, h)) for j, h in enumerate(half, start=1)]
+    for wj in w:
+        yield wj, False
+        yield lin((1, one), (-1, wj)), False
+    for j in range(1, d):
+        # (w_j - w_{j+1}) * s_{j+1} < 0
+        s = shape.signs[j]
+        yield lin((s, w[j]), (-s, w[j - 1])), True
+    for orbit, ranks in rows:
+        x = lin((n, w[orbit - 1]))
         for r in ranks:
-            if not meet(self.conditions(x, r)):
-                return
-            yield Cylinder(lo, hi, lo_closed, hi_closed)
-            x = self.image(x, r)
+            k = r // 2
+            if r % 2:
+                yield lin((1, x), (-1, lo[k])), False
+                yield lin((1, hi[k]), (-1, x)), False
+                x = lin((n, w[k]))
+                continue
+            if k:
+                yield lin((1, x), (-1, hi[k - 1])), True
+            if k < d:
+                yield lin((1, lo[k]), (-1, x)), True
+            if shape.signs[k] > 0:
+                x = lin((n, x), (-n * k, one))
+            else:
+                x = lin((n * (k + 1), one), (-n, x))
 
 
 def itinerary_cylinder(shape: Shape, w0, v, orbit: int, ranks) -> Cylinder | None:
     """The set of t for which w(t) = w0 + t·v is admissible and the critical
     orbit `orbit` has the rank prefix `ranks`, or None when it is empty.
 
-    On the line every height and every plateau edge is affine in t. Along
-    fixed ranks so is the orbit point: a lap multiplies it by ±(d+1) and adds
-    an offset, and plateau j resets it to w_j(t). Each step is then at most
-    two linear inequalities in t, and admissibility adds its own
-    (0 <= w_j <= 1, strict pair order), so the set is one interval with
-    exact ends. An end set by a plateau hit or by 0 <= w_j <= 1 is closed,
-    one set by a gap or by the pair order open."""
+    Each of `_conditions`' forms is affine in t on the line, so the set is
+    one interval with exact ends. An end set by a plateau hit or by
+    0 <= w_j <= 1 is closed, one set by a gap or by the pair order open."""
     if type(orbit) is not int or not 1 <= orbit <= shape.d:
         raise ConstraintViolation(f"no critical orbit {orbit!r}")
     ranks = tuple(ranks)
     if not all(type(r) is int and 0 <= r <= 2 * shape.d for r in ranks):
         raise ConstraintViolation(f"ranks must be integers in 0..{2 * shape.d}")
-    cells = list(_Line(shape, w0, v).cylinders(orbit, ranks))
-    return cells[-1] if len(cells) == len(ranks) + 1 else None
+    w0, v = tuple(Fraction(x) for x in w0), tuple(Fraction(x) for x in v)
+    if len(w0) != shape.d or len(v) != shape.d:
+        raise ConstraintViolation(f"need {shape.d} heights and {shape.d} direction coordinates")
+    if not any(v):
+        raise ConstraintViolation("the direction v must be nonzero")
+    lo, hi, lo_closed, hi_closed = -inf, inf, True, True
+    for (c0, *c), strict in _conditions(shape, [(orbit, ranks)]):
+        a = c0 + sum(ck * x for ck, x in zip(c, w0))
+        b = sum(ck * x for ck, x in zip(c, v))
+        if not b:
+            if a < 0 or (strict and not a):
+                return None
+            continue
+        t = -a / b
+        if b > 0:
+            if t > lo:
+                lo, lo_closed = t, not strict
+            elif t == lo and strict:
+                lo_closed = False
+        elif t < hi:
+            hi, hi_closed = t, not strict
+        elif t == hi and strict:
+            hi_closed = False
+    if lo < hi or (lo == hi and lo_closed and hi_closed):
+        return Cylinder(lo, hi, lo_closed, hi_closed)
+    return None
+
+
+def _max_slack(d: int, forms) -> tuple[Rat, ...] | None:
+    """A vertex w of {c·(1, w) >= s on the strict forms, >= 0 on the others}
+    at which the common slack s, capped at 1, is largest, or None when that
+    largest s is not positive or no w meets the forms at all.
+
+    An exact simplex with Bland's rule, on an integer dictionary: row i
+    reads p·x_B + Σ_j a_j·x_N_j = b with p > 0, each row divided by its
+    gcd, so the basic variable x_B sits at b/p. The variables are x_0, the
+    auxiliary that starts an infeasible dictionary (phase 1), then w_1..w_d,
+    s, and one slack per form and for s <= 1; every one is >= 0. A row is
+    [p, b, a_1, ..., a_k] over the k = d + 2 nonbasic columns, which start
+    as x_0, w_1..w_d, s; the objective rows never leave the basis."""
+    k = d + 2
+    rows = [[1, c[0], -1, *(-x for x in c[1:]), int(strict)] for c, strict in forms]
+    rows.append([1, 1, -1, *(0,) * d, 1])
+    m = len(rows)
+    # maximize z = -x_0 (phase 1), then z = s (phase 2)
+    rows.append([1, 0, 1, *(0,) * (k - 1)])
+    rows.append([1, 0, *(0,) * (k - 1), -1])
+    cols = list(range(k))
+    basis = list(range(k, k + m))
+
+    def pivot(r: int, e: int):
+        row_r, col = rows[r], 2 + e
+        pe = row_r[col]
+        # row r with x_e eliminated and its old basic variable in column e
+        held = row_r[:]
+        held[0], held[col] = 0, row_r[0]
+        for i, row in enumerate(rows):
+            if i == r:
+                new = [pe, *held[1:]]
+            elif row[col]:
+                ae, row = row[col], row[:]
+                row[col] = 0
+                new = [pe * x - ae * y for x, y in zip(row, held)]
+            else:
+                continue
+            g = gcd(*new) if new[0] > 0 else -gcd(*new)
+            rows[i] = [x // g for x in new]
+        basis[r], cols[e] = cols[e], basis[r]
+
+    def optimize(z: int, barred: int | None):
+        while True:
+            objective = rows[z]
+            entering = [j for j in range(k) if objective[2 + j] < 0 and cols[j] != barred]
+            if not entering:
+                return
+            e = min(entering, key=cols.__getitem__)
+            # bounded: w <= 1 and s <= 1 are rows, and phase 1 stops at x_0 = 0
+            r = min(
+                (i for i in range(m) if rows[i][2 + e] > 0),
+                key=lambda i: (Fraction(rows[i][1], rows[i][2 + e]), basis[i]),
+            )
+            pivot(r, e)
+
+    r = min(range(m), key=lambda i: rows[i][1])
+    if rows[r][1] < 0:
+        pivot(r, 0)
+        optimize(m, None)
+        # x_0 has the smallest index, so Bland's rule lets it leave as soon
+        # as it can reach 0: still basic means it cannot
+        if 0 in basis:
+            return None
+    optimize(m + 1, 0)
+    if rows[m + 1][1] <= 0:
+        return None
+    value = {x: Fraction(row[1], row[0]) for x, row in zip(basis, rows)}
+    return tuple(value.get(j, ZERO) for j in range(1, d + 1))
 
 
 def realize_kneading(
@@ -307,25 +319,19 @@ def realize_kneading(
 ) -> tuple[Rat, ...]:
     """Heights whose kneading data matches the target to the given depth.
 
-    Coordinatewise sweeps, one depth at a time: stage n moves each height
-    whose row does not yet match the target truncated at n to the midpoint of
-    that row's target cylinder along its own axis (`itinerary_cylinder` with
-    v = e_i). Matching at depth n is a prefix condition, so each stage refines
-    inside the cell the previous stage found and earlier matches are never
-    lost. Going depth by depth matters: with the other heights far off, a
-    row's target cylinder can be empty, and the wide depth-1 cells give every
-    coordinate a reachable target before the cells shrink. If some stage
-    stalls without matching, the search reports failure.
+    The heights w that match are the solutions of `_conditions` for every
+    row's target ranks: one convex polytope, cut out by linear inequalities
+    in w, some of them strict. `_max_slack` finds the vertex where the
+    smallest slack on a strict row is largest; the target is realizable
+    exactly when that slack is positive, so KneadingNotRealizable is a
+    proof that no admissible heights match. The heights are checked against
+    the target's signs by a walk on the member's integers; a sign vector
+    that no rank produces fails there.
 
-    A row is first probed at its current height, walking orbit i up to the
-    current stage on the integers of the member; no Fraction map is built.
-    Every height is an exact point: a cylinder midpoint, or the midpoint of
-    the cell next to an end of a cylinder when the row parks.
-
-    tol is not read: the cylinders are exact, so no height is bisected. It
-    stays in the signature, and a value that is not positive is still
-    refused, because the benchmark's crosscheck workload passes it
-    positionally; it goes once that call drops it.
+    tol is not read: the solve is exact. It stays in the signature, and a
+    value that is not positive is still refused, because the benchmark's
+    crosscheck workload passes it positionally; it goes once that call
+    drops it.
     """
     shape = target.shape
     if depth is None:
@@ -334,74 +340,12 @@ def realize_kneading(
         raise ConstraintViolation(f"depth must be in 1..{target.depth}")
     if tol is not None and Fraction(tol) <= 0:
         raise ConstraintViolation("tol must be positive")
-    d = shape.d
-    # admissible seed: staggered heights, maxes high, mins low
-    w: list[Rat] = []
-    for i in range(1, d + 1):
-        w.append(Fraction(2, 3) if shape.turning_kind(i) == "max" else Fraction(1, 3))
-    axes = [tuple(ONE if j == i else ZERO for j in range(d)) for i in range(d)]
-
-    tgt_ranks = [target.row_ranks(i)[:depth] for i in range(1, d + 1)]
-    tgt_signs = tuple(tuple(row[:depth]) for row in target.signs)
-    stage = 1
-
-    def row_cmp(i: int, ranks) -> int:
-        return compare_orbit_itineraries(shape, ranks, tgt_ranks[i - 1][:stage])
-
-    def beside(line: _Line, i: int, cell: Cylinder, upper: bool):
-        # the ranks next to one end of cell, from inside it, and their cylinder
-        side = 0 if cell.lo == cell.hi else -1 if upper else 1
-        ranks = line.ranks_beside(i, cell.hi if upper else cell.lo, side, stage)
-        *_, near = line.cylinders(i, ranks)
-        return ranks, near
-
-    def park(line: _Line, i: int, cells: list[Cylinder]) -> Rat:
-        # the row's target cylinder is empty while other heights are still
-        # wrong. An open end is not admissible, so the row parks in the cell
-        # next to an end, at its midpoint, never on the end itself: parking at
-        # the edge of a band can pin a neighbor's matching set to a single
-        # point (a height of 1 shrinks that plateau to a point).
-        lo_ranks, lo_cell = beside(line, i, cells[0], upper=False)
-        hi_ranks, hi_cell = beside(line, i, cells[0], upper=True)
-        ca, cb = row_cmp(i, lo_ranks), row_cmp(i, hi_ranks)
-        if ca == cb:
-            # out of reach: park next to the end that falls short the least
-            direction = compare_orbit_itineraries(shape, hi_ranks, lo_ranks)
-            return (hi_cell if (ca < 0) == (direction >= 0) else lo_cell).midpoint
-        # the row jumps past its target. On the longest cylinder of a target
-        # prefix the first differing rank cannot cross the target's, so the
-        # verdict is constant there and flips beyond the end that faces the
-        # admissible end comparing the other way; park next to that end
-        ranks, near = beside(line, i, cells[-1], upper=False)
-        if row_cmp(i, ranks) == ca:
-            _, near = beside(line, i, cells[-1], upper=True)
-        return near.midpoint
-
-    def run_stage() -> bool:
-        stage_signs = tuple(row[:stage] for row in tgt_signs)
-        for _ in range(MAX_SWEEPS):
-            moved = False
-            m = StuntedSawtoothMap(shape, w)
-            for i in range(1, d + 1):
-                if row_cmp(i, m.ranks(m.heights[i - 1], stage)) == 0:
-                    continue
-                line = _Line(shape, w, axes[i - 1])
-                cells = list(line.cylinders(i, tgt_ranks[i - 1][:stage]))
-                t = cells[-1].midpoint if len(cells) > stage else park(line, i, cells)
-                if t:
-                    w[i - 1] += t
-                    m = StuntedSawtoothMap(shape, w)
-                    moved = True
-            if _signs(m, stage) == stage_signs:
-                return True
-            if not moved:
-                return False
-        return False
-
-    for stage in range(1, depth + 1):
-        if not run_stage():
-            raise KneadingNotRealizable(
-                f"no admissible heights found matching the target to depth "
-                f"{stage}"
-            )
-    return tuple(w)
+    rows = [(i, target.row_ranks(i)[:depth]) for i in range(1, shape.d + 1)]
+    w = _max_slack(shape.d, dict.fromkeys(_conditions(shape, rows)))
+    if w is None or _signs(StuntedSawtoothMap(shape, w), depth) != tuple(
+        row[:depth] for row in target.signs
+    ):
+        raise KneadingNotRealizable(
+            f"no admissible heights match the target to depth {depth}"
+        )
+    return w

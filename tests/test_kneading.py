@@ -1,6 +1,7 @@
 """Kneading data, itinerary order, itinerary cylinders and realization."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from sawlab import (
     ConstraintViolation,
+    KneadingData,
     KneadingNotRealizable,
     PiecewiseLinearMap,
     Shape,
@@ -124,86 +126,26 @@ def test_kneading_evaluates_no_fraction_map(monkeypatch):
 # shape, heights and the heights realize_kneading(target, 12) returns
 # for their depth-12 kneading data, on the 20 maps of acceptance criterion 8
 REALIZED_CRITERION_8 = (
-    ("+-", ("9/32",), (
-        "2/3",
-    )),
-    ("+-", ("17/32",), (
-        "2/3",
-    )),
-    ("+-+", ("1", "1/32"), (
-        "5655817818631389659968261516635505019632360750172299748509381556953/5655"
-        "822973568605969780402592276422477009285142676806892939649843200",
-        "187857629826859747696008959452253721967710591628268466259029214497867047"
-        "/60114724337925470503721338680839484752085830110186098639814809046401024"
-        "00",
-    )),
-    ("-+-", ("5/64", "1/4"), (
-        "1/8",
-        "1062883/4251528",
-    )),
-    ("+-+", ("1/2", "1/32"), (
-        "5/12",
-        "5/216",
-    )),
-    ("+-+", ("41/64", "5/64"), (
-        "2/3",
-        "1/9",
-    )),
-    ("+-", ("45/64",), (
-        "11/15",
-    )),
-    ("+-+", ("21/32", "11/64"), (
-        "2/3",
-        "1141/6642",
-    )),
-    ("-+", ("27/32",), (
-        "1/3",
-    )),
-    ("+-+", ("43/64", "23/64"), (
-        "2/3",
-        "1/3",
-    )),
-    ("+-", ("45/64",), (
-        "11/15",
-    )),
-    ("-+-", ("41/64", "7/8"), (
-        "2/3",
-        "7/8",
-    )),
-    ("-+-", ("3/32", "5/16"), (
-        "1/8",
-        "1/3",
-    )),
-    ("-+-", ("49/64", "27/32"), (
-        "19/24",
-        "7/8",
-    )),
-    ("-+-", ("17/32", "41/64"), (
-        "19/36",
-        "2/3",
-    )),
-    ("-+", ("7/32",), (
-        "4/15",
-    )),
-    ("-+-", ("43/64", "53/64"), (
-        "2/3",
-        "7/8",
-    )),
-    ("+-+", ("31/32", "0"), (
-        "147935142101188269782303463490741956038572861927151313424095339791657/15"
-        "2707220286352361184070869991463406879250698852273786109370545766400",
-        "147935142101188269782303463490741956038572861927151313424095339791657/16"
-        "230975571239877036004761443826660883063174129750246632749998442528276480"
-        "0",
-    )),
-    ("+-+", ("63/64", "17/64"), (
-        "310751/314928",
-        "97221435626831/366010083095904",
-    )),
-    ("-+-", ("1/32", "63/64"), (
-        "10809009911397487/345897101919010320",
-        "180951755964166172676487/183823901740940763471120",
-    )),
+    ("+-", ("9/32",), ("0",)),
+    ("+-", ("17/32",), ("0",)),
+    ("+-+", ("1", "1/32"), ("1", "5741/183709")),
+    ("-+-", ("5/64", "1/4"), ("1/36", "1/4")),
+    ("+-+", ("1/2", "1/32"), ("1/2", "1/54")),
+    ("+-+", ("41/64", "5/64"), ("9/13", "1/13")),
+    ("+-", ("45/64",), ("4/5",)),
+    ("+-+", ("21/32", "11/64"), ("89/123", "7/41")),
+    ("-+", ("27/32",), ("1/3",)),
+    ("+-+", ("43/64", "23/64"), ("3/4", "1/4")),
+    ("+-", ("45/64",), ("4/5",)),
+    ("-+-", ("41/64", "7/8"), ("17/26", "25/26")),
+    ("-+-", ("3/32", "5/16"), ("1/26", "9/26")),
+    ("-+-", ("49/64", "27/32"), ("31/40", "39/40")),
+    ("-+-", ("17/32", "41/64"), ("11/20", "3/4")),
+    ("-+", ("7/32",), ("1/5",)),
+    ("-+-", ("43/64", "53/64"), ("17/26", "25/26")),
+    ("+-+", ("31/32", "0"), ("177968/183709", "0")),
+    ("+-+", ("63/64", "17/64"), ("10593509/10761660", "35291/132860")),
+    ("-+-", ("1/32", "63/64"), ("5741/183708", "48052403555/48815073468")),
 )
 
 
@@ -218,13 +160,13 @@ def test_realized_heights_on_the_criterion_8_targets_are_pinned():
         heights = tuple(F(x) for x in realized)
         assert realize_kneading(target, 12, F(1, 10**12)) == heights
         assert kneading_data(StuntedSawtoothMap(shape, heights), 12).signs == target.signs
-        # the coordinatewise bisection to 1e-12 reached 906-bit denominators
-        assert all(x.denominator.bit_length() < 906 for x in heights)
+        # a vertex of the realization polytope, so the denominators are
+        # those of one small integer solve
+        assert all(x.denominator.bit_length() < 64 for x in heights)
 
 
 def test_realizing_the_criterion_8_targets_builds_few_maps(monkeypatch):
-    # one member per sweep and one per move (405); the bisection built one
-    # per probe, 6,845
+    # one member per target, for the final check
     built = []
     init = StuntedSawtoothMap.__init__
 
@@ -236,7 +178,7 @@ def test_realizing_the_criterion_8_targets_builds_few_maps(monkeypatch):
     monkeypatch.setattr(StuntedSawtoothMap, "__init__", counted)
     for target in targets:
         realize_kneading(target, 12)
-    assert len(built) < 1000
+    assert len(built) <= len(targets)
 
 
 def test_tol_is_not_read():
@@ -259,45 +201,50 @@ def test_deep_targets_realize(word, w, depth):
     target = kneading_data(StuntedSawtoothMap(shape, [F(x) for x in w]), depth)
     heights = realize_kneading(target)
     assert kneading_data(StuntedSawtoothMap(shape, heights), depth).signs == target.signs
+    # a vertex: its denominators do not compound with the depth
+    assert all(x.denominator.bit_length() < 128 for x in heights)
 
 
-def _spy_on_parking(monkeypatch):
-    # ranks_beside is read only when a row parks: it records each point
-    # looked at as (height, side)
-    looked = []
-    beside = kneading_module._Line.ranks_beside
-
-    def spied(self, orbit, t, side, depth):
-        looked.append((self.heights[orbit - 1][0] + t, side))
-        return beside(self, orbit, t, side, depth)
-
-    monkeypatch.setattr(kneading_module._Line, "ranks_beside", spied)
-    return looked
-
-
-def test_a_row_out_of_reach_parks_next_to_an_end_of_its_range(monkeypatch):
-    looked = _spy_on_parking(monkeypatch)
-    shape = Shape.from_string("-+-")
-    target = kneading_data(StuntedSawtoothMap(shape, [F(49, 64), F(27, 32)]), 12)
-    heights = realize_kneading(target, 12)
-    assert kneading_data(StuntedSawtoothMap(shape, heights), 12).signs == target.signs
-    # at the seed (1/3, 2/3), row 1 cannot reach its depth-1 target: both ends
-    # of w_1's range [0, 2/3) fall short, and nothing else is looked at
-    assert looked == [(F(0), 1), (F(2, 3), -1)]
+def test_every_trimodal_k_over_10_member_realizes_its_own_data():
+    # some need heights to move together: on +-+- (3/5, 1/5, 3/10) rows 1
+    # and 3 need w_3 >= 4w_1 - 2 and w_3 <= (2 - w_1)/4
+    realized = 0
+    for word in ("+-+-", "-+-+"):
+        shape = Shape.from_string(word)
+        for ks in product(range(11), repeat=3):
+            try:
+                m = StuntedSawtoothMap(shape, [F(k, 10) for k in ks])
+            except ConstraintViolation:
+                continue
+            target = kneading_data(m, 10)
+            heights = realize_kneading(target)
+            assert kneading_data(StuntedSawtoothMap(shape, heights), 10).signs == target.signs
+            realized += 1
+    assert realized == 770
 
 
-def test_a_row_that_jumps_past_its_target_parks_next_to_a_prefix_cylinder_end(monkeypatch):
-    looked = _spy_on_parking(monkeypatch)
-    tent = Shape.from_string("+-")
-    base = kneading_data(StuntedSawtoothMap(tent, [F(1)]), 3)
-    fake = type(base)(shape=tent, depth=3, signs=(((1,), (1,), (-1,)),))
-    with pytest.raises(KneadingNotRealizable, match="depth 2"):
-        realize_kneading(fake, 3)
-    # ranks (2, 2) need w > 2/3 and w < 2/3. Near 0 the row falls short and
-    # near 1 it overshoots; the depth-1 cylinder (2/3, 1] overshoots
-    # throughout, so the row parks next to its lower end, in two sweeps: the
-    # second one does not move
-    assert looked == [(F(0), 1), (F(1), -1), (F(2, 3), 1)] * 2
+def test_realization_refuses_exactly_the_empty_rank_tables():
+    # on +- and -+ the line w(t) = t is the whole parameter space, so its
+    # cylinder is empty exactly when no height has the ranks
+    signs = {0: (-1,), 1: (0,), 2: (1,)}
+    realizable = 0
+    for word in ("+-", "-+"):
+        shape = Shape.from_string(word)
+        for depth in range(1, 7):
+            for ranks in product(range(3), repeat=depth):
+                target = KneadingData(shape, depth, (tuple(signs[r] for r in ranks),))
+                empty = itinerary_cylinder(shape, [0], [1], 1, ranks) is None
+                # the solve itself refuses, not only the final check
+                forms = kneading_module._conditions(shape, [(1, ranks)])
+                assert (kneading_module._max_slack(1, forms) is None) == empty
+                if empty:
+                    with pytest.raises(KneadingNotRealizable):
+                        realize_kneading(target)
+                    continue
+                heights = realize_kneading(target)
+                assert kneading_data(StuntedSawtoothMap(shape, heights), depth).signs == target.signs
+                realizable += 1
+    assert realizable == 110
 
 
 def test_itinerary_cylinder_on_the_tent():
@@ -366,16 +313,8 @@ def test_itinerary_cylinder_ends_agree_with_probes(line):
     for k in range(1, 8):
         assert _probe(shape, w, v, orbit, c.lo + (c.hi - c.lo) * k / 8, depth) == ranks
     eps = F(1, 10**30)
-    line = kneading_module._Line(shape, w, v)
     for end, closed, inward in ((c.lo, c.lo_closed, 1), (c.hi, c.hi_closed, -1)):
         outside = _probe(shape, w, v, orbit, end - inward * eps, depth)
         assert outside != ranks
         at_end = _probe(shape, w, v, orbit, end, depth)
         assert (at_end == ranks) == closed
-        # the ranks beside an end: inside it, on it, and past it
-        if c.lo < c.hi:
-            assert line.ranks_beside(orbit, end, inward, depth) == ranks
-        if at_end is not None:
-            assert line.ranks_beside(orbit, end, 0, depth) == at_end
-        if outside is not None:
-            assert line.ranks_beside(orbit, end, -inward, depth) == outside

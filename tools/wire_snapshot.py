@@ -50,6 +50,7 @@ REALIZE_FROM = {
     "kneading-realize": "kneading-tent",
     "kneading-realize-bimodal": "kneading-bimodal",
     "kneading-realize-deep": "kneading-deep",
+    "kneading-realize-trimodal": "kneading-trimodal",
 }
 
 # name -> argv; run in order, so an invocation may read the stdout of an
@@ -84,6 +85,11 @@ INVOCATIONS = [
     # a depth-45 target whose parameter cell is narrower than 1e-12
     ("kneading-deep", ["kneading", "--shape", "+-", "--w", "99912345/100000000", "--depth", "45"]),
     ("kneading-realize-deep", ["kneading", "--realize", "realize-kneading-deep.json"]),
+    # rows 1 and 3 bind w_1 and w_3 jointly: w_3 >= 4w_1 - 2 and
+    # w_3 <= (2 - w_1)/4, so w_1 <= 10/17
+    ("kneading-trimodal", ["kneading", "--shape", "+-+-", "--w", "3/5,1/5,3/10",
+                           "--depth", "10"]),
+    ("kneading-realize-trimodal", ["kneading", "--realize", "realize-kneading-trimodal.json"]),
     ("renorm", ["renorm", "--shape", "+-", "--w", BOUNDARY_W, "--depth", "6"]),
     ("renorm-overlap", ["renorm", "--shape", "+-+", "--w", "19/20,7/20"]),
     ("renorm-escape", ["renorm", "--shape", "+-+", "--w", "33/40,9/40"]),
