@@ -37,7 +37,7 @@ from .orbits import (
     omega_accumulation,
     period_set,
 )
-from .rational import Rat, Wire
+from .rational import Rat, Wire, format_rat, to_wire
 from .renorm import build_tower, semiconjugacy_check
 
 # halvings allowed to bisect_boundary and to refine_to_boundary
@@ -96,6 +96,22 @@ class ClassificationRecord(Wire):
     certificates: dict = field(default_factory=dict)
     budgets: Budgets = field(default_factory=Budgets)
     notes: tuple[str, ...] = ()
+
+    def to_json(self) -> dict:
+        """classify builds detail and certificates from wire values (every
+        report in them went in through its to_json), so they go out as they
+        are instead of through to_wire again."""
+        return {
+            "verdict": self.verdict,
+            "label": self.label,
+            "shape": self.shape,
+            "w": [format_rat(x) for x in self.w],
+            "entropy": to_wire(self.entropy),
+            "detail": self.detail,
+            "certificates": self.certificates,
+            "budgets": self.budgets.to_json(),
+            "notes": list(self.notes),
+        }
 
 
 def _positive_entropy(f, b: Budgets) -> bool:

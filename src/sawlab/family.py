@@ -102,18 +102,24 @@ class Plateau(Wire):
     height: Rat
 
 
-def validate_heights(shape: Shape, w: tuple[Rat, ...]) -> None:
+def validate_heights(shape: Shape, w: tuple[Rat, ...]) -> tuple[int, tuple[int, ...]]:
+    """Refuse heights outside [0, 1] or out of the lap order. Admissible
+    heights come back as den, the lcm of their denominators, and their
+    numerators over den, on which both tests ran."""
     if len(w) != shape.d:
         raise ConstraintViolation(f"need {shape.d} heights, got {len(w)}")
-    for i, wi in enumerate(w, start=1):
-        if not (ZERO <= wi <= ONE):
-            raise ConstraintViolation(f"height w_{i} = {wi} outside [0, 1]")
+    den = lcm(*(x.denominator for x in w))
+    heights = tuple(x.numerator * (den // x.denominator) for x in w)
+    for i, h in enumerate(heights, start=1):
+        if not 0 <= h <= den:
+            raise ConstraintViolation(f"height w_{i} = {w[i - 1]} outside [0, 1]")
     for j in range(1, shape.d):
-        if (w[j - 1] - w[j]) * shape.lap_sign(j + 1) >= 0:
+        if (heights[j - 1] - heights[j]) * shape.lap_sign(j + 1) >= 0:
             raise ConstraintViolation(
                 f"heights must satisfy (w_{j} - w_{j+1}) * s_{j+1} < 0; "
                 f"got w_{j} = {w[j-1]}, w_{j+1} = {w[j]}"
             )
+    return den, heights
 
 
 def build_sawtooth(shape: Shape) -> PiecewiseLinearMap:
@@ -149,9 +155,7 @@ class StuntedSawtoothMap:
 
     def __init__(self, shape: Shape, w):
         w = tuple(x if type(x) is Fraction else Fraction(x) for x in w)
-        validate_heights(shape, w)
-        den = lcm(*(x.denominator for x in w))
-        heights = tuple(x.numerator * (den // x.denominator) for x in w)
+        den, heights = validate_heights(shape, w)
         n = shape.d + 1
         half = [den - h if s > 0 else h for s, h in zip(shape.signs, heights)]
         self.shape = shape

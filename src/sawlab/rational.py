@@ -14,6 +14,7 @@ and leaves anything else (str, int, float, bool, None) as it is, each
 container encoded element by element. Report dataclasses inherit `Wire`,
 whose `to_json` encodes every field under its own name; a class whose JSON is
 not simply its fields overrides `to_json`, usually on top of the default.
+Each class's field names are read once, on its first `to_json`, and kept.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 import re
 from dataclasses import fields
 from fractions import Fraction
+from functools import cache
 
 from .errors import ConstraintViolation
 
@@ -91,8 +93,13 @@ def to_wire(x):
     return x
 
 
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 class Wire:
     """Mixin for report dataclasses: JSON is every field, encoded by to_wire."""
 
     def to_json(self) -> dict:
-        return {f.name: to_wire(getattr(self, f.name)) for f in fields(self)}
+        return {name: to_wire(getattr(self, name)) for name in _field_names(type(self))}

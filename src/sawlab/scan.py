@@ -7,6 +7,14 @@ a timestamp. Reruns with the same config produce byte-identical CSV and
 certificate files. The manifest is different on purpose: an append-only
 JSONL journal written as cells complete, which is what makes --resume work;
 its line order is not part of the deterministic surface.
+
+Each record is encoded once: the worker dumps it to JSON text with sorted
+keys, and the journal line and the certificate line both carry that text.
+A journal line is exactly `json.dumps(entry, sort_keys=True)` of its entry
+(keys budgets, index, record, row, shape, w), with the record and the
+scan's budgets and shape, encoded once per scan, spliced in. Resumed
+records are dumped again the same way, so a resumed row writes the same
+certificate bytes as a computed one.
 """
 
 from __future__ import annotations
@@ -121,31 +129,24 @@ def _blank_row(verdict: str, reason: str) -> dict:
     }
 
 
-def _classify_cell(args) -> dict:
+def _classify_cell(args) -> tuple[int, list[str], dict, str]:
     """Worker: one cell, as the config holds it (Shape, Fractions, Budgets
-    pickle as they are), to a manifest entry. Must stay picklable/top-level."""
+    pickle as they are), to its index, heights as text, CSV row and record.
+    The record is JSON text dumped once with sorted keys, "null" when there
+    is none. Must stay picklable/top-level."""
     index, shape, w, budgets, want_record = args
-    entry: dict = {
-        "index": index,
-        "w": [format_rat(x) for x in w],
-        "shape": shape.to_string(),
-        "budgets": budgets.to_json(),
-    }
+    w_text = [format_rat(x) for x in w]
     try:
         m = StuntedSawtoothMap(shape, w)
     except ConstraintViolation as e:
-        entry["row"] = _blank_row("Skipped", str(e))
-        entry["record"] = None
-        return entry
+        return index, w_text, _blank_row("Skipped", str(e)), "null"
     try:
         record = classify(m, budgets)
     except ConstraintViolation:
         raise
     except SawlabError as e:
         # one cell's failure is that cell's row, not the end of the scan
-        entry["row"] = _blank_row("Error", f"{type(e).__name__}: {e}")
-        entry["record"] = None
-        return entry
+        return index, w_text, _blank_row("Error", f"{type(e).__name__}: {e}"), "null"
     detail = record.detail
     row = {
         "verdict": record.verdict,
@@ -156,9 +157,8 @@ def _classify_cell(args) -> dict:
         "homoclinic": {True: "yes", False: "no"}.get(detail.get("homoclinic_found"), ""),
         "reason": "; ".join(record.notes),
     }
-    entry["row"] = row
-    entry["record"] = record.to_json() if want_record else None
-    return entry
+    text = json.dumps(record.to_json(), sort_keys=True) if want_record else "null"
+    return index, w_text, row, text
 
 
 @dataclass(frozen=True)
@@ -179,8 +179,10 @@ class ScanSummary(Wire):
         return out
 
 
-def _resume_entries(manifest: Path, config: ScanConfig) -> dict[int, dict]:
-    """Finished cells of an earlier run, by index.
+def _resume_entries(manifest: Path, config: ScanConfig) -> dict[int, tuple]:
+    """Finished cells of an earlier run, by index, as `_classify_cell`
+    returns them: the record is dumped again with sorted keys, so a resumed
+    row writes the same certificate bytes as a computed one.
 
     A crash can tear the last journal line (bytes after the last newline, or
     a last line that is not JSON); that line is cut off the file and its cell
@@ -192,7 +194,7 @@ def _resume_entries(manifest: Path, config: ScanConfig) -> dict[int, dict]:
     expected = {"shape": config.shape.to_string(), "budgets": config.budgets.to_json()}
     data = manifest.read_bytes()
     *lines, torn = data.split(b"\n")  # torn: whatever follows the last newline
-    done: dict[int, dict] = {}
+    done: dict[int, tuple] = {}
     kept = 0  # bytes of the lines read
     for n, line in enumerate(lines):
         if line.strip():
@@ -212,7 +214,8 @@ def _resume_entries(manifest: Path, config: ScanConfig) -> dict[int, dict]:
                         f"{manifest} line {n + 1}: cell {index} has {key} "
                         f"{entry.get(key)!r}, the config has {value!r}"
                     )
-            done[index] = entry
+            record = json.dumps(entry["record"], sort_keys=True)
+            done[index] = index, entry["w"], entry["row"], record
         kept += len(line) + 1
     if kept < len(data):
         with manifest.open("r+b") as fh:
@@ -223,7 +226,7 @@ def _resume_entries(manifest: Path, config: ScanConfig) -> dict[int, dict]:
 def run_scan(config: ScanConfig, resume: bool = False, workers: int = 0) -> ScanSummary:
     if workers < 0:
         raise ConstraintViolation(f"workers must be >= 0, got {workers}")
-    done: dict[int, dict] = {}
+    done: dict[int, tuple] = {}
     manifest = Path(config.manifest_path)
     if resume and manifest.exists():
         done = _resume_entries(manifest, config)
@@ -236,17 +239,25 @@ def run_scan(config: ScanConfig, resume: bool = False, workers: int = 0) -> Scan
         for i, cell in enumerate(config.cells)
         if i not in done
     ]
+    # what every entry shares, encoded once per scan
+    budgets = json.dumps(config.budgets.to_json(), sort_keys=True)
+    shape = json.dumps(config.shape.to_string())
     manifest.parent.mkdir(parents=True, exist_ok=True)
     computed = 0
     with manifest.open("a") as journal, ExitStack() as stack:
         if workers and workers > 1 and todo:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            entries = pool.map(_classify_cell, todo)
+            results = pool.map(_classify_cell, todo)
         else:
-            entries = map(_classify_cell, todo)
-        for entry in entries:
-            done[entry["index"]] = entry
-            journal.write(json.dumps(entry, sort_keys=True) + "\n")
+            results = map(_classify_cell, todo)
+        for index, w, row, record in results:
+            done[index] = index, w, row, record
+            # the entry as json.dumps(entry, sort_keys=True) writes it
+            journal.write(
+                f'{{"budgets": {budgets}, "index": {index}, "record": {record}, '
+                f'"row": {json.dumps(row, sort_keys=True)}, "shape": {shape}, '
+                f'"w": {json.dumps(w)}}}\n'
+            )
             journal.flush()
             computed += 1
 
@@ -255,11 +266,10 @@ def run_scan(config: ScanConfig, resume: bool = False, workers: int = 0) -> Scan
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     with csv_path.open("w", newline="") as fh:
         fh.write(",".join(CSV_FIELDS) + "\n")
-        for entry in ordered:
-            row = entry["row"]
+        for index, w, row, _ in ordered:
             cells = [
-                str(entry["index"]),
-                ";".join(entry["w"]),
+                str(index),
+                ";".join(w),
                 row["verdict"],
                 row["label"],
                 row["entropy"],
@@ -274,19 +284,12 @@ def run_scan(config: ScanConfig, resume: bool = False, workers: int = 0) -> Scan
         cert_path = Path(config.certificates_path)
         cert_path.parent.mkdir(parents=True, exist_ok=True)
         with cert_path.open("w") as fh:
-            for entry in ordered:
-                fh.write(
-                    json.dumps(
-                        {"index": entry["index"], "record": entry["record"]},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+            for index, _, _, record in ordered:
+                fh.write(f'{{"index": {index}, "record": {record}}}\n')
 
     counts: dict[str, int] = {}
-    for entry in ordered:
-        v = entry["row"]["verdict"]
-        counts[v] = counts.get(v, 0) + 1
+    for _, _, row, _ in ordered:
+        counts[row["verdict"]] = counts.get(row["verdict"], 0) + 1
     return ScanSummary(
         cells=len(config.cells),
         computed=computed,

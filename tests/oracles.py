@@ -7,8 +7,24 @@ the package so that nothing in it can come to lean on them.
 
 from fractions import Fraction
 
-from sawlab import DomainError, Ivl
+from sawlab import ConstraintViolation, DomainError, Ivl
 from sawlab.homoclinic import HomoclinicWitness, unstable_manifold
+
+
+def validate_heights(shape, w) -> None:
+    """Admissibility compared as Fractions: each height in [0, 1], adjacent
+    heights strictly ordered against the lap signs."""
+    if len(w) != shape.d:
+        raise ConstraintViolation(f"need {shape.d} heights, got {len(w)}")
+    for i, wi in enumerate(w, start=1):
+        if not (0 <= wi <= 1):
+            raise ConstraintViolation(f"height w_{i} = {wi} outside [0, 1]")
+    for j in range(1, shape.d):
+        if (w[j - 1] - w[j]) * shape.lap_sign(j + 1) >= 0:
+            raise ConstraintViolation(
+                f"heights must satisfy (w_{j} - w_{j+1}) * s_{j+1} < 0; "
+                f"got w_{j} = {w[j-1]}, w_{j+1} = {w[j]}"
+            )
 
 
 def contains(ivl, x) -> bool:

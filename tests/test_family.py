@@ -24,6 +24,8 @@ from sawlab import (
     validate_heights,
 )
 
+import oracles
+
 
 def test_full_sawtooth_slopes_and_turning_points(tent_shape):
     f = build_sawtooth(tent_shape)
@@ -66,6 +68,70 @@ def test_adjacent_height_order_enforced():
 def test_heights_outside_unit_interval_rejected(tent_shape):
     with pytest.raises(ConstraintViolation):
         StuntedSawtoothMap(tent_shape, [F(6, 5)])
+
+
+@pytest.mark.parametrize(
+    "word, w, message",
+    [
+        ("+-+", (F(1, 3),), "need 2 heights, got 1"),
+        ("+-+", (F(1, 3), F(1, 2), F(1, 4)), "need 2 heights, got 3"),
+        ("+-+", (F(4, 3), F(1, 2)), "height w_1 = 4/3 outside [0, 1]"),
+        ("-+-", (F(1, 6), F(-1, 4)), "height w_2 = -1/4 outside [0, 1]"),
+        # 2/6 is 1/3: equal heights break the strict order
+        ("+-+", (F(1, 3), F(2, 6)),
+         "heights must satisfy (w_1 - w_2) * s_2 < 0; got w_1 = 1/3, w_2 = 1/3"),
+        ("+-+", (F(1, 2), F(2, 3)),
+         "heights must satisfy (w_1 - w_2) * s_2 < 0; got w_1 = 1/2, w_2 = 2/3"),
+        ("+-+-", (F(1, 2), F(1, 5), F(1, 7)),
+         "heights must satisfy (w_2 - w_3) * s_3 < 0; got w_2 = 1/5, w_3 = 1/7"),
+    ],
+)
+def test_each_refusal_names_its_heights(word, w, message):
+    shape = Shape.from_string(word)
+    for check in (validate_heights, oracles.validate_heights):
+        with pytest.raises(ConstraintViolation) as refused:
+            check(shape, w)
+        assert str(refused.value) == message
+    with pytest.raises(ConstraintViolation) as refused:
+        StuntedSawtoothMap(shape, w)
+    assert str(refused.value) == message
+
+
+def test_admissible_heights_come_back_over_one_denominator():
+    shape = Shape.from_string("+-+")
+    assert validate_heights(shape, (F(2, 3), F(1, 2))) == (6, (4, 3))
+    m = StuntedSawtoothMap(shape, (F(2, 3), F(1, 2)))
+    assert (m.den, m.heights) == (6, (4, 3))
+
+
+@st.composite
+def _shapes_and_heights(draw):
+    """A shape and d heights over small mixed denominators, some outside
+    [0, 1] and many equal to a neighbour."""
+    word = draw(st.sampled_from(["+-", "-+", "+-+", "-+-", "+-+-", "-+-+-"]))
+    height = st.fractions(min_value=F(-1, 4), max_value=F(5, 4), max_denominator=12)
+    return word, draw(st.lists(height, min_size=len(word) - 1, max_size=len(word) - 1))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_shapes_and_heights())
+def test_integer_admissibility_refuses_where_fractions_do(case):
+    word, w = case
+    shape = Shape.from_string(word)
+    w = tuple(w)
+    try:
+        oracles.validate_heights(shape, w)
+        expected = None
+    except ConstraintViolation as e:
+        expected = str(e)
+    try:
+        den, heights = validate_heights(shape, w)
+        got = None
+    except ConstraintViolation as e:
+        got = str(e)
+    assert got == expected
+    if got is None:
+        assert all(F(h, den) == x for h, x in zip(heights, w))
 
 
 def test_perturbations_move_heights_by_eps(stunted_tent):

@@ -16,6 +16,7 @@ from sawlab import (
     classify,
 )
 from sawlab.cli import main
+from sawlab.rational import Wire
 from sawlab.scan import ScanConfig, run_scan
 
 
@@ -70,10 +71,13 @@ def test_scan_resume_skips_finished_cells(line_config):
     cfg = line_config(4)
     run_scan(cfg)
     first = open(cfg.csv_path).read()
+    first_certs = open(cfg.certificates_path, "rb").read()
     summary = run_scan(cfg, resume=True)
     assert summary.computed == 0
     assert summary.resumed == 4
     assert open(cfg.csv_path).read() == first
+    # a resumed row writes the certificate bytes of a computed one
+    assert open(cfg.certificates_path, "rb").read() == first_certs
 
 
 def test_parallel_scan_matches_sequential(line_config):
@@ -144,6 +148,66 @@ def test_manifest_journals_one_line_per_cell(line_config):
     lines = [json.loads(s) for s in open(cfg.manifest_path).read().splitlines()]
     assert sorted(entry["index"] for entry in lines) == [0, 1, 2]
     assert all("record" in entry and "row" in entry for entry in lines)
+
+
+JOURNAL_KEYS = {"budgets", "index", "record", "row", "shape", "w"}
+
+
+def test_journal_lines_are_sorted_key_dumps_of_their_entries(line_config):
+    cfg = line_config(5)
+    run_scan(cfg)
+    lines = open(cfg.manifest_path).read().splitlines()
+    assert len(lines) == 5
+    records = {}
+    for line in lines:
+        entry = json.loads(line)
+        assert set(entry) == JOURNAL_KEYS
+        assert line == json.dumps(entry, sort_keys=True)
+        records[entry["index"]] = entry["record"]
+    # the certificate lines carry the same records, dumped the same way
+    certs = open(cfg.certificates_path).read().splitlines()
+    assert certs == [json.dumps({"index": i, "record": records[i]}, sort_keys=True) for i in range(5)]
+    # without certificates every record is null, and the lines keep their form
+    run_scan(replace(cfg, certificates_path=None))
+    for line in open(cfg.manifest_path).read().splitlines():
+        entry = json.loads(line)
+        assert entry["record"] is None
+        assert line == json.dumps(entry, sort_keys=True)
+
+
+# sort_keys=False: a journal written by another tool still resumes to the
+# bytes of the sorted certificate lines
+@pytest.mark.parametrize("sort_keys", [True, False])
+def test_a_manifest_of_whole_entry_dumps_resumes_to_the_same_bytes(line_config, sort_keys):
+    cfg = line_config(5)
+    run_scan(cfg)
+    csv = open(cfg.csv_path, "rb").read()
+    certs = open(cfg.certificates_path, "rb").read()
+    rows = {
+        entry["index"]: entry["row"]
+        for entry in map(json.loads, open(cfg.manifest_path).read().splitlines())
+    }
+    # each entry built whole, its record by the generic field-by-field
+    # encoder, dumped at once, and journaled in reverse order
+    lines = []
+    for index in reversed(range(len(cfg.cells))):
+        w = cfg.cells[index]
+        record = classify(StuntedSawtoothMap(cfg.shape, w), cfg.budgets)
+        entry = {
+            "index": index,
+            "w": [f"{x.numerator}/{x.denominator}" for x in w],
+            "shape": cfg.shape.to_string(),
+            "budgets": Wire.to_json(cfg.budgets),
+            "row": rows[index],
+            "record": Wire.to_json(record),
+        }
+        lines.append(json.dumps(entry, sort_keys=sort_keys) + "\n")
+    with open(cfg.manifest_path, "w") as fh:
+        fh.writelines(lines)
+    summary = run_scan(cfg, resume=True)
+    assert (summary.computed, summary.resumed) == (0, 5)
+    assert open(cfg.csv_path, "rb").read() == csv
+    assert open(cfg.certificates_path, "rb").read() == certs
 
 
 def test_cli_describe_emits_family_json(capsys):

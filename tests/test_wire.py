@@ -2,18 +2,24 @@
 
 from fractions import Fraction as F
 
+import pytest
+
 from sawlab import (
+    Budgets,
     PlateauSelection,
     ScanSummary,
     Shape,
     StuntedSawtoothMap,
+    BudgetExceeded,
     bisect_boundary,
     build_tower,
+    classify,
     gap_fixed_point,
     kneading_data,
     period_set,
 )
-from sawlab.rational import to_wire
+from sawlab import explore
+from sawlab.rational import Wire, to_wire
 
 
 def test_fractions_carry_an_explicit_denominator():
@@ -80,3 +86,42 @@ def test_scan_summary_names_its_paths_without_the_suffix():
         "manifest": "g.jsonl",
         "certificates": None,
     }
+
+
+def _tent(p, q):
+    return StuntedSawtoothMap(Shape.from_string("+-"), [F(p, q)])
+
+
+def _period_structure_stopped(monkeypatch):
+    # no budget stops the zero-entropy period structure once the entropy
+    # stage has built the same graph, so the stage is made to run out
+    def spent(f, point_budget):
+        raise BudgetExceeded("partition", point_budget)
+
+    monkeypatch.setattr(explore, "complete_period_set", spent)
+    return classify(_tent(823, 1000))
+
+
+# one record of each kind, built from the tent at 823/1000 (period 4) or 33/40
+RECORDS = {
+    "Finite(4)": lambda mp: classify(_tent(823, 1000)),
+    "Boundary2Inf(2)": lambda mp: classify(_tent(823, 1000), Budgets(k=2, tower_depth=2)),
+    "Chaotic": lambda mp: classify(_tent(33, 40)),
+    "Inconclusive entropy": lambda mp: classify(_tent(33, 40), Budgets(partition_budget=1)),
+    "Inconclusive period_structure": _period_structure_stopped,
+    "Inconclusive tower steps": lambda mp: classify(_tent(823, 1000), Budgets(k=2, step_budget=3)),
+    "Inconclusive tower depth": lambda mp: classify(_tent(823, 1000), Budgets(k=2, tower_depth=3)),
+}
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+def test_a_record_encodes_as_its_fields_do(kind, monkeypatch):
+    record = RECORDS[kind](monkeypatch)
+    assert record.label == kind.split()[0]
+    stage = kind.split()[1] if " " in kind else None
+    assert record.detail.get("stage") == stage
+    # detail and certificates hold wire values already: to_wire changes nothing
+    assert to_wire(record.detail) == record.detail
+    assert to_wire(record.certificates) == record.certificates
+    # the shallow encoder agrees with the generic field-by-field one
+    assert record.to_json() == Wire.to_json(record)
