@@ -31,6 +31,7 @@ from .family import (
     select_lambda_plateaus,
 )
 from .homoclinic import find_homoclinic
+from .kneading import doubling_word, itinerary_cylinder
 from .markov import build_markov_system
 from .orbits import (
     complete_period_set,
@@ -40,8 +41,10 @@ from .orbits import (
 from .rational import Rat, Wire, format_rat, to_wire
 from .renorm import build_tower, semiconjugacy_check
 
-# halvings allowed to bisect_boundary and to refine_to_boundary
+# halvings allowed to bisect_boundary
 BISECT_MAX_ITERATIONS = 10_000
+# the largest dyadic exponent e of a point refine_to_boundary returns: the
+# halvings of the bracket a bisection would take to reach it
 REFINE_MAX_ITERATIONS = 3000
 
 
@@ -314,64 +317,61 @@ def refine_to_boundary(
     budgets: Budgets | None = None,
     target_level: int | None = None,
 ) -> RefinedBoundary:
-    """Keep halving until the midpoint reaches the doubling accumulation at
-    the verdict resolution.
+    """The first point a bisection of the bracket meets in a doubling cell
+    at the verdict resolution, solved instead of searched.
 
-    The per-midpoint probe is cheap: the principal critical orbit of a
-    zero-entropy member is purely periodic with a power-of-two period 2^L,
-    and L climbs without bound as the bracket closes on the accumulation
-    parameter. The probe walks that orbit on the midpoint's integers and
-    builds no Fraction map. Once the midpoint's L reaches the target the
-    full classifier re-certifies that same midpoint; the probe never decides
-    the final verdict on its own.
+    On the line w(t) = lo_w + t·(hi_w - lo_w) the level-L doubling cell,
+    where critical orbit 1 runs through the word K_L (`doubling_word`)
+    and so has period 2^L, is one exact interval of t
+    (`itinerary_cylinder`). In the first cell that meets 0 < t < 1 the
+    point is the dyadic t = j/2^e of least e, the midpoint that e halvings
+    reach first, bracketed by w((j ± 1)/2^e). The full classifier
+    certifies it, or the next level's cell is tried. No orbit is walked.
 
     The level sought is max(target_level, k) for the budgets' k, and k when
-    target_level is None. Below level k the classifier answers Finite
-    (Boundary2Inf needs a period of at least 2^k), so a lower target would
-    only add full classifies that cannot end the search.
+    target_level is None, and a level L is tried while 2^L is within the
+    step budget. Below level k the classifier answers Finite (Boundary2Inf
+    needs a period of at least 2^k), so a lower target would only add full
+    classifies that cannot end the search.
     """
     if target_level is not None and target_level < 1:
         raise ConstraintViolation(f"target level must be >= 1, got {target_level}")
     b = budgets or Budgets()
-    level_goal = max(target_level or b.k, b.k)
     shape = Shape.from_string(bracket.shape)
-    lo = StuntedSawtoothMap(shape, bracket.lo_w)
-    hi = StuntedSawtoothMap(shape, bracket.hi_w)
-    for it in range(1, REFINE_MAX_ITERATIONS + 1):
-        mid = _midpoint(lo, hi)
-        finite_side = False
-        level = 0
-        try:
-            pts, preperiod = mid.walk(mid.heights[0], b.step_budget)
-            period = len(pts) - 1 - preperiod
-            if preperiod == 0 and period & (period - 1) == 0:
-                finite_side = True
-                level = period.bit_length() - 1
-        except BudgetExceeded:
-            pass  # no cycle within the step budget: treated as the chaotic side
-        if finite_side and level >= level_goal:
-            record = classify(mid, b)
-            if record.verdict == "Boundary2Inf":
-                new_bracket = BoundaryBracket(
-                    shape=bracket.shape,
-                    lo_w=lo.w,
-                    hi_w=hi.w,
-                    midpoint_w=mid.w,
-                    width=_width(lo, hi),
-                    iterations=bracket.iterations + it,
-                    lo_record=classify(lo, b),
-                    hi_record=classify(hi, b),
-                )
-                return RefinedBoundary(
-                    bracket=new_bracket,
-                    level=level,
-                    record=record,
-                    extra_iterations=it,
-                )
-        if finite_side:
-            lo = mid
-        else:
-            hi = mid
+    lo_w = bracket.lo_w
+    v = tuple(y - x for x, y in zip(lo_w, bracket.hi_w))
+
+    def at(t) -> StuntedSawtoothMap:
+        return StuntedSawtoothMap(shape, [x + t * y for x, y in zip(lo_w, v)])
+
+    # K_1 starts at the rank of w_1 on the low end, or on the high end when
+    # w_1 sits on a plateau at the low end (level 0)
+    ranks = [m.step(m.heights[0])[0] for m in (at(0), at(1))]
+    first = ranks[ranks[0] % 2]
+    for level in range(max(target_level or b.k, b.k), b.step_budget.bit_length()):
+        cell = itinerary_cylinder(shape, lo_w, v, 1, doubling_word(shape, first, level))
+        if cell is None or cell.hi <= 0 or cell.lo >= 1:
+            continue
+        j, e = 1, 1
+        while (t := Fraction(j, 1 << e)) not in cell:
+            if e == REFINE_MAX_ITERATIONS:
+                raise BudgetExceeded("steps", REFINE_MAX_ITERATIONS)
+            j, e = 2 * j + (1 if t < cell.hi else -1), e + 1
+        mid = at(t)
+        record = classify(mid, b)
+        if record.verdict == "Boundary2Inf":
+            lo, hi = at(Fraction(j - 1, 1 << e)), at(Fraction(j + 1, 1 << e))
+            new_bracket = BoundaryBracket(
+                shape=bracket.shape,
+                lo_w=lo.w,
+                hi_w=hi.w,
+                midpoint_w=mid.w,
+                width=_width(lo, hi),
+                iterations=bracket.iterations + e,
+                lo_record=classify(lo, b),
+                hi_record=classify(hi, b),
+            )
+            return RefinedBoundary(new_bracket, level, record, extra_iterations=e)
     raise BudgetExceeded("steps", REFINE_MAX_ITERATIONS)
 
 

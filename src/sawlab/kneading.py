@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import ConstraintViolation, KneadingNotRealizable
 from .family import Shape, StuntedSawtoothMap
@@ -154,6 +155,11 @@ class Cylinder:
     lo_closed: bool
     hi_closed: bool
 
+    def __contains__(self, t) -> bool:
+        return self.lo < t < self.hi or (
+            (t == self.lo and self.lo_closed) or (t == self.hi and self.hi_closed)
+        )
+
 
 def _conditions(shape: Shape, rows):
     """Integer forms (c, strict), c = (c_0, c_1, ..., c_d), such that w is
@@ -219,27 +225,47 @@ def itinerary_cylinder(shape: Shape, w0, v, orbit: int, ranks) -> Cylinder | Non
         raise ConstraintViolation(f"need {shape.d} heights and {shape.d} direction coordinates")
     if not any(v):
         raise ConstraintViolation("the direction v must be nonzero")
-    lo, hi, lo_closed, hi_closed = -inf, inf, True, True
+    den = lcm(*(x.denominator for x in w0 + v))
+    p, q = ([x.numerator * (den // x.denominator) for x in u] for u in (w0, v))
+    # each form reads a + b·t >= 0 times den; the ends are t = n/m with m > 0,
+    # and (-1, 0) and (1, 0) stand for -inf and inf
+    (ln, lm), (hn, hm), lo_closed, hi_closed = (-1, 0), (1, 0), True, True
     for (c0, *c), strict in _conditions(shape, [(orbit, ranks)]):
-        a = c0 + sum(ck * x for ck, x in zip(c, w0))
-        b = sum(ck * x for ck, x in zip(c, v))
+        a = c0 * den + sum(map(mul, c, p))
+        b = sum(map(mul, c, q))
         if not b:
             if a < 0 or (strict and not a):
                 return None
             continue
-        t = -a / b
-        if b > 0:
-            if t > lo:
-                lo, lo_closed = t, not strict
-            elif t == lo and strict:
+        if b > 0:  # t >= -a/b
+            if -a * lm > ln * b:
+                ln, lm, lo_closed = -a, b, not strict
+            elif -a * lm == ln * b and strict:
                 lo_closed = False
-        elif t < hi:
-            hi, hi_closed = t, not strict
-        elif t == hi and strict:
+        elif a * hm < hn * -b:  # t <= a/-b
+            hn, hm, hi_closed = a, -b, not strict
+        elif a * hm == hn * -b and strict:
             hi_closed = False
+    lo, hi = Fraction(ln, lm), Fraction(hn, hm)
     if lo < hi or (lo == hi and lo_closed and hi_closed):
         return Cylinder(lo, hi, lo_closed, hi_closed)
     return None
+
+
+def doubling_word(shape: Shape, first: int, level: int) -> tuple[int, ...]:
+    """The rank word of critical orbit 1 along its period-2^level cycle:
+    K_1 = (first, 1), and K_{L+1} = A·x·A·1 with A the word K_L without its
+    final plateau hit and x the gap beside plateau 1, rank 0 or 2, for which
+    A·x reverses orientation (the ⋆-product with RC, Derrida, Gervois and
+    Pomeau 1978)."""
+    if level < 1:
+        raise ConstraintViolation(f"level must be >= 1, got {level}")
+    word = (first, 1)
+    for _ in range(level - 1):
+        a = word[:-1]
+        x = 0 if prod(_parity(shape, r) for r in (*a, 0)) < 0 else 2
+        word = (*a, x, *a, 1)
+    return word
 
 
 def _max_slack(d: int, forms) -> tuple[Rat, ...] | None:

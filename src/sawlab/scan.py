@@ -189,7 +189,9 @@ def _resume_entries(manifest: Path, config: ScanConfig) -> dict[int, tuple]:
     computed again. Any other unreadable line, or an entry whose heights are
     not the config's cell at its index, or whose shape or budgets are not the
     config's, is a ConstraintViolation: the manifest belongs to another run
-    or config, and its rows do not answer this one.
+    or config, and its rows do not answer this one. So is an entry without
+    its record, or whose row lacks a CSV field or holds one that is not
+    text.
     """
     expected = {"shape": config.shape.to_string(), "budgets": config.budgets.to_json()}
     data = manifest.read_bytes()
@@ -214,8 +216,14 @@ def _resume_entries(manifest: Path, config: ScanConfig) -> dict[int, tuple]:
                         f"{manifest} line {n + 1}: cell {index} has {key} "
                         f"{entry.get(key)!r}, the config has {value!r}"
                     )
-            record = json.dumps(entry["record"], sort_keys=True)
-            done[index] = index, entry["w"], entry["row"], record
+            row = entry.get("row")
+            if "record" not in entry or not (
+                isinstance(row, dict) and all(isinstance(row.get(k), str) for k in CSV_FIELDS[2:])
+            ):
+                raise ConstraintViolation(
+                    f"{manifest} line {n + 1}: cell {index} lacks its record or a row field"
+                )
+            done[index] = index, entry["w"], row, json.dumps(entry["record"], sort_keys=True)
         kept += len(line) + 1
     if kept < len(data):
         with manifest.open("r+b") as fh:

@@ -2,12 +2,26 @@
 
 The package reads every map through its integer Markov system; these are the
 literal Fraction routes on a PiecewiseLinearMap and an Ivl, kept apart from
-the package so that nothing in it can come to lean on them.
+the package so that nothing in it can come to lean on them. The boundary
+refinement's bisection, which probes midpoints one walk at a time where the
+package solves the doubling cell, is kept here for the same reason.
 """
 
 from fractions import Fraction
 
-from sawlab import ConstraintViolation, DomainError, Ivl
+from sawlab import (
+    BoundaryBracket,
+    BudgetExceeded,
+    Budgets,
+    ConstraintViolation,
+    DomainError,
+    Ivl,
+    RefinedBoundary,
+    Shape,
+    StuntedSawtoothMap,
+    classify,
+)
+from sawlab.explore import REFINE_MAX_ITERATIONS, _midpoint, _width
 from sawlab.homoclinic import HomoclinicWitness, unstable_manifold
 
 
@@ -132,3 +146,70 @@ def search_orbit(sys, orb, m_budget: int, frontier_budget: int):
             return None, True
         current = nxt
     return None, False
+
+
+def refine_by_bisection(
+    bracket: BoundaryBracket,
+    budgets: Budgets | None = None,
+    target_level: int | None = None,
+) -> RefinedBoundary:
+    """Keep halving until the midpoint reaches the doubling accumulation at
+    the verdict resolution: the bisection that sawlab.refine_to_boundary
+    solves in one step, kept as its reference.
+
+    The per-midpoint probe is cheap: the principal critical orbit of a
+    zero-entropy member is purely periodic with a power-of-two period 2^L,
+    and L climbs without bound as the bracket closes on the accumulation
+    parameter. The probe walks that orbit on the midpoint's integers and
+    builds no Fraction map. Once the midpoint's L reaches the target the
+    full classifier re-certifies that same midpoint; the probe never decides
+    the final verdict on its own.
+
+    The level sought is max(target_level, k) for the budgets' k, and k when
+    target_level is None. Below level k the classifier answers Finite
+    (Boundary2Inf needs a period of at least 2^k), so a lower target would
+    only add full classifies that cannot end the search.
+    """
+    if target_level is not None and target_level < 1:
+        raise ConstraintViolation(f"target level must be >= 1, got {target_level}")
+    b = budgets or Budgets()
+    level_goal = max(target_level or b.k, b.k)
+    shape = Shape.from_string(bracket.shape)
+    lo = StuntedSawtoothMap(shape, bracket.lo_w)
+    hi = StuntedSawtoothMap(shape, bracket.hi_w)
+    for it in range(1, REFINE_MAX_ITERATIONS + 1):
+        mid = _midpoint(lo, hi)
+        finite_side = False
+        level = 0
+        try:
+            pts, preperiod = mid.walk(mid.heights[0], b.step_budget)
+            period = len(pts) - 1 - preperiod
+            if preperiod == 0 and period & (period - 1) == 0:
+                finite_side = True
+                level = period.bit_length() - 1
+        except BudgetExceeded:
+            pass  # no cycle within the step budget: treated as the chaotic side
+        if finite_side and level >= level_goal:
+            record = classify(mid, b)
+            if record.verdict == "Boundary2Inf":
+                new_bracket = BoundaryBracket(
+                    shape=bracket.shape,
+                    lo_w=lo.w,
+                    hi_w=hi.w,
+                    midpoint_w=mid.w,
+                    width=_width(lo, hi),
+                    iterations=bracket.iterations + it,
+                    lo_record=classify(lo, b),
+                    hi_record=classify(hi, b),
+                )
+                return RefinedBoundary(
+                    bracket=new_bracket,
+                    level=level,
+                    record=record,
+                    extra_iterations=it,
+                )
+        if finite_side:
+            lo = mid
+        else:
+            hi = mid
+    raise BudgetExceeded("steps", REFINE_MAX_ITERATIONS)

@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
@@ -21,6 +22,8 @@ from sawlab import (
 from sawlab import explore
 from sawlab.entropy import EntropyEstimate
 from sawlab.markov import build_markov_system
+
+import oracles
 
 
 def test_finite_verdicts_track_the_doubling_cascade(stunted_tent):
@@ -242,3 +245,89 @@ def test_classify_evaluates_no_fraction_map(word, w, verdict, monkeypatch):
     record = classify(m)
     assert record.verdict == verdict
     assert json.dumps(record.to_json(), sort_keys=True) == expected
+
+
+# the parameter lines of the refinement's parity test, low end to high end
+PARITY_LINES = {
+    "+-": (["4/5"], ["9/10"]),
+    "-+": (["1/5"], ["1/10"]),
+    "+-+": (["4/5", "1/5"], ["9/10", "1/10"]),
+    "-+-": (["1/5", "4/5"], ["1/10", "9/10"]),
+}
+
+
+@lru_cache(maxsize=None)
+def _parity_bracket(word, width):
+    lo, hi = PARITY_LINES[word]
+    return bisect_boundary(Shape.from_string(word), [F(x) for x in lo], [F(x) for x in hi], width)
+
+
+def _dump(refined):
+    return json.dumps(refined.to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("width", [F(1, 10**4), F(1, 10**9)])
+@pytest.mark.parametrize("word", PARITY_LINES)
+def test_the_solved_cell_point_is_the_point_the_bisection_reaches(word, width, monkeypatch):
+    bracket = _parity_bracket(word, width)
+    # both routes certify the points they reach with classify, a function of
+    # the member and the budgets: each is classified once
+    @lru_cache(maxsize=None)
+    def certified(shape, w, b):
+        return classify(StuntedSawtoothMap(shape, w), b)
+
+    for module in (explore, oracles):
+        monkeypatch.setattr(module, "classify", lambda m, b: certified(m.shape, m.w, b))
+    for budgets, target in ((None, None), (None, 9), (Budgets(k=4, tower_depth=4), 5)):
+        solved = refine_to_boundary(bracket, budgets, target)
+        assert _dump(solved) == _dump(oracles.refine_by_bisection(bracket, budgets, target))
+
+
+def test_refine_walks_no_orbit_but_the_certified_tower(monkeypatch):
+    bracket = _parity_bracket("+-", F(1, 10**9))
+    starts = []
+    walk = StuntedSawtoothMap.walk
+
+    def counted(self, a, *args, **kwargs):
+        starts.append(F(a, self.den))
+        return walk(self, a, *args, **kwargs)
+
+    # the bisection walked the critical orbit of each of its 228 midpoints;
+    # the solve walks only the critical cycle the certified point's tower reads
+    monkeypatch.setattr(StuntedSawtoothMap, "walk", counted)
+    refined = refine_to_boundary(bracket, target_level=8)
+    assert starts == [refined.bracket.midpoint_w[0]]
+
+
+@pytest.mark.parametrize("word", ["+-+", "-+-"])
+def test_refine_solves_the_bimodal_lines_the_bisection_could_not_finish(word):
+    # bisected to width 1/10 only; the bisection ran past 60 s here without
+    # an answer
+    bracket = _parity_bracket(word, F(1, 10))
+    refined = refine_to_boundary(bracket)
+    assert (refined.level, refined.extra_iterations) == (8, 404)
+    assert refined.record.label == "Boundary2Inf(6)"
+
+
+def test_refine_takes_the_point_of_the_first_cell_not_the_first_deep_midpoint():
+    # at k = 3 the bisection stops at the first midpoint of level 3 or more,
+    # a level-4 point after 5 halvings; the solve takes the level-3 cell's
+    # point, 9 halvings in; both are certified
+    bracket = _parity_bracket("+-", F(1, 10**4))
+    b = Budgets(k=3, tower_depth=3)
+    solved = refine_to_boundary(bracket, b, 3)
+    bisected = oracles.refine_by_bisection(bracket, b, 3)
+    assert (solved.level, solved.extra_iterations) == (3, 9)
+    assert (bisected.level, bisected.extra_iterations) == (4, 5)
+    assert solved.record.label == bisected.record.label == "Boundary2Inf(3)"
+
+
+@pytest.mark.parametrize("lo", ["1/2", "3/5"])
+def test_refine_reads_the_first_rank_at_the_high_end_past_a_level_0_low_end(tent_shape, lo):
+    # w_1 sits on its plateau at the low end, a fixed point: the doubling
+    # words start at the rank of w_1 on the high end
+    bracket = bisect_boundary(tent_shape, [F(lo)], [F(9, 10)], F(1, 2))
+    assert bracket.iterations == 0
+    solved = refine_to_boundary(bracket)
+    assert solved.level == 8
+    assert _dump(solved) == _dump(oracles.refine_by_bisection(bracket))

@@ -15,11 +15,14 @@ from sawlab import (
     Shape,
     StuntedSawtoothMap,
     compare_kneading,
+    doubling_word,
     itinerary_cylinder,
     kneading_data,
     realize_kneading,
 )
 from sawlab import kneading as kneading_module
+
+from test_renorm import _thue_morse_height
 
 
 def test_tent_kneading_row(tent_shape):
@@ -318,3 +321,38 @@ def test_itinerary_cylinder_ends_agree_with_probes(line):
         assert outside != ranks
         at_end = _probe(shape, w, v, orbit, end, depth)
         assert (at_end == ranks) == closed
+
+
+def _feigenbaum_word(level):
+    """theta^level(R) for the period-doubling substitution R -> RL, L -> RR."""
+    word = "R"
+    for _ in range(level):
+        word = "".join({"R": "RL", "L": "RR"}[c] for c in word)
+    return word
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_tent_doubling_words_are_the_period_doubling_substitution(tent_shape, level):
+    # R is the gap right of the plateau (rank 2), L the gap left of it (rank
+    # 0), and the last letter is the plateau hit that closes the cycle
+    expected = (*({"R": 2, "L": 0}[c] for c in _feigenbaum_word(level)[:-1]), 1)
+    assert doubling_word(tent_shape, 2, level) == expected
+    # the mirrored tent: x -> 1 - x swaps the two gaps
+    assert doubling_word(tent_shape.mirrored(), 0, level) == tuple(2 - r for r in expected)
+
+
+def test_tent_doubling_cells_hold_the_thue_morse_heights_and_tile_the_cascade(tent_shape):
+    cells = [
+        itinerary_cylinder(tent_shape, [0], [1], 1, doubling_word(tent_shape, 2, level))
+        for level in range(1, 9)
+    ]
+    for level, cell in enumerate(cells, start=1):
+        # x_{L+1} is the tent height whose critical cycle has period 2^L
+        assert _thue_morse_height(level + 1) in cell
+    for cell, deeper in zip(cells, cells[1:]):
+        assert cell.hi == deeper.lo and cell.hi_closed != deeper.lo_closed
+
+
+def test_a_doubling_word_needs_a_level_of_at_least_1(tent_shape):
+    with pytest.raises(ConstraintViolation):
+        doubling_word(tent_shape, 2, 0)

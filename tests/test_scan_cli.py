@@ -433,6 +433,30 @@ def test_cli_scan_runs_config_file(tmp_path, capsys):
     assert (tmp_path / "g.csv").exists()
 
 
+@pytest.mark.parametrize("drop", ["row", "record", "row.reason"])
+def test_cli_scan_resume_of_an_entry_without_its_row_or_record_exits_2(tmp_path, capsys, drop):
+    journal = tmp_path / "g.jsonl"
+    cfg = {
+        "shape": "+-",
+        "grid": {"kind": "line", "start": ["1/2"], "stop": ["1"], "steps": 3},
+        "output": {"csv": str(tmp_path / "g.csv"), "manifest": str(journal)},
+    }
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["scan", "--config", str(path)]) == 0
+    lines = journal.read_text().splitlines()
+    entry = json.loads(lines[1])
+    key, _, field = drop.partition(".")
+    del (entry[key] if field else entry)[field or key]
+    lines[1] = json.dumps(entry, sort_keys=True)
+    journal.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["scan", "--config", str(path), "--resume"]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["kind"] == "ConstraintViolation"
+    assert "line 2" in error["error"]
+
+
 def test_cli_bisect_refuses_a_refine_level_below_1_before_bisecting(capsys, monkeypatch):
     def bisect_must_not_run(*args, **kwargs):
         raise AssertionError("bisect_boundary ran before the refine level was checked")
