@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .entropy import entropy
+from .entropy import entropy_bowen, entropy_lap, entropy_markov
 from .errors import (
     BudgetExceeded,
     ConstraintViolation,
@@ -31,7 +31,7 @@ from .explore import (
 )
 from .family import Shape, StuntedSawtoothMap, build_sawtooth
 from .kneading import KneadingData, compare_kneading, kneading_data, realize_kneading
-from .orbits import period_set, periodic_points
+from .orbits import period_set, periodic_orbits
 from .rational import parse_rat
 from .renorm import build_tower, gap_fixed_point, semiconjugacy_check
 from .scan import ScanConfig, run_scan
@@ -114,7 +114,11 @@ def _cmd_orbits(args) -> int:
             raise ConstraintViolation(f"{flag} must be >= 1, got {value}")
     m = _family(args)
     if args.period is not None:
-        orbits = periodic_points(m.map, args.period, args.piece_budget)
+        if args.period < 1:
+            raise ConstraintViolation(f"period must be >= 1, got {args.period}")
+        # the sweep's enumerator; its last yield is period n
+        for _, orbits in periodic_orbits(m.map, args.period, args.piece_budget):
+            pass
         _emit({"period": args.period, "orbits": [o.to_json() for o in orbits]}, args)
         return 0
     if args.start is not None:
@@ -130,10 +134,12 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_entropy(args) -> int:
     m = _family(args)
-    kw = {}
     if args.method == "lap":
-        kw["n_max"] = args.n_max
-    est = entropy(m.map, method=args.method, **kw)
+        est = entropy_lap(m.map, n_max=args.n_max)
+    elif args.method == "bowen":
+        est = entropy_bowen(m.map)
+    else:
+        est = entropy_markov(m.map)
     _emit({"entropy": est.to_json()}, args)
     return 0
 
@@ -196,7 +202,7 @@ def _cmd_renorm(args) -> int:
     tower = build_tower(m, max_depth=args.depth)
     payload = {
         "tower": tower.to_json(),
-        "gap_fixed_point": gap_fixed_point(m).to_json(),
+        "gap_fixed_point": gap_fixed_point(m, tower).to_json(),
     }
     if tower.depth >= 1:
         payload["semiconjugacy"] = semiconjugacy_check(tower, tower.depth).to_json()

@@ -301,12 +301,3 @@ def entropy_bowen(f: PiecewiseLinearMap) -> EntropyEstimate:
         },
     )
 
-
-def entropy(f: PiecewiseLinearMap, method: str = "markov", **kw) -> EntropyEstimate:
-    if method == "markov":
-        return entropy_markov(f, **kw)
-    if method == "lap":
-        return entropy_lap(f, **kw)
-    if method == "bowen":
-        return entropy_bowen(f, **kw)
-    raise ValueError(f"unknown entropy method {method!r}")

@@ -414,23 +414,22 @@ def two_sided_perturbation_experiment(
         # no trial would make every trial pass
         raise ConstraintViolation("the experiment needs at least one perturbation size")
     b = budgets or Budgets()
+    if b.k < 3:
+        # the accumulation set is read off the orbits of periods 8 to 2^min(6, k)
+        raise ConstraintViolation(f"the experiment needs k >= 3, got k = {b.k}")
     base = classify(m, b)
     if base.verdict != "Boundary2Inf":
         raise ConstraintViolation(
             f"experiment requires a Boundary2Inf base, got {base.label}"
         )
-    radius = Fraction(1, 100)
     k_hi = min(6, b.k)
-    pts: tuple[Rat, ...] = ()
-    sel = PlateauSelection(frozenset(), radius)
-    for _ in range(4):
+    # a Boundary2Inf base has orbits of periods 8 to 2^k_hi, so pts is not
+    # empty, and at radius 1 every plateau lies within reach of any point
+    for radius in (Fraction(1, 100), Fraction(1, 10), Fraction(1)):
         pts = omega_accumulation(m.map, 3, k_hi, radius, b.piece_budget, b.partition_budget)
         sel = select_lambda_plateaus(m, pts, radius)
         if sel.indices:
             break
-        radius *= 10
-    if not sel.indices:
-        raise ConstraintViolation("no plateau lies near the accumulation set")
 
     trials = []
     for eps in eps_values:

@@ -119,20 +119,15 @@ def compare_orbit_itineraries(shape: Shape, ranks_a, ranks_b) -> int:
     return 0
 
 
-def compare_kneading(a: KneadingData, b: KneadingData, orbit: int | None = None) -> int | None:
+def compare_kneading(a: KneadingData, b: KneadingData) -> int | None:
     """Order two kneading data sets, orbitwise.
 
-    With orbit given, compares that orbit's itinerary alone. Otherwise
-    compares all orbits and returns the shared verdict, or None when orbits
+    Compares all orbits and returns the shared verdict, or None when orbits
     disagree in sign (incomparable data).
     """
     if a.shape != b.shape:
         raise ConstraintViolation("kneading data from different shapes")
     depth = min(a.depth, b.depth)
-    if orbit is not None:
-        return compare_orbit_itineraries(
-            a.shape, a.row_ranks(orbit)[:depth], b.row_ranks(orbit)[:depth]
-        )
     verdicts = [
         compare_orbit_itineraries(a.shape, a.row_ranks(i)[:depth], b.row_ranks(i)[:depth])
         for i in range(1, a.d + 1)

@@ -111,13 +111,14 @@ class MarkovSystem:
 
 
 @functools.lru_cache(maxsize=1)
-def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096) -> MarkovSystem:
+def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096, /) -> MarkovSystem:
     """Close the breakpoint set under f and read off the transition graph.
 
     The closure runs on integer numerators over one denominator; a map with
     a non-integer slope raises StructureError. The last result is memoized
-    and shared. Callers pass (f, point_budget) positionally to hit the same
-    entry.
+    and shared. Both parameters are positional-only, so every call keys the
+    cache as (f, point_budget): a keyword call, which would miss the entry
+    and build the graph again, is a TypeError.
     """
     odd = next((s for s in f.slopes if s.denominator != 1), None)
     if odd is not None:

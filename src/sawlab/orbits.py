@@ -2,22 +2,22 @@
 
 Periodic points of a rational PL map solve affine equations, so everything
 here is exact. One enumerator, periodic_orbits, lists the orbits of each
-period for every caller that sweeps periods (period_set, find_homoclinic,
-omega_accumulation), and it reads them off the Markov graph, which records f
-on the partition points and the affine branch of each nonflat cell: no
-iterate is composed and no orbit is walked under f. When every recurrent
-class is a bare cycle (the zero entropy situation) the graph lists every
-periodic orbit at once: one solved orbit per bare cycle plus the cycles of f
-on the partition, the plateau cycles among them. Otherwise the orbits of
-period n are the partition cycles plus one orbit per closed walk of length n
-in the cell graph whose fixed point avoids the partition (Block, Guckenheimer,
-Misiurewicz and Young, 1980).
+period for every caller (period_set, find_homoclinic, omega_accumulation, the
+gap report and `sawlab orbits --period`), and it reads them off the Markov
+graph, which records f on the partition points and the affine branch of each
+nonflat cell: no iterate is composed and no orbit is walked under f. When
+every recurrent class is a bare cycle (the zero entropy situation) the graph
+lists every periodic orbit at once: one solved orbit per bare cycle plus the
+cycles of f on the partition, the plateau cycles among them. Otherwise the
+orbits of period n are the partition cycles plus one orbit per closed walk of
+length n in the cell graph whose fixed point avoids the partition (Block,
+Guckenheimer, Misiurewicz and Young, 1980).
 
 periodic_points (f^n by repeated squaring, then its fixed points piece by
 piece, and each orbit's stability from the one-sided slopes of f^n at its
 smallest point) is the literal reference route the tests compare the
-enumerator against; complete_period_set is the exhaustive all-periods answer
-of the structural route.
+enumerator against; nothing in the package calls it. complete_period_set is
+the exhaustive all-periods answer of the structural route.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def periodic_points(
     The literal route: compose g = f^n, solve its fixed points piece by
     piece and walk each under f. An orbit's stability is read off g's
     one-sided slopes at its smallest point. It is the oracle periodic_orbits
-    is tested against.
+    is tested against; piece_budget bounds the pieces of g.
     """
     if n < 1:
         raise ConstraintViolation(f"period must be >= 1, got {n}")

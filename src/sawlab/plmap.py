@@ -130,21 +130,6 @@ class PiecewiseLinearMap:
 
     # --- structure queries ---
 
-    def plateaus(self) -> tuple[Ivl, ...]:
-        """Maximal closed intervals on which the map is constant."""
-        out = []
-        i = 0
-        while i < self.piece_count:
-            if self.slopes[i] == 0:
-                j = i
-                while j + 1 < self.piece_count and self.slopes[j + 1] == 0:
-                    j += 1
-                out.append(Ivl(self.breakpoints[i], self.breakpoints[j + 1]))
-                i = j + 1
-            else:
-                i += 1
-        return tuple(out)
-
     def laps(self) -> tuple[Ivl, ...]:
         """Maximal closed intervals of strict monotonicity.
 

@@ -23,7 +23,8 @@ StuntedSawtoothMap.walk, and it and the block ends are numerators over den.
 S_w's only interior extrema are its plateaus, and a block's ends map to cycle
 points of the next class, so the successor test checks only the heights of
 the plateaus the block meets, which the ranks of its ends give (step).
-Fraction blocks are built only for a kept level.
+Fraction blocks are built only for a kept level. build_tower is the one walk
+of the cycle: the gap report reads the cycle off the tower.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import ConstraintViolation
+from .errors import ConstraintViolation, StructureError
 from .family import StuntedSawtoothMap
 from .homoclinic import unstable_manifold
 from .orbits import periodic_orbits
@@ -64,10 +65,14 @@ class GapFixedPointReport(Wire):
     reason: str | None = None
 
 
-def gap_fixed_point(m: StuntedSawtoothMap, max_steps: int = 1_000_000) -> GapFixedPointReport:
-    f = m.map
-    pts, j = m.walk(m.heights[0], max_steps)
-    period = len(pts) - 1 - j
+def gap_fixed_point(m: StuntedSawtoothMap, tower: RenormTower) -> GapFixedPointReport:
+    """The gap report of m's principal critical cycle, read off m's tower.
+
+    The period is the tower's cycle period. At period 2 the cycle is the two
+    one-point blocks of level 1, which build_tower always keeps: they cannot
+    overlap, and each maps onto the other.
+    """
+    period = tower.cycle_period
     if period != 2:
         return GapFixedPointReport(
             ok=False,
@@ -79,22 +84,15 @@ def gap_fixed_point(m: StuntedSawtoothMap, max_steps: int = 1_000_000) -> GapFix
             unstable=None,
             reason=f"critical value cycle has period {period}, not 2",
         )
-    cycle = tuple(Fraction(a, m.den) for a in pts[j:-1])
+    f = m.map
+    cycle = tuple(b.lo for b in tower.levels[0].blocks)
     lo, hi = min(cycle), max(cycle)
     hull = Ivl(lo, hi)
     orbits = dict(periodic_orbits(f, 2))
     fixed = [o.points[0] for o in orbits[1] if lo < o.points[0] < hi]
     if not fixed:
-        return GapFixedPointReport(
-            ok=False,
-            level=1,
-            period=period,
-            cycle=cycle,
-            p=None,
-            q=None,
-            unstable=None,
-            reason="no fixed point inside the cycle gap",
-        )
+        # f(lo) = hi > lo and f(hi) = lo < hi: f(x) - x changes sign in the gap
+        raise StructureError("no fixed point inside the cycle gap")
     p = min(fixed)
     candidates = sorted(
         (x for n in (1, 2) for o in orbits[n] for x in o.points if p <= x <= hi),

@@ -74,6 +74,13 @@ def orbit(f, x, n: int) -> tuple:
     return tuple(pts)
 
 
+def plateaus(f) -> tuple:
+    """Maximal closed intervals on which f is constant: its flat pieces, as
+    the map merges collinear neighbours."""
+    bps = f.breakpoints
+    return tuple(Ivl(a, b) for a, b, s in zip(bps, bps[1:], f.slopes) if s == 0)
+
+
 def image_of_interval(f, ivl):
     """Exact image f([a, b]): extremes occur at endpoints or breakpoints."""
     if not (0 <= ivl.lo and ivl.hi <= 1):

@@ -142,6 +142,20 @@ def test_perturbation_experiment_refuses_an_empty_list_of_sizes(stunted_tent, mo
         two_sided_perturbation_experiment(m, eps_values=())
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_perturbation_experiment_refuses_k_below_3_before_classifying(stunted_tent, monkeypatch, k):
+    # the base is certified at k: the accumulation window 3 .. min(6, k) is empty
+    m = stunted_tent(F(REFINED_MIDPOINTS["+-"]))
+    assert classify(m, Budgets(k=k)).label == "Boundary2Inf(6)"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the experiment classified its base")
+
+    monkeypatch.setattr(explore, "classify", refuse)
+    with pytest.raises(ConstraintViolation, match=f"needs k >= 3, got k = {k}"):
+        two_sided_perturbation_experiment(m, budgets=Budgets(k=k))
+
+
 def test_budgets_round_trip_and_take_only_known_int_budgets():
     b = Budgets.from_json({"k": 3})
     assert b.k == 3

@@ -9,11 +9,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sawlab import (
+    Budgets,
     ConstraintViolation,
     Ivl,
     PiecewiseLinearMap,
     Shape,
     StuntedSawtoothMap,
+    classify,
     find_homoclinic,
     unstable_manifold,
 )
@@ -80,6 +82,39 @@ def test_minimal_budget_still_finds_a_one_step_witness(tent):
     assert w.orbit.points == (F(2, 3),)
     assert w.x == F(1, 3)
     assert w.m == 1
+
+
+def test_a_truncated_search_tree_is_noted_and_not_definitive():
+    f = StuntedSawtoothMap(Shape.from_string("+-"), [F(9, 10)]).map
+    report = find_homoclinic(f, frontier_budget=1)
+    assert report.witness is None
+    assert report.truncated and not report.definitive
+    repelling = [
+        o for _, orbits in periodic_orbits(f, 6) for o in orbits if o.stability == "repelling"
+    ]
+    assert report.orbits_searched == len(repelling) == 11
+    # one note per truncated tree; the tree of the fixed point 0 dies out within the budget
+    assert report.notes == tuple(
+        f"search tree truncated at orbit through {o.points[0]}" for o in repelling[1:]
+    )
+
+
+def test_an_enumeration_past_the_walk_budget_is_noted_and_not_definitive():
+    f = StuntedSawtoothMap(Shape.from_string("+-"), [F(9, 10)]).map
+    report = find_homoclinic(f, piece_budget=1)
+    assert report.witness is None
+    assert (report.orbits_searched, report.truncated, report.definitive) == (0, False, False)
+    assert report.notes == ("period 1 enumeration: budget exceeded: walks (limit 1, needed >= 2)",)
+
+
+def test_a_truncated_search_reaches_the_chaotic_certificate():
+    m = StuntedSawtoothMap(Shape.from_string("+-"), [F(9, 10)])
+    record = classify(m, Budgets(homoclinic_frontier=1))
+    assert record.verdict == "Chaotic"
+    assert record.detail["homoclinic_found"] is False
+    homo = record.certificates["homoclinic"]
+    assert homo["truncated"] and not homo["definitive"]
+    assert homo["orbits_searched"] == 11 and len(homo["notes"]) == 10
 
 
 def test_zero_period_bound_is_refused_not_a_definitive_miss(tent):

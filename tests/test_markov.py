@@ -140,3 +140,16 @@ def test_a_non_integer_slope_is_refused():
     build_markov_system.cache_clear()
     with pytest.raises(StructureError):
         build_markov_system(f, 4096)
+
+
+def test_the_graph_cache_is_keyed_by_position_only():
+    # a keyword call would key a second cache entry and build the graph again
+    f = StuntedSawtoothMap(Shape.from_string("+-"), [F(4, 5)]).map
+    build_markov_system.cache_clear()
+    sys = build_markov_system(f, 4096)
+    with pytest.raises(TypeError):
+        build_markov_system(f, point_budget=4096)
+    with pytest.raises(TypeError):
+        build_markov_system(f=f)
+    # the refused calls built nothing, and the entry is still there
+    assert build_markov_system(f, 4096) is sys

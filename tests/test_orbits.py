@@ -30,7 +30,7 @@ from sawlab.orbits import (
     periodic_orbits,
 )
 
-from oracles import iterate
+from oracles import iterate, plateaus
 
 
 def test_fixed_points_of_stunted_tent(stunted_tent):
@@ -184,7 +184,7 @@ def test_structural_inventory_refuses_branching_graphs(tent):
 
 def _plateau_is_periodic(f):
     return any(
-        iterate(f, f(plat.lo), n) == f(plat.lo) for plat in f.plateaus() for n in range(1, 65)
+        iterate(f, f(plat.lo), n) == f(plat.lo) for plat in plateaus(f) for n in range(1, 65)
     )
 
 

@@ -97,7 +97,8 @@ def _fraction_tower(m, max_depth):
 
 
 def test_gap_fixed_point_between_cycle_blocks(stunted_tent):
-    report = gap_fixed_point(stunted_tent(F(4, 5)))
+    m = stunted_tent(F(4, 5))
+    report = gap_fixed_point(m, build_tower(m))
     assert report.ok
     assert report.level == 1
     assert report.period == 2
@@ -108,9 +109,18 @@ def test_gap_fixed_point_between_cycle_blocks(stunted_tent):
     assert contains(report.unstable, F(2, 3))
 
 
-def test_renorm_reports_the_gap_of_a_cycle_150002_long(capsys):
-    # the tower and the gap report walk the same cycle under the same step budget
+def test_renorm_reports_the_gap_of_a_cycle_150002_long(capsys, monkeypatch):
+    # the tower walks the cycle once, and the gap report reads the tower
+    walks = []
+    walk = StuntedSawtoothMap.walk
+
+    def counted(self, *args):
+        walks.append(args)
+        return walk(self, *args)
+
+    monkeypatch.setattr(StuntedSawtoothMap, "walk", counted)
     assert main(["renorm", "--shape", "+-", "--w", "300005/300007"]) == 0
+    assert len(walks) == 1
     out = capsys.readouterr().out
     # the gap report names the period and leaves the 150002 points out
     assert len(out.encode()) < 10_000

@@ -224,6 +224,15 @@ def test_cli_orbits_lists_requested_period(capsys):
     assert ("2/7", "4/7", "6/7") in pts
 
 
+def test_cli_orbits_period_reads_the_markov_graph_not_the_nth_iterate(capsys):
+    # f^16000 of the tent at 4/5 has 63999 pieces with 16000-bit denominators;
+    # the graph lists the orbits of every period at once
+    start = time.process_time()
+    assert main(["orbits", "--shape", "+-", "--w", "4/5", "--period", "16000"]) == 0
+    assert time.process_time() - start < 2
+    assert json.loads(capsys.readouterr().out) == {"period": 16000, "orbits": []}
+
+
 def test_cli_orbits_start_walks_over_both_denominators(capsys):
     # the start 1/3 lies off the heights' lattice (1/5)Z; the Fraction map walks it
     assert main(["orbits", "--shape", "+-", "--w", "4/5", "--start", "1/3"]) == 0
@@ -431,6 +440,23 @@ def test_cli_scan_runs_config_file(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)["scan"]
     assert payload["cells"] == 3
     assert (tmp_path / "g.csv").exists()
+
+
+def test_cli_scan_skips_a_grid_cell_outside_the_family(tmp_path, capsys, monkeypatch):
+    # an endpoint outside [0, 1] is a rational: its cells are Skipped rows
+    monkeypatch.chdir(tmp_path)
+    cfg = {
+        "shape": "+-",
+        "grid": {"kind": "line", "start": ["-1"], "stop": ["1"], "steps": 3},
+        "output": {"csv": "g.csv", "manifest": "g.jsonl"},
+    }
+    (tmp_path / "scan.json").write_text(json.dumps(cfg))
+    assert main(["scan", "--config", "scan.json"]) == 0
+    counts = json.loads(capsys.readouterr().out)["scan"]["verdict_counts"]
+    assert counts == {"Skipped": 1, "Finite": 1, "Chaotic": 1}
+    rows = (tmp_path / "g.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["Skipped", "Finite(1)", "Chaotic"]
+    assert rows[0].startswith("0,-1/1,Skipped,") and "w_1" in rows[0].split(",")[-1]
 
 
 @pytest.mark.parametrize("drop", ["row", "record", "row.reason"])

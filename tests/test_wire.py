@@ -50,7 +50,8 @@ def test_plateau_selection_sorts_its_indices():
 
 
 def test_none_passes_through(stunted_tent):
-    report = gap_fixed_point(stunted_tent(F(3, 5)))
+    m = stunted_tent(F(3, 5))
+    report = gap_fixed_point(m, build_tower(m))
     payload = report.to_json()
     assert payload["p"] is None and payload["q"] is None and payload["unstable"] is None
     # the critical value 3/5 is fixed: a period-1 cycle has no gap to report
