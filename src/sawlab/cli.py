@@ -31,7 +31,7 @@ from .explore import (
 )
 from .family import Shape, StuntedSawtoothMap, build_sawtooth
 from .kneading import KneadingData, compare_kneading, kneading_data, realize_kneading
-from .orbits import period_set, periodic_orbits
+from .orbits import orbits_of_period, period_set
 from .rational import parse_rat
 from .renorm import build_tower, gap_fixed_point, semiconjugacy_check
 from .scan import ScanConfig, run_scan
@@ -114,11 +114,7 @@ def _cmd_orbits(args) -> int:
             raise ConstraintViolation(f"{flag} must be >= 1, got {value}")
     m = _family(args)
     if args.period is not None:
-        if args.period < 1:
-            raise ConstraintViolation(f"period must be >= 1, got {args.period}")
-        # the sweep's enumerator; its last yield is period n
-        for _, orbits in periodic_orbits(m.map, args.period, args.piece_budget):
-            pass
+        orbits = orbits_of_period(m.map, args.period, args.piece_budget)
         _emit({"period": args.period, "orbits": [o.to_json() for o in orbits]}, args)
         return 0
     if args.start is not None:

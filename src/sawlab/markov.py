@@ -5,13 +5,14 @@ breakpoint cuts [0, 1] into cells on which the map is affine, and each cell's
 image is exactly a union of cells. The transition matrix over the non-flat
 cells then carries the dynamics: its spectral radius gives the entropy, its
 strongly connected components the recurrent structure. The components are
-sorted into bare cycles and branching classes once per graph. The spectral
-radius comes with a proven rational bracket: exact 1 or 0 when no class
-branches, Collatz-Wielandt bounds in integer arithmetic on each branching
-class otherwise. No power iteration runs. The float Perron vector behind
-the bounds comes from one cyclic class of each branching class: the
-eigensolve runs on the class's p-step path counts there, p its period, and
-the vector is lifted to the other p - 1 cyclic classes along the graph.
+sorted into bare cycles and branching classes, and each branching class's
+period is taken, once per graph. The spectral radius comes with a proven
+rational bracket: exact 1 or 0 when no class branches, Collatz-Wielandt
+bounds in integer arithmetic on each branching class otherwise. No power
+iteration runs. The float Perron vector behind the bounds comes from one
+cyclic class of each branching class: the eigensolve runs on the class's
+p-step path counts there, p its period, and the vector is lifted to the other
+p - 1 cyclic classes along the graph.
 
 Building P is orbit closure of the breakpoints; for this package's maps that
 terminates fast because plateau hits collapse denominators, but the builder is
@@ -57,11 +58,14 @@ class Recurrence:
 
     cycles: the bare-cycle classes, each in tour order; they make every
     periodic orbit of a zero-entropy map. branching: the classes carrying two
-    or more cycles; each forces spectral radius > 1.
+    or more cycles; each forces spectral radius > 1. periods: the period of
+    each branching class, aligned with branching: the gcd of the lengths of
+    its closed walks, every one of which it divides.
     """
 
     cycles: tuple[tuple[int, ...], ...]
     branching: tuple[tuple[int, ...], ...]
+    periods: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -217,11 +221,11 @@ def spectral_radius(succ: Sequence[Sequence[int]], rec: Recurrence) -> tuple[flo
         lo = hi = Fraction(1 if rec.cycles else 0)
     else:
         method = "cyclic-eig+collatz-wielandt"
-        brackets = [_perron_bracket(succ, comp) for comp in rec.branching]
+        brackets = [_perron_bracket(succ, comp, p) for comp, p in zip(rec.branching, rec.periods)]
         lo = max(b[0] for b in brackets)
         hi = max(b[1] for b in brackets)
         root = max(b[2] for b in brackets)
-        periods = [b[3] for b in brackets]
+        periods = list(rec.periods)
     # lo < hi only on the branching route, which set root
     rho = float(lo) if lo == hi else min(max(root, float_down(lo)), float_up(hi))
     return rho, {
@@ -234,10 +238,11 @@ def spectral_radius(succ: Sequence[Sequence[int]], rec: Recurrence) -> tuple[flo
 
 
 def _perron_bracket(
-    succ: Sequence[Sequence[int]], comp: tuple[int, ...]
-) -> tuple[Fraction, Fraction, float, int]:
+    succ: Sequence[Sequence[int]], comp: tuple[int, ...], p: int
+) -> tuple[Fraction, Fraction, float]:
     """Collatz-Wielandt bounds on the Perron root of one irreducible class
-    of a graph, the float root they bracket, and the class's period p.
+    of a graph of period p (recurrent_classes gives it), and the float root
+    they bracket.
 
     An irreducible matrix A of period p permutes p cyclic classes
     V_0 .. V_(p-1): V_r holds the members whose BFS level from comp[0] is
@@ -259,9 +264,6 @@ def _perron_bracket(
             if level[u] < 0:
                 level[u] = level[v] + 1
                 queue.append(u)
-    # the period divides the length of every closed walk, and so every
-    # level(v) + 1 - level(u) over the edges v -> u; their gcd is it
-    p = gcd(*(level[v] + 1 - level[u] for v, row in enumerate(inside) for u in row))
     cyclic: list[list[int]] = [[] for _ in range(p)]
     for j, lv in enumerate(level):
         cyclic[lv % p].append(j)
@@ -308,7 +310,7 @@ def _perron_bracket(
             lo = (av, x)
         elif av * hi[1] > hi[0] * x:
             hi = (av, x)
-    return Fraction(*lo), Fraction(*hi), root, p
+    return Fraction(*lo), Fraction(*hi), root
 
 
 def _components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -367,19 +369,39 @@ def recurrent_classes(succ: Sequence[Sequence[int]]) -> Recurrence:
     as m parallel edges. A component is a bare cycle when each member has
     exactly one successor inside it; strongly connected with out-degree one,
     it is then a single cycle, listed in tour order from its first member. A
-    component where some member has two successors inside branches. A
-    singleton without a self loop is transient and lands in neither list.
+    component where some member has two successors inside branches, and its
+    period is taken here, once per graph. A singleton without a self loop is
+    transient and lands in neither list.
     """
     cycles: list[tuple[int, ...]] = []
     branching: list[tuple[int, ...]] = []
+    periods: list[int] = []
     for comp in _components(succ):
         cset = set(comp)
         inside = {v: [u for u in succ[v] if u in cset] for v in comp}
         if any(len(succ) > 1 for succ in inside.values()):
             branching.append(tuple(comp))
+            periods.append(_period(comp[0], inside))
         elif inside[comp[0]]:
             order = [comp[0]]
             while len(order) < len(comp):
                 order.append(inside[order[-1]][0])
             cycles.append(tuple(order))
-    return Recurrence(cycles=tuple(cycles), branching=tuple(branching))
+    return Recurrence(cycles=tuple(cycles), branching=tuple(branching), periods=tuple(periods))
+
+
+def _period(root: int, inside: dict[int, list[int]]) -> int:
+    """The period of a strongly connected class, given each member's
+    successors inside it: the gcd of the lengths of its closed walks.
+
+    With level(v) the BFS distance from root, the period divides every
+    level(v) + 1 - level(u) over the edges v -> u, and their gcd is it.
+    """
+    level = {root: 0}
+    queue = [root]
+    for v in queue:
+        for u in inside[v]:
+            if u not in level:
+                level[u] = level[v] + 1
+                queue.append(u)
+    return gcd(*(level[v] + 1 - level[u] for v, row in inside.items() for u in row))

@@ -13,6 +13,16 @@ orbits of period n are the partition cycles plus one orbit per closed walk of
 length n in the cell graph whose fixed point avoids the partition (Block,
 Guckenheimer, Misiurewicz and Young, 1980).
 
+A closed walk never leaves its strongly connected class, so the walks are
+enumerated class by class, and their count is trace(A^n) = sum over the
+recurrent classes C of trace(A_C^n). A bare cycle of length p has p closed
+walks of each length n divisible by p and one orbit, solved from its composed
+branch with no power of A. Every closed walk in a branching class of period d
+has a length divisible by d (Frobenius; Gantmacher, The Theory of Matrices
+II, ch. XIII), so a sweep to n_max powers only the blocks A_C of the
+branching classes with d <= n_max; transient cells and the other classes
+carry no closed walk of length n_max or less.
+
 periodic_points (f^n by repeated squaring, then its fixed points piece by
 piece, and each orbit's stability from the one-sided slopes of f^n at its
 smallest point) is the literal reference route the tests compare the
@@ -23,7 +33,7 @@ the exhaustive all-periods answer of the structural route.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -178,7 +188,8 @@ def markov_orbit_inventory(
     """Every periodic orbit of a zero-entropy map, via bare cell cycles.
 
     Every recurrent class must be a bare cycle, else StructureError: with a
-    branching class the orbit list is infinite.
+    branching class the orbit list is infinite. A bare cycle of composed
+    slope -1 raises StructureError too (see _bare_cycle_tour).
     """
     sys = build_markov_system(f, point_budget)
     if sys.recurrence.branching:
@@ -186,48 +197,72 @@ def markov_orbit_inventory(
     return _bare_cycle_orbits(sys)
 
 
+_CONTINUUM = "slope-1 closed walk fixed pointwise; continuum of solutions"
+
+
 def _bare_cycle_orbits(sys: MarkovSystem) -> tuple[PeriodicOrbit, ...]:
     """The orbit of each bare cycle, then the cycles of f on the partition.
 
-    A bare cycle's composed affine branch has one fixed point in its first
-    cell, b/(den*m) in integers (see _orbits_from_cell). On the partition it
-    is a cycle of f there, read from image; off it, walked through the
-    branches it tours the cycle, and both one-sided slopes of f^n are the
-    composed slope. The partition cycles add the attracting plateau cycles
-    the graph cannot see.
+    A bare cycle's orbit on the partition is a cycle of f there, read from
+    image. The partition cycles add the attracting plateau cycles the graph
+    cannot see. The list is every periodic orbit, of every period, so a bare
+    cycle of composed slope -1, whose points of period 2p are a continuum,
+    raises StructureError.
     """
     nums = sys.nums
     orbits: dict[tuple[Rat, ...], PeriodicOrbit] = {}
     for cyc in sys.recurrence.cycles:
-        a, b = 1, 0
-        for row in cyc:
-            s, t = sys.branches[row]
-            a, b = s * a, s * b + t
-        if a == 1:
-            raise StructureError("neutral cycle composition; cannot solve fixed point")
-        m = 1 - a
-        if m < 0:
-            m, b = -m, -b
-        cell = sys.nonflat[cyc[0]]
-        if not nums[cell] * m <= b <= nums[cell + 1] * m:
-            raise StructureError("cycle fixed point escaped its cell")
-        i = bisect_left(nums, b // m)
-        if b % m == 0 and nums[i] == b // m:
+        a, cs, m = _bare_cycle_tour(sys, cyc)
+        if a == -1:
+            raise StructureError(_CONTINUUM)
+        i = bisect_left(nums, cs[0] // m)
+        if cs[0] % m == 0 and nums[i] == cs[0] // m:
             cycle = [i]
             while sys.image[cycle[-1]] != i:
                 cycle.append(sys.image[cycle[-1]])
             orb = _partition_orbit(sys, tuple(cycle))
         else:
-            cs = [b]
-            for row in cyc[:-1]:
-                s, t = sys.branches[row]
-                cs.append(s * cs[-1] + t * m)
-            k = cs.index(min(cs))
-            orb = _off_partition_orbit(cs[k:] + cs[:k], sys.den * m, a)
+            orb = _off_partition_orbit(cs, sys.den * m, a)
         orbits.setdefault(orb.points, orb)
     for orb in _partition_cycles(sys):
         orbits.setdefault(orb.points, orb)
     return tuple(orbits.values())
+
+
+def _bare_cycle_tour(sys: MarkovSystem, cyc: tuple[int, ...]) -> tuple[int, list[int], int]:
+    """Solve a bare cycle of p cells, cyc in tour order: the slope a of the
+    branch composed along the tour, and the one orbit the cycle carries, as
+    numerators cs over den*m (m > 0) from its smallest point.
+
+    The composed branch maps the first cell onto itself, so it has one fixed
+    point there, b/(den*m) in integers (see _orbits_from_cell); walked
+    through the branches, c -> s*c + t*m, it tours the cycle. Either every
+    point of the orbit is a partition point or none is, and off the
+    partition its minimal period is p and both one-sided slopes of f^p are
+    a. A slope of 1 fixes the cell pointwise and raises StructureError. A
+    slope of -1 reflects the cell about the fixed point, so every other point
+    of the cell has minimal period 2p: a continuum, which the callers refuse
+    where they list period 2p.
+    """
+    nums = sys.nums
+    a, b = 1, 0
+    for row in cyc:
+        s, t = sys.branches[row]
+        a, b = s * a, s * b + t
+    if a == 1:
+        raise StructureError(_CONTINUUM)
+    m = 1 - a
+    if m < 0:
+        m, b = -m, -b
+    cell = sys.nonflat[cyc[0]]
+    if not nums[cell] * m <= b <= nums[cell + 1] * m:
+        raise StructureError("cycle fixed point escaped its cell")
+    cs = [b]
+    for row in cyc[:-1]:
+        s, t = sys.branches[row]
+        cs.append(s * cs[-1] + t * m)
+    k = cs.index(min(cs))
+    return a, cs[k:] + cs[:k], m
 
 
 def complete_period_set(f: PiecewiseLinearMap, point_budget: int = 4096) -> PeriodSetReport:
@@ -257,7 +292,8 @@ def periodic_orbits(
     n at once. Otherwise the orbits of period n are read off the closed walks
     of length n (_walk_orbits); their count trace(A^n) is checked against
     piece_budget before any is enumerated, and a BudgetExceeded("walks")
-    surfaces at the n that needed it.
+    surfaces at the n that needed it: a caller that stops early never pays
+    for the counts past its stop.
     """
     sys = build_markov_system(f, point_budget)
     if not sys.recurrence.branching:
@@ -266,6 +302,28 @@ def periodic_orbits(
             yield n, tuple(o for o in ordered if o.period == n)
         return
     yield from _walk_orbits(sys, n_max, piece_budget)
+
+
+def orbits_of_period(
+    f: PiecewiseLinearMap, n: int, piece_budget: int = 1_000_000, point_budget: int = 4096
+) -> tuple[PeriodicOrbit, ...]:
+    """The orbits of minimal period n: periodic_orbits' yield for n.
+
+    The sweep to n enumerates every period below it, so the walk counts
+    trace(A^m) of every m <= n are checked against piece_budget first, from
+    the powers alone: a period past the budget is refused before any walk is
+    solved. The sweeps that can stop early (period_set, find_homoclinic)
+    check each count only when they reach it.
+    """
+    if n < 1:
+        raise ConstraintViolation(f"period must be >= 1, got {n}")
+    sys = build_markov_system(f, point_budget)
+    if sys.recurrence.branching:
+        for _ in _class_powers(sys, _branching_blocks(sys, n), n, piece_budget):
+            pass
+    for _, orbits in periodic_orbits(f, n, piece_budget, point_budget):
+        pass
+    return orbits
 
 
 _INT64_MAX = (1 << 63) - 1
@@ -285,10 +343,15 @@ def _run_product(lo: np.ndarray, hi: np.ndarray, p: np.ndarray, pre: np.ndarray)
     p -= pre[lo]
 
 
-def _walk_powers(sys: MarkovSystem) -> Iterator[np.ndarray]:
-    """A, A^2, A^3, ... for the transition matrix A of a graph, each product
-    through its successor ranges, from the identity on: A is never written out.
+def _walk_powers(runs: Sequence[range]) -> Iterator[np.ndarray]:
+    """A, A^2, A^3, ... for the 0/1 matrix A whose row a is 1 exactly on the
+    columns in runs[a], each product through the runs, from the identity on:
+    A is never written out.
 
+    The sweep passes the block A_C of one branching class C (_class_runs):
+    a closed walk never leaves its class, so A_C^n holds every walk of
+    length n inside C, and trace(A^n) is the sum of the classes' traces. A
+    class whose period exceeds the sweep's n_max is never passed.
     A^n = A @ A^(n-1) is read off the prefix sums of A^(n-1)'s rows
     (_run_product): O(k^2) per power, where a dense product costs O(k^3).
     A^n is kept in int64 while its largest entry is at most INT64_MAX // k,
@@ -297,8 +360,8 @@ def _walk_powers(sys: MarkovSystem) -> Iterator[np.ndarray]:
     buffer holds the powers and one the prefix sums, so each yielded array
     is overwritten by the next power.
     """
-    k = len(sys.successors)
-    lo, hi = np.array([(r.start, r.stop) for r in sys.successors], dtype=np.intp).T
+    k = len(runs)
+    lo, hi = np.array([(r.start, r.stop) for r in runs], dtype=np.intp).T
     power = np.eye(k, dtype=np.int64)
     pre = np.zeros((k + 1, k), dtype=np.int64)
     while True:
@@ -307,6 +370,56 @@ def _walk_powers(sys: MarkovSystem) -> Iterator[np.ndarray]:
             pre = np.zeros((k + 1, k), dtype=object)
         _run_product(lo, hi, power, pre)
         yield power
+
+
+def _class_runs(successors: Sequence[range], members: Sequence[int]) -> tuple[range, ...]:
+    """Each member's successors among the members, as indices into members.
+
+    members is a sorted list of cells. A successor range is one contiguous
+    run of cells, so the members inside it are one contiguous run of
+    members, found by bisection at its two ends.
+    """
+    return tuple(
+        range(bisect_left(members, r.start), bisect_left(members, r.stop))
+        for r in (successors[v] for v in members)
+    )
+
+
+_Block = tuple[tuple[range, ...], tuple[tuple[int, int], ...]]
+
+
+def _branching_blocks(sys: MarkovSystem, n_max: int) -> list[_Block]:
+    """The runs and branches of each branching class whose period is at most
+    n_max, in member coordinates: the only classes with a closed walk of
+    length n_max or less that is not a bare cycle's."""
+    rec = sys.recurrence
+    blocks = []
+    for comp, d in zip(rec.branching, rec.periods):
+        if d <= n_max:
+            members = sorted(comp)
+            runs = _class_runs(sys.successors, members)
+            blocks.append((runs, tuple(sys.branches[v] for v in members)))
+    return blocks
+
+
+def _class_powers(
+    sys: MarkovSystem, blocks: list[_Block], n_max: int, piece_budget: int
+) -> Iterator[list[np.ndarray]]:
+    """For n = 1..n_max, the n-th power of each block, once the walk count
+    trace(A^n) has been checked against piece_budget.
+
+    trace(A^n) = sum over the recurrent classes C of trace(A_C^n): a bare
+    cycle of length p adds p when p divides n, a block its trace, and the
+    transient cells and the unpowered classes add 0 for n <= n_max.
+    """
+    lengths = [len(cyc) for cyc in sys.recurrence.cycles]
+    gens = [_walk_powers(runs) for runs, _ in blocks]
+    for n in range(1, n_max + 1):
+        powers = [next(g) for g in gens]
+        walks = sum([p for p in lengths if n % p == 0] + [int(a.trace()) for a in powers])
+        if walks > piece_budget:
+            raise BudgetExceeded("walks", piece_budget, needed=walks)
+        yield powers
 
 
 def _walk_orbits(
@@ -325,40 +438,59 @@ def _walk_orbits(
     t/den with integers s and t (build_markov_system refuses a map with a
     non-integer slope), so the walks are composed in integers.
 
-    The walks are counted (trace(A^n), checked against piece_budget) and
-    pruned by the powers of A. _walk_powers forms them through the successor
-    ranges, sys.successors, O(k^2) each, and exactly: in int64 while no
-    prefix sum can overflow, in Python integers after. The depth-first walks
-    step along the same ranges.
+    A closed walk stays in one recurrent class, so the sweep runs class by
+    class. A bare cycle of length p is solved once, at n = p
+    (_bare_cycle_tour), with no power: its walks of length n > p tour it
+    again and close no new orbit, and when its slope is -1 the walks of
+    length 2p fix a cell pointwise, so StructureError is raised there. A
+    branching class of period d <= n_max is a block, in member coordinates;
+    one of period d > n_max has no closed walk of length n_max or less and is
+    skipped, as are the transient cells. The walks are counted (trace(A^n),
+    checked against piece_budget, _class_powers) and pruned by the powers of
+    the blocks, formed through their successor runs (_walk_powers), O(k^2)
+    each for a block of k cells, and exactly. The depth-first walks step
+    along the same runs.
     """
-    k = len(sys.successors)
     lattice = frozenset(sys.nums)
     cycles = _partition_cycles(sys)
-    # bit u of back[m][s]: some walk of length m leads from cell u to cell s
-    back = [[1 << s for s in range(k)]]
-    for n, power in zip(range(1, n_max + 1), _walk_powers(sys)):
-        walks = int(np.trace(power))
-        if walks > piece_budget:
-            raise BudgetExceeded("walks", piece_budget, needed=walks)
-        packed = np.packbits(power > 0, axis=0, bitorder="little")
-        back.append([int.from_bytes(packed[:, s].tobytes(), "little") for s in range(k)])
+    blocks = _branching_blocks(sys, n_max)
+    # per block, bit u of back[m][s]: some walk of length m leads from member u to member s
+    backs = [[[1 << s for s in range(len(runs))]] for runs, _ in blocks]
+    reflected = set()  # 2p for each bare cycle of length p and composed slope -1
+    for n, powers in enumerate(_class_powers(sys, blocks, n_max, piece_budget), 1):
+        if n in reflected:
+            raise StructureError(_CONTINUUM)
         found = [o for o in cycles if o.period == n]
-        for s0 in range(k):
-            if back[n][s0] >> s0 & 1:
-                found += _orbits_from_cell(sys, s0, n, back, lattice)
+        for cyc in sys.recurrence.cycles:
+            if len(cyc) == n:
+                a, cs, m = _bare_cycle_tour(sys, cyc)
+                if a == -1:
+                    reflected.add(2 * n)
+                if cs[0] % m or cs[0] // m not in lattice:  # on P it is among cycles
+                    found.append(_off_partition_orbit(cs, sys.den * m, a))
+        for (runs, branches), back, power in zip(blocks, backs, powers):
+            k = len(runs)
+            packed = np.packbits(power > 0, axis=0, bitorder="little")
+            back.append([int.from_bytes(packed[:, s].tobytes(), "little") for s in range(k)])
+            for s0 in range(k):
+                if back[n][s0] >> s0 & 1:
+                    found += _orbits_from_cell(runs, branches, sys.den, s0, n, back, lattice)
         found.sort(key=lambda o: o.points[0])
         yield n, tuple(found)
 
 
-def _orbits_from_cell(sys: MarkovSystem, s0, n, back, lattice) -> list[PeriodicOrbit]:
-    """Orbits of minimal period n off the partition whose smallest point lies in cell s0.
+def _orbits_from_cell(runs, branches, den, s0, n, back, lattice) -> list[PeriodicOrbit]:
+    """Orbits of minimal period n off the partition whose smallest point lies in member s0.
 
-    Depth-first over the closed walks of length n from s0 through cells
-    >= s0, so each orbit is met only from its lowest cell. Walks share their
-    prefixes: a stack entry carries the affine branch x -> a*x + b/den
-    composed along its walk so far, in integers: entering a cell with branch
-    (s, t) makes it (s*a, s*b + t). A step is taken only when the cell it
-    enters can still return to s0 in the steps left.
+    runs, branches and back belong to one block: member u's successors
+    among the members, its branch, and bit u of back[m][s] set when a walk
+    of length m leads from u to s. Members are numbered in the cells'
+    order. Depth-first over the closed walks of length n from s0 through
+    members >= s0, so each orbit is met only from its lowest cell. Walks
+    share their prefixes: a stack entry carries the affine branch x -> a*x +
+    b/den composed along its walk so far, in integers: entering a cell with
+    branch (s, t) makes it (s*a, s*b + t). A step is taken only when the
+    member it enters can still return to s0 in the steps left.
 
     A closed walk's fixed point is b/(den*m) with m = 1 - a, signs chosen so
     that m > 0. It is on the partition when den*x = b/m is one of the
@@ -368,26 +500,25 @@ def _orbits_from_cell(sys: MarkovSystem, s0, n, back, lattice) -> list[PeriodicO
     n. Only a kept orbit's points become Fractions. Off the partition both
     one-sided slopes of f^n are a.
     """
-    branch, succ = sys.branches, sys.successors
     home = [back[m][s0] for m in range(n)]  # bit u of home[m]: u returns to s0 in m steps
     path = [s0] * n
     found = []
-    s, t = branch[s0]
+    s, t = branches[s0]
     stack = [(0, s0, s, t)]
     while stack:
         d, c, a, b = stack.pop()
         path[d] = c
         if d < n - 1:
             ok = home[n - d - 1]
-            for u in succ[c]:
+            for u in runs[c]:
                 if u >= s0 and ok >> u & 1:
-                    s, t = branch[u]
+                    s, t = branches[u]
                     stack.append((d + 1, u, s * a, s * b + t))
             continue
         m = 1 - a
         if m == 0:
             if b == 0:
-                raise StructureError("slope-1 closed walk fixed pointwise; continuum of solutions")
+                raise StructureError(_CONTINUUM)
             continue
         if m < 0:
             m, b = -m, -b
@@ -395,13 +526,13 @@ def _orbits_from_cell(sys: MarkovSystem, s0, n, back, lattice) -> list[PeriodicO
             continue
         cs = [b]
         for cell in path[:-1]:
-            s, t = branch[cell]
+            s, t = branches[cell]
             y = s * cs[-1] + t * m
             if y <= b:
                 break
             cs.append(y)
         else:
-            found.append(_off_partition_orbit(cs, sys.den * m, a))
+            found.append(_off_partition_orbit(cs, den * m, a))
     return found
 
 

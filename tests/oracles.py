@@ -4,10 +4,14 @@ The package reads every map through its integer Markov system; these are the
 literal Fraction routes on a PiecewiseLinearMap and an Ivl, kept apart from
 the package so that nothing in it can come to lean on them. The boundary
 refinement's bisection, which probes midpoints one walk at a time where the
-package solves the doubling cell, is kept here for the same reason.
+package solves the doubling cell, is kept here for the same reason, and so is
+the orbit sweep over the whole cell graph, which the package runs class by
+class.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from sawlab import (
     BoundaryBracket,
@@ -18,11 +22,14 @@ from sawlab import (
     Ivl,
     RefinedBoundary,
     Shape,
+    StructureError,
     StuntedSawtoothMap,
     classify,
 )
 from sawlab.explore import REFINE_MAX_ITERATIONS, _midpoint, _width
 from sawlab.homoclinic import HomoclinicWitness, unstable_manifold
+from sawlab.markov import build_markov_system
+from sawlab.orbits import _off_partition_orbit, _partition_cycles
 
 
 def validate_heights(shape, w) -> None:
@@ -220,3 +227,83 @@ def refine_by_bisection(
         else:
             hi = mid
     raise BudgetExceeded("steps", REFINE_MAX_ITERATIONS)
+
+
+def whole_graph_walk_orbits(f, n_max: int, piece_budget: int = 1_000_000, point_budget: int = 4096):
+    """periodic_orbits' walk route over the whole cell graph, for a map with a
+    branching class: yields (n, orbits of minimal period n) for n = 1..n_max.
+
+    Every power of the full transition matrix A is formed, densely, and its
+    trace checked against piece_budget; every cell with a closed walk of
+    length n starts a depth-first walk. The package powers only the blocks of
+    the branching classes a period can close in and solves bare cycles
+    without powers. The dense powers are int64 and checked for headroom, so
+    this is for small n.
+    """
+    sys = build_markov_system(f, point_budget)
+    if not sys.recurrence.branching:
+        raise ValueError("no branching class: the bare-cycle inventory answers")
+    k = len(sys.successors)
+    adj = np.zeros((k, k), dtype=np.int64)
+    for a, run in enumerate(sys.successors):
+        adj[a, run.start : run.stop] = 1
+    lattice = frozenset(sys.nums)
+    cycles = _partition_cycles(sys)
+    # bit u of back[m][s]: some walk of length m leads from cell u to cell s
+    back = [[1 << s for s in range(k)]]
+    power = np.eye(k, dtype=np.int64)
+    for n in range(1, n_max + 1):
+        assert power.max() < (1 << 62) // k  # the next product cannot wrap
+        power = adj @ power
+        walks = int(np.trace(power))
+        if walks > piece_budget:
+            raise BudgetExceeded("walks", piece_budget, needed=walks)
+        back.append([sum(1 << u for u in range(k) if power[u, s]) for s in range(k)])
+        found = [o for o in cycles if o.period == n]
+        for s0 in range(k):
+            if back[n][s0] >> s0 & 1:
+                found += _whole_graph_orbits_from_cell(sys, s0, n, back, lattice)
+        found.sort(key=lambda o: o.points[0])
+        yield n, tuple(found)
+
+
+def _whole_graph_orbits_from_cell(sys, s0, n, back, lattice):
+    """Orbits of minimal period n off the partition whose smallest point lies
+    in cell s0: depth-first over the closed walks of length n from s0 through
+    cells >= s0, each walk's branch composed in integers and its fixed point
+    walked to check that it is the orbit's smallest point."""
+    branch, succ = sys.branches, sys.successors
+    home = [back[m][s0] for m in range(n)]  # bit u of home[m]: u returns to s0 in m steps
+    path = [s0] * n
+    found = []
+    s, t = branch[s0]
+    stack = [(0, s0, s, t)]
+    while stack:
+        d, c, a, b = stack.pop()
+        path[d] = c
+        if d < n - 1:
+            ok = home[n - d - 1]
+            for u in succ[c]:
+                if u >= s0 and ok >> u & 1:
+                    s, t = branch[u]
+                    stack.append((d + 1, u, s * a, s * b + t))
+            continue
+        m = 1 - a
+        if m == 0:
+            if b == 0:
+                raise StructureError("slope-1 closed walk fixed pointwise; continuum of solutions")
+            continue
+        if m < 0:
+            m, b = -m, -b
+        if b % m == 0 and b // m in lattice:
+            continue
+        cs = [b]
+        for cell in path[:-1]:
+            s, t = branch[cell]
+            y = s * cs[-1] + t * m
+            if y <= b:
+                break
+            cs.append(y)
+        else:
+            found.append(_off_partition_orbit(cs, sys.den * m, a))
+    return found

@@ -158,7 +158,7 @@ def test_full_sawtooth_lap_graph_is_one_node_with_d_plus_one_loops():
         f = build_sawtooth(Shape.from_string(word))
         assert _lap_graph(build_markov_system(f, 4096)) == ([[0] * laps], [laps])
         # a weight-4 loop at full int64 headroom for one node overflowed
-        assert _perron_bracket([[0] * laps], (0,))[:2] == (laps, laps)
+        assert _perron_bracket([[0] * laps], (0,), 1)[:2] == (laps, laps)
         est = entropy_lap(f, n_max=3)
         assert F(est.parameters["rho_lower"]) == F(est.parameters["rho_upper"]) == laps
         assert est.lower <= math.log(laps) <= est.upper

@@ -12,25 +12,31 @@ from hypothesis import strategies as st
 from sawlab import (
     BudgetExceeded,
     ConstraintViolation,
+    PiecewiseLinearMap,
     Shape,
+    StructureError,
     StuntedSawtoothMap,
     complete_period_set,
     entropy_markov,
+    find_homoclinic,
     period_set,
     periodic_points,
     sharkovskii_closure,
     sharkovskii_forces,
+    spectral_radius,
 )
+from sawlab import orbits
 from sawlab.family import build_sawtooth
 from sawlab.markov import build_markov_system
 from sawlab.orbits import (
+    _class_runs,
     _run_product,
     _walk_powers,
     markov_orbit_inventory,
     periodic_orbits,
 )
 
-from oracles import iterate, plateaus
+from oracles import iterate, plateaus, whole_graph_walk_orbits
 
 
 def test_fixed_points_of_stunted_tent(stunted_tent):
@@ -282,13 +288,14 @@ def test_run_product_is_the_dense_product_in_python_integers():
 
 def test_a_nonflat_cell_onto_flat_cells_only_has_an_empty_run():
     # +-+ at (25/40, 1/40): nonflat cell 2 maps onto flat cells only, yet a
-    # class branches, so the sweep multiplies through the empty run
+    # class branches; the powers of the whole graph multiply through the
+    # empty run (the sweep drops such a transient cell)
     m = StuntedSawtoothMap(Shape.from_string("+-+"), [F(25, 40), F(1, 40)])
     sys = build_markov_system(m.map, 4096)
     run = sys.successors[2]
     assert (run.start, run.stop) == (4, 4) and sys.recurrence.branching
     adj = _dense(sys.successors)
-    for n, power in zip(range(1, 13), _walk_powers(sys)):
+    for n, power in zip(range(1, 13), _walk_powers(sys.successors)):
         assert np.array_equal(power, np.linalg.matrix_power(adj, n))
         assert not power[2].any()
 
@@ -300,7 +307,7 @@ def test_walk_powers_move_to_python_integers_and_stay_exact():
     ones = np.ones((4, 4), dtype=np.int64)
     assert np.array_equal(_dense(sys.successors), ones)
     dtypes = []
-    for n, power in zip(range(1, 41), _walk_powers(sys)):
+    for n, power in zip(range(1, 41), _walk_powers(sys.successors)):
         assert power.tolist() == (4 ** (n - 1) * ones.astype(object)).tolist()
         dtypes.append(power.dtype)
     assert dtypes[:32] == [np.int64] * 32 and dtypes[32:] == [object] * 8
@@ -314,15 +321,157 @@ CHAOTIC_FLANK = F(
 )
 
 
-def test_walk_counts_on_the_boundary_flank_match_dense_powers():
+def _flank_system():
     m = StuntedSawtoothMap(Shape.from_string("+-"), [CHAOTIC_FLANK])
     build_markov_system.cache_clear()
-    sys = build_markov_system(m.map, 4096)
+    return build_markov_system(m.map, 4096)
+
+
+def test_walk_counts_on_the_boundary_flank_match_dense_powers():
+    sys = _flank_system()
     assert len(sys.successors) == 193
+    rec = sys.recurrence
     adj = _dense(sys.successors)
-    for n, power in zip(range(1, 25), _walk_powers(sys)):
+    blocks = []
+    for comp in rec.branching:
+        members = sorted(comp)
+        powers = _walk_powers(_class_runs(sys.successors, members))
+        blocks.append((np.ix_(members, members), powers))
+    for n in range(1, 25):
         reference = np.linalg.matrix_power(adj, n)
         assert reference.min() >= 0 and reference.max() < 2**62  # no wrap in the reference
-        # the whole power, not only its trace (the walk count): the sweep
-        # prunes its walks by the off-diagonal entries too
-        assert np.array_equal(power, reference), n
+        # each class block whole, not only its trace (its walk count): the
+        # sweep prunes its walks by the off-diagonal entries too
+        walks = sum(len(cyc) for cyc in rec.cycles if n % len(cyc) == 0)
+        for block, powers in blocks:
+            power = next(powers)
+            assert np.array_equal(power, reference[block]), n
+            walks += int(np.trace(power))
+        assert walks == np.trace(reference), n
+
+
+def test_the_flank_sweeps_form_no_power_of_its_chaotic_class(monkeypatch):
+    # the flank's one branching class has 128 cells and period 64, so no
+    # period up to 16 closes in it, and its 7 bare cycles need no power
+    sys = _flank_system()
+    assert [len(c) for c in sys.recurrence.branching] == [128]
+    assert sys.recurrence.periods == (64,) and len(sys.recurrence.cycles) == 7
+    rows = []
+    product = orbits._run_product
+
+    def spy(lo, hi, p, pre):
+        rows.append(len(p))
+        product(lo, hi, p, pre)
+
+    monkeypatch.setattr(orbits, "_run_product", spy)
+    f = sys.map
+    period_set(f, 16, piece_budget=50_000, stop_on_non_power_of_two=True)
+    find_homoclinic(f)
+    assert [r for r in rows if r >= 128] == []
+
+
+def _closed_walk_period(successors, comp):
+    """The gcd of the lengths n <= 3k of the closed walks in a class of k
+    cells, from boolean powers of its block. Every simple cycle C lies on a
+    closed walk of length L <= 2k through the first member, and going once
+    more round C gives one of length L + |C|, so the gcd is the period."""
+    members = sorted(comp)
+    block = _dense(successors)[np.ix_(members, members)]
+    power = np.eye(len(members), dtype=np.int64)
+    period = 0
+    for n in range(1, 3 * len(members) + 1):
+        power = np.minimum(block @ power, 1)
+        if power.trace():
+            period = math.gcd(period, n)
+    return period
+
+
+def test_class_periods_are_taken_once_per_graph():
+    systems = [_flank_system()]
+    for ws in itertools.product(range(6), repeat=3):
+        try:
+            f = StuntedSawtoothMap(Shape.from_string("+-+-"), [F(w, 5) for w in ws]).map
+        except ConstraintViolation:
+            continue
+        systems.append(build_markov_system(f, 4096))
+    periods = set()
+    for sys in systems:
+        rec = sys.recurrence
+        assert len(rec.periods) == len(rec.branching)
+        assert list(rec.periods) == spectral_radius(sys.successors, rec)[1]["class_periods"]
+        assert rec.periods == tuple(_closed_walk_period(sys.successors, c) for c in rec.branching)
+        periods.update(rec.periods)
+    assert systems[0].recurrence.periods == (64,) and {1, 2} <= periods
+
+
+def _sweep(gen):
+    """Every yield of a sweep, then how it ended: its exception's type,
+    message and count, or None."""
+    out = []
+    try:
+        for n, orbs in gen:
+            out.append((n, orbs))
+    except (BudgetExceeded, StructureError) as e:
+        out.append((type(e).__name__, str(e), getattr(e, "needed", None)))
+    else:
+        out.append(None)
+    return out
+
+
+def test_class_sweep_matches_the_whole_graph_sweep():
+    maps = [StuntedSawtoothMap(Shape.from_string("+-"), [CHAOTIC_FLANK]).map]
+    grids = [("+-+-", 5, 3), ("+-+", 10, 2), ("-+-", 10, 2)]
+    for word, q, d in grids:
+        for ws in itertools.product(range(q + 1), repeat=d):
+            try:
+                maps.append(StuntedSawtoothMap(Shape.from_string(word), [F(w, q) for w in ws]).map)
+            except ConstraintViolation:
+                pass
+    compared = 0
+    ended = set()
+    for f in maps:
+        if not build_markov_system(f, 4096).recurrence.branching:
+            continue
+        # the second budget makes the walk counts refuse partway
+        for budget in (1_000_000, 40):
+            sweep = _sweep(periodic_orbits(f, 8, budget))
+            assert sweep == _sweep(whole_graph_walk_orbits(f, 8, budget)), (f, budget)
+            ended.add(sweep[-1] and sweep[-1][0])
+        compared += 1
+    assert compared >= 80 and ended == {None, "BudgetExceeded"}
+
+
+def test_bare_cycles_in_a_branching_graph_are_solved_without_powers():
+    # a full tent on [0, 1/3], a self-loop of slope 3 on [1/3, 2/3] and a
+    # reflection of [2/3, 1] onto itself: the tent branches, the other two
+    # cells are bare cycles, and the reflection's walk of length 2 is the
+    # identity on its cell
+    f = PiecewiseLinearMap((0, F(1, 6), F(1, 3), F(2, 3), 1), (0, F(1, 3), 0, 1, F(2, 3)))
+    rec = build_markov_system(f, 4096).recurrence
+    assert len(rec.branching) == 1 and len(rec.cycles) == 2
+    sweep = periodic_orbits(f, 3)
+    n, orbs = next(sweep)
+    assert n == 1
+    assert [o.points for o in orbs] == [(0,), (F(2, 9),), (F(1, 2),), (F(5, 6),)]
+    with pytest.raises(StructureError):
+        next(sweep)
+
+
+def test_a_reflecting_bare_cycle_is_refused_on_the_zero_entropy_route():
+    # f(x) = 1 - x: the one bare cycle has slope -1, and every x other than
+    # 1/2 has period 2, so the orbits cannot be listed
+    f = PiecewiseLinearMap((0, 1), (1, 0))
+    rec = build_markov_system(f, 4096).recurrence
+    assert not rec.branching and len(rec.cycles) == 1
+    with pytest.raises(StructureError):
+        markov_orbit_inventory(f)
+    with pytest.raises(StructureError):
+        complete_period_set(f)
+
+
+def test_period_set_stops_at_its_witness_before_a_later_count_passes_the_budget(tent):
+    # the tent has 2^n closed walks of length n: period 3 stops the sweep,
+    # and the 16 walks of length 4 past the budget are never counted
+    report = period_set(tent, 8, piece_budget=10, stop_on_non_power_of_two=True)
+    assert report.stopped_early and report.stop_witness.period == 3
+    assert report.budget_note is None and report.n_max_checked == 3

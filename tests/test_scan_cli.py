@@ -233,6 +233,19 @@ def test_cli_orbits_period_reads_the_markov_graph_not_the_nth_iterate(capsys):
     assert json.loads(capsys.readouterr().out) == {"period": 16000, "orbits": []}
 
 
+def test_cli_orbits_period_past_the_walk_budget_exits_3_before_any_walk(capsys):
+    # the full tent has 2^m closed walks of length m, and 2^20 passes the
+    # default budget of 10^6: every count up to n is checked before any
+    # walk is solved, so the million walks of lengths 1 to 19 never are
+    start = time.process_time()
+    assert main(["orbits", "--shape", "+-", "--w", "1", "--period", "100000"]) == 3
+    assert time.process_time() - start < 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "budget exceeded: walks (limit 1000000, needed >= 1048576)",
+        "kind": "BudgetExceeded",
+    }
+
+
 def test_cli_orbits_start_walks_over_both_denominators(capsys):
     # the start 1/3 lies off the heights' lattice (1/5)Z; the Fraction map walks it
     assert main(["orbits", "--shape", "+-", "--w", "4/5", "--start", "1/3"]) == 0
