@@ -33,7 +33,8 @@ By closure a nonflat cell maps onto a run of consecutive cells, so each row
 of the transition matrix is 1 on one run of columns [lo, hi) and 0 elsewhere.
 The system keeps each row as that range of successors, and no dense matrix:
 the recurrent classes, the spectral radius and the orbit sweep read the
-ranges, the sweep multiplying through them in O(k^2) by prefix sums.
+ranges, the sweep multiplying through them in O(k^2) by prefix sums, on
+Python integers.
 """
 
 from __future__ import annotations
@@ -44,12 +45,16 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, ldexp, log2
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BudgetExceeded, StructureError
 from .plmap import PiecewiseLinearMap
 from .rational import Rat, float_down, float_up
+
+if TYPE_CHECKING:
+    from .orbits import WalkTable
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,14 @@ class MarkovSystem:
     successors: tuple[range, ...]
     recurrence: Recurrence  # classified once, read by the spectral radius and the orbit inventory
 
+    @functools.cached_property
+    def walks(self) -> WalkTable:
+        """The walk table every orbit sweep of this graph reads and extends
+        (orbits.WalkTable), built on first use; it lives as long as the graph."""
+        from .orbits import WalkTable  # orbits imports this module
+
+        return WalkTable(self)
+
     def side_slope(self, orbit: Sequence[int], side: int) -> int:
         """Derivative of f^n along an orbit of partition points, from one side at the start.
 
@@ -120,9 +133,10 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096, /) -> M
 
     The closure runs on integer numerators over one denominator; a map with
     a non-integer slope raises StructureError. The last result is memoized
-    and shared. Both parameters are positional-only, so every call keys the
-    cache as (f, point_budget): a keyword call, which would miss the entry
-    and build the graph again, is a TypeError.
+    and shared, and with it the walk table it carries (walks), which the
+    orbit sweeps fill. Both parameters are positional-only, so every call
+    keys the cache as (f, point_budget): a keyword call, which would miss the
+    entry and build the graph again, is a TypeError.
     """
     odd = next((s for s in f.slopes if s.denominator != 1), None)
     if odd is not None:

@@ -19,9 +19,9 @@ recurrent classes C of trace(A_C^n). A bare cycle of length p has p closed
 walks of each length n divisible by p and one orbit, solved from its composed
 branch with no power of A. Every closed walk in a branching class of period d
 has a length divisible by d (Frobenius; Gantmacher, The Theory of Matrices
-II, ch. XIII), so a sweep to n_max powers only the blocks A_C of the
-branching classes with d <= n_max; transient cells and the other classes
-carry no closed walk of length n_max or less.
+II, ch. XIII), so its block A_C is first powered when a sweep reaches n = d,
+and transient cells never are. Counts and powers, in Python integers, sit in
+one walk table per graph (WalkTable) that all its sweeps share.
 
 periodic_points (f^n by repeated squaring, then its fixed points piece by
 piece, and each orbit's stability from the one-sided slopes of f^n at its
@@ -36,8 +36,7 @@ from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from itertools import accumulate, compress
 
 from .errors import BudgetExceeded, ConstraintViolation, StructureError
 from .markov import MarkovSystem, build_markov_system
@@ -307,68 +306,56 @@ def periodic_orbits(
 def orbits_of_period(
     f: PiecewiseLinearMap, n: int, piece_budget: int = 1_000_000, point_budget: int = 4096
 ) -> tuple[PeriodicOrbit, ...]:
-    """The orbits of minimal period n: periodic_orbits' yield for n.
-
-    The sweep to n enumerates every period below it, so the walk counts
-    trace(A^m) of every m <= n are checked against piece_budget first, from
-    the powers alone: a period past the budget is refused before any walk is
-    solved. The sweeps that can stop early (period_set, find_homoclinic)
-    check each count only when they reach it.
-    """
+    """The orbits of minimal period n: periodic_orbits' yield for n, through
+    _checked_orbits, since the sweep to n enumerates every period below it."""
     if n < 1:
         raise ConstraintViolation(f"period must be >= 1, got {n}")
-    sys = build_markov_system(f, point_budget)
-    if sys.recurrence.branching:
-        for _ in _class_powers(sys, _branching_blocks(sys, n), n, piece_budget):
-            pass
-    for _, orbits in periodic_orbits(f, n, piece_budget, point_budget):
+    for _, orbits in _checked_orbits(f, n, piece_budget, point_budget):
         pass
     return orbits
 
 
-_INT64_MAX = (1 << 63) - 1
+def _checked_orbits(
+    f: PiecewiseLinearMap, n: int, piece_budget: int, point_budget: int
+) -> Iterator[tuple[int, tuple[PeriodicOrbit, ...]]]:
+    """periodic_orbits to n, once every walk count trace(A^m), m <= n, has
+    been checked against piece_budget in the walk table: a period past the
+    budget is refused before any walk is solved. The sweeps that can stop
+    early (period_set, find_homoclinic) check each count when they reach it."""
+    sys = build_markov_system(f, point_budget)
+    if sys.recurrence.branching:
+        for m in range(1, n + 1):
+            sys.walks.check(m, piece_budget)
+    return periodic_orbits(f, n, piece_budget, point_budget)
 
 
-def _run_product(lo: np.ndarray, hi: np.ndarray, p: np.ndarray, pre: np.ndarray) -> None:
-    """Overwrite p with A @ p, for the 0/1 matrix A whose row a is 1 exactly on
-    columns lo[a] .. hi[a] - 1.
-
-    pre is a (k + 1) x k buffer of p's dtype with pre[0] = 0. It takes the
-    prefix sums of p's rows, pre[i + 1] = p[0] + ... + p[i], so row a of the
-    product is pre[hi[a]] - pre[lo[a]]: O(k^2), and an empty run gives a zero
-    row. Once the sums are taken p is free to hold the product.
-    """
-    np.cumsum(p, axis=0, out=pre[1:])
-    np.take(pre, hi, axis=0, out=p)
-    p -= pre[lo]
+def _run_product(runs: Sequence[range], cols: list[list[int]]) -> list[list[int]]:
+    """A @ P, in Python integers and by columns, for the 0/1 matrix A whose
+    row a is 1 exactly on the columns in runs[a]. Row a of A @ v is the sum of
+    v over runs[a], a difference of two prefix sums of v: O(k) per column, and
+    an empty run gives a zero row."""
+    out = []
+    for col in cols:
+        pre = list(accumulate(col, initial=0))
+        out.append([pre[r.stop] - pre[r.start] for r in runs])
+    return out
 
 
-def _walk_powers(runs: Sequence[range]) -> Iterator[np.ndarray]:
-    """A, A^2, A^3, ... for the 0/1 matrix A whose row a is 1 exactly on the
-    columns in runs[a], each product through the runs, from the identity on:
-    A is never written out.
+def _walk_powers(runs: Sequence[range]) -> Iterator[list[list[int]]]:
+    """A, A^2, A^3, ... as lists of columns, for the 0/1 matrix A whose row a
+    is 1 exactly on the columns in runs[a], each product through the runs
+    (_run_product) from the identity on: A is never written out.
 
-    The sweep passes the block A_C of one branching class C (_class_runs):
-    a closed walk never leaves its class, so A_C^n holds every walk of
-    length n inside C, and trace(A^n) is the sum of the classes' traces. A
-    class whose period exceeds the sweep's n_max is never passed.
-    A^n = A @ A^(n-1) is read off the prefix sums of A^(n-1)'s rows
-    (_run_product): O(k^2) per power, where a dense product costs O(k^3).
-    A^n is kept in int64 while its largest entry is at most INT64_MAX // k,
-    in Python integers after that, so it stays exact: every prefix sum, and
-    so every entry of the next power, is at most k times that entry. One
-    buffer holds the powers and one the prefix sums, so each yielded array
-    is overwritten by the next power.
+    The walk table passes the block A_C of one branching class C
+    (_class_runs): a closed walk never leaves its class, so A_C^n holds every
+    walk of length n inside C, and trace(A^n) is the sum of the classes'
+    traces. A^n = A @ A^(n-1) costs O(k^2) for k cells, where a dense product
+    costs O(k^3), and Python integers keep every entry exact at any size.
     """
     k = len(runs)
-    lo, hi = np.array([(r.start, r.stop) for r in runs], dtype=np.intp).T
-    power = np.eye(k, dtype=np.int64)
-    pre = np.zeros((k + 1, k), dtype=np.int64)
+    power = [[int(u == s) for u in range(k)] for s in range(k)]
     while True:
-        if power.dtype != object and power.max() > _INT64_MAX // k:
-            power = power.astype(object)
-            pre = np.zeros((k + 1, k), dtype=object)
-        _run_product(lo, hi, power, pre)
+        power = _run_product(runs, power)
         yield power
 
 
@@ -385,41 +372,59 @@ def _class_runs(successors: Sequence[range], members: Sequence[int]) -> tuple[ra
     )
 
 
-_Block = tuple[tuple[range, ...], tuple[tuple[int, int], ...]]
+class _Block:
+    """One branching class of period d, in member coordinates: each member's
+    successor run among the members and its branch, the block's powers A_C^m
+    (the generator holds the last one formed), their traces, and back[m][s],
+    whose bit u is set when a walk of length m leads from member u to s."""
+
+    def __init__(self, sys: MarkovSystem, members: list[int], d: int):
+        self.runs = _class_runs(sys.successors, members)
+        self.branches, self.d = tuple(sys.branches[v] for v in members), d
+        self.powers = _walk_powers(self.runs)
+        self.bits = [1 << u for u in range(len(members))]
+        self.back, self.traces = [self.bits], [len(members)]
+
+    def trace(self, n: int) -> int:
+        """trace(A_C^n), the block powered to n first."""
+        while len(self.back) <= n:
+            power = next(self.powers)
+            self.back.append([sum(compress(self.bits, col)) for col in power])
+            self.traces.append(sum(col[s] for s, col in enumerate(power)))
+        return self.traces[n]
 
 
-def _branching_blocks(sys: MarkovSystem, n_max: int) -> list[_Block]:
-    """The runs and branches of each branching class whose period is at most
-    n_max, in member coordinates: the only classes with a closed walk of
-    length n_max or less that is not a bare cycle's."""
-    rec = sys.recurrence
-    blocks = []
-    for comp, d in zip(rec.branching, rec.periods):
-        if d <= n_max:
-            members = sorted(comp)
-            runs = _class_runs(sys.successors, members)
-            blocks.append((runs, tuple(sys.branches[v] for v in members)))
-    return blocks
+class WalkTable:
+    """The closed walks of one Markov graph with a branching class, shared by
+    every sweep of that graph: MarkovSystem.walks builds it on first use, so
+    it lives exactly as long as the cached graph.
 
-
-def _class_powers(
-    sys: MarkovSystem, blocks: list[_Block], n_max: int, piece_budget: int
-) -> Iterator[list[np.ndarray]]:
-    """For n = 1..n_max, the n-th power of each block, once the walk count
-    trace(A^n) has been checked against piece_budget.
-
-    trace(A^n) = sum over the recurrent classes C of trace(A_C^n): a bare
-    cycle of length p adds p when p divides n, a block its trace, and the
-    transient cells and the unpowered classes add 0 for n <= n_max.
+    It holds the cycles of f on the partition, the partition's numerators
+    (lattice), a _Block per branching class, and counts[n] = trace(A^n), the
+    closed walks of length n: a bare cycle of length p adds p when p divides
+    n, a block its trace, which is 0 below its period d; so a block is first
+    powered at n = d, and the table grows only when a sweep asks for an n past
+    every earlier one. It keeps no orbits: each sweep solves its own walks and
+    compares its own piece_budget with the counts.
     """
-    lengths = [len(cyc) for cyc in sys.recurrence.cycles]
-    gens = [_walk_powers(runs) for runs, _ in blocks]
-    for n in range(1, n_max + 1):
-        powers = [next(g) for g in gens]
-        walks = sum([p for p in lengths if n % p == 0] + [int(a.trace()) for a in powers])
-        if walks > piece_budget:
-            raise BudgetExceeded("walks", piece_budget, needed=walks)
-        yield powers
+
+    def __init__(self, sys: MarkovSystem):
+        rec = sys.recurrence
+        self.lattice = frozenset(sys.nums)
+        self.cycles = _partition_cycles(sys)
+        self.lengths = [len(cyc) for cyc in rec.cycles]
+        self.blocks = [_Block(sys, sorted(comp), d) for comp, d in zip(rec.branching, rec.periods)]
+        self.counts = [0]
+
+    def check(self, n: int, piece_budget: int) -> None:
+        """Extend the counts to n; BudgetExceeded("walks") when trace(A^n)
+        passes piece_budget."""
+        while len(self.counts) <= n:
+            m = len(self.counts)
+            walks = sum(p for p in self.lengths if m % p == 0)
+            self.counts.append(walks + sum(b.trace(m) for b in self.blocks if b.d <= m))
+        if self.counts[n] > piece_budget:
+            raise BudgetExceeded("walks", piece_budget, needed=self.counts[n])
 
 
 def _walk_orbits(
@@ -443,50 +448,41 @@ def _walk_orbits(
     (_bare_cycle_tour), with no power: its walks of length n > p tour it
     again and close no new orbit, and when its slope is -1 the walks of
     length 2p fix a cell pointwise, so StructureError is raised there. A
-    branching class of period d <= n_max is a block, in member coordinates;
-    one of period d > n_max has no closed walk of length n_max or less and is
-    skipped, as are the transient cells. The walks are counted (trace(A^n),
-    checked against piece_budget, _class_powers) and pruned by the powers of
-    the blocks, formed through their successor runs (_walk_powers), O(k^2)
-    each for a block of k cells, and exactly. The depth-first walks step
-    along the same runs.
+    branching class of period d has closed walks only at the multiples of d,
+    and the transient cells have none. The walks are counted (trace(A^n),
+    checked against piece_budget) and pruned by the graph's shared walk table
+    (WalkTable), and the depth-first walks step along its blocks' runs.
     """
-    lattice = frozenset(sys.nums)
-    cycles = _partition_cycles(sys)
-    blocks = _branching_blocks(sys, n_max)
-    # per block, bit u of back[m][s]: some walk of length m leads from member u to member s
-    backs = [[[1 << s for s in range(len(runs))]] for runs, _ in blocks]
+    table = sys.walks
     reflected = set()  # 2p for each bare cycle of length p and composed slope -1
-    for n, powers in enumerate(_class_powers(sys, blocks, n_max, piece_budget), 1):
+    for n in range(1, n_max + 1):
+        table.check(n, piece_budget)
         if n in reflected:
             raise StructureError(_CONTINUUM)
-        found = [o for o in cycles if o.period == n]
+        found = [o for o in table.cycles if o.period == n]
         for cyc in sys.recurrence.cycles:
             if len(cyc) == n:
                 a, cs, m = _bare_cycle_tour(sys, cyc)
                 if a == -1:
                     reflected.add(2 * n)
-                if cs[0] % m or cs[0] // m not in lattice:  # on P it is among cycles
+                if cs[0] % m or cs[0] // m not in table.lattice:  # on P it is among cycles
                     found.append(_off_partition_orbit(cs, sys.den * m, a))
-        for (runs, branches), back, power in zip(blocks, backs, powers):
-            k = len(runs)
-            packed = np.packbits(power > 0, axis=0, bitorder="little")
-            back.append([int.from_bytes(packed[:, s].tobytes(), "little") for s in range(k)])
-            for s0 in range(k):
-                if back[n][s0] >> s0 & 1:
-                    found += _orbits_from_cell(runs, branches, sys.den, s0, n, back, lattice)
+        for block in table.blocks:
+            if n % block.d == 0:
+                for s0, bits in enumerate(block.back[n]):
+                    if bits >> s0 & 1:
+                        found += _orbits_from_cell(block, sys.den, s0, n, table.lattice)
         found.sort(key=lambda o: o.points[0])
         yield n, tuple(found)
 
 
-def _orbits_from_cell(runs, branches, den, s0, n, back, lattice) -> list[PeriodicOrbit]:
-    """Orbits of minimal period n off the partition whose smallest point lies in member s0.
+def _orbits_from_cell(block: _Block, den, s0, n, lattice) -> list[PeriodicOrbit]:
+    """Orbits of minimal period n off the partition whose smallest point
+    lies in member s0 of block, which is powered to n at least.
 
-    runs, branches and back belong to one block: member u's successors
-    among the members, its branch, and bit u of back[m][s] set when a walk
-    of length m leads from u to s. Members are numbered in the cells'
-    order. Depth-first over the closed walks of length n from s0 through
-    members >= s0, so each orbit is met only from its lowest cell. Walks
+    Members are numbered in the cells' order. Depth-first over the closed
+    walks of length n from s0 through members >= s0, so each orbit is met
+    only from its lowest cell. Walks
     share their prefixes: a stack entry carries the affine branch x -> a*x +
     b/den composed along its walk so far, in integers: entering a cell with
     branch (s, t) makes it (s*a, s*b + t). A step is taken only when the
@@ -500,7 +496,8 @@ def _orbits_from_cell(runs, branches, den, s0, n, back, lattice) -> list[Periodi
     n. Only a kept orbit's points become Fractions. Off the partition both
     one-sided slopes of f^n are a.
     """
-    home = [back[m][s0] for m in range(n)]  # bit u of home[m]: u returns to s0 in m steps
+    runs, branches = block.runs, block.branches
+    home = [block.back[m][s0] for m in range(n)]  # bit u of home[m]: u returns to s0 in m steps
     path = [s0] * n
     found = []
     s, t = branches[s0]
@@ -616,7 +613,7 @@ def omega_accumulation(
     radius = Fraction(cluster_radius)
     wanted = {1 << k for k in range(k_min, k_max + 1)}
     pts: set[Rat] = set()
-    for n, orbits in periodic_orbits(f, 1 << k_max, piece_budget, point_budget):
+    for n, orbits in _checked_orbits(f, 1 << k_max, piece_budget, point_budget):
         if n in wanted:
             for orb in orbits:
                 pts.update(orb.points)

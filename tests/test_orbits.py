@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,14 +12,17 @@ from hypothesis import strategies as st
 
 from sawlab import (
     BudgetExceeded,
+    Budgets,
     ConstraintViolation,
     PiecewiseLinearMap,
     Shape,
     StructureError,
     StuntedSawtoothMap,
+    classify,
     complete_period_set,
     entropy_markov,
     find_homoclinic,
+    omega_accumulation,
     period_set,
     periodic_points,
     sharkovskii_closure,
@@ -257,11 +261,8 @@ def _dense(successors):
 
 
 def _product_through_runs(runs, p):
-    lo = np.array([r.start for r in runs], dtype=np.intp)
-    hi = np.array([r.stop for r in runs], dtype=np.intp)
-    out = p.copy()
-    _run_product(lo, hi, out, np.zeros((len(runs) + 1, len(runs)), dtype=p.dtype))
-    return out
+    """_run_product on the columns of p, as a matrix of p's dtype."""
+    return np.array(_run_product(runs, p.T.tolist()), dtype=p.dtype).T
 
 
 # rows with empty runs (row 2 and the last), a full row, a single column
@@ -272,16 +273,14 @@ def test_run_product_is_the_dense_product_in_int64():
     rng = np.random.default_rng(7)
     p = rng.integers(0, 10**6, size=(6, 6), dtype=np.int64)
     out = _product_through_runs(RUNS, p)
-    assert out.dtype == np.int64
     assert np.array_equal(out, _dense(RUNS) @ p)
     assert not out[2].any() and not out[5].any()
 
 
 def test_run_product_is_the_dense_product_in_python_integers():
-    # entries past int64: the object route must carry them exactly
+    # entries past int64: the list product must carry them exactly
     p = np.array([[(1 << 70) + 3 * i + j for j in range(6)] for i in range(6)], dtype=object)
     out = _product_through_runs(RUNS, p)
-    assert out.dtype == object
     assert out.tolist() == (_dense(RUNS).astype(object) @ p).tolist()
     assert out[3, 0] == sum(p[i, 0] for i in range(6))
 
@@ -295,22 +294,20 @@ def test_a_nonflat_cell_onto_flat_cells_only_has_an_empty_run():
     run = sys.successors[2]
     assert (run.start, run.stop) == (4, 4) and sys.recurrence.branching
     adj = _dense(sys.successors)
-    for n, power in zip(range(1, 13), _walk_powers(sys.successors)):
+    for n, cols in zip(range(1, 13), _walk_powers(sys.successors)):
+        power = np.array(cols).T
         assert np.array_equal(power, np.linalg.matrix_power(adj, n))
         assert not power[2].any()
 
 
 def test_walk_powers_move_to_python_integers_and_stay_exact():
     # the full 4-lap sawtooth: A is the 4 x 4 all-ones matrix, A^n = 4^(n-1) A,
-    # and A^32 = 2^62 A passes INT64_MAX // 4, so A^33 on are Python integers
+    # and from A^33 on the entries pass INT64_MAX
     sys = build_markov_system(build_sawtooth(Shape.from_string("+-+-")), 4096)
     ones = np.ones((4, 4), dtype=np.int64)
     assert np.array_equal(_dense(sys.successors), ones)
-    dtypes = []
     for n, power in zip(range(1, 41), _walk_powers(sys.successors)):
-        assert power.tolist() == (4 ** (n - 1) * ones.astype(object)).tolist()
-        dtypes.append(power.dtype)
-    assert dtypes[:32] == [np.int64] * 32 and dtypes[32:] == [object] * 8
+        assert power == (4 ** (n - 1) * ones.astype(object)).tolist()
 
 
 # the Chaotic flank of the +- bracket 4/5 .. 9/10 bisected to 1e-9 and
@@ -344,10 +341,23 @@ def test_walk_counts_on_the_boundary_flank_match_dense_powers():
         # sweep prunes its walks by the off-diagonal entries too
         walks = sum(len(cyc) for cyc in rec.cycles if n % len(cyc) == 0)
         for block, powers in blocks:
-            power = next(powers)
+            power = np.array(next(powers)).T
             assert np.array_equal(power, reference[block]), n
             walks += int(np.trace(power))
         assert walks == np.trace(reference), n
+
+
+def _products(monkeypatch) -> list[int]:
+    """From here on, the size of each block power the sweeps form."""
+    rows = []
+    product = orbits._run_product
+
+    def spy(runs, cols):
+        rows.append(len(runs))
+        return product(runs, cols)
+
+    monkeypatch.setattr(orbits, "_run_product", spy)
+    return rows
 
 
 def test_the_flank_sweeps_form_no_power_of_its_chaotic_class(monkeypatch):
@@ -356,18 +366,76 @@ def test_the_flank_sweeps_form_no_power_of_its_chaotic_class(monkeypatch):
     sys = _flank_system()
     assert [len(c) for c in sys.recurrence.branching] == [128]
     assert sys.recurrence.periods == (64,) and len(sys.recurrence.cycles) == 7
-    rows = []
-    product = orbits._run_product
-
-    def spy(lo, hi, p, pre):
-        rows.append(len(p))
-        product(lo, hi, p, pre)
-
-    monkeypatch.setattr(orbits, "_run_product", spy)
+    rows = _products(monkeypatch)
     f = sys.map
     period_set(f, 16, piece_budget=50_000, stop_on_non_power_of_two=True)
     find_homoclinic(f)
     assert [r for r in rows if r >= 128] == []
+
+
+def test_a_chaotic_classify_forms_each_block_power_once(monkeypatch):
+    # the period sweep and the homoclinic search read one walk table, so
+    # classify forms the powers of the longer sweep alone, not of both
+    rows = _products(monkeypatch)
+    b = Budgets()
+
+    def powers(run) -> int:
+        build_markov_system.cache_clear()
+        rows.clear()
+        run()
+        return len(rows)
+
+    for word, w, sweep, search in (("+-", [1], 3, 1), ("+-+-", [F(1, 2), 0, F(9, 10)], 6, 2)):
+        m = StuntedSawtoothMap(Shape.from_string(word), [F(x) for x in w])
+        assert powers(lambda: period_set(
+            m.map, b.sweep_n_max, piece_budget=b.sweep_piece_budget, stop_on_non_power_of_two=True
+        )) == sweep
+        assert powers(lambda: find_homoclinic(m.map, period_bound=b.homoclinic_period_bound)) == search
+        assert powers(lambda: classify(m, b)) == max(sweep, search)
+        assert classify(m, b).verdict == "Chaotic"
+
+
+def _refusal(sweep) -> tuple:
+    with pytest.raises(BudgetExceeded) as e:
+        sweep()
+    return e.value.kind, e.value.limit, e.value.needed, str(e.value)
+
+
+def test_a_cached_graph_refuses_a_smaller_budget_as_a_fresh_graph_does(tent):
+    # trace(A^n) = 2^n for the tent: 32 walks of length 5 pass a budget of 20,
+    # whether the counts were formed for this sweep or by a longer one before
+    build_markov_system.cache_clear()
+    fresh = _refusal(lambda: list(periodic_orbits(tent, 8, 20)))
+    assert fresh == ("walks", 20, 32, "budget exceeded: walks (limit 20, needed >= 32)")
+    for _ in periodic_orbits(tent, 10, 5000):
+        pass
+    assert len(build_markov_system(tent, 4096).walks.counts) == 11
+    assert _refusal(lambda: list(periodic_orbits(tent, 8, 20))) == fresh
+    assert _refusal(lambda: orbits.orbits_of_period(tent, 8, 20)) == fresh
+
+
+def test_a_rebuilt_graph_starts_a_fresh_walk_table(tent, stunted_tent):
+    build_markov_system.cache_clear()
+    sys = build_markov_system(tent, 4096)
+    for _ in periodic_orbits(tent, 6):
+        pass
+    assert len(sys.walks.counts) == 7
+    build_markov_system(stunted_tent(F(9, 10)).map, 4096)  # evicts the tent's graph
+    rebuilt = build_markov_system(tent, 4096)
+    assert rebuilt is not sys and "walks" not in vars(rebuilt)
+    for _ in periodic_orbits(tent, 3):
+        pass
+    assert len(rebuilt.walks.counts) == 4 and len(sys.walks.counts) == 7
+
+
+def test_omega_accumulation_checks_every_walk_count_before_any_walk(tent):
+    # 2^20 walks of length 20 pass the default budget: refused from the
+    # counts alone, before the million walks of lengths 1 to 19 are solved
+    start = time.process_time()
+    with pytest.raises(BudgetExceeded) as e:
+        omega_accumulation(tent, 3, 5, F(1, 100))
+    assert time.process_time() - start < 1
+    assert str(e.value) == "budget exceeded: walks (limit 1000000, needed >= 1048576)"
 
 
 def _closed_walk_period(successors, comp):
@@ -449,12 +517,16 @@ def test_bare_cycles_in_a_branching_graph_are_solved_without_powers():
     f = PiecewiseLinearMap((0, F(1, 6), F(1, 3), F(2, 3), 1), (0, F(1, 3), 0, 1, F(2, 3)))
     rec = build_markov_system(f, 4096).recurrence
     assert len(rec.branching) == 1 and len(rec.cycles) == 2
-    sweep = periodic_orbits(f, 3)
-    n, orbs = next(sweep)
-    assert n == 1
-    assert [o.points for o in orbs] == [(0,), (F(2, 9),), (F(1, 2),), (F(5, 6),)]
-    with pytest.raises(StructureError):
-        next(sweep)
+    # the second sweep reads the first one's walk table, and is refused at
+    # n = 2 all the same
+    for _ in range(2):
+        sweep = periodic_orbits(f, 3)
+        n, orbs = next(sweep)
+        assert n == 1
+        assert [o.points for o in orbs] == [(0,), (F(2, 9),), (F(1, 2),), (F(5, 6),)]
+        with pytest.raises(StructureError):
+            next(sweep)
+    assert len(build_markov_system(f, 4096).walks.counts) == 3
 
 
 def test_a_reflecting_bare_cycle_is_refused_on_the_zero_entropy_route():

@@ -5,8 +5,9 @@
 Runs the sawlab CLI from the package source at SRC (SRC goes on PYTHONPATH)
 and writes into OUTDIR, which must not exist yet:
 
-- the stdout of a fixed list of invocations, one file each, and the exit
-  code of every invocation in exit_codes.txt;
+- the stdout of a fixed list of invocations, one file each, their stderr
+  where they write any (the error JSON of a refused invocation), and the
+  exit code of every invocation in exit_codes.txt;
 - the CSV and the certificates of three scans: the two grids of the
   benchmark's scan workload and the 101-cell tent line 1/2 -> 1.
 
@@ -59,6 +60,9 @@ INVOCATIONS = [
     ("describe-tent", ["describe", "--shape", "+-", "--w", "4/5"]),
     ("describe-bimodal", ["describe", "--shape", "+-+", "--w", "7/10,3/10"]),
     ("orbits-period", ["orbits", "--shape", "+-", "--w", "1", "--period", "3"]),
+    # a walk count past int64: 4^37 closed walks of length 37 pass the budget
+    ("orbits-period-walks-past-int64", ["orbits", "--shape", "+-+-", "--w", "1,0,1", "--period",
+                                        "40", "--piece-budget", "10000000000000000000000"]),
     # the literal route's non-repelling labels
     ("orbits-period-one-sided", ["orbits", "--shape", "+-", "--w", "4/5", "--period", "2"]),
     ("orbits-period-plateau", ["orbits", "--shape", "+-", "--w", "3/4", "--period", "2"]),
@@ -121,13 +125,13 @@ SCANS = {
 }
 
 
-def run(src: Path, out: Path, argv: list[str]) -> tuple[int, str]:
+def run(src: Path, out: Path, argv: list[str]) -> tuple[int, str, str]:
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
     proc = subprocess.run(
         [sys.executable, "-m", "sawlab.cli", *argv],
         cwd=out, env=env, capture_output=True, text=True,
     )
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def main(argv: list[str]) -> int:
@@ -144,8 +148,10 @@ def main(argv: list[str]) -> int:
             source = REALIZE_FROM[name]
             payload = json.loads((out / f"{source}.json").read_text())
             (out / f"realize-{source}.json").write_text(json.dumps(payload["kneading"]))
-        code, stdout = run(src, out, args)
+        code, stdout, stderr = run(src, out, args)
         (out / f"{name}.json").write_text(stdout)
+        if stderr:
+            (out / f"{name}.stderr").write_text(stderr)
         codes.append(f"{name} {code}")
     for name, (shape, grid) in SCANS.items():
         config = {
@@ -155,7 +161,7 @@ def main(argv: list[str]) -> int:
                        "certificates": f"{name}.certs.jsonl"},
         }
         (out / f"scan-{name}-config.json").write_text(json.dumps(config))
-        code, stdout = run(src, out, ["scan", "--config", f"scan-{name}-config.json"])
+        code, stdout, _ = run(src, out, ["scan", "--config", f"scan-{name}-config.json"])
         (out / f"scan-{name}.json").write_text(stdout)
         (out / f"{name}.jsonl").unlink(missing_ok=True)
         codes.append(f"scan-{name} {code}")
