@@ -37,6 +37,7 @@ steps (the full +-+- sawtooth, whose entropy is log 4, reads 0.0).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
@@ -65,7 +66,7 @@ class EntropyEstimate(Wire):
 
 def entropy_markov(f: PiecewiseLinearMap, point_budget: int = 4096) -> EntropyEstimate:
     sys = build_markov_system(f, point_budget)
-    rho, diag = spectral_radius(sys.successors, sys.recurrence)
+    rho, diag = sys.combinatorics.bracket
     return _bracketed(
         rho,
         diag,
@@ -80,7 +81,7 @@ def entropy_markov(f: PiecewiseLinearMap, point_budget: int = 4096) -> EntropyEs
     )
 
 
-def _bracketed(rho: float, diag: dict, method: str, parameters: dict) -> EntropyEstimate:
+def _bracketed(rho: float, diag: Mapping, method: str, parameters: dict) -> EntropyEstimate:
     """The entropy of a spectral radius: the logs of its bracket, rounded
     outward, and the float's log clamped into them."""
     lo, hi = diag["rho_lower"], diag["rho_upper"]
@@ -93,7 +94,7 @@ def _bracketed(rho: float, diag: dict, method: str, parameters: dict) -> Entropy
         method=method,
         parameters={
             **parameters,
-            "class_periods": diag["class_periods"],
+            "class_periods": list(diag["class_periods"]),
             "rho_lower": format_rat(lo),
             "rho_upper": format_rat(hi),
         },

@@ -135,16 +135,7 @@ def _search_orbit(
     if None in wsets or w0[0] == w0[1]:
         return None, True
     lo0, hi0 = nums[w0[0]], nums[w0[1]]
-    # f's pieces from the left as [u, v, (s, t)], f(x) = s*x + t/den on
-    # [u/den, v/den]: a run of cells on one branch, a flat run as (0, height)
-    branch = dict(zip(sys.nonflat, sys.branches))
-    pieces: list[list] = []
-    for i, (u, v) in enumerate(zip(nums, nums[1:])):
-        br = branch.get(i, (0, nums[sys.image[i]]))
-        if pieces and pieces[-1][2] == br:
-            pieces[-1][1] = v
-        else:
-            pieces.append([u, v, br])
+    pieces = sys.pieces
     nodes = [((x * den).numerator, (x * den).denominator) for x in pts]
     visited, current = {nodes[0]}, [nodes[0]]
     for k in range(1, m_budget + 1):

@@ -6,13 +6,13 @@ image is exactly a union of cells. The transition matrix over the non-flat
 cells then carries the dynamics: its spectral radius gives the entropy, its
 strongly connected components the recurrent structure. The components are
 sorted into bare cycles and branching classes, and each branching class's
-period is taken, once per graph. The spectral radius comes with a proven
-rational bracket: exact 1 or 0 when no class branches, Collatz-Wielandt
-bounds in integer arithmetic on each branching class otherwise. No power
-iteration runs. The float Perron vector behind the bounds comes from one
-cyclic class of each branching class: the eigensolve runs on the class's
-p-step path counts there, p its period, and the vector is lifted to the other
-p - 1 cyclic classes along the graph.
+period is taken, once per combinatorial type (below). The spectral radius
+comes with a proven rational bracket: exact 1 or 0 when no class branches,
+Collatz-Wielandt bounds in integer arithmetic on each branching class
+otherwise. No power iteration runs. The float Perron vector behind the
+bounds comes from one cyclic class of each branching class: the eigensolve
+runs on the class's p-step path counts there, p its period, and the vector
+is lifted to the other p - 1 cyclic classes along the graph.
 
 Building P is orbit closure of the breakpoints; for this package's maps that
 terminates fast because plateau hits collapse denominators, but the builder is
@@ -35,16 +35,31 @@ The system keeps each row as that range of successors, and no dense matrix:
 the recurrent classes, the spectral radius and the orbit sweep read the
 ranges, the sweep multiplying through them in O(k^2) by prefix sums, on
 Python integers.
+
+The classes and the radius read nothing but the successor runs, and the maps
+of one kneading class share one transition graph (Milnor-Thurston, "On
+iterated maps of the interval", 1988), so a family scan meets each graph
+many times. _combinatorics memoizes them: a functools.lru_cache of 256
+entries keyed by the runs tuple, each a Combinatorics holding the type's
+Recurrence, classified when a graph of the type is first built, and its
+bracket, solved when entropy_markov first asks for it. An entry is the runs,
+the classes and a few Fractions: about 1.3 KiB on average over the 193 types
+of the benchmark's scan, and at most about 0.6 MiB at the default point
+budget (partition_budget) of 4096, whose 4,095 cells make 4,095 range
+objects, so a full cache of such graphs holds about 150 MiB. What reads the
+partition's positions stays per graph: the walk table (walks) and the
+homoclinic search's piece table (pieces).
 """
 
 from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, ldexp, log2
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -73,6 +88,38 @@ class Recurrence:
     periods: tuple[int, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class Combinatorics:
+    """What a transition graph's successor runs alone decide, shared by every
+    graph with equal runs (_combinatorics): its recurrent classes, and the
+    bracket of its spectral radius, solved on first use.
+
+    bracket is spectral_radius(successors, recurrence) with the diagnostics
+    frozen, since every graph of the type reads the same one: a read-only
+    mapping whose class_periods is a tuple.
+    """
+
+    successors: tuple[range, ...]
+    recurrence: Recurrence
+
+    @functools.cached_property
+    def bracket(self) -> tuple[float, Mapping[str, object]]:
+        rho, diag = spectral_radius(self.successors, self.recurrence)
+        return rho, MappingProxyType({**diag, "class_periods": tuple(diag["class_periods"])})
+
+
+@functools.lru_cache(maxsize=256)
+def _combinatorics(successors: tuple[range, ...]) -> Combinatorics:
+    """The Combinatorics of the graph with these successor runs, memoized.
+
+    Runs compare as sequences, every empty run equal to every other, and the
+    classes and the bracket read nothing else, so the maps of one
+    combinatorial type share one entry. See the module docstring for its
+    bound.
+    """
+    return Combinatorics(successors, recurrent_classes(successors))
+
+
 @dataclass(frozen=True)
 class MarkovSystem:
     """Partition plus transition data for one map.
@@ -92,7 +139,12 @@ class MarkovSystem:
     # per nonflat cell, the nonflat cells it maps onto, in nonflat-index
     # (column) coordinates: its transition row is 1 exactly on this range
     successors: tuple[range, ...]
-    recurrence: Recurrence  # classified once, read by the spectral radius and the orbit inventory
+    combinatorics: Combinatorics  # shared by every graph with these successors
+
+    @property
+    def recurrence(self) -> Recurrence:
+        """The recurrent classes, read by the orbit sweeps and the entropy sign."""
+        return self.combinatorics.recurrence
 
     @functools.cached_property
     def walks(self) -> WalkTable:
@@ -101,6 +153,22 @@ class MarkovSystem:
         from .orbits import WalkTable  # orbits imports this module
 
         return WalkTable(self)
+
+    @functools.cached_property
+    def pieces(self) -> tuple[tuple[int, int, tuple[int, int]], ...]:
+        """f's pieces from the left as (u, v, (s, t)), f(x) = s*x + t/den on
+        [u/den, v/den]: a maximal run of cells on one branch, a flat run as
+        (0, height). The homoclinic search inverts them; built on first use,
+        once per graph."""
+        branch = dict(zip(self.nonflat, self.branches))
+        pieces: list[list] = []
+        for i, (u, v) in enumerate(zip(self.nums, self.nums[1:])):
+            br = branch.get(i, (0, self.nums[self.image[i]]))
+            if pieces and pieces[-1][2] == br:
+                pieces[-1][1] = v
+            else:
+                pieces.append([u, v, br])
+        return tuple(map(tuple, pieces))
 
     def side_slope(self, orbit: Sequence[int], side: int) -> int:
         """Derivative of f^n along an orbit of partition points, from one side at the start.
@@ -134,7 +202,11 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096, /) -> M
     The closure runs on integer numerators over one denominator; a map with
     a non-integer slope raises StructureError. The last result is memoized
     and shared, and with it the walk table it carries (walks), which the
-    orbit sweeps fill. Both parameters are positional-only, so every call
+    orbit sweeps fill. Its combinatorics, the recurrent classes and the
+    spectral-radius bracket, come from _combinatorics, keyed by the
+    successor runs and shared by every graph with equal runs: at most 256
+    entries, each at most about 0.6 MiB at point_budget 4096 (see the module
+    docstring). Both parameters are positional-only, so every call
     keys the cache as (f, point_budget): a keyword call, which would miss the
     entry and build the graph again, is a TypeError.
     """
@@ -193,7 +265,7 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096, /) -> M
         nonflat=tuple(nonflat),
         branches=tuple(branches),
         successors=successors,
-        recurrence=recurrent_classes(successors),
+        combinatorics=_combinatorics(successors),
     )
 
 

@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import fields
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 
 from .errors import ConstraintViolation
 
@@ -93,7 +93,7 @@ def to_wire(x):
     return x
 
 
-@cache
+@lru_cache(maxsize=64)  # one entry per Wire class
 def _field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 

@@ -168,8 +168,7 @@ def build_tower(
         # block r: hull of the residue class r mod 2^n along the temporal order
         lo = [min(cycle[r::q]) for r in range(q)]
         hi = [max(cycle[r::q]) for r in range(q)]
-        pairs = combinations(range(q), 2)
-        overlap = next(((i, k) for i, k in pairs if max(lo[i], lo[k]) < min(hi[i], hi[k])), None)
+        overlap = _first_overlap(lo, hi)
         if overlap:
             stop = f"blocks {overlap[0]} and {overlap[1]} overlap at level {n}"
             break
@@ -187,6 +186,22 @@ def build_tower(
         blocks = tuple(Ivl(Fraction(a, m.den), Fraction(b, m.den)) for a, b in zip(lo, hi))
         levels.append(TowerLevel(n=n, blocks=blocks))
     return RenormTower(levels=tuple(levels), cycle_period=period, stop_reason=stop)
+
+
+def _first_overlap(lo: list[int], hi: list[int]) -> tuple[int, int] | None:
+    """The first pair i < k of blocks [lo, hi] whose interiors meet, in
+    lexicographic order, or None.
+
+    A point block has no interior. The others, ordered by lo, have disjoint
+    interiors exactly when each ends at or before the next one starts, so
+    the O(q^2) pairwise scan runs only when some neighbours overlap, to name
+    the first pair.
+    """
+    spans = sorted((a, b) for a, b in zip(lo, hi) if a < b)
+    if all(b <= c for (_, b), (c, _) in zip(spans, spans[1:])):
+        return None
+    pairs = combinations(range(len(lo)), 2)
+    return next((i, k) for i, k in pairs if max(lo[i], lo[k]) < min(hi[i], hi[k]))
 
 
 @dataclass(frozen=True)

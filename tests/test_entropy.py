@@ -25,7 +25,7 @@ from sawlab import (
     spectral_radius,
 )
 from sawlab.entropy import _grid_orbits, _lap_graph, _separated_counts, entropy_bowen
-from sawlab.markov import _perron_bracket, build_markov_system, recurrent_classes
+from sawlab.markov import _combinatorics, _perron_bracket, build_markov_system, recurrent_classes
 
 
 def test_tent_markov_entropy_is_log_two(tent):
@@ -378,6 +378,9 @@ def test_boundary_flank_eigensolve_runs_on_one_cyclic_class(monkeypatch):
         shapes.append(a.shape)
         return eig(a)
 
+    # a graph or bracket memoized by an earlier test would skip the eigensolve
+    build_markov_system.cache_clear()
+    _combinatorics.cache_clear()
     monkeypatch.setattr(np.linalg, "eig", recording_eig)
     est = entropy_markov(f)
     assert est.parameters["class_periods"] == [64]

@@ -1,5 +1,6 @@
 """Classification verdicts and boundary bracketing."""
 
+import itertools
 import json
 import tracemalloc
 from fractions import Fraction as F
@@ -21,7 +22,7 @@ from sawlab import (
 )
 from sawlab import explore
 from sawlab.entropy import EntropyEstimate
-from sawlab.markov import build_markov_system
+from sawlab.markov import _combinatorics, build_markov_system
 
 import oracles
 
@@ -345,3 +346,29 @@ def test_refine_reads_the_first_rank_at_the_high_end_past_a_level_0_low_end(tent
     solved = refine_to_boundary(bracket)
     assert solved.level == 8
     assert _dump(solved) == _dump(oracles.refine_by_bisection(bracket))
+
+
+def _scan_grid_records(cold: bool) -> list[str]:
+    """classify JSON on the +-+- k/10 grid and the +- line 4/5 -> 17/20 in
+    201 steps; cold clears the graph and combinatorics caches before each map."""
+    cells = [("+-+-", w) for w in itertools.product([F(k, 10) for k in range(11)], repeat=3)]
+    cells += [("+-", (F(4, 5) + k * F(1, 4000),)) for k in range(201)]
+    texts = []
+    for word, w in cells:
+        try:
+            m = StuntedSawtoothMap(Shape.from_string(word), w)
+        except ConstraintViolation:
+            continue
+        if cold:
+            build_markov_system.cache_clear()
+            _combinatorics.cache_clear()
+        texts.append(json.dumps(classify(m).to_json(), sort_keys=True))
+    return texts
+
+
+def test_classify_json_is_the_same_with_the_combinatorics_cache_cold_or_warm():
+    cold = _scan_grid_records(cold=True)
+    assert len(cold) == 586
+    assert _scan_grid_records(cold=False) == cold
+    # every graph type now has its entry, its bracket included
+    assert _scan_grid_records(cold=False) == cold

@@ -8,8 +8,16 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from sawlab import ConstraintViolation, PiecewiseLinearMap, Shape, StructureError, StuntedSawtoothMap
-from sawlab.markov import build_markov_system, recurrent_classes
+from sawlab import (
+    ConstraintViolation,
+    PiecewiseLinearMap,
+    Shape,
+    StructureError,
+    StuntedSawtoothMap,
+    entropy_markov,
+    spectral_radius,
+)
+from sawlab.markov import _combinatorics, build_markov_system, recurrent_classes
 
 # the refined midpoint of the +- boundary bisection, Boundary2Inf(6); its
 # denominator has 78 digits
@@ -153,3 +161,34 @@ def test_the_graph_cache_is_keyed_by_position_only():
         build_markov_system(f=f)
     # the refused calls built nothing, and the entry is still there
     assert build_markov_system(f, 4096) is sys
+
+
+def test_maps_of_one_combinatorial_type_share_their_classes_and_bracket():
+    # two chaotic tents whose graphs have equal successor runs: the second
+    # graph's classes and bracket are the first one's entry, not a recount
+    tent = Shape.from_string("+-")
+    f, g = (StuntedSawtoothMap(tent, [w]).map for w in (F(83, 100), F(207, 250)))
+    build_markov_system.cache_clear()
+    _combinatorics.cache_clear()
+    sf = build_markov_system(f, 4096)
+    hf = entropy_markov(f)
+    sg = build_markov_system(g, 4096)
+    assert sf.nums != sg.nums and sf.successors == sg.successors
+    assert sg.recurrence is sf.recurrence and sg.recurrence.branching
+    assert sg.combinatorics.bracket == sf.combinatorics.bracket
+    rho, diag = spectral_radius(sf.successors, recurrent_classes(sf.successors))
+    assert sf.combinatorics.bracket == (rho, {**diag, "class_periods": tuple(diag["class_periods"])})
+    assert entropy_markov(g).parameters == hf.parameters
+    assert _combinatorics.cache_info().misses == 1
+
+
+def test_a_shared_bracket_hands_out_nothing_a_caller_can_mutate():
+    f = StuntedSawtoothMap(Shape.from_string("+-"), [F(83, 100)]).map
+    _, diag = build_markov_system(f, 4096).combinatorics.bracket
+    with pytest.raises(TypeError):
+        diag["rho_lower"] = F(0)
+    assert type(diag["class_periods"]) is tuple
+    est = entropy_markov(f)
+    est.parameters["class_periods"].append(99)
+    assert entropy_markov(f).to_json() != est.to_json()
+    assert entropy_markov(f).parameters["class_periods"] == list(diag["class_periods"])

@@ -23,6 +23,7 @@ from sawlab import (
 )
 from sawlab.cli import main
 from sawlab.odometer import adding_machine_step, index_word, word_index
+from sawlab.renorm import _first_overlap
 
 from oracles import contains, image_of_interval, interior_intersects, is_degenerate
 
@@ -160,6 +161,19 @@ def test_tower_stops_on_overlapping_or_escaping_blocks(w, reason):
     assert tower.cycle_period == 4
     assert tower.levels == ()
     assert tower.stop_reason == reason
+
+
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 4)), max_size=16))
+@example([(0, 2), (1, 0), (1, 2)])  # a point block between two that overlap
+@example([(0, 1), (1, 1), (1, 0), (2, 0)])  # touching blocks and points on their ends
+@example([(3, 2), (3, 1)])  # two blocks from one left end
+@settings(max_examples=300, deadline=None)
+def test_the_sorted_overlap_test_names_the_first_pair_of_the_pairwise_scan(spans):
+    lo = [a for a, _ in spans]
+    hi = [a + d for a, d in spans]
+    pairs = combinations(range(len(spans)), 2)
+    first = next(((i, k) for i, k in pairs if max(lo[i], lo[k]) < min(hi[i], hi[k])), None)
+    assert _first_overlap(lo, hi) == first
 
 
 def test_tower_of_the_full_tent_is_empty(stunted_tent):

@@ -1,12 +1,17 @@
 """Grid scans and the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sawlab
 from sawlab import (
     Budgets,
     ConstraintViolation,
@@ -546,3 +551,34 @@ def test_cli_reads_a_shape_starting_with_a_minus_as_the_value(argv, capsys):
     expected = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_a_scan_run_twice_in_one_process_writes_what_a_fresh_process_writes(tmp_path):
+    # the second in-process run reads every graph type's classes and bracket
+    # from the combinatorics cache; a fresh interpreter computes them all
+    def config(name):
+        return {
+            "shape": "+-+-",
+            "grid": {"kind": "product", "axes": [[f"{k}/10" for k in range(11)]] * 3},
+            "output": {
+                "csv": str(tmp_path / f"{name}.csv"),
+                "manifest": str(tmp_path / f"{name}.jsonl"),
+                "certificates": str(tmp_path / f"{name}.certs.jsonl"),
+            },
+        }
+
+    def outputs(name):
+        return [(tmp_path / f"{name}{ext}").read_bytes() for ext in (".csv", ".certs.jsonl")]
+
+    run_scan(ScanConfig.from_json(config("warm")))
+    first = outputs("warm")
+    run_scan(ScanConfig.from_json(config("warm")))
+    assert outputs("warm") == first
+    path = tmp_path / "fresh.json"
+    path.write_text(json.dumps(config("fresh")))
+    env = dict(os.environ, PYTHONPATH=str(Path(sawlab.__file__).parents[1]))
+    subprocess.run(
+        [sys.executable, "-m", "sawlab.cli", "scan", "--config", str(path)],
+        env=env, check=True, capture_output=True,
+    )
+    assert outputs("fresh") == first
