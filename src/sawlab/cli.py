@@ -34,7 +34,7 @@ from .kneading import KneadingData, compare_kneading, kneading_data, realize_kne
 from .orbits import orbits_of_period, period_set
 from .rational import parse_rat
 from .renorm import build_tower, gap_fixed_point, semiconjugacy_check
-from .scan import ScanConfig, run_scan
+from .scan import ScanConfig, fresh_file, run_scan
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,7 +86,7 @@ def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if getattr(args, "out", None):
         try:
-            with open(args.out, "w") as fh:
+            with fresh_file(args.out) as fh:
                 fh.write(text)
         except OSError as e:
             raise ConstraintViolation(f"cannot write {args.out}: {e.strerror}") from e

@@ -1,12 +1,22 @@
 """Parameter scans over height grids.
 
 Deterministic by construction: cells are enumerated in row-major index
-order, the CSV and certificate files are regenerated in index order after
-all cells finish, floats use one fixed format, and neither artifact contains
-a timestamp. Reruns with the same config produce byte-identical CSV and
+order, the CSV and certificate lines are streamed in that order as the
+cells finish, floats use one fixed format, and neither artifact contains a
+timestamp. Reruns with the same config produce byte-identical CSV and
 certificate files. The manifest is different on purpose: an append-only
 JSONL journal written as cells complete, which is what makes --resume work;
 its line order is not part of the deterministic surface.
+
+Every artifact is written into a fresh file (`fresh_file`): the old file at
+its path is unlinked before the first cell, never truncated in place. A
+reader holding the last run's file keeps reading all of it, and an
+interrupted run leaves the rows it reached, not the last run's. It is also
+faster: ext4 writes a file truncated and rewritten back to disk as it
+closes, and freeing those blocks at the next run waits tens of
+milliseconds, where a fresh file rerun soon after is unlinked before it is
+ever allocated. A path that cannot be written is bad input, found before
+any cell is classified.
 
 Each record is encoded once: the worker dumps it to JSON text with sorted
 keys, and the journal line and the certificate line both carry that text.
@@ -194,7 +204,10 @@ def _resume_entries(manifest: Path, config: ScanConfig) -> dict[int, tuple]:
     text.
     """
     expected = {"shape": config.shape.to_string(), "budgets": config.budgets.to_json()}
-    data = manifest.read_bytes()
+    try:
+        data = manifest.read_bytes()
+    except OSError as e:
+        raise ConstraintViolation(f"cannot read {manifest}: {e.strerror}") from e
     *lines, torn = data.split(b"\n")  # torn: whatever follows the last newline
     done: dict[int, tuple] = {}
     kept = 0  # bytes of the lines read
@@ -231,16 +244,28 @@ def _resume_entries(manifest: Path, config: ScanConfig) -> dict[int, tuple]:
     return done
 
 
+def fresh_file(path: str | Path, parents: bool = False, **open_kw):
+    """A new file at path, open for writing text, with its parent directory
+    made first if `parents`. The old file (or the symlink) at path is
+    unlinked, not truncated, so the old file's readers keep its bytes; a
+    path that is neither a file nor absent, such as /dev/null, is opened as
+    it is. A path that cannot be written is a ConstraintViolation."""
+    path = Path(path)
+    try:
+        if parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        if path.is_file() or not path.exists():
+            path.unlink(missing_ok=True)
+        return path.open("w", **open_kw)
+    except OSError as e:
+        raise ConstraintViolation(f"cannot write {path}: {e.strerror}") from e
+
+
 def run_scan(config: ScanConfig, resume: bool = False, workers: int = 0) -> ScanSummary:
     if workers < 0:
         raise ConstraintViolation(f"workers must be >= 0, got {workers}")
-    done: dict[int, tuple] = {}
     manifest = Path(config.manifest_path)
-    if resume and manifest.exists():
-        done = _resume_entries(manifest, config)
-    elif manifest.exists():
-        manifest.unlink()
-
+    done = _resume_entries(manifest, config) if resume and manifest.exists() else {}
     want_record = config.certificates_path is not None
     todo = [
         (i, config.shape, cell, config.budgets, want_record)
@@ -250,31 +275,37 @@ def run_scan(config: ScanConfig, resume: bool = False, workers: int = 0) -> Scan
     # what every entry shares, encoded once per scan
     budgets = json.dumps(config.budgets.to_json(), sort_keys=True)
     shape = json.dumps(config.shape.to_string())
-    manifest.parent.mkdir(parents=True, exist_ok=True)
-    computed = 0
-    with manifest.open("a") as journal, ExitStack() as stack:
-        if workers and workers > 1 and todo:
+    counts: dict[str, int] = {}
+    with ExitStack() as stack:
+        if done:
+            try:
+                journal = stack.enter_context(manifest.open("a"))
+            except OSError as e:
+                raise ConstraintViolation(f"cannot write {manifest}: {e.strerror}") from e
+        else:
+            journal = stack.enter_context(fresh_file(manifest, parents=True))
+        csv = stack.enter_context(fresh_file(config.csv_path, parents=True, newline=""))
+        if want_record:
+            certs = stack.enter_context(fresh_file(config.certificates_path, parents=True))
+        if workers > 1 and todo:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(_classify_cell, todo)
         else:
             results = map(_classify_cell, todo)
-        for index, w, row, record in results:
-            done[index] = index, w, row, record
-            # the entry as json.dumps(entry, sort_keys=True) writes it
-            journal.write(
-                f'{{"budgets": {budgets}, "index": {index}, "record": {record}, '
-                f'"row": {json.dumps(row, sort_keys=True)}, "shape": {shape}, '
-                f'"w": {json.dumps(w)}}}\n'
-            )
-            journal.flush()
-            computed += 1
-
-    ordered = [done[i] for i in range(len(config.cells))]
-    csv_path = Path(config.csv_path)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with csv_path.open("w", newline="") as fh:
-        fh.write(",".join(CSV_FIELDS) + "\n")
-        for index, w, row, _ in ordered:
+        csv.write(",".join(CSV_FIELDS) + "\n")
+        # both sources yield in index order, so each line streams out as its
+        # cell is reached
+        for i in range(len(config.cells)):
+            resumed = done.get(i)
+            index, w, row, record = resumed or next(results)
+            if not resumed:
+                # the entry as json.dumps(entry, sort_keys=True) writes it
+                journal.write(
+                    f'{{"budgets": {budgets}, "index": {index}, "record": {record}, '
+                    f'"row": {json.dumps(row, sort_keys=True)}, "shape": {shape}, '
+                    f'"w": {json.dumps(w)}}}\n'
+                )
+                journal.flush()
             cells = [
                 str(index),
                 ";".join(w),
@@ -286,24 +317,16 @@ def run_scan(config: ScanConfig, resume: bool = False, workers: int = 0) -> Scan
                 row["homoclinic"],
                 row["reason"].replace(",", ";"),
             ]
-            fh.write(",".join(cells) + "\n")
-
-    if config.certificates_path is not None:
-        cert_path = Path(config.certificates_path)
-        cert_path.parent.mkdir(parents=True, exist_ok=True)
-        with cert_path.open("w") as fh:
-            for index, _, _, record in ordered:
-                fh.write(f'{{"index": {index}, "record": {record}}}\n')
-
-    counts: dict[str, int] = {}
-    for _, _, row, _ in ordered:
-        counts[row["verdict"]] = counts.get(row["verdict"], 0) + 1
+            csv.write(",".join(cells) + "\n")
+            if want_record:
+                certs.write(f'{{"index": {index}, "record": {record}}}\n')
+            counts[row["verdict"]] = counts.get(row["verdict"], 0) + 1
     return ScanSummary(
         cells=len(config.cells),
-        computed=computed,
-        resumed=len(config.cells) - computed,
+        computed=len(todo),
+        resumed=len(done),
         verdict_counts=counts,
-        csv_path=str(csv_path),
+        csv_path=str(Path(config.csv_path)),
         manifest_path=str(manifest),
         certificates_path=config.certificates_path,
     )

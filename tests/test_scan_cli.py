@@ -582,3 +582,117 @@ def test_a_scan_run_twice_in_one_process_writes_what_a_fresh_process_writes(tmp_
         env=env, check=True, capture_output=True,
     )
     assert outputs("fresh") == first
+
+
+def _scan_file(tmp_path, steps=3, **output):
+    """A tent scan config whose output paths default into tmp_path."""
+    output = {
+        "csv": str(tmp_path / "g.csv"),
+        "manifest": str(tmp_path / "g.jsonl"),
+        "certificates": str(tmp_path / "g.certs.jsonl"),
+        **output,
+    }
+    path = tmp_path / "scan.json"
+    grid = {"kind": "line", "start": ["1/2"], "stop": ["1"], "steps": steps}
+    path.write_text(json.dumps({"shape": "+-", "grid": grid, "output": output}))
+    return path
+
+
+def _counting_classify(monkeypatch, raise_at=None):
+    """Count the scan's classify calls; raise KeyboardInterrupt at call raise_at."""
+    calls = []
+
+    def counting(m, budgets):
+        calls.append(m.w)
+        if len(calls) == raise_at:
+            raise KeyboardInterrupt
+        return classify(m, budgets)
+
+    monkeypatch.setattr("sawlab.scan.classify", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "output, resume, message",
+    [
+        ({"csv": "{tmp}"}, False, "cannot write"),  # the CSV is a directory
+        ({"csv": "{tmp}/plain/g.csv"}, False, "cannot write"),  # under a regular file
+        ({"manifest": "{tmp}"}, False, "cannot write"),
+        ({"manifest": "{tmp}"}, True, "cannot read"),
+        ({"certificates": "{tmp}/plain/c.jsonl"}, False, "cannot write"),
+    ],
+)
+def test_cli_scan_exits_2_on_an_unwritable_output_before_any_cell(
+    tmp_path, capsys, monkeypatch, output, resume, message
+):
+    (tmp_path / "plain").write_text("a regular file\n")
+    output = {key: value.format(tmp=tmp_path) for key, value in output.items()}
+    calls = _counting_classify(monkeypatch)
+    argv = ["scan", "--config", str(_scan_file(tmp_path, **output))]
+    assert main(argv + ["--resume"] * resume) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)
+    assert error["kind"] == "ConstraintViolation"
+    assert error["error"].startswith(f"{message} {tmp_path}")
+    assert captured.out == ""
+    assert calls == []
+
+
+def test_an_interrupted_scan_leaves_none_of_the_last_runs_rows(line_config, monkeypatch):
+    cfg = line_config(8)
+    run_scan(cfg)
+    paths = Path(cfg.csv_path), Path(cfg.certificates_path)
+    csv, certs = (p.read_bytes() for p in paths)
+    calls = _counting_classify(monkeypatch, raise_at=5)
+    with pytest.raises(KeyboardInterrupt):
+        run_scan(cfg)
+    assert len(calls) == 5
+    # the header and the four rows the rerun reached, then nothing of the
+    # last run's rows 4 to 7
+    assert [p.read_bytes() for p in paths] == [
+        b"".join(csv.splitlines(keepends=True)[:5]),
+        b"".join(certs.splitlines(keepends=True)[:4]),
+    ]
+    monkeypatch.undo()
+    summary = run_scan(cfg, resume=True)
+    assert (summary.computed, summary.resumed) == (4, 4)
+    assert [p.read_bytes() for p in paths] == [csv, certs]
+
+
+def test_a_rerun_truncates_no_file_in_place(tmp_path, capsys):
+    out = tmp_path / "summary.json"
+    paths = [tmp_path / "g.csv", tmp_path / "g.certs.jsonl", out]
+
+    def scan(steps):
+        assert main(["scan", "--config", str(_scan_file(tmp_path, steps)), "--out", str(out)]) == 0
+        return [p.read_bytes() for p in paths]
+
+    old = scan(3)
+    handles = [p.open("rb") for p in paths]
+    try:
+        new = scan(4)
+        assert all(a != b for a, b in zip(old, new))
+        # each reader of the last run's file still reads all of it
+        assert [fh.read() for fh in handles] == old
+    finally:
+        for fh in handles:
+            fh.close()
+    # a longer file at each path than the run writes there
+    for p in paths:
+        p.write_bytes(b"x" * 100_000)
+    assert scan(4) == new
+
+
+def test_out_replaces_a_symlink_to_a_file_and_writes_through_one_to_a_device(tmp_path, capsys):
+    argv = ["describe", "--shape", "+-", "--w", "4/5", "--out"]
+    target, link = tmp_path / "target.json", tmp_path / "out.json"
+    target.write_text("kept\n")
+    link.symlink_to(target)
+    assert main(argv + [str(link)]) == 0
+    assert not link.is_symlink() and json.loads(link.read_text())["family"]["shape"] == "+-"
+    assert target.read_text() == "kept\n"
+    # a device is opened as it is, not unlinked
+    null = tmp_path / "null"
+    null.symlink_to(os.devnull)
+    assert main(argv + [str(null)]) == 0
+    assert null.is_symlink()
