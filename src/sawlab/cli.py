@@ -21,6 +21,7 @@ from .errors import (
     DomainError,
     KneadingNotRealizable,
     SawlabError,
+    StructureError,
 )
 from .explore import (
     Budgets,
@@ -223,7 +224,12 @@ def _cmd_bisect(args) -> int:
         raise ConstraintViolation(f"target level must be >= 1, got {args.refine_level}")
     bracket = bisect_boundary(shape, lo, hi, parse_rat(args.width), b)
     if args.refine_level is not None:
-        refined = refine_to_boundary(bracket, b, target_level=args.refine_level)
+        try:
+            refined = refine_to_boundary(bracket, b, target_level=args.refine_level)
+        except StructureError as e:
+            # no certified cell is an inconclusive refine, like a spent budget
+            print(json.dumps({"error": str(e), "kind": "StructureError"}), file=sys.stderr)
+            return 3
         _emit({"refined": refined.to_json()}, args)
         return 0
     _emit({"bracket": bracket.to_json()}, args)

@@ -45,7 +45,13 @@ from itertools import groupby
 import numpy as np
 
 from .errors import BudgetExceeded, ConstraintViolation
-from .markov import MarkovSystem, build_markov_system, recurrent_classes, spectral_radius
+from .markov import (
+    Combinatorics,
+    MarkovSystem,
+    build_markov_system,
+    recurrent_classes,
+    spectral_radius,
+)
 from .plmap import PiecewiseLinearMap
 from .rational import Wire, float_down, float_up, format_rat
 
@@ -66,14 +72,31 @@ class EntropyEstimate(Wire):
 
 def entropy_markov(f: PiecewiseLinearMap, point_budget: int = 4096) -> EntropyEstimate:
     sys = build_markov_system(f, point_budget)
-    rho, diag = sys.combinatorics.bracket
+    est = sys.combinatorics.entropy
+    return EntropyEstimate(
+        value=est.value,
+        lower=est.lower,
+        upper=est.upper,
+        method=est.method,
+        parameters={
+            "partition_points": len(sys.points),
+            **est.parameters,
+            "class_periods": list(est.parameters["class_periods"]),
+        },
+    )
+
+
+def _type_entropy(comb: Combinatorics) -> EntropyEstimate:
+    """entropy_markov for every graph of one combinatorial type, less the
+    partition size, which is the one figure a graph adds: the type's
+    bracket, rounded and formatted once per type (Combinatorics.entropy)."""
+    rho, diag = comb.bracket
     return _bracketed(
         rho,
         diag,
         "markov",
         {
-            "partition_points": len(sys.points),
-            "nonflat_cells": len(sys.nonflat),
+            "nonflat_cells": len(comb.successors),
             "spectral_radius": rho,
             "method": diag["method"],
             "power_iterations": diag["power_iterations"],

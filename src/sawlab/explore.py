@@ -332,7 +332,10 @@ def refine_to_boundary(
     target_level is None, and a level L is tried while 2^L is within the
     step budget. Below level k the classifier answers Finite (Boundary2Inf
     needs a period of at least 2^k), so a lower target would only add full
-    classifies that cannot end the search.
+    classifies that cannot end the search. When no level's cell is
+    certified, StructureError names the levels tried: only orbit 1's
+    doubling words are solved, and on a line where another critical orbit
+    doubles they find no cell.
     """
     if target_level is not None and target_level < 1:
         raise ConstraintViolation(f"target level must be >= 1, got {target_level}")
@@ -348,7 +351,8 @@ def refine_to_boundary(
     # w_1 sits on a plateau at the low end (level 0)
     ranks = [m.step(m.heights[0])[0] for m in (at(0), at(1))]
     first = ranks[ranks[0] % 2]
-    for level in range(max(target_level or b.k, b.k), b.step_budget.bit_length()):
+    levels = range(max(target_level or b.k, b.k), b.step_budget.bit_length())
+    for level in levels:
         cell = itinerary_cylinder(shape, lo_w, v, 1, doubling_word(shape, first, level))
         if cell is None or cell.hi <= 0 or cell.lo >= 1:
             continue
@@ -372,7 +376,10 @@ def refine_to_boundary(
                 hi_record=classify(hi, b),
             )
             return RefinedBoundary(new_bracket, level, record, extra_iterations=e)
-    raise BudgetExceeded("steps", REFINE_MAX_ITERATIONS)
+    tried = f"levels {levels.start} to {levels.stop - 1}" if levels else "no level in the step budget"
+    raise StructureError(
+        f"no doubling cell of critical orbit 1 on the bracket is Boundary2Inf; tried {tried}"
+    )
 
 
 # === the two-sided perturbation experiment ===

@@ -36,19 +36,31 @@ the recurrent classes, the spectral radius and the orbit sweep read the
 ranges, the sweep multiplying through them in O(k^2) by prefix sums, on
 Python integers.
 
-The classes and the radius read nothing but the successor runs, and the maps
-of one kneading class share one transition graph (Milnor-Thurston, "On
-iterated maps of the interval", 1988), so a family scan meets each graph
-many times. _combinatorics memoizes them: a functools.lru_cache of 256
-entries keyed by the runs tuple, each a Combinatorics holding the type's
-Recurrence, classified when a graph of the type is first built, and its
-bracket, solved when entropy_markov first asks for it. An entry is the runs,
-the classes and a few Fractions: about 1.3 KiB on average over the 193 types
-of the benchmark's scan, and at most about 0.6 MiB at the default point
-budget (partition_budget) of 4096, whose 4,095 cells make 4,095 range
-objects, so a full cache of such graphs holds about 150 MiB. What reads the
-partition's positions stays per graph: the walk table (walks) and the
-homoclinic search's piece table (pieces).
+The classes, the radius and the walk counts read nothing but the successor
+runs, and the maps of one kneading class share one transition graph
+(Milnor-Thurston, "On iterated maps of the interval", 1988), so a family
+scan meets each graph many times. _combinatorics memoizes them: a
+functools.lru_cache of 256 entries keyed by the runs tuple, each a
+Combinatorics holding the type's Recurrence, classified when a graph of the
+type is first built; its Markov entropy, formatted when entropy_markov first
+asks for it; and its closed-walk counts (orbits.WalkCounts), which every
+orbit sweep of the type extends. No entry holds a number of any one map
+(tests/test_caches.py walks them).
+
+Measured as the objects an entry holds after one round of a benchmark
+workload: 4.4 KiB on average and 10.7 KiB at most over the 193 types of a
+scan round (1.6 and 2.5 KiB with no walk counts), 7.7 and 33 KiB over the
+32 types of a boundary round. The runs of a graph at the default point
+budget (partition_budget) of 4096 are up to 4,095 range objects, about 0.6
+MiB. The walk counts grow with the branching classes: a class of k cells
+swept to period n keeps one k x k power in Python integers and n masks of
+k bits per member, about 55 bytes per k^2 at n = 16 (156 KiB at k = 54).
+That is the table one cached graph held when the walk counts lived on the
+graph, kept now for each of up to 256 types: at the default point budget a
+class can reach 4,095 cells, whose table is near 0.9 GiB. What reads the
+partition's positions stays per graph: the walk table (walks), with the
+orbits each period solved, and the homoclinic search's piece table
+(pieces).
 """
 
 from __future__ import annotations
@@ -69,7 +81,8 @@ from .plmap import PiecewiseLinearMap
 from .rational import Rat, float_down, float_up
 
 if TYPE_CHECKING:
-    from .orbits import WalkTable
+    from .entropy import EntropyEstimate
+    from .orbits import WalkCounts, WalkTable
 
 
 @dataclass(frozen=True)
@@ -91,21 +104,43 @@ class Recurrence:
 @dataclass(frozen=True, eq=False)
 class Combinatorics:
     """What a transition graph's successor runs alone decide, shared by every
-    graph with equal runs (_combinatorics): its recurrent classes, and the
-    bracket of its spectral radius, solved on first use.
+    graph with equal runs (_combinatorics): its recurrent classes, its
+    Markov entropy and its closed-walk counts, the last two built on first
+    use.
 
-    bracket is spectral_radius(successors, recurrence) with the diagnostics
-    frozen, since every graph of the type reads the same one: a read-only
-    mapping whose class_periods is a tuple.
+    It holds no number of any one map, no Fraction among them, so no map of
+    the type can read another's: entropy keeps the bracket as the floats and
+    strings entropy_markov reports, and walks the counts and block powers in
+    Python integers.
     """
 
     successors: tuple[range, ...]
     recurrence: Recurrence
 
-    @functools.cached_property
+    @property
     def bracket(self) -> tuple[float, Mapping[str, object]]:
+        """spectral_radius(successors, recurrence) with the diagnostics
+        frozen: a read-only mapping whose class_periods is a tuple. Solved
+        on each read; the package reads it once per type, for entropy."""
         rho, diag = spectral_radius(self.successors, self.recurrence)
         return rho, MappingProxyType({**diag, "class_periods": tuple(diag["class_periods"])})
+
+    @functools.cached_property
+    def entropy(self) -> EntropyEstimate:
+        """The Markov entropy of every graph of the type, but for its
+        partition size (entropy._type_entropy): the bracket's logs and
+        strings, formatted once."""
+        from .entropy import _type_entropy  # entropy imports this module
+
+        return _type_entropy(self)
+
+    @functools.cached_property
+    def walks(self) -> WalkCounts:
+        """The closed-walk counts and block powers every orbit sweep of the
+        type reads and extends (orbits.WalkCounts), built on first use."""
+        from .orbits import WalkCounts  # orbits imports this module
+
+        return WalkCounts(self.successors, self.recurrence)
 
 
 @functools.lru_cache(maxsize=256)
@@ -149,7 +184,8 @@ class MarkovSystem:
     @functools.cached_property
     def walks(self) -> WalkTable:
         """The walk table every orbit sweep of this graph reads and extends
-        (orbits.WalkTable), built on first use; it lives as long as the graph."""
+        (orbits.WalkTable), built on first use; it lives as long as the
+        graph, and reads its type's counts from combinatorics.walks."""
         from .orbits import WalkTable  # orbits imports this module
 
         return WalkTable(self)
@@ -202,11 +238,11 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096, /) -> M
     The closure runs on integer numerators over one denominator; a map with
     a non-integer slope raises StructureError. The last result is memoized
     and shared, and with it the walk table it carries (walks), which the
-    orbit sweeps fill. Its combinatorics, the recurrent classes and the
-    spectral-radius bracket, come from _combinatorics, keyed by the
-    successor runs and shared by every graph with equal runs: at most 256
-    entries, each at most about 0.6 MiB at point_budget 4096 (see the module
-    docstring). Both parameters are positional-only, so every call
+    orbit sweeps fill. Its combinatorics, the recurrent classes, the Markov
+    entropy and the closed-walk counts, come from _combinatorics, keyed by
+    the successor runs and shared by every graph with equal runs: at most
+    256 entries, whose sizes the module docstring gives. Both parameters
+    are positional-only, so every call
     keys the cache as (f, point_budget): a keyword call, which would miss the
     entry and build the graph again, is a TypeError.
     """

@@ -20,8 +20,15 @@ walks of each length n divisible by p and one orbit, solved from its composed
 branch with no power of A. Every closed walk in a branching class of period d
 has a length divisible by d (Frobenius; Gantmacher, The Theory of Matrices
 II, ch. XIII), so its block A_C is first powered when a sweep reaches n = d,
-and transient cells never are. Counts and powers, in Python integers, sit in
-one walk table per graph (WalkTable) that all its sweeps share.
+and transient cells never are.
+
+The walks are kept at two lifetimes. Counts, powers and reachability bits,
+in Python integers, read only the successor runs, so they sit in one
+WalkCounts per combinatorial type (markov.Combinatorics.walks), shared by
+every map of the type while its entry stays in the type cache. What reads
+the map's numbers, its partition, its cycles there and the branches of its
+cells, sits in one WalkTable per graph (MarkovSystem.walks), with the orbits
+each period solved: every sweep of the graph solves a period once.
 
 periodic_points (f^n by repeated squaring, then its fixed points piece by
 piece, and each orbit's stability from the one-sided slopes of f^n at its
@@ -39,7 +46,7 @@ from fractions import Fraction
 from itertools import accumulate, compress
 
 from .errors import BudgetExceeded, ConstraintViolation, StructureError
-from .markov import MarkovSystem, build_markov_system
+from .markov import MarkovSystem, Recurrence, build_markov_system
 from .plmap import PiecewiseLinearMap
 from .rational import Rat, Wire
 
@@ -206,8 +213,12 @@ def _bare_cycle_orbits(sys: MarkovSystem) -> tuple[PeriodicOrbit, ...]:
     image. The partition cycles add the attracting plateau cycles the graph
     cannot see. The list is every periodic orbit, of every period, so a bare
     cycle of composed slope -1, whose points of period 2p are a continuum,
-    raises StructureError.
+    raises StructureError. It is listed once per graph and kept in the walk
+    table (WalkTable.inventory), which also holds the partition cycles.
     """
+    table = sys.walks
+    if table.inventory is not None:
+        return table.inventory
     nums = sys.nums
     orbits: dict[tuple[Rat, ...], PeriodicOrbit] = {}
     for cyc in sys.recurrence.cycles:
@@ -223,9 +234,10 @@ def _bare_cycle_orbits(sys: MarkovSystem) -> tuple[PeriodicOrbit, ...]:
         else:
             orb = _off_partition_orbit(cs, sys.den * m, a)
         orbits.setdefault(orb.points, orb)
-    for orb in _partition_cycles(sys):
+    for orb in table.cycles:
         orbits.setdefault(orb.points, orb)
-    return tuple(orbits.values())
+    table.inventory = tuple(orbits.values())
+    return table.inventory
 
 
 def _bare_cycle_tour(sys: MarkovSystem, cyc: tuple[int, ...]) -> tuple[int, list[int], int]:
@@ -319,13 +331,14 @@ def _checked_orbits(
     f: PiecewiseLinearMap, n: int, piece_budget: int, point_budget: int
 ) -> Iterator[tuple[int, tuple[PeriodicOrbit, ...]]]:
     """periodic_orbits to n, once every walk count trace(A^m), m <= n, has
-    been checked against piece_budget in the walk table: a period past the
-    budget is refused before any walk is solved. The sweeps that can stop
-    early (period_set, find_homoclinic) check each count when they reach it."""
+    been checked against piece_budget in the type's counts (WalkCounts): a
+    period past the budget is refused before any walk is solved. The sweeps
+    that can stop early (period_set, find_homoclinic) check each count when
+    they reach it."""
     sys = build_markov_system(f, point_budget)
     if sys.recurrence.branching:
         for m in range(1, n + 1):
-            sys.walks.check(m, piece_budget)
+            sys.combinatorics.walks.check(m, piece_budget)
     return periodic_orbits(f, n, piece_budget, point_budget)
 
 
@@ -339,24 +352,6 @@ def _run_product(runs: Sequence[range], cols: list[list[int]]) -> list[list[int]
         pre = list(accumulate(col, initial=0))
         out.append([pre[r.stop] - pre[r.start] for r in runs])
     return out
-
-
-def _walk_powers(runs: Sequence[range]) -> Iterator[list[list[int]]]:
-    """A, A^2, A^3, ... as lists of columns, for the 0/1 matrix A whose row a
-    is 1 exactly on the columns in runs[a], each product through the runs
-    (_run_product) from the identity on: A is never written out.
-
-    The walk table passes the block A_C of one branching class C
-    (_class_runs): a closed walk never leaves its class, so A_C^n holds every
-    walk of length n inside C, and trace(A^n) is the sum of the classes'
-    traces. A^n = A @ A^(n-1) costs O(k^2) for k cells, where a dense product
-    costs O(k^3), and Python integers keep every entry exact at any size.
-    """
-    k = len(runs)
-    power = [[int(u == s) for u in range(k)] for s in range(k)]
-    while True:
-        power = _run_product(runs, power)
-        yield power
 
 
 def _class_runs(successors: Sequence[range], members: Sequence[int]) -> tuple[range, ...]:
@@ -373,47 +368,60 @@ def _class_runs(successors: Sequence[range], members: Sequence[int]) -> tuple[ra
 
 
 class _Block:
-    """One branching class of period d, in member coordinates: each member's
-    successor run among the members and its branch, the block's powers A_C^m
-    (the generator holds the last one formed), their traces, and back[m][s],
-    whose bit u is set when a walk of length m leads from member u to s."""
+    """One branching class of period d, in member coordinates: its members
+    (cells, ascending), each member's successor run among the members, the
+    last power of the block A_C formed, as a list of columns, the traces of
+    its powers, and back[m][s], whose bit u is set when a walk of length m
+    leads from member u to s.
 
-    def __init__(self, sys: MarkovSystem, members: list[int], d: int):
-        self.runs = _class_runs(sys.successors, members)
-        self.branches, self.d = tuple(sys.branches[v] for v in members), d
-        self.powers = _walk_powers(self.runs)
-        self.bits = [1 << u for u in range(len(members))]
-        self.back, self.traces = [self.bits], [len(members)]
+    A_C holds every walk of length n inside C, since a closed walk never
+    leaves its class, and A_C^n = A_C @ A_C^(n-1) goes through the runs
+    (_run_product): O(k^2) for k members where a dense product costs
+    O(k^3), and Python integers keep every entry exact at any size.
+    """
+
+    def __init__(self, successors: Sequence[range], members: list[int], d: int):
+        k = len(members)
+        self.members, self.d = members, d
+        self.runs = _class_runs(successors, members)
+        self.power = [[int(u == s) for u in range(k)] for s in range(k)]
+        self.bits = [1 << u for u in range(k)]
+        self.back, self.traces = [self.bits], [k]
 
     def trace(self, n: int) -> int:
-        """trace(A_C^n), the block powered to n first."""
+        """trace(A_C^n), the block powered to n first. Each power is stored
+        only once it is whole, so a sweep cut off inside a product (by an
+        interrupt, say) leaves the block, which every graph of its type
+        shares, as it was."""
         while len(self.back) <= n:
-            power = next(self.powers)
-            self.back.append([sum(compress(self.bits, col)) for col in power])
-            self.traces.append(sum(col[s] for s, col in enumerate(power)))
+            power = _run_product(self.runs, self.power)
+            back = [sum(compress(self.bits, col)) for col in power]
+            trace = sum(col[s] for s, col in enumerate(power))
+            self.power = power
+            self.back.append(back)
+            self.traces.append(trace)
         return self.traces[n]
 
 
-class WalkTable:
-    """The closed walks of one Markov graph with a branching class, shared by
-    every sweep of that graph: MarkovSystem.walks builds it on first use, so
-    it lives exactly as long as the cached graph.
+class WalkCounts:
+    """The closed walks of one combinatorial type, counted: the lengths of
+    its bare cycles, a _Block per branching class, and counts[n] =
+    trace(A^n), the closed walks of length n. A bare cycle of length p adds
+    p when p divides n, a block its trace, which is 0 below its period d; so
+    a block is first powered at n = d, and the counts grow only when a sweep
+    asks for an n past every earlier one.
 
-    It holds the cycles of f on the partition, the partition's numerators
-    (lattice), a _Block per branching class, and counts[n] = trace(A^n), the
-    closed walks of length n: a bare cycle of length p adds p when p divides
-    n, a block its trace, which is 0 below its period d; so a block is first
-    powered at n = d, and the table grows only when a sweep asks for an n past
-    every earlier one. It keeps no orbits: each sweep solves its own walks and
+    Everything here reads the successor runs alone, so Combinatorics.walks
+    keeps one per type, and every graph of the type reads it while the
+    type's entry stays in the cache. It holds no map's numbers; each sweep
     compares its own piece_budget with the counts.
     """
 
-    def __init__(self, sys: MarkovSystem):
-        rec = sys.recurrence
-        self.lattice = frozenset(sys.nums)
-        self.cycles = _partition_cycles(sys)
+    def __init__(self, successors: Sequence[range], rec: Recurrence):
         self.lengths = [len(cyc) for cyc in rec.cycles]
-        self.blocks = [_Block(sys, sorted(comp), d) for comp, d in zip(rec.branching, rec.periods)]
+        self.blocks = [
+            _Block(successors, sorted(comp), d) for comp, d in zip(rec.branching, rec.periods)
+        ]
         self.counts = [0]
 
     def check(self, n: int, piece_budget: int) -> None:
@@ -427,10 +435,59 @@ class WalkTable:
             raise BudgetExceeded("walks", piece_budget, needed=self.counts[n])
 
 
+class WalkTable:
+    """The periodic orbits of one Markov graph, shared by every sweep of
+    that graph: MarkovSystem.walks builds it on first use, so it lives
+    exactly as long as the cached graph.
+
+    It holds what the map's numbers decide: the partition's numerators
+    (lattice), the cycles of f on the partition, each block's branches,
+    aligned with the type's blocks (WalkCounts, read as shape), and the
+    orbits solved so far: solved[n] for each period a sweep has reached, with
+    reflected, the periods 2p of the bare cycles of length p and composed
+    slope -1 among them, and inventory, every orbit of a graph with no
+    branching class, once listed (_bare_cycle_orbits).
+    """
+
+    def __init__(self, sys: MarkovSystem):
+        self.shape = sys.combinatorics.walks
+        self.lattice = frozenset(sys.nums)
+        self.cycles = _partition_cycles(sys)
+        self.branches = [tuple(sys.branches[v] for v in b.members) for b in self.shape.blocks]
+        self.solved: list[tuple[PeriodicOrbit, ...]] = [()]
+        self.reflected: set[int] = set()
+        self.inventory: tuple[PeriodicOrbit, ...] | None = None
+
+    @property
+    def counts(self) -> list[int]:
+        """The type's walk counts, trace(A^n) at index n (WalkCounts)."""
+        return self.shape.counts
+
+
 def _walk_orbits(
     sys: MarkovSystem, n_max: int, piece_budget: int
 ) -> Iterator[tuple[int, tuple[PeriodicOrbit, ...]]]:
     """periodic_orbits on a graph with a branching class.
+
+    Each n is checked against piece_budget in the type's counts, refused
+    when the graph's bare cycle of length n/2 has slope -1, and its orbits
+    are solved once per graph (_solve_period) and read from the walk table
+    (WalkTable.solved) after that. Every sweep runs n = 1, 2, ..., so each
+    period is solved after every one below it.
+    """
+    table = sys.walks
+    for n in range(1, n_max + 1):
+        table.shape.check(n, piece_budget)
+        if n in table.reflected:
+            raise StructureError(_CONTINUUM)
+        if n == len(table.solved):
+            table.solved.append(_solve_period(sys, table, n))
+        yield n, table.solved[n]
+
+
+def _solve_period(sys: MarkovSystem, table: WalkTable, n: int) -> tuple[PeriodicOrbit, ...]:
+    """The orbits of minimal period n of a graph with a branching class,
+    sorted by smallest point; the type's blocks are powered to n at least.
 
     f maps the partition P into itself, so an orbit either lies in P, where
     it is a cycle of f on a finite set, or avoids P. An orbit that avoids P
@@ -447,38 +504,32 @@ def _walk_orbits(
     class. A bare cycle of length p is solved once, at n = p
     (_bare_cycle_tour), with no power: its walks of length n > p tour it
     again and close no new orbit, and when its slope is -1 the walks of
-    length 2p fix a cell pointwise, so StructureError is raised there. A
-    branching class of period d has closed walks only at the multiples of d,
-    and the transient cells have none. The walks are counted (trace(A^n),
-    checked against piece_budget) and pruned by the graph's shared walk table
-    (WalkTable), and the depth-first walks step along its blocks' runs.
+    length 2p fix a cell pointwise, so 2p joins table.reflected. A branching
+    class of period d has closed walks only at the multiples of d, and the
+    transient cells have none; the depth-first walks step along its block's
+    runs.
     """
-    table = sys.walks
-    reflected = set()  # 2p for each bare cycle of length p and composed slope -1
-    for n in range(1, n_max + 1):
-        table.check(n, piece_budget)
-        if n in reflected:
-            raise StructureError(_CONTINUUM)
-        found = [o for o in table.cycles if o.period == n]
-        for cyc in sys.recurrence.cycles:
-            if len(cyc) == n:
-                a, cs, m = _bare_cycle_tour(sys, cyc)
-                if a == -1:
-                    reflected.add(2 * n)
-                if cs[0] % m or cs[0] // m not in table.lattice:  # on P it is among cycles
-                    found.append(_off_partition_orbit(cs, sys.den * m, a))
-        for block in table.blocks:
-            if n % block.d == 0:
-                for s0, bits in enumerate(block.back[n]):
-                    if bits >> s0 & 1:
-                        found += _orbits_from_cell(block, sys.den, s0, n, table.lattice)
-        found.sort(key=lambda o: o.points[0])
-        yield n, tuple(found)
+    found = [o for o in table.cycles if o.period == n]
+    for cyc in sys.recurrence.cycles:
+        if len(cyc) == n:
+            a, cs, m = _bare_cycle_tour(sys, cyc)
+            if a == -1:
+                table.reflected.add(2 * n)
+            if cs[0] % m or cs[0] // m not in table.lattice:  # on P it is among cycles
+                found.append(_off_partition_orbit(cs, sys.den * m, a))
+    for block, branches in zip(table.shape.blocks, table.branches):
+        if n % block.d == 0:
+            for s0, bits in enumerate(block.back[n]):
+                if bits >> s0 & 1:
+                    found += _orbits_from_cell(block, branches, sys.den, s0, n, table.lattice)
+    found.sort(key=lambda o: o.points[0])
+    return tuple(found)
 
 
-def _orbits_from_cell(block: _Block, den, s0, n, lattice) -> list[PeriodicOrbit]:
+def _orbits_from_cell(block: _Block, branches, den, s0, n, lattice) -> list[PeriodicOrbit]:
     """Orbits of minimal period n off the partition whose smallest point
-    lies in member s0 of block, which is powered to n at least.
+    lies in member s0 of block, which is powered to n at least; branches
+    lists the members' branches.
 
     Members are numbered in the cells' order. Depth-first over the closed
     walks of length n from s0 through members >= s0, so each orbit is met
@@ -496,7 +547,7 @@ def _orbits_from_cell(block: _Block, den, s0, n, lattice) -> list[PeriodicOrbit]
     n. Only a kept orbit's points become Fractions. Off the partition both
     one-sided slopes of f^n are a.
     """
-    runs, branches = block.runs, block.branches
+    runs = block.runs
     home = [block.back[m][s0] for m in range(n)]  # bit u of home[m]: u returns to s0 in m steps
     path = [s0] * n
     found = []

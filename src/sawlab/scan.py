@@ -30,6 +30,7 @@ certificate bytes as a computed one.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -90,6 +91,16 @@ class ScanConfig:
             paths = (out["csv"], out["manifest"], "" if certificates is None else certificates)
             if not all(isinstance(p, str) for p in paths):
                 raise ConstraintViolation("scan output paths must be strings")
+            # two outputs on one file would interleave into it or truncate
+            # each other, so they are refused before any file is opened
+            named: dict[str, str] = {}
+            for key in ("csv", "manifest", "certificates"):
+                if out.get(key) is None:
+                    continue
+                real = os.path.realpath(out[key])
+                if real in named:
+                    raise ConstraintViolation(f"scan outputs {named[real]} and {key} name one file: {real}")
+                named[real] = key
             return ScanConfig(
                 shape=shape,
                 cells=tuple(tuple(c) for c in cells),

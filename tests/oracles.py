@@ -4,9 +4,10 @@ The package reads every map through its integer Markov system; these are the
 literal Fraction routes on a PiecewiseLinearMap and an Ivl, kept apart from
 the package so that nothing in it can come to lean on them. The boundary
 refinement's bisection, which probes midpoints one walk at a time where the
-package solves the doubling cell, is kept here for the same reason, and so is
-the orbit sweep over the whole cell graph, which the package runs class by
-class.
+package solves the doubling cell, is kept here for the same reason, and so
+are the orbit sweep over the whole cell graph, which the package runs class
+by class, and the endless sequence of powers, which the package forms one
+block at a time.
 """
 
 from fractions import Fraction
@@ -29,7 +30,7 @@ from sawlab import (
 from sawlab.explore import REFINE_MAX_ITERATIONS, _midpoint, _width
 from sawlab.homoclinic import HomoclinicWitness, unstable_manifold
 from sawlab.markov import build_markov_system
-from sawlab.orbits import _off_partition_orbit, _partition_cycles
+from sawlab.orbits import _off_partition_orbit, _partition_cycles, _run_product
 
 
 def validate_heights(shape, w) -> None:
@@ -227,6 +228,18 @@ def refine_by_bisection(
         else:
             hi = mid
     raise BudgetExceeded("steps", REFINE_MAX_ITERATIONS)
+
+
+def walk_powers(runs):
+    """A, A^2, A^3, ... as lists of columns, for the 0/1 matrix A whose row a
+    is 1 exactly on the columns in runs[a], each product through the runs
+    (_run_product) from the identity on, as the package's blocks form them:
+    A is never written out."""
+    k = len(runs)
+    power = [[int(u == s) for u in range(k)] for s in range(k)]
+    while True:
+        power = _run_product(runs, power)
+        yield power
 
 
 def whole_graph_walk_orbits(f, n_max: int, piece_budget: int = 1_000_000, point_budget: int = 4096):

@@ -14,6 +14,7 @@ from sawlab import (
     Ivl,
     PiecewiseLinearMap,
     Shape,
+    StructureError,
     StuntedSawtoothMap,
     bisect_boundary,
     classify,
@@ -335,6 +336,20 @@ def test_refine_takes_the_point_of_the_first_cell_not_the_first_deep_midpoint():
     assert (solved.level, solved.extra_iterations) == (3, 9)
     assert (bisected.level, bisected.extra_iterations) == (4, 5)
     assert solved.record.label == bisected.record.label == "Boundary2Inf(3)"
+
+
+@pytest.mark.parametrize("lo, hi", [(("4/5", "1/5"), ("4/5", "3/20")), (("9/10", "1/2"), ("9/10", "7/20"))])
+def test_refine_names_the_orbit_and_levels_when_no_doubling_cell_is_certified(lo, hi):
+    # +-+ lines that move only w_2, where critical orbit 2 doubles: orbit 1's
+    # words certify no cell at levels 8 to 19, and no budget ran out
+    shape = Shape.from_string("+-+")
+    bracket = bisect_boundary(shape, [F(x) for x in lo], [F(x) for x in hi], F(1, 10**9))
+    assert (bracket.lo_record.label, bracket.hi_record.label) == ("Finite(16)", "Chaotic")
+    with pytest.raises(StructureError) as e:
+        refine_to_boundary(bracket, target_level=8)
+    assert str(e.value) == (
+        "no doubling cell of critical orbit 1 on the bracket is Boundary2Inf; tried levels 8 to 19"
+    )
 
 
 @pytest.mark.parametrize("lo", ["1/2", "3/5"])

@@ -1,6 +1,7 @@
 """Periodic orbit enumeration, period sets, Sharkovskii order."""
 
 import itertools
+import json
 import math
 import time
 from fractions import Fraction as F
@@ -31,16 +32,15 @@ from sawlab import (
 )
 from sawlab import orbits
 from sawlab.family import build_sawtooth
-from sawlab.markov import build_markov_system
+from sawlab.markov import _combinatorics, build_markov_system
 from sawlab.orbits import (
     _class_runs,
     _run_product,
-    _walk_powers,
     markov_orbit_inventory,
     periodic_orbits,
 )
 
-from oracles import iterate, plateaus, whole_graph_walk_orbits
+from oracles import iterate, plateaus, walk_powers as _walk_powers, whole_graph_walk_orbits
 
 
 def test_fixed_points_of_stunted_tent(stunted_tent):
@@ -375,12 +375,14 @@ def test_the_flank_sweeps_form_no_power_of_its_chaotic_class(monkeypatch):
 
 def test_a_chaotic_classify_forms_each_block_power_once(monkeypatch):
     # the period sweep and the homoclinic search read one walk table, so
-    # classify forms the powers of the longer sweep alone, not of both
+    # classify forms the powers of the longer sweep alone, not of both; the
+    # powers belong to the graph's type, so both caches are cleared
     rows = _products(monkeypatch)
     b = Budgets()
 
     def powers(run) -> int:
         build_markov_system.cache_clear()
+        _combinatorics.cache_clear()
         rows.clear()
         run()
         return len(rows)
@@ -415,17 +417,101 @@ def test_a_cached_graph_refuses_a_smaller_budget_as_a_fresh_graph_does(tent):
 
 
 def test_a_rebuilt_graph_starts_a_fresh_walk_table(tent, stunted_tent):
+    # a rebuilt graph of a cached type reads the type's counts but solves its
+    # own orbits; only after the type is evicted does it count from the start
     build_markov_system.cache_clear()
+    _combinatorics.cache_clear()
     sys = build_markov_system(tent, 4096)
     for _ in periodic_orbits(tent, 6):
         pass
-    assert len(sys.walks.counts) == 7
+    assert len(sys.walks.counts) == 7 and len(sys.walks.solved) == 7
     build_markov_system(stunted_tent(F(9, 10)).map, 4096)  # evicts the tent's graph
     rebuilt = build_markov_system(tent, 4096)
     assert rebuilt is not sys and "walks" not in vars(rebuilt)
+    assert rebuilt.walks.shape is sys.walks.shape
+    assert len(rebuilt.walks.counts) == 7 and len(rebuilt.walks.solved) == 1
     for _ in periodic_orbits(tent, 3):
         pass
-    assert len(rebuilt.walks.counts) == 4 and len(sys.walks.counts) == 7
+    assert len(rebuilt.walks.solved) == 4 and len(sys.walks.solved) == 7
+    _combinatorics.cache_clear()  # evicts the tent's type
+    build_markov_system.cache_clear()
+    fresh = build_markov_system(tent, 4096)
+    for _ in periodic_orbits(tent, 3):
+        pass
+    assert fresh.walks.shape is not sys.walks.shape
+    assert len(fresh.walks.counts) == 4 and len(sys.walks.counts) == 7
+
+
+def test_a_second_member_of_a_type_forms_no_block_power(monkeypatch):
+    # two chaotic tents with equal successor runs: the first classify powers
+    # the type's branching class, the second reads those powers, and its
+    # record is the one a cold classify writes
+    tent = Shape.from_string("+-")
+    first, second = (StuntedSawtoothMap(tent, [w]) for w in (F(83, 100), F(207, 250)))
+    build_markov_system.cache_clear()
+    _combinatorics.cache_clear()
+    cold = json.dumps(classify(second).to_json(), sort_keys=True)
+    build_markov_system.cache_clear()
+    _combinatorics.cache_clear()
+    rows = _products(monkeypatch)
+    classify(first)
+    assert rows
+    rows.clear()
+    record = classify(second)
+    assert rows == [] and record.verdict == "Chaotic"
+    assert build_markov_system(second.map, 4096).successors == build_markov_system(first.map, 4096).successors
+    assert json.dumps(record.to_json(), sort_keys=True) == cold
+
+
+def test_a_sweep_cut_off_inside_a_power_leaves_the_type_whole(monkeypatch):
+    # an interrupt inside a block product: the next sweep of the graph, and
+    # one of another member of its type, list what a cold sweep lists
+    tent = Shape.from_string("+-")
+    maps = [StuntedSawtoothMap(tent, [w]).map for w in (F(83, 100), F(207, 250))]
+    cold = []
+    for f in maps:
+        build_markov_system.cache_clear()
+        _combinatorics.cache_clear()
+        cold.append(_sweep(periodic_orbits(f, 12)))
+    build_markov_system.cache_clear()
+    _combinatorics.cache_clear()
+    product, calls = orbits._run_product, []
+
+    def interrupted(runs, cols):
+        calls.append(len(runs))
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return product(runs, cols)
+
+    monkeypatch.setattr(orbits, "_run_product", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _sweep(periodic_orbits(maps[0], 12))
+    assert [_sweep(periodic_orbits(f, 12)) for f in maps] == cold
+
+
+def test_the_sweeps_of_one_graph_solve_each_period_once(monkeypatch, stunted_tent):
+    # period_set, then find_homoclinic (a frontier of 1 truncates every
+    # search, so it sweeps every period) and orbits_of_period: each walk
+    # from a member of a block is solved once for each period reached
+    calls = []
+    solve = orbits._orbits_from_cell
+
+    def spy(block, branches, den, s0, n, lattice):
+        calls.append((id(block), s0, n))
+        return solve(block, branches, den, s0, n, lattice)
+
+    monkeypatch.setattr(orbits, "_orbits_from_cell", spy)
+    f = stunted_tent(F(9, 10)).map
+    build_markov_system.cache_clear()
+    assert period_set(f, 16, piece_budget=50_000).complete
+    assert len(set(calls)) == len(calls) and {n for _, _, n in calls} == set(range(1, 17))
+    before = len(calls)
+    report = find_homoclinic(f, period_bound=16, frontier_budget=1)
+    assert report.truncated and report.orbits_searched > 16
+    orbits.orbits_of_period(f, 12, 50_000)
+    assert len(calls) == before
+    orbits.orbits_of_period(f, 17, 100_000)
+    assert len(set(calls)) == len(calls) and {n for _, _, n in calls[before:]} == {17}
 
 
 def test_omega_accumulation_checks_every_walk_count_before_any_walk(tent):

@@ -501,6 +501,16 @@ def test_cli_scan_resume_of_an_entry_without_its_row_or_record_exits_2(tmp_path,
     assert "line 2" in error["error"]
 
 
+def test_cli_bisect_exits_3_when_the_refine_certifies_no_cell(capsys):
+    argv = ["bisect", "--shape", "+-+", "--lo", "4/5,1/5", "--hi", "4/5,3/20",
+            "--width", "1/1000000000", "--refine-level", "8"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)
+    assert error["kind"] == "StructureError" and "critical orbit 1" in error["error"]
+    assert captured.out == ""
+
+
 def test_cli_bisect_refuses_a_refine_level_below_1_before_bisecting(capsys, monkeypatch):
     def bisect_must_not_run(*args, **kwargs):
         raise AssertionError("bisect_boundary ran before the refine level was checked")
@@ -636,6 +646,30 @@ def test_cli_scan_exits_2_on_an_unwritable_output_before_any_cell(
     assert error["error"].startswith(f"{message} {tmp_path}")
     assert captured.out == ""
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "output",
+    [
+        {"certificates": "{tmp}/g.csv"},  # the CSV and the certificates
+        {"manifest": "g.csv"},  # the CSV and the manifest, relative to the cwd
+        {"certificates": "{tmp}/sub/../g.jsonl"},  # the manifest and the certificates
+    ],
+)
+def test_cli_scan_exits_2_when_two_outputs_name_one_file(tmp_path, capsys, monkeypatch, output):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    output = {key: value.format(tmp=tmp_path) for key, value in output.items()}
+    config = _scan_file(tmp_path, **output)
+    before = sorted(tmp_path.rglob("*"))
+    calls = _counting_classify(monkeypatch)
+    assert main(["scan", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)
+    assert error["kind"] == "ConstraintViolation"
+    assert "name one file" in error["error"]
+    assert captured.out == "" and calls == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_an_interrupted_scan_leaves_none_of_the_last_runs_rows(line_config, monkeypatch):
