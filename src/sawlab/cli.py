@@ -34,7 +34,7 @@ from .family import Shape, StuntedSawtoothMap, build_sawtooth
 from .kneading import KneadingData, compare_kneading, kneading_data, realize_kneading
 from .orbits import orbits_of_period, period_set
 from .rational import parse_rat
-from .renorm import build_tower, gap_fixed_point, semiconjugacy_check
+from .renorm import build_tower, gap_fixed_point
 from .scan import ScanConfig, fresh_file, run_scan
 
 
@@ -201,8 +201,6 @@ def _cmd_renorm(args) -> int:
         "tower": tower.to_json(),
         "gap_fixed_point": gap_fixed_point(m, tower).to_json(),
     }
-    if tower.depth >= 1:
-        payload["semiconjugacy"] = semiconjugacy_check(tower, tower.depth).to_json()
     _emit(payload, args)
     return 0
 
@@ -289,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_kneading)
 
-    p = sub.add_parser("renorm", help="renormalization tower and odometer check")
+    p = sub.add_parser("renorm", help="renormalization tower and gap fixed point")
     _add_family_args(p)
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--out")

@@ -89,8 +89,9 @@ def entropy_markov(f: PiecewiseLinearMap, point_budget: int = 4096) -> EntropyEs
 def _type_entropy(comb: Combinatorics) -> EntropyEstimate:
     """entropy_markov for every graph of one combinatorial type, less the
     partition size, which is the one figure a graph adds: the type's
-    bracket, rounded and formatted once per type (Combinatorics.entropy)."""
-    rho, diag = comb.bracket
+    bracket, solved, rounded and formatted once per type
+    (Combinatorics.entropy)."""
+    rho, diag = spectral_radius(comb.successors, comb.recurrence)
     return _bracketed(
         rho,
         diag,
@@ -99,7 +100,6 @@ def _type_entropy(comb: Combinatorics) -> EntropyEstimate:
             "nonflat_cells": len(comb.successors),
             "spectral_radius": rho,
             "method": diag["method"],
-            "power_iterations": diag["power_iterations"],
         },
     )
 

@@ -39,7 +39,7 @@ from .orbits import (
     period_set,
 )
 from .rational import Rat, Wire, format_rat, to_wire
-from .renorm import build_tower, semiconjugacy_check
+from .renorm import build_tower
 
 # halvings allowed to bisect_boundary
 BISECT_MAX_ITERATIONS = 10_000
@@ -203,21 +203,12 @@ def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> Classific
     except BudgetExceeded as e:
         return stopped(e, h, stage="tower", max_period=max_p)
     if tower.depth >= b.tower_depth:
-        semi = semiconjugacy_check(tower, tower.depth)
         return ClassificationRecord(
             verdict="Boundary2Inf",
             label=f"Boundary2Inf({tower.depth})",
             entropy=h,
-            detail={
-                "tower_depth": tower.depth,
-                "max_period": max_p,
-                "semiconjugacy_ok": semi.ok,
-            },
-            certificates={
-                "period_set": psr.to_json(),
-                "tower": tower.to_json(),
-                "semiconjugacy": semi.to_json(),
-            },
+            detail={"tower_depth": tower.depth, "max_period": max_p},
+            certificates={"period_set": psr.to_json(), "tower": tower.to_json()},
             **base,
         )
     return ClassificationRecord(

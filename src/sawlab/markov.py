@@ -42,10 +42,11 @@ runs, and the maps of one kneading class share one transition graph
 scan meets each graph many times. _combinatorics memoizes them: a
 functools.lru_cache of 256 entries keyed by the runs tuple, each a
 Combinatorics holding the type's Recurrence, classified when a graph of the
-type is first built; its Markov entropy, formatted when entropy_markov first
-asks for it; and its closed-walk counts (orbits.WalkCounts), which every
-orbit sweep of the type extends. No entry holds a number of any one map
-(tests/test_caches.py walks them).
+type is first built; its Markov entropy, the spectral radius solved once
+and its bracket formatted when entropy_markov first asks for it; and its
+closed-walk counts (orbits.WalkCounts), which every orbit sweep of the type
+extends. No entry holds a number of any one map (tests/test_caches.py walks
+them).
 
 Measured as the objects an entry holds after one round of a benchmark
 workload: 4.4 KiB on average and 10.7 KiB at most over the 193 types of a
@@ -67,11 +68,10 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, ldexp, log2
-from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -117,19 +117,11 @@ class Combinatorics:
     successors: tuple[range, ...]
     recurrence: Recurrence
 
-    @property
-    def bracket(self) -> tuple[float, Mapping[str, object]]:
-        """spectral_radius(successors, recurrence) with the diagnostics
-        frozen: a read-only mapping whose class_periods is a tuple. Solved
-        on each read; the package reads it once per type, for entropy."""
-        rho, diag = spectral_radius(self.successors, self.recurrence)
-        return rho, MappingProxyType({**diag, "class_periods": tuple(diag["class_periods"])})
-
     @functools.cached_property
     def entropy(self) -> EntropyEstimate:
         """The Markov entropy of every graph of the type, but for its
-        partition size (entropy._type_entropy): the bracket's logs and
-        strings, formatted once."""
+        partition size (entropy._type_entropy): the one spectral_radius
+        solve of the type, its bracket's logs and strings formatted once."""
         from .entropy import _type_entropy  # entropy imports this module
 
         return _type_entropy(self)

@@ -1,4 +1,4 @@
-"""Renormalization towers, gap fixed points, and the odometer comparison.
+"""Renormalization towers and gap fixed points.
 
 Towers stack renormalization windows along the doubling cascade: at level n
 the cycle of the principal critical value splits into 2^n residue classes,
@@ -6,7 +6,10 @@ and each class hull is a block. A level is kept when its blocks have
 pairwise disjoint interiors and each block maps into its successor, the
 block of the odometer step of its n-bit word, which is block (r + 1) mod 2^n
 for block r. So each kept level is the depth-n semiconjugacy onto the binary
-adding machine, which the semiconjugacy check reads off the tower.
+adding machine, and the tower is the whole certificate of it: a Boundary2Inf
+record and `sawlab renorm` carry the tower and nothing that restates it.
+The semiconjugacy report reads level n's answer off a tower; nothing in the
+package asks for it.
 
 The window of level n is block 0, and the blocks alone certify it. The
 successor test puts the exact image of block r inside block r + 1, so the
@@ -211,8 +214,6 @@ class SemiconjugacyReport(Wire):
     ok: bool
     n: int
     cycle_period: int
-    permutation_ok: bool
-    blocks: tuple[Ivl, ...]
     fiber_max_points: int
     fiber_max_length: Rat | None
     reason: str | None = None
@@ -233,20 +234,15 @@ def semiconjugacy_check(tower: RenormTower, n: int) -> SemiconjugacyReport:
             ok=False,
             n=n,
             cycle_period=tower.cycle_period,
-            permutation_ok=False,
-            blocks=(),
             fiber_max_points=0,
             fiber_max_length=None,
             reason=f"tower stopped at depth {tower.depth}: "
             f"{tower.stop_reason or 'depth limit reached'}",
         )
-    blocks = tower.levels[n - 1].blocks
     return SemiconjugacyReport(
         ok=True,
         n=n,
         cycle_period=tower.cycle_period,
-        permutation_ok=True,
-        blocks=blocks,
         fiber_max_points=tower.cycle_period >> n,
-        fiber_max_length=max(b.length for b in blocks),
+        fiber_max_length=max(b.length for b in tower.levels[n - 1].blocks),
     )

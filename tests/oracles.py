@@ -6,8 +6,9 @@ the package so that nothing in it can come to lean on them. The boundary
 refinement's bisection, which probes midpoints one walk at a time where the
 package solves the doubling cell, is kept here for the same reason, and so
 are the orbit sweep over the whole cell graph, which the package runs class
-by class, and the endless sequence of powers, which the package forms one
-block at a time.
+by class, the endless sequence of powers, which the package forms one
+block at a time, and the binary adding machine on words, whose step the
+package's tower takes as r -> r + 1 mod 2^n.
 """
 
 from fractions import Fraction
@@ -320,3 +321,57 @@ def _whole_graph_orbits_from_cell(sys, s0, n, back, lattice):
         else:
             found.append(_off_partition_orbit(cs, sys.den * m, a))
     return found
+
+
+# The binary adding machine on finite words. Words are little-endian bit
+# strings: position 0 carries the least significant bit, so stepping "000"
+# gives "100" and stepping "111" wraps to "000". One step flips bit i exactly
+# when all earlier bits are 1, which is binary increment with carry. The orbit
+# of the zero word of length n is a single cycle through all 2^n words. The
+# package's tower tests r -> r + 1 mod 2^n directly; these words are the
+# odometer that successor is checked against.
+
+MAX_WORD_LENGTH = 20
+
+
+def _check_word(word: str) -> None:
+    if not word or any(ch not in "01" for ch in word):
+        raise ConstraintViolation(f"bad binary word {word!r}")
+    if len(word) > MAX_WORD_LENGTH:
+        raise ConstraintViolation(f"word longer than {MAX_WORD_LENGTH} bits")
+
+
+def adding_machine_step(word: str) -> str:
+    _check_word(word)
+    bits = []
+    carry = True
+    for ch in word:
+        b = ch == "1"
+        bits.append("1" if b != carry else "0")
+        carry = carry and b
+    return "".join(bits)
+
+
+def word_index(word: str) -> int:
+    """Little-endian integer value of a word."""
+    _check_word(word)
+    return sum(1 << i for i, ch in enumerate(word) if ch == "1")
+
+
+def index_word(k: int, n: int) -> str:
+    """Inverse of word_index for length-n words."""
+    if not (0 <= k < (1 << n)):
+        raise ConstraintViolation(f"index {k} out of range for {n}-bit words")
+    return "".join("1" if (k >> i) & 1 else "0" for i in range(n))
+
+
+def odometer_orbit(n: int) -> list[str]:
+    """The full 2^n cycle starting from the zero word."""
+    if not (1 <= n <= MAX_WORD_LENGTH):
+        raise ConstraintViolation(f"word length must be in 1..{MAX_WORD_LENGTH}")
+    word = "0" * n
+    out = [word]
+    for _ in range((1 << n) - 1):
+        word = adding_machine_step(word)
+        out.append(word)
+    return out

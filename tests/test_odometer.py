@@ -2,7 +2,9 @@
 
 import pytest
 
-from sawlab import adding_machine_step, index_word, odometer_orbit, word_index
+from sawlab import ConstraintViolation
+
+from oracles import adding_machine_step, index_word, odometer_orbit, word_index
 
 
 def test_adding_machine_carries():
@@ -35,8 +37,6 @@ def test_odometer_orbit_is_full_cycle():
 
 
 def test_invalid_words_rejected():
-    from sawlab import ConstraintViolation
-
     with pytest.raises(ConstraintViolation):
         adding_machine_step("01a")
     with pytest.raises(ConstraintViolation):

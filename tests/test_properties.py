@@ -9,7 +9,6 @@ from fractions import Fraction as F
 from sawlab import (
     Shape,
     StuntedSawtoothMap,
-    adding_machine_step,
     compare_kneading,
     entropy_bowen,
     entropy_lap,
@@ -23,7 +22,7 @@ from sawlab import (
 )
 from sawlab.rational import format_rat, parse_rat
 
-from oracles import iterate
+from oracles import adding_machine_step, iterate
 
 
 def random_family(rng, d_max=2, denom=64):

@@ -22,10 +22,18 @@ from sawlab import (
     semiconjugacy_check,
 )
 from sawlab.cli import main
-from sawlab.odometer import adding_machine_step, index_word, word_index
+from sawlab.rational import format_rat
 from sawlab.renorm import _first_overlap
 
-from oracles import contains, image_of_interval, interior_intersects, is_degenerate
+from oracles import (
+    adding_machine_step,
+    contains,
+    image_of_interval,
+    index_word,
+    interior_intersects,
+    is_degenerate,
+    word_index,
+)
 
 # the refined midpoint of the +- boundary bisection, Boundary2Inf(6)
 BOUNDARY_W = F(
@@ -133,6 +141,13 @@ def test_renorm_reports_the_gap_of_a_cycle_150002_long(capsys, monkeypatch):
     assert gap["reason"] == "critical value cycle has period 150002, not 2"
 
 
+def test_renorm_on_the_boundary_emits_the_tower_and_the_gap_report_alone(capsys):
+    assert main(["renorm", "--shape", "+-", "--w", format_rat(BOUNDARY_W)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"tower", "gap_fixed_point"}
+    assert payload["tower"]["depth"] == 6
+
+
 def test_tower_stops_when_cycle_period_caps_depth(stunted_tent):
     tower = build_tower(stunted_tent(F(4, 5)))
     assert tower.cycle_period == 2
@@ -188,7 +203,11 @@ def test_semiconjugacy_at_matching_depth(stunted_tent):
     tower = build_tower(m)
     r1 = semiconjugacy_check(tower, 1)
     assert r1.ok
-    assert r1.permutation_ok
+    assert r1.fiber_max_points == 1
+    # the report reads the level; the blocks stay in the tower
+    assert set(r1.to_json()) == {
+        "ok", "n", "cycle_period", "fiber_max_points", "fiber_max_length", "reason"
+    }
     r2 = semiconjugacy_check(tower, 2)
     assert not r2.ok
     assert "not divisible by 4" in r2.reason
@@ -268,9 +287,11 @@ def test_boundary_classify_walks_the_critical_cycle_once(stunted_tent, monkeypat
     # the period-set inventory reads the Markov graph; only the tower walks
     # the integers from the critical value
     assert starts.count(m.w[0]) == 1
-    semi = record.certificates["semiconjugacy"]
-    assert semi["ok"] and semi["permutation_ok"]
-    assert semi["cycle_period"] == 4
-    assert semi["fiber_max_points"] == 1
-    assert [b["lo"] for b in semi["blocks"]] == ["823/1000", "177/500", "177/250", "73/125"]
-    assert all(b["lo"] == b["hi"] for b in semi["blocks"])
+    # the tower is the semiconjugacy: nothing restates its deepest level
+    assert set(record.certificates) == {"period_set", "tower"}
+    assert set(record.detail) == {"tower_depth", "max_period"}
+    tower = record.certificates["tower"]
+    assert tower["cycle_period"] == 4
+    blocks = tower["levels"][-1]["blocks"]
+    assert [b["lo"] for b in blocks] == ["823/1000", "177/500", "177/250", "73/125"]
+    assert all(b["lo"] == b["hi"] for b in blocks)
