@@ -79,7 +79,7 @@ def entropy_markov(f: PiecewiseLinearMap, point_budget: int = 4096) -> EntropyEs
         upper=est.upper,
         method=est.method,
         parameters={
-            "partition_points": len(sys.points),
+            "partition_points": len(sys.nums),
             **est.parameters,
             "class_periods": list(est.parameters["class_periods"]),
         },
@@ -176,7 +176,7 @@ def _lap_graph(sys: MarkovSystem) -> tuple[list[list[int]], list[int]]:
             nodes.append(node)
         return index[node]
 
-    first = [number(node) for node in images(0, len(sys.points) - 1)]
+    first = [number(node) for node in images(0, len(sys.nums) - 1)]
     succ: list[list[int]] = []
     while len(succ) < len(nodes):  # a new image adds a node to visit
         succ.append(sorted(number(node) for node in images(*nodes[len(succ)])))

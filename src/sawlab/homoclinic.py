@@ -25,8 +25,9 @@ what makes a definitive "no homoclinic point" answer possible.
 The tree walks integers on the Markov system. A node x = c/(den*q) is the
 reduced pair (c, q); the branch (s, t) of a piece of f inverts to
 (sign(s)(c - tq), |s|q), and a flat piece at x's height adds its ends and
-midpoint. Every unstable set is a pair of partition indices, so the pruning
-test is two integer products, and only a witness becomes a Fraction.
+midpoint. The unstable sets are read on the same nodes, and each is a pair
+of partition indices, so the pruning test is two integer products. Only a
+witness and its unstable set become Fractions.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import BudgetExceeded, ConstraintViolation
 from .markov import MarkovSystem, build_markov_system
@@ -62,36 +63,37 @@ def unstable_manifold(
     if f(cycle[-1]) != p:
         raise ConstraintViolation(f"{p} is not a fixed point")
     sys = build_markov_system(f, point_budget)
-    w = _unstable_set(sys, cycle)
-    return Ivl(p, p) if w is None else Ivl(sys.points[w[0]], sys.points[w[1]])
+    w = _unstable_set(sys, _nodes(cycle, sys.den))
+    return Ivl(p, p) if w is None else Ivl(*(Fraction(sys.nums[e], sys.den) for e in w))
 
 
-def _unstable_set(sys: MarkovSystem, cycle) -> tuple[int, int] | None:
-    """Unstable set of cycle[0] under f^n, given its orbit cycle of length n,
-    as the indices of its ends in the partition; None when cycle[0] lies
-    off the partition and neither side expands."""
-    points, image = sys.points, sys.image
-    q = cycle[0]
-    i = bisect_left(points, q)
-    if points[i] != q:
-        # so is q's whole orbit, and f^n is affine around q with one slope,
-        # the product of the slopes of the cells the orbit visits
-        slope = 1
-        for p in cycle:
-            slope *= sys.slopes[bisect_left(points, p) - 1]
-        if abs(slope) <= 1:
+def _nodes(points, den: int) -> list[tuple[int, int]]:
+    """Each point x as the reduced integer pair (c, q) with x = c/(den*q)."""
+    return [((x * den).numerator, (x * den).denominator) for x in points]
+
+
+def _unstable_set(sys: MarkovSystem, nodes) -> tuple[int, int] | None:
+    """Unstable set of the first node under f^n, given its orbit as n nodes
+    (c, q), the points c/(den*q), as the indices of its ends in the
+    partition; None off the partition when neither side expands. A node's
+    index is that of the first numerator at or above c/q, equal to it on the
+    partition."""
+    nums, image = sys.nums, sys.image
+    idx = [bisect_left(nums, -(-c // q)) for c, q in nodes]
+    (c, q), i = nodes[0], idx[0]
+    if nums[i] * q != c:
+        # off the partition, so is the whole orbit, and f^n is affine around
+        # it with one slope, the product of the slopes of the cells it visits
+        if abs(prod(sys.slopes[j - 1] for j in idx)) <= 1:
             return None
         lo, hi = i - 1, i
     else:
-        orbit = [i]
-        for _ in cycle[1:]:
-            orbit.append(image[orbit[-1]])
-        twice = orbit + orbit
+        twice = idx + idx
         lo = i - 1 if i > 0 and sys.side_slope(twice, -1) > 1 else i
-        hi = i + 1 if i + 1 < len(points) and sys.side_slope(twice, +1) > 1 else i
+        hi = i + 1 if i + 1 < len(nums) and sys.side_slope(twice, +1) > 1 else i
     while True:
         a, b = lo, hi
-        for _ in cycle:
+        for _ in nodes:
             span = image[a : b + 1]
             a, b = min(span), max(span)
         if lo <= a and b <= hi:
@@ -129,14 +131,14 @@ def _search_orbit(
     frontier_budget: int,
 ) -> tuple[HomoclinicWitness | None, bool]:
     """(witness, saturated) for one repelling orbit of sys.map, on integer nodes."""
-    n, nums, den, pts = orb.period, sys.nums, sys.den, orb.points
-    wsets = [_unstable_set(sys, pts[k:] + pts[:k]) for k in range(n)]
+    n, nums, den = orb.period, sys.nums, sys.den
+    nodes = _nodes(orb.points, den)
+    wsets = [_unstable_set(sys, nodes[k:] + nodes[:k]) for k in range(n)]
     w0 = wsets[0]
     if None in wsets or w0[0] == w0[1]:
         return None, True
     lo0, hi0 = nums[w0[0]], nums[w0[1]]
     pieces = sys.pieces
-    nodes = [((x * den).numerator, (x * den).denominator) for x in pts]
     visited, current = {nodes[0]}, [nodes[0]]
     for k in range(1, m_budget + 1):
         lo, hi = (nums[e] for e in wsets[-k % n])
@@ -167,7 +169,7 @@ def _search_orbit(
                 if len(visited) > frontier_budget:
                     return None, False
                 if k % n == 0 and z not in nodes and lo0 * z[1] < z[0] < hi0 * z[1]:
-                    unstable = Ivl(sys.points[w0[0]], sys.points[w0[1]])
+                    unstable = Ivl(*(Fraction(e, den) for e in (lo0, hi0)))
                     return HomoclinicWitness(orb, Fraction(z[0], den * z[1]), k, unstable), True
                 nxt.append(z)
         if not nxt:

@@ -59,9 +59,9 @@ k bits per member, about 55 bytes per k^2 at n = 16 (156 KiB at k = 54).
 That is the table one cached graph held when the walk counts lived on the
 graph, kept now for each of up to 256 types: at the default point budget a
 class can reach 4,095 cells, whose table is near 0.9 GiB. What reads the
-partition's positions stays per graph: the walk table (walks), with the
-orbits each period solved, and the homoclinic search's piece table
-(pieces).
+partition's positions stays per graph: the walk table (walks), with its
+cycles' orbits and the orbits each period solved, and the homoclinic
+search's piece table (pieces).
 """
 
 from __future__ import annotations
@@ -151,15 +151,14 @@ def _combinatorics(successors: tuple[range, ...]) -> Combinatorics:
 class MarkovSystem:
     """Partition plus transition data for one map.
 
-    The partition lies on the lattice (1/den)Z: points[i] = nums[i] / den.
-    Cell i is [points[i], points[i + 1]].
+    The partition lies on the lattice (1/den)Z: its points are nums[i] / den,
+    held as the integers nums alone. Cell i is [nums[i] / den, nums[i + 1] / den].
     """
 
     map: PiecewiseLinearMap
     den: int
     nums: tuple[int, ...]  # integer numerators of the points, ascending
-    points: tuple[Rat, ...]
-    image: tuple[int, ...]  # index in points of f at each point, aligned with points
+    image: tuple[int, ...]  # index in nums of f at each point, aligned with nums
     slopes: tuple[int, ...]  # slope of f on each cell, flat cells included
     nonflat: tuple[int, ...]  # indices of the cells with nonzero slope
     branches: tuple[tuple[int, int], ...]  # (s, t), f(x) = s*x + t/den on each nonflat cell
@@ -172,6 +171,12 @@ class MarkovSystem:
     def recurrence(self) -> Recurrence:
         """The recurrent classes, read by the orbit sweeps and the entropy sign."""
         return self.combinatorics.recurrence
+
+    @functools.cached_property
+    def points(self) -> tuple[Rat, ...]:
+        """The partition as Fractions, made on first read: nothing in the
+        package reads it, and the benchmark's tracer counts its length."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     @functools.cached_property
     def walks(self) -> WalkTable:
@@ -287,7 +292,6 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096, /) -> M
         map=f,
         den=den,
         nums=nums,
-        points=tuple(Fraction(a, den) for a in nums),
         image=image,
         slopes=tuple(cell_slopes),
         nonflat=tuple(nonflat),

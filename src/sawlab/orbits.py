@@ -26,9 +26,9 @@ The walks are kept at two lifetimes. Counts, powers and reachability bits,
 in Python integers, read only the successor runs, so they sit in one
 WalkCounts per combinatorial type (markov.Combinatorics.walks), shared by
 every map of the type while its entry stays in the type cache. What reads
-the map's numbers, its partition, its cycles there and the branches of its
-cells, sits in one WalkTable per graph (MarkovSystem.walks), with the orbits
-each period solved: every sweep of the graph solves a period once.
+the map's numbers, its partition, its cycles there, its bare cycles' orbits
+and the branches of its cells, sits in one WalkTable per graph
+(MarkovSystem.walks), with the orbits each period solved.
 
 periodic_points (f^n by repeated squaring, then its fixed points piece by
 piece, and each orbit's stability from the one-sided slopes of f^n at its
@@ -194,50 +194,49 @@ def markov_orbit_inventory(
     """Every periodic orbit of a zero-entropy map, via bare cell cycles.
 
     Every recurrent class must be a bare cycle, else StructureError: with a
-    branching class the orbit list is infinite. A bare cycle of composed
-    slope -1 raises StructureError too (see _bare_cycle_tour).
+    branching class the orbit list is infinite. A refused period (see
+    _cycle_orbits) raises StructureError too.
     """
     sys = build_markov_system(f, point_budget)
     if sys.recurrence.branching:
         raise StructureError("recurrent class branches; structural period set unavailable")
-    return _bare_cycle_orbits(sys)
+    return _inventory(sys)
 
 
 _CONTINUUM = "slope-1 closed walk fixed pointwise; continuum of solutions"
 
 
-def _bare_cycle_orbits(sys: MarkovSystem) -> tuple[PeriodicOrbit, ...]:
-    """The orbit of each bare cycle, then the cycles of f on the partition.
-
-    A bare cycle's orbit on the partition is a cycle of f there, read from
-    image. The partition cycles add the attracting plateau cycles the graph
-    cannot see. The list is every periodic orbit, of every period, so a bare
-    cycle of composed slope -1, whose points of period 2p are a continuum,
-    raises StructureError. It is listed once per graph and kept in the walk
-    table (WalkTable.inventory), which also holds the partition cycles.
-    """
+def _inventory(sys: MarkovSystem) -> tuple[PeriodicOrbit, ...]:
+    """Every periodic orbit of a graph with no branching class, the walk
+    table's orbits; StructureError, the first refusal, if a period is refused."""
     table = sys.walks
-    if table.inventory is not None:
-        return table.inventory
-    nums = sys.nums
-    orbits: dict[tuple[Rat, ...], PeriodicOrbit] = {}
+    if table.refused:
+        raise StructureError(next(iter(table.refused.values())))
+    return table.orbits
+
+
+def _cycle_orbits(sys: MarkovSystem) -> tuple[tuple[PeriodicOrbit, ...], dict[int, str]]:
+    """The orbit each bare cycle carries, in recurrence order, then the
+    cycles of f on the partition, plateau cycles among them, each orbit once;
+    and the refused periods, each with its first refusing cycle's message.
+    Each bare cycle is solved once (_bare_cycle_tour), as the walk table is
+    built; on the partition its orbit is the partition cycle with its
+    smallest point. A cycle of p cells refuses p when its composed slope is 1
+    or its fixed point escapes its cell, and 2p when its slope is -1."""
+    cycles = {o.points[0]: o for o in _partition_cycles(sys)}
+    orbits: dict[Rat, PeriodicOrbit] = {}  # by smallest point
+    refused: dict[int, str] = {}
     for cyc in sys.recurrence.cycles:
-        a, cs, m = _bare_cycle_tour(sys, cyc)
+        try:
+            a, cs, m = _bare_cycle_tour(sys, cyc)
+        except StructureError as e:
+            refused.setdefault(len(cyc), str(e))
+            continue
         if a == -1:
-            raise StructureError(_CONTINUUM)
-        i = bisect_left(nums, cs[0] // m)
-        if cs[0] % m == 0 and nums[i] == cs[0] // m:
-            cycle = [i]
-            while sys.image[cycle[-1]] != i:
-                cycle.append(sys.image[cycle[-1]])
-            orb = _partition_orbit(sys, tuple(cycle))
-        else:
-            orb = _off_partition_orbit(cs, sys.den * m, a)
-        orbits.setdefault(orb.points, orb)
-    for orb in table.cycles:
-        orbits.setdefault(orb.points, orb)
-    table.inventory = tuple(orbits.values())
-    return table.inventory
+            refused.setdefault(2 * len(cyc), _CONTINUUM)
+        low = Fraction(cs[0], sys.den * m)
+        orbits.setdefault(low, cycles.get(low) or _off_partition_orbit(cs, sys.den * m, a))
+    return tuple({**orbits, **cycles}.values()), refused  # the partition cycles last
 
 
 def _bare_cycle_tour(sys: MarkovSystem, cyc: tuple[int, ...]) -> tuple[int, list[int], int]:
@@ -252,8 +251,8 @@ def _bare_cycle_tour(sys: MarkovSystem, cyc: tuple[int, ...]) -> tuple[int, list
     partition its minimal period is p and both one-sided slopes of f^p are
     a. A slope of 1 fixes the cell pointwise and raises StructureError. A
     slope of -1 reflects the cell about the fixed point, so every other point
-    of the cell has minimal period 2p: a continuum, which the callers refuse
-    where they list period 2p.
+    of the cell has minimal period 2p: a continuum, which _cycle_orbits
+    refuses.
     """
     nums = sys.nums
     a, b = 1, 0
@@ -308,7 +307,7 @@ def periodic_orbits(
     """
     sys = build_markov_system(f, point_budget)
     if not sys.recurrence.branching:
-        ordered = sorted(_bare_cycle_orbits(sys), key=lambda o: o.points[0])
+        ordered = sorted(_inventory(sys), key=lambda o: o.points[0])
         for n in range(1, n_max + 1):
             yield n, tuple(o for o in ordered if o.period == n)
         return
@@ -318,10 +317,14 @@ def periodic_orbits(
 def orbits_of_period(
     f: PiecewiseLinearMap, n: int, piece_budget: int = 1_000_000, point_budget: int = 4096
 ) -> tuple[PeriodicOrbit, ...]:
-    """The orbits of minimal period n: periodic_orbits' yield for n, through
-    _checked_orbits, since the sweep to n enumerates every period below it."""
+    """The orbits of minimal period n: the inventory's when no class branches,
+    else periodic_orbits' yield for n, swept through _checked_orbits."""
     if n < 1:
         raise ConstraintViolation(f"period must be >= 1, got {n}")
+    sys = build_markov_system(f, point_budget)
+    if not sys.recurrence.branching:
+        found = [o for o in _inventory(sys) if o.period == n]
+        return tuple(sorted(found, key=lambda o: o.points[0]))
     for _, orbits in _checked_orbits(f, n, piece_budget, point_budget):
         pass
     return orbits
@@ -441,22 +444,19 @@ class WalkTable:
     exactly as long as the cached graph.
 
     It holds what the map's numbers decide: the partition's numerators
-    (lattice), the cycles of f on the partition, each block's branches,
-    aligned with the type's blocks (WalkCounts, read as shape), and the
-    orbits solved so far: solved[n] for each period a sweep has reached, with
-    reflected, the periods 2p of the bare cycles of length p and composed
-    slope -1 among them, and inventory, every orbit of a graph with no
-    branching class, once listed (_bare_cycle_orbits).
+    (lattice), each block's branches, aligned with the type's blocks
+    (WalkCounts, read as shape), the bare cycles' and partition cycles'
+    orbits with the periods they refuse (orbits and refused, solved by
+    _cycle_orbits as the table is built), and solved[n], the orbits of each
+    period a sweep has reached.
     """
 
     def __init__(self, sys: MarkovSystem):
         self.shape = sys.combinatorics.walks
         self.lattice = frozenset(sys.nums)
-        self.cycles = _partition_cycles(sys)
+        self.orbits, self.refused = _cycle_orbits(sys)
         self.branches = [tuple(sys.branches[v] for v in b.members) for b in self.shape.blocks]
         self.solved: list[tuple[PeriodicOrbit, ...]] = [()]
-        self.reflected: set[int] = set()
-        self.inventory: tuple[PeriodicOrbit, ...] | None = None
 
     @property
     def counts(self) -> list[int]:
@@ -470,7 +470,7 @@ def _walk_orbits(
     """periodic_orbits on a graph with a branching class.
 
     Each n is checked against piece_budget in the type's counts, refused
-    when the graph's bare cycle of length n/2 has slope -1, and its orbits
+    when the walk table refuses it (WalkTable.refused), and its orbits
     are solved once per graph (_solve_period) and read from the walk table
     (WalkTable.solved) after that. Every sweep runs n = 1, 2, ..., so each
     period is solved after every one below it.
@@ -478,8 +478,8 @@ def _walk_orbits(
     table = sys.walks
     for n in range(1, n_max + 1):
         table.shape.check(n, piece_budget)
-        if n in table.reflected:
-            raise StructureError(_CONTINUUM)
+        if n in table.refused:
+            raise StructureError(table.refused[n])
         if n == len(table.solved):
             table.solved.append(_solve_period(sys, table, n))
         yield n, table.solved[n]
@@ -501,22 +501,13 @@ def _solve_period(sys: MarkovSystem, table: WalkTable, n: int) -> tuple[Periodic
     non-integer slope), so the walks are composed in integers.
 
     A closed walk stays in one recurrent class, so the sweep runs class by
-    class. A bare cycle of length p is solved once, at n = p
-    (_bare_cycle_tour), with no power: its walks of length n > p tour it
-    again and close no new orbit, and when its slope is -1 the walks of
-    length 2p fix a cell pointwise, so 2p joins table.reflected. A branching
-    class of period d has closed walks only at the multiples of d, and the
-    transient cells have none; the depth-first walks step along its block's
-    runs.
+    class. The bare cycles' orbits, with the partition cycles, are read from
+    table.orbits: a bare cycle's walks of length n > p tour it again and
+    close no new orbit. A branching class of period d has closed walks only
+    at the multiples of d, and the transient cells have none; the
+    depth-first walks step along its block's runs.
     """
-    found = [o for o in table.cycles if o.period == n]
-    for cyc in sys.recurrence.cycles:
-        if len(cyc) == n:
-            a, cs, m = _bare_cycle_tour(sys, cyc)
-            if a == -1:
-                table.reflected.add(2 * n)
-            if cs[0] % m or cs[0] // m not in table.lattice:  # on P it is among cycles
-                found.append(_off_partition_orbit(cs, sys.den * m, a))
+    found = [o for o in table.orbits if o.period == n]
     for block, branches in zip(table.shape.blocks, table.branches):
         if n % block.d == 0:
             for s0, bits in enumerate(block.back[n]):
@@ -589,30 +580,25 @@ def _off_partition_orbit(cs: list[int], q: int, slope: int) -> PeriodicOrbit:
     return PeriodicOrbit(tuple(Fraction(c, q) for c in cs), len(cs), _stability(slope, slope))
 
 
-def _partition_orbit(sys: MarkovSystem, cycle: tuple[int, ...]) -> PeriodicOrbit:
-    """The orbit of a cycle of f on the partition, given by index, from its smallest point."""
-    k = cycle.index(min(cycle))
-    idx = cycle[k:] + cycle[:k]
-    return PeriodicOrbit(
-        tuple(sys.points[i] for i in idx),
-        len(idx),
-        _stability(sys.side_slope(idx, -1), sys.side_slope(idx, +1)),
-    )
-
-
 def _partition_cycles(sys: MarkovSystem) -> tuple[PeriodicOrbit, ...]:
-    """The periodic orbits through partition points, plateau cycles among them:
-    f maps the partition into itself, so they are the cycles of f on a finite set."""
+    """The periodic orbits through partition points, plateau cycles among them,
+    each from its smallest point: f maps the partition into itself, so they
+    are the cycles of f on a finite set."""
     orbits = []
-    seen = [False] * len(sys.points)
-    for i in range(len(sys.points)):
+    seen = [False] * len(sys.nums)
+    for i in range(len(sys.nums)):
         trail: dict[int, int] = {}  # point index -> step, along the orbit from i
         while not seen[i]:
             seen[i] = True
             trail[i] = len(trail)
             i = sys.image[i]
         if i in trail:
-            orbits.append(_partition_orbit(sys, tuple(trail)[trail[i]:]))
+            cycle = tuple(trail)[trail[i]:]
+            k = cycle.index(min(cycle))
+            idx = cycle[k:] + cycle[:k]
+            stability = _stability(sys.side_slope(idx, -1), sys.side_slope(idx, +1))
+            points = tuple(Fraction(sys.nums[j], sys.den) for j in idx)
+            orbits.append(PeriodicOrbit(points, len(idx), stability))
     return tuple(orbits)
 
 

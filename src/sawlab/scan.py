@@ -154,8 +154,9 @@ def _classify_cell(args) -> tuple[int, list[str], dict, str]:
     """Worker: one cell, as the config holds it (Shape, Fractions, Budgets
     pickle as they are), to its index, heights as text, CSV row and record.
     The record is JSON text dumped once with sorted keys, "null" when there
-    is none. Must stay picklable/top-level."""
-    index, shape, w, budgets, want_record = args
+    is none; it is journaled whether or not the scan writes certificates.
+    Must stay picklable/top-level."""
+    index, shape, w, budgets = args
     w_text = [format_rat(x) for x in w]
     try:
         m = StuntedSawtoothMap(shape, w)
@@ -178,8 +179,7 @@ def _classify_cell(args) -> tuple[int, list[str], dict, str]:
         "homoclinic": {True: "yes", False: "no"}.get(detail.get("homoclinic_found"), ""),
         "reason": "; ".join(record.notes),
     }
-    text = json.dumps(record.to_json(), sort_keys=True) if want_record else "null"
-    return index, w_text, row, text
+    return index, w_text, row, json.dumps(record.to_json(), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,8 @@ def _resume_entries(manifest: Path, config: ScanConfig) -> dict[int, tuple]:
     config's, is a ConstraintViolation: the manifest belongs to another run
     or config, and its rows do not answer this one. So is an entry without
     its record, or whose row lacks a CSV field or holds one that is not
-    text.
+    text, and, when the config writes certificates, a classified entry
+    whose record is null, which an earlier version journaled.
     """
     expected = {"shape": config.shape.to_string(), "budgets": config.budgets.to_json()}
     try:
@@ -247,6 +248,12 @@ def _resume_entries(manifest: Path, config: ScanConfig) -> dict[int, tuple]:
                 raise ConstraintViolation(
                     f"{manifest} line {n + 1}: cell {index} lacks its record or a row field"
                 )
+            classified = row["verdict"] not in ("Skipped", "Error")
+            if classified and entry["record"] is None and config.certificates_path is not None:
+                raise ConstraintViolation(
+                    f"{manifest} line {n + 1}: cell {index} was journaled without its record, "
+                    "which the certificates need; rerun without --resume"
+                )
             done[index] = index, entry["w"], row, json.dumps(entry["record"], sort_keys=True)
         kept += len(line) + 1
     if kept < len(data):
@@ -279,7 +286,7 @@ def run_scan(config: ScanConfig, resume: bool = False, workers: int = 0) -> Scan
     done = _resume_entries(manifest, config) if resume and manifest.exists() else {}
     want_record = config.certificates_path is not None
     todo = [
-        (i, config.shape, cell, config.budgets, want_record)
+        (i, config.shape, cell, config.budgets)
         for i, cell in enumerate(config.cells)
         if i not in done
     ]

@@ -135,7 +135,7 @@ def test_the_type_cache_holds_no_number_of_any_one_map():
     # type's WalkCounts, shared by design
     own = []
     for sys_ in graphs:
-        own += [sys_.nums, sys_.points, sys_.image, sys_.slopes, sys_.nonflat, sys_.branches]
+        own += [sys_.nums, sys_.image, sys_.slopes, sys_.nonflat, sys_.branches]
         own += sys_.branches
         if "walks" in vars(sys_):
             own += _held([v for k, v in vars(sys_.walks).items() if k != "shape"])

@@ -55,8 +55,6 @@ def _assert_matches_reference(f):
     build_markov_system.cache_clear()
     sys = build_markov_system(f, 4096)
     points, image, slopes, nonflat, branches, adj = _reference_graph(f)
-    assert sys.points == points
-    assert all(type(p) is F for p in sys.points)
     assert tuple(F(a, sys.den) for a in sys.nums) == points
     assert sys.image == image
     assert sys.slopes == slopes
@@ -137,9 +135,33 @@ def test_a_deep_zero_entropy_member_builds_no_dense_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(sys.points) == 2052
+    assert len(sys.nums) == 2052
     assert not sys.recurrence.branching
     assert peak < 12 * 2**20
+
+
+def test_the_build_makes_no_fraction(monkeypatch):
+    # the partition is its integer numerators over den; a Fraction per
+    # point would be 2,052 of them on x_12
+    f = StuntedSawtoothMap(Shape.from_string("+-"), [_thue_morse_height(12)]).map
+    build_markov_system.cache_clear()
+    made = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    sys = build_markov_system(f, 4096)
+    monkeypatch.undo()
+    assert len(sys.nums) == 2052
+    assert made == []
+    # the count sees a Fraction made by a constructor call
+    monkeypatch.setattr(F, "__new__", counted)
+    F(1, 3)
+    monkeypatch.undo()
+    assert made == [(1, 3)]
 
 
 def test_a_non_integer_slope_is_refused():

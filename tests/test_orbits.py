@@ -416,6 +416,24 @@ def test_a_cached_graph_refuses_a_smaller_budget_as_a_fresh_graph_does(tent):
     assert _refusal(lambda: orbits.orbits_of_period(tent, 8, 20)) == fresh
 
 
+def test_a_zero_entropy_period_is_read_from_the_inventory_at_any_n():
+    # with no branching class the inventory answers one period alone, so a
+    # period of 10^12 is not reached through every period below it
+    f = StuntedSawtoothMap(Shape.from_string("+-"), [F(4, 5)]).map
+    start = time.process_time()
+    assert orbits.orbits_of_period(f, 10**12) == ()
+    assert time.process_time() - start < 1
+    compared = set()
+    for k in range(10, 21):
+        f = StuntedSawtoothMap(Shape.from_string("+-"), [F(k, 20)]).map
+        if build_markov_system(f, 4096).recurrence.branching:
+            continue
+        for n, orbs in periodic_orbits(f, 8):
+            assert orbits.orbits_of_period(f, n) == orbs, (k, n)
+            compared.add(len(orbs))
+    assert compared == {0, 1, 2}  # periods with no orbit, one, and two
+
+
 def test_a_rebuilt_graph_starts_a_fresh_walk_table(tent, stunted_tent):
     # a rebuilt graph of a cached type reads the type's counts but solves its
     # own orbits; only after the type is evicted does it count from the start

@@ -172,11 +172,12 @@ def test_journal_lines_are_sorted_key_dumps_of_their_entries(line_config):
     # the certificate lines carry the same records, dumped the same way
     certs = open(cfg.certificates_path).read().splitlines()
     assert certs == [json.dumps({"index": i, "record": records[i]}, sort_keys=True) for i in range(5)]
-    # without certificates every record is null, and the lines keep their form
+    # without certificates the journal carries the same records, so a
+    # resume with certificates has them, and the lines keep their form
     run_scan(replace(cfg, certificates_path=None))
     for line in open(cfg.manifest_path).read().splitlines():
         entry = json.loads(line)
-        assert entry["record"] is None
+        assert entry["record"] == records[entry["index"]]
         assert line == json.dumps(entry, sort_keys=True)
 
 
@@ -499,6 +500,56 @@ def test_cli_scan_resume_of_an_entry_without_its_row_or_record_exits_2(tmp_path,
     error = json.loads(capsys.readouterr().err)
     assert error["kind"] == "ConstraintViolation"
     assert "line 2" in error["error"]
+
+
+def test_a_resume_with_certificates_over_a_journal_without_them_writes_a_fresh_runs_bytes(tmp_path):
+    # 3 of 6 cells journaled by a scan without certificates, then resumed
+    # with them: every resumed cell was classified, so none writes a null
+    def config(certificates):
+        output = {"csv": str(tmp_path / "g.csv"), "manifest": str(tmp_path / "g.jsonl")}
+        if certificates:
+            output["certificates"] = str(tmp_path / "certs.jsonl")
+        grid = {"kind": "line", "start": ["4/5"], "stop": ["17/20"], "steps": 6}
+        return ScanConfig.from_json({"shape": "+-", "grid": grid, "output": output})
+
+    certs = tmp_path / "certs.jsonl"
+    run_scan(config(True))
+    fresh = certs.read_bytes()
+    certs.unlink()
+    run_scan(config(False))
+    journal = tmp_path / "g.jsonl"
+    journal.write_text("".join(journal.read_text().splitlines(keepends=True)[:3]))
+    summary = run_scan(config(True), resume=True)
+    assert (summary.computed, summary.resumed) == (3, 3)
+    assert certs.read_bytes() == fresh
+    assert b'"record": null' not in fresh
+
+
+def test_cli_scan_resume_with_certificates_of_a_journal_with_null_records_exits_2(tmp_path, capsys):
+    # an earlier version journaled "record": null for every cell of a scan
+    # without certificates; a Skipped row has no record in any version
+    journal = tmp_path / "g.jsonl"
+    cfg = {
+        "shape": "+-",
+        "grid": {"kind": "line", "start": ["-1"], "stop": ["1"], "steps": 3},
+        "output": {"csv": str(tmp_path / "g.csv"), "manifest": str(journal)},
+    }
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["scan", "--config", str(path)]) == 0
+    entries = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert [e["row"]["verdict"] for e in entries] == ["Skipped", "Finite", "Chaotic"]
+    lines = [json.dumps({**e, "record": None}, sort_keys=True) + "\n" for e in entries]
+    journal.write_text("".join(lines))
+    # the rows alone answer a scan without certificates
+    assert main(["scan", "--config", str(path), "--resume"]) == 0
+    cfg["output"]["certificates"] = str(tmp_path / "certs.jsonl")
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["scan", "--config", str(path), "--resume"]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["kind"] == "ConstraintViolation"
+    assert "line 2" in error["error"] and "rerun without --resume" in error["error"]
 
 
 def test_cli_bisect_exits_3_when_the_refine_certifies_no_cell(capsys):
