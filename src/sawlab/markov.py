@@ -24,10 +24,11 @@ a/den steps to V_i + s_i(a - B_i) over den, with B_i, V_i the numerators of
 piece i's left end and its value there, and the whole partition is a set of
 integer numerators. A map with a non-integer slope has no such lattice and
 raises StructureError. The system keeps f on P, as indices into P (image),
-the integer slope of every cell, and the affine branch of each nonflat cell
-as an integer pair (branches): f restricted to P and to the cells, from which
-the orbit module reads every periodic orbit and the homoclinic module every
-unstable set without evaluating f again.
+the integer slope of every cell, the affine branch of each nonflat cell as
+an integer pair (branches), and f's own pieces on the lattice (pieces): f
+restricted to P and to the cells, from which the orbit module reads every
+periodic orbit and the homoclinic module every unstable set and preimage
+without evaluating f again.
 
 By closure a nonflat cell maps onto a run of consecutive cells, so each row
 of the transition matrix is 1 on one run of columns [lo, hi) and 0 elsewhere.
@@ -60,8 +61,8 @@ That is the table one cached graph held when the walk counts lived on the
 graph, kept now for each of up to 256 types: at the default point budget a
 class can reach 4,095 cells, whose table is near 0.9 GiB. What reads the
 partition's positions stays per graph: the walk table (walks), with its
-cycles' orbits and the orbits each period solved, and the homoclinic
-search's piece table (pieces).
+cycles' orbits and the orbits each period solved, and f's own piece table
+(pieces), built with the graph, which the homoclinic search inverts.
 """
 
 from __future__ import annotations
@@ -166,6 +167,9 @@ class MarkovSystem:
     # (column) coordinates: its transition row is 1 exactly on this range
     successors: tuple[range, ...]
     combinatorics: Combinatorics  # shared by every graph with these successors
+    # f's own pieces from the left as (u, v, (s, t)), f(x) = s*x + t/den on
+    # [u/den, v/den], a flat piece as (0, height); the homoclinic search inverts them
+    pieces: tuple[tuple[int, int, tuple[int, int]], ...]
 
     @property
     def recurrence(self) -> Recurrence:
@@ -186,22 +190,6 @@ class MarkovSystem:
         from .orbits import WalkTable  # orbits imports this module
 
         return WalkTable(self)
-
-    @functools.cached_property
-    def pieces(self) -> tuple[tuple[int, int, tuple[int, int]], ...]:
-        """f's pieces from the left as (u, v, (s, t)), f(x) = s*x + t/den on
-        [u/den, v/den]: a maximal run of cells on one branch, a flat run as
-        (0, height). The homoclinic search inverts them; built on first use,
-        once per graph."""
-        branch = dict(zip(self.nonflat, self.branches))
-        pieces: list[list] = []
-        for i, (u, v) in enumerate(zip(self.nums, self.nums[1:])):
-            br = branch.get(i, (0, self.nums[self.image[i]]))
-            if pieces and pieces[-1][2] == br:
-                pieces[-1][1] = v
-            else:
-                pieces.append([u, v, br])
-        return tuple(map(tuple, pieces))
 
     def side_slope(self, orbit: Sequence[int], side: int) -> int:
         """Derivative of f^n along an orbit of partition points, from one side at the start.
@@ -285,7 +273,7 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096, /) -> M
             continue
         lo, hi = sorted((image[i], image[i + 1]))
         nonflat.append(i)
-        branches.append((s, nums[image[i]] - s * a))
+        branches.append((s, offsets[piece]))
         spans.append((lo, hi))
     successors = tuple(range(below[lo], below[hi]) for lo, hi in spans)
     return MarkovSystem(
@@ -298,6 +286,7 @@ def build_markov_system(f: PiecewiseLinearMap, point_budget: int = 4096, /) -> M
         branches=tuple(branches),
         successors=successors,
         combinatorics=_combinatorics(successors),
+        pieces=tuple(zip(bps, bps[1:], zip(slopes, offsets))),
     )
 
 

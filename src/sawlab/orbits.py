@@ -1,16 +1,18 @@
 """Periodic orbits, period sets, and stability.
 
 Periodic points of a rational PL map solve affine equations, so everything
-here is exact. One enumerator, periodic_orbits, lists the orbits of each
-period for every caller (period_set, find_homoclinic, omega_accumulation, the
-gap report and `sawlab orbits --period`), and it reads them off the Markov
-graph, which records f on the partition points and the affine branch of each
-nonflat cell: no iterate is composed and no orbit is walked under f. When
-every recurrent class is a bare cycle (the zero entropy situation) the graph
-lists every periodic orbit at once: one solved orbit per bare cycle plus the
-cycles of f on the partition, the plateau cycles among them. Otherwise the
-orbits of period n are the partition cycles plus one orbit per closed walk of
-length n in the cell graph whose fixed point avoids the partition (Block,
+here is exact. One answer, WalkTable.period, gives the orbits of minimal
+period n to every caller: periodic_orbits sweeps it for period_set,
+find_homoclinic and the gap report, orbits_of_period reads one n for `sawlab
+orbits --period`, and omega_accumulation reads the powers of 2. The table
+reads them off the Markov graph, which records f on the partition points and
+the affine branch of each nonflat cell: no iterate is composed and no orbit
+is walked under f. When every recurrent class is a bare cycle (the zero
+entropy situation) the table holds every periodic orbit at once
+(markov_orbit_inventory): one solved orbit per bare cycle plus the cycles of
+f on the partition, the plateau cycles among them. Otherwise the orbits of
+period n are the partition cycles plus one orbit per closed walk of length n
+in the cell graph whose fixed point avoids the partition (Block,
 Guckenheimer, Misiurewicz and Young, 1980).
 
 A closed walk never leaves its strongly connected class, so the walks are
@@ -197,22 +199,15 @@ def markov_orbit_inventory(
     branching class the orbit list is infinite. A refused period (see
     _cycle_orbits) raises StructureError too.
     """
-    sys = build_markov_system(f, point_budget)
-    if sys.recurrence.branching:
+    table = build_markov_system(f, point_budget).walks
+    if table.shape.blocks:
         raise StructureError("recurrent class branches; structural period set unavailable")
-    return _inventory(sys)
-
-
-_CONTINUUM = "slope-1 closed walk fixed pointwise; continuum of solutions"
-
-
-def _inventory(sys: MarkovSystem) -> tuple[PeriodicOrbit, ...]:
-    """Every periodic orbit of a graph with no branching class, the walk
-    table's orbits; StructureError, the first refusal, if a period is refused."""
-    table = sys.walks
     if table.refused:
         raise StructureError(next(iter(table.refused.values())))
     return table.orbits
+
+
+_CONTINUUM = "slope-1 closed walk fixed pointwise; continuum of solutions"
 
 
 def _cycle_orbits(sys: MarkovSystem) -> tuple[tuple[PeriodicOrbit, ...], dict[int, str]]:
@@ -294,55 +289,31 @@ def periodic_orbits(
 ) -> Iterator[tuple[int, tuple[PeriodicOrbit, ...]]]:
     """Yield (n, orbits of minimal period n) for n = 1..n_max.
 
-    Each tuple is sorted by smallest point, as periodic_points lists it. The
-    Markov graph of f is built once under point_budget (a
-    BudgetExceeded("partition") surfaces at n = 1); classify passes the
-    partition budget its entropy stage used, so both read one graph.
-    When no recurrent class branches, the bare-cycle inventory answers every
-    n at once. Otherwise the orbits of period n are read off the closed walks
-    of length n (_walk_orbits); their count trace(A^n) is checked against
-    piece_budget before any is enumerated, and a BudgetExceeded("walks")
-    surfaces at the n that needed it: a caller that stops early never pays
-    for the counts past its stop.
+    Each tuple is WalkTable.period's answer, sorted by smallest point as
+    periodic_points lists it. The Markov graph of f is built once under
+    point_budget (a BudgetExceeded("partition") surfaces at n = 1); classify
+    passes the partition budget its entropy stage used, so both read one
+    graph. A walk count trace(A^n) past piece_budget, or a refused period,
+    surfaces at the n that needed it: the sweeps that stop early (period_set,
+    find_homoclinic) never pay for the counts past their stop.
     """
-    sys = build_markov_system(f, point_budget)
-    if not sys.recurrence.branching:
-        ordered = sorted(_inventory(sys), key=lambda o: o.points[0])
-        for n in range(1, n_max + 1):
-            yield n, tuple(o for o in ordered if o.period == n)
-        return
-    yield from _walk_orbits(sys, n_max, piece_budget)
+    table = build_markov_system(f, point_budget).walks
+    for n in range(1, n_max + 1):
+        yield n, table.period(n, piece_budget)
 
 
 def orbits_of_period(
     f: PiecewiseLinearMap, n: int, piece_budget: int = 1_000_000, point_budget: int = 4096
 ) -> tuple[PeriodicOrbit, ...]:
-    """The orbits of minimal period n: the inventory's when no class branches,
-    else periodic_orbits' yield for n, swept through _checked_orbits."""
+    """The orbits of minimal period n (WalkTable.period), once every walk
+    count up to n has passed piece_budget (WalkTable.check): a period past
+    the budget is refused before any walk is solved. With no branching class
+    it reads the cycles' orbits alone, at any n."""
     if n < 1:
         raise ConstraintViolation(f"period must be >= 1, got {n}")
-    sys = build_markov_system(f, point_budget)
-    if not sys.recurrence.branching:
-        found = [o for o in _inventory(sys) if o.period == n]
-        return tuple(sorted(found, key=lambda o: o.points[0]))
-    for _, orbits in _checked_orbits(f, n, piece_budget, point_budget):
-        pass
-    return orbits
-
-
-def _checked_orbits(
-    f: PiecewiseLinearMap, n: int, piece_budget: int, point_budget: int
-) -> Iterator[tuple[int, tuple[PeriodicOrbit, ...]]]:
-    """periodic_orbits to n, once every walk count trace(A^m), m <= n, has
-    been checked against piece_budget in the type's counts (WalkCounts): a
-    period past the budget is refused before any walk is solved. The sweeps
-    that can stop early (period_set, find_homoclinic) check each count when
-    they reach it."""
-    sys = build_markov_system(f, point_budget)
-    if sys.recurrence.branching:
-        for m in range(1, n + 1):
-            sys.combinatorics.walks.check(m, piece_budget)
-    return periodic_orbits(f, n, piece_budget, point_budget)
+    table = build_markov_system(f, point_budget).walks
+    table.check(n, piece_budget)
+    return table.period(n, piece_budget)
 
 
 def _run_product(runs: Sequence[range], cols: list[list[int]]) -> list[list[int]]:
@@ -439,12 +410,14 @@ class WalkCounts:
 
 
 class WalkTable:
-    """The periodic orbits of one Markov graph, shared by every sweep of
+    """The periodic orbits of one Markov graph, shared by every query of
     that graph: MarkovSystem.walks builds it on first use, so it lives
-    exactly as long as the cached graph.
+    exactly as long as the cached graph. period answers "the orbits of
+    minimal period n" for every caller, and check refuses a period past the
+    walk budget before any walk is solved.
 
-    It holds what the map's numbers decide: the partition's numerators
-    (lattice), each block's branches, aligned with the type's blocks
+    It holds what the map's numbers decide: the partition's numerators over
+    den (lattice), each block's branches, aligned with the type's blocks
     (WalkCounts, read as shape), the bare cycles' and partition cycles'
     orbits with the periods they refuse (orbits and refused, solved by
     _cycle_orbits as the table is built), and solved[n], the orbits of each
@@ -453,39 +426,45 @@ class WalkTable:
 
     def __init__(self, sys: MarkovSystem):
         self.shape = sys.combinatorics.walks
+        self.den = sys.den
         self.lattice = frozenset(sys.nums)
         self.orbits, self.refused = _cycle_orbits(sys)
         self.branches = [tuple(sys.branches[v] for v in b.members) for b in self.shape.blocks]
         self.solved: list[tuple[PeriodicOrbit, ...]] = [()]
 
-    @property
-    def counts(self) -> list[int]:
-        """The type's walk counts, trace(A^n) at index n (WalkCounts)."""
-        return self.shape.counts
+    def check(self, n: int, piece_budget: int) -> None:
+        """Check every walk count trace(A^m), m <= n, against piece_budget
+        (WalkCounts.check); nothing is counted when no class branches."""
+        if self.shape.blocks:
+            for m in range(1, n + 1):
+                self.shape.check(m, piece_budget)
+
+    def period(self, n: int, piece_budget: int) -> tuple[PeriodicOrbit, ...]:
+        """The orbits of minimal period n, sorted by smallest point: the one
+        answer every orbit query reads.
+
+        With no branching class they are the cycles' orbits of period n, read
+        at any n with no count checked, and any refused period raises the
+        first refusal's StructureError. Otherwise each m <= n in turn is
+        checked against piece_budget in the type's counts, raises its refusal
+        (refused[m]) and is solved once per graph (_solve_period) into solved,
+        so each period is solved after every one below it.
+        """
+        if not self.shape.blocks:
+            if self.refused:
+                raise StructureError(next(iter(self.refused.values())))
+            found = [o for o in self.orbits if o.period == n]
+            return tuple(sorted(found, key=lambda o: o.points[0]))
+        for m in range(1, n + 1):
+            self.shape.check(m, piece_budget)
+            if m in self.refused:
+                raise StructureError(self.refused[m])
+            if m == len(self.solved):
+                self.solved.append(_solve_period(self, m))
+        return self.solved[n]
 
 
-def _walk_orbits(
-    sys: MarkovSystem, n_max: int, piece_budget: int
-) -> Iterator[tuple[int, tuple[PeriodicOrbit, ...]]]:
-    """periodic_orbits on a graph with a branching class.
-
-    Each n is checked against piece_budget in the type's counts, refused
-    when the walk table refuses it (WalkTable.refused), and its orbits
-    are solved once per graph (_solve_period) and read from the walk table
-    (WalkTable.solved) after that. Every sweep runs n = 1, 2, ..., so each
-    period is solved after every one below it.
-    """
-    table = sys.walks
-    for n in range(1, n_max + 1):
-        table.shape.check(n, piece_budget)
-        if n in table.refused:
-            raise StructureError(table.refused[n])
-        if n == len(table.solved):
-            table.solved.append(_solve_period(sys, table, n))
-        yield n, table.solved[n]
-
-
-def _solve_period(sys: MarkovSystem, table: WalkTable, n: int) -> tuple[PeriodicOrbit, ...]:
+def _solve_period(table: WalkTable, n: int) -> tuple[PeriodicOrbit, ...]:
     """The orbits of minimal period n of a graph with a branching class,
     sorted by smallest point; the type's blocks are powered to n at least.
 
@@ -512,7 +491,7 @@ def _solve_period(sys: MarkovSystem, table: WalkTable, n: int) -> tuple[Periodic
         if n % block.d == 0:
             for s0, bits in enumerate(block.back[n]):
                 if bits >> s0 & 1:
-                    found += _orbits_from_cell(block, branches, sys.den, s0, n, table.lattice)
+                    found += _orbits_from_cell(block, branches, table.den, s0, n, table.lattice)
     found.sort(key=lambda o: o.points[0])
     return tuple(found)
 
@@ -643,17 +622,18 @@ def omega_accumulation(
 
     Approximates where high-period doubling orbits pile up. Points closer
     than cluster_radius merge; centers are hull midpoints, exact.
-    periodic_orbits reads the orbits off the Markov graph on either side of
-    the boundary, so f is never composed to the 2^k-th power, which would
+    Every walk count up to 2^k_max is checked first (WalkTable.check), then
+    the walk table reads each period 2^k off the Markov graph on either side
+    of the boundary, so f is never composed to the 2^k-th power, which would
     grind on the huge denominators the boundary refinement produces.
     """
     radius = Fraction(cluster_radius)
-    wanted = {1 << k for k in range(k_min, k_max + 1)}
+    table = build_markov_system(f, point_budget).walks
+    table.check(1 << k_max, piece_budget)
     pts: set[Rat] = set()
-    for n, orbits in _checked_orbits(f, 1 << k_max, piece_budget, point_budget):
-        if n in wanted:
-            for orb in orbits:
-                pts.update(orb.points)
+    for k in range(k_min, k_max + 1):
+        for orb in table.period(1 << k, piece_budget):
+            pts.update(orb.points)
     if not pts:
         return ()
     ordered = sorted(pts)

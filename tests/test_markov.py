@@ -1,5 +1,6 @@
 """The Markov graph on its integer lattice against a Fraction reference closure."""
 
+import itertools
 import tracemalloc
 from fractions import Fraction as F
 
@@ -17,6 +18,7 @@ from sawlab import (
     entropy_markov,
     spectral_radius,
 )
+from sawlab.family import build_sawtooth
 from sawlab.markov import _combinatorics, build_markov_system, recurrent_classes
 from sawlab.rational import format_rat
 
@@ -116,6 +118,60 @@ def test_lattice_graph_of_a_hand_built_map_matches_the_fraction_closure():
         [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)], [F(1, 4), F(0), F(1, 2), F(0), F(0)]
     )
     _assert_matches_reference(f)
+
+
+def _merged_cells(sys):
+    """The graph's cells merged into maximal runs on one branch, as (u, v,
+    (s, t)) with f(x) = s*x + t/den on [u/den, v/den], a flat run as
+    (0, height): the piece table read off the cells alone."""
+    branch = dict(zip(sys.nonflat, sys.branches))
+    pieces = []
+    for i, (u, v) in enumerate(zip(sys.nums, sys.nums[1:])):
+        br = branch.get(i, (0, sys.nums[sys.image[i]]))
+        if pieces and pieces[-1][2] == br:
+            pieces[-1][1] = v
+        else:
+            pieces.append([u, v, br])
+    return tuple(map(tuple, pieces))
+
+
+def _scan_members():
+    """Every admissible member of the benchmark scan workload's grids: the
+    +-+- k/10 product and the +- line 4/5 -> 17/20 in 200 steps."""
+    tenths = [F(k, 10) for k in range(11)]
+    grids = (
+        ("+-+-", itertools.product(tenths, repeat=3)),
+        ("+-", ((F(4, 5) + F(k, 4000),) for k in range(201))),
+    )
+    for word, heights in grids:
+        shape = Shape.from_string(word)
+        for w in heights:
+            try:
+                yield StuntedSawtoothMap(shape, w).map
+            except ConstraintViolation:
+                continue
+
+
+def test_the_graph_keeps_f_own_pieces_on_the_lattice():
+    # the non-family maps of the orbit tests: 1 - x, x, and a tent beside a
+    # self-loop and a reflection; then the full sawtooths
+    maps = [
+        PiecewiseLinearMap((0, 1), (1, 0)),
+        PiecewiseLinearMap((0, 1), (0, 1)),
+        PiecewiseLinearMap((0, F(1, 6), F(1, 3), F(2, 3), 1), (0, F(1, 3), 0, 1, F(2, 3))),
+        *(build_sawtooth(Shape.from_string(word)) for word in ("+-", "-+", "+-+", "+-+-")),
+    ]
+    family = list(_scan_members())
+    assert len(family) == 586  # 385 of the product, 201 of the line
+    for f in maps + family:
+        sys = build_markov_system(f, 4096)
+        den = sys.den
+        table = tuple(
+            (lo * den, hi * den, (s, (v - s * lo) * den))
+            for lo, hi, v, s in zip(f.breakpoints, f.breakpoints[1:], f.values, f.slopes)
+        )
+        assert sys.pieces == table == _merged_cells(sys), f
+        assert all(type(x) is int for u, v, br in sys.pieces for x in (u, v, *br))
 
 
 def _thue_morse_height(L):

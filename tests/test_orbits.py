@@ -411,7 +411,7 @@ def test_a_cached_graph_refuses_a_smaller_budget_as_a_fresh_graph_does(tent):
     assert fresh == ("walks", 20, 32, "budget exceeded: walks (limit 20, needed >= 32)")
     for _ in periodic_orbits(tent, 10, 5000):
         pass
-    assert len(build_markov_system(tent, 4096).walks.counts) == 11
+    assert len(build_markov_system(tent, 4096).walks.shape.counts) == 11
     assert _refusal(lambda: list(periodic_orbits(tent, 8, 20))) == fresh
     assert _refusal(lambda: orbits.orbits_of_period(tent, 8, 20)) == fresh
 
@@ -442,12 +442,12 @@ def test_a_rebuilt_graph_starts_a_fresh_walk_table(tent, stunted_tent):
     sys = build_markov_system(tent, 4096)
     for _ in periodic_orbits(tent, 6):
         pass
-    assert len(sys.walks.counts) == 7 and len(sys.walks.solved) == 7
+    assert len(sys.walks.shape.counts) == 7 and len(sys.walks.solved) == 7
     build_markov_system(stunted_tent(F(9, 10)).map, 4096)  # evicts the tent's graph
     rebuilt = build_markov_system(tent, 4096)
     assert rebuilt is not sys and "walks" not in vars(rebuilt)
     assert rebuilt.walks.shape is sys.walks.shape
-    assert len(rebuilt.walks.counts) == 7 and len(rebuilt.walks.solved) == 1
+    assert len(rebuilt.walks.shape.counts) == 7 and len(rebuilt.walks.solved) == 1
     for _ in periodic_orbits(tent, 3):
         pass
     assert len(rebuilt.walks.solved) == 4 and len(sys.walks.solved) == 7
@@ -457,7 +457,7 @@ def test_a_rebuilt_graph_starts_a_fresh_walk_table(tent, stunted_tent):
     for _ in periodic_orbits(tent, 3):
         pass
     assert fresh.walks.shape is not sys.walks.shape
-    assert len(fresh.walks.counts) == 4 and len(sys.walks.counts) == 7
+    assert len(fresh.walks.shape.counts) == 4 and len(sys.walks.shape.counts) == 7
 
 
 def test_a_second_member_of_a_type_forms_no_block_power(monkeypatch):
@@ -630,7 +630,7 @@ def test_bare_cycles_in_a_branching_graph_are_solved_without_powers():
         assert [o.points for o in orbs] == [(0,), (F(2, 9),), (F(1, 2),), (F(5, 6),)]
         with pytest.raises(StructureError):
             next(sweep)
-    assert len(build_markov_system(f, 4096).walks.counts) == 3
+    assert len(build_markov_system(f, 4096).walks.shape.counts) == 3
 
 
 def test_a_reflecting_bare_cycle_is_refused_on_the_zero_entropy_route():
@@ -651,3 +651,56 @@ def test_period_set_stops_at_its_witness_before_a_later_count_passes_the_budget(
     report = period_set(tent, 8, piece_budget=10, stop_on_non_power_of_two=True)
     assert report.stopped_early and report.stop_witness.period == 3
     assert report.budget_note is None and report.n_max_checked == 3
+
+
+def _outcome(query):
+    """What a query returns, or the type and message of what it raises."""
+    try:
+        return query()
+    except (BudgetExceeded, StructureError) as e:
+        return type(e).__name__, str(e)
+
+
+# the mixed graph of test_bare_cycles_in_a_branching_graph_are_solved_without_powers
+MIXED = PiecewiseLinearMap((0, F(1, 6), F(1, 3), F(2, 3), 1), (0, F(1, 3), 0, 1, F(2, 3)))
+_CONTINUUM = ("StructureError", "slope-1 closed walk fixed pointwise; continuum of solutions")
+
+
+@pytest.mark.parametrize(
+    "f, answered, inventory",
+    [
+        # 1 - x, a slope -1 bare cycle: every point but 1/2 has period 2
+        (PiecewiseLinearMap((0, 1), (1, 0)), 0, _CONTINUUM),
+        # x, a slope 1 bare cycle: every point is fixed
+        (PiecewiseLinearMap((0, 1), (0, 1)), 0, _CONTINUUM),
+        # period 1 is answered, the reflection refuses period 2
+        (MIXED, 1, ("StructureError", "recurrent class branches; structural period set unavailable")),
+    ],
+)
+def test_every_orbit_query_meets_a_refused_period_alike(f, answered, inventory):
+    # each query, on a cold graph and on the walk table the earlier ones
+    # filled: the same orbits up to the refused period, then the same error
+    def queries():
+        return {
+            "sweep": _sweep(periodic_orbits(f, 4)),
+            "periods": [_outcome(lambda: orbits.orbits_of_period(f, n)) for n in range(1, 5)],
+            "omega": _outcome(lambda: omega_accumulation(f, 0, 2, F(1, 100))),
+            "inventory": _outcome(lambda: markov_orbit_inventory(f)),
+            "complete": _outcome(lambda: complete_period_set(f)),
+            "period_set": _outcome(lambda: period_set(f, 4)),
+        }
+
+    build_markov_system.cache_clear()
+    cold = queries()
+    assert queries() == cold
+    swept = cold["sweep"][:answered]
+    assert cold["sweep"][answered:] == [(*_CONTINUUM, None)]
+    assert cold["periods"] == [orbs for _, orbs in swept] + [_CONTINUUM] * (4 - answered)
+    assert cold["omega"] == _CONTINUUM
+    assert cold["inventory"] == cold["complete"] == inventory
+    report = cold["period_set"]
+    assert report.budget_note == _CONTINUUM[1] and not report.complete
+    assert report.n_max_checked == answered
+    assert report.periods == frozenset(range(1, answered + 1))
+    if answered:
+        assert [o.points for o in swept[0][1]] == [(0,), (F(2, 9),), (F(1, 2),), (F(5, 6),)]

@@ -66,6 +66,12 @@ INVOCATIONS = [
     # the literal route's non-repelling labels
     ("orbits-period-one-sided", ["orbits", "--shape", "+-", "--w", "4/5", "--period", "2"]),
     ("orbits-period-plateau", ["orbits", "--shape", "+-", "--w", "3/4", "--period", "2"]),
+    # every period of a zero-entropy map is read from its inventory
+    ("orbits-period-zero-entropy", ["orbits", "--shape", "+-", "--w", "823/1000", "--period",
+                                    "256"]),
+    # the tent's 2^10 closed walks of length 10 pass the budget: exit 3 before period 30
+    ("orbits-period-walks-refused", ["orbits", "--shape", "+-", "--w", "1", "--period", "30",
+                                     "--piece-budget", "1000"]),
     ("orbits-start", ["orbits", "--shape", "+-", "--w", "4/5", "--start", "1/3"]),
     ("orbits-start-outside", ["orbits", "--shape", "+-", "--w", "4/5", "--start", "4/3"]),
     ("orbits-sweep-finite", ["orbits", "--shape", "+-", "--w", "823/1000", "--n-max", "8"]),
