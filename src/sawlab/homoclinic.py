@@ -25,9 +25,11 @@ what makes a definitive "no homoclinic point" answer possible.
 The tree walks integers on the Markov system. A node x = c/(den*q) is the
 reduced pair (c, q); the branch (s, t) of a piece of f inverts to
 (sign(s)(c - tq), |s|q), and a flat piece at x's height adds its ends and
-midpoint. The unstable sets are read on the same nodes, and each is a pair
-of partition indices, so the pruning test is two integer products. Only a
-witness and its unstable set become Fractions.
+midpoint. The orbit's own nodes come from its integers, nums over q, with
+one gcd each, so the search reads no orbit point as a Fraction. The
+unstable sets are read on the same nodes, and each is a pair of partition
+indices, so the pruning test is two integer products. Only a witness and
+its unstable set become Fractions.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from math import gcd, prod
 
 from .errors import BudgetExceeded, ConstraintViolation
 from .markov import MarkovSystem, build_markov_system
-from .orbits import PeriodicOrbit, periodic_orbits
+from .orbits import PeriodicOrbit, _low, _reduced, periodic_orbits
 from .plmap import Ivl, PiecewiseLinearMap
 from .rational import Rat, Wire
 
@@ -70,6 +72,12 @@ def unstable_manifold(
 def _nodes(points, den: int) -> list[tuple[int, int]]:
     """Each point x as the reduced integer pair (c, q) with x = c/(den*q)."""
     return [((x * den).numerator, (x * den).denominator) for x in points]
+
+
+def _orbit_nodes(orb: PeriodicOrbit, den: int) -> list[tuple[int, int]]:
+    """_nodes of the orbit's points, read off its integers: the point c/q
+    is (c*den/q)/den, one gcd each."""
+    return [_reduced(c * den, orb.q) for c in orb.nums]
 
 
 def _unstable_set(sys: MarkovSystem, nodes) -> tuple[int, int] | None:
@@ -132,7 +140,7 @@ def _search_orbit(
 ) -> tuple[HomoclinicWitness | None, bool]:
     """(witness, saturated) for one repelling orbit of sys.map, on integer nodes."""
     n, nums, den = orb.period, sys.nums, sys.den
-    nodes = _nodes(orb.points, den)
+    nodes = _orbit_nodes(orb, den)
     wsets = [_unstable_set(sys, nodes[k:] + nodes[:k]) for k in range(n)]
     w0 = wsets[0]
     if None in wsets or w0[0] == w0[1]:
@@ -215,7 +223,7 @@ def find_homoclinic(
                     )
                 if not saturated:
                     truncated = True
-                    notes.append(f"search tree truncated at orbit through {orb.points[0]}")
+                    notes.append(f"search tree truncated at orbit through {_low(orb)}")
     except BudgetExceeded as e:
         complete_sweep = False
         notes.append(f"period {n + 1} enumeration: {e}")

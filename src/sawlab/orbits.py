@@ -32,6 +32,14 @@ the map's numbers, its partition, its cycles there, its bare cycles' orbits
 and the branches of its cells, sits in one WalkTable per graph
 (MarkovSystem.walks), with the orbits each period solved.
 
+An orbit stays integers until a caller reads its points: a PeriodicOrbit
+holds numerators over one denominator, den for a partition cycle and den*m
+for a closed walk's fixed point, and makes its Fractions on first read.
+Each period's orbits are sorted on one Fraction per orbit, its smallest
+point, and the bare cycles are matched with the partition cycles on the
+smallest point's reduced pair; the period sweep and the homoclinic search
+read no orbit's points.
+
 periodic_points (f^n by repeated squaring, then its fixed points piece by
 piece, and each orbit's stability from the one-sided slopes of f^n at its
 smallest point) is the literal reference route the tests compare the
@@ -45,7 +53,9 @@ from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, compress
+from math import gcd, lcm
 
 from .errors import BudgetExceeded, ConstraintViolation, StructureError
 from .markov import MarkovSystem, Recurrence, build_markov_system
@@ -65,13 +75,58 @@ def _stability(left: Rat, right: Rat) -> str:
     return "one_sided_attracting"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicOrbit(Wire):
-    """One periodic orbit, points in orbit order starting at the smallest."""
+    """One periodic orbit, in orbit order from its smallest point: the
+    points nums[i]/q over one positive denominator q, which need not be the
+    least (the walk table solves an orbit over den*m). points, the
+    Fractions, are made on first read; to_json writes each point's "p/q"
+    from (c, q) with one gcd, and equality and hashing read the least common
+    denominator, so neither makes a Fraction."""
 
-    points: tuple[Rat, ...]
+    nums: tuple[int, ...]
+    q: int
     period: int
     stability: str
+
+    @cached_property
+    def points(self) -> tuple[Rat, ...]:
+        return tuple(Fraction(c, self.q) for c in self.nums)
+
+    @cached_property
+    def _key(self) -> tuple:
+        g = gcd(self.q, *self.nums)
+        return tuple(c // g for c in self.nums), self.q // g, self.period, self.stability
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def to_json(self) -> dict:
+        points = ["%d/%d" % _reduced(c, self.q) for c in self.nums]
+        return {"points": points, "period": self.period, "stability": self.stability}
+
+
+def _orbit_of(points: Sequence[Rat], stability: str) -> PeriodicOrbit:
+    """The orbit through these Fractions, over their least common denominator."""
+    q = lcm(*(x.denominator for x in points))
+    nums = tuple(x.numerator * (q // x.denominator) for x in points)
+    return PeriodicOrbit(nums, q, len(points), stability)
+
+
+def _low(orbit: PeriodicOrbit) -> Rat:
+    """An orbit's smallest point, the one Fraction its sort key needs."""
+    return Fraction(orbit.nums[0], orbit.q)
+
+
+def _reduced(c: int, q: int) -> tuple[int, int]:
+    """c/q in lowest terms, as an integer pair."""
+    g = gcd(c, q)
+    return c // g, q // g
 
 
 def _cycle(f: PiecewiseLinearMap, x: Rat, n: int) -> tuple[Rat, ...] | None:
@@ -132,7 +187,7 @@ def periodic_points(
             p = min(cycle)
             i = cycle.index(p)
             stability = _stability(g.left_slope(p), g.right_slope(p))
-            orbits[p] = PeriodicOrbit(cycle[i:] + cycle[:i], n, stability)
+            orbits[p] = _orbit_of(cycle[i:] + cycle[:i], stability)
     return tuple(orbits[k] for k in sorted(orbits))
 
 
@@ -218,8 +273,8 @@ def _cycle_orbits(sys: MarkovSystem) -> tuple[tuple[PeriodicOrbit, ...], dict[in
     built; on the partition its orbit is the partition cycle with its
     smallest point. A cycle of p cells refuses p when its composed slope is 1
     or its fixed point escapes its cell, and 2p when its slope is -1."""
-    cycles = {o.points[0]: o for o in _partition_cycles(sys)}
-    orbits: dict[Rat, PeriodicOrbit] = {}  # by smallest point
+    cycles = {_reduced(o.nums[0], o.q): o for o in _partition_cycles(sys)}
+    orbits: dict[tuple[int, int], PeriodicOrbit] = {}  # by smallest point, reduced
     refused: dict[int, str] = {}
     for cyc in sys.recurrence.cycles:
         try:
@@ -229,7 +284,7 @@ def _cycle_orbits(sys: MarkovSystem) -> tuple[tuple[PeriodicOrbit, ...], dict[in
             continue
         if a == -1:
             refused.setdefault(2 * len(cyc), _CONTINUUM)
-        low = Fraction(cs[0], sys.den * m)
+        low = _reduced(cs[0], sys.den * m)
         orbits.setdefault(low, cycles.get(low) or _off_partition_orbit(cs, sys.den * m, a))
     return tuple({**orbits, **cycles}.values()), refused  # the partition cycles last
 
@@ -453,8 +508,7 @@ class WalkTable:
         if not self.shape.blocks:
             if self.refused:
                 raise StructureError(next(iter(self.refused.values())))
-            found = [o for o in self.orbits if o.period == n]
-            return tuple(sorted(found, key=lambda o: o.points[0]))
+            return tuple(sorted((o for o in self.orbits if o.period == n), key=_low))
         for m in range(1, n + 1):
             self.shape.check(m, piece_budget)
             if m in self.refused:
@@ -492,7 +546,7 @@ def _solve_period(table: WalkTable, n: int) -> tuple[PeriodicOrbit, ...]:
             for s0, bits in enumerate(block.back[n]):
                 if bits >> s0 & 1:
                     found += _orbits_from_cell(block, branches, table.den, s0, n, table.lattice)
-    found.sort(key=lambda o: o.points[0])
+    found.sort(key=_low)
     return tuple(found)
 
 
@@ -514,8 +568,8 @@ def _orbits_from_cell(block: _Block, branches, den, s0, n, lattice) -> list[Peri
     partition's numerators (lattice). Otherwise it is kept when walking it
     through the branches, as numerators c over den*m (c -> s*c + t*m), meets
     no point at or below it: the orbit's smallest point, with minimal period
-    n. Only a kept orbit's points become Fractions. Off the partition both
-    one-sided slopes of f^n are a.
+    n. A kept orbit holds those numerators over den*m and makes no
+    Fraction. Off the partition both one-sided slopes of f^n are a.
     """
     runs = block.runs
     home = [block.back[m][s0] for m in range(n)]  # bit u of home[m]: u returns to s0 in m steps
@@ -556,7 +610,7 @@ def _orbits_from_cell(block: _Block, branches, den, s0, n, lattice) -> list[Peri
 
 def _off_partition_orbit(cs: list[int], q: int, slope: int) -> PeriodicOrbit:
     """The orbit through the points c/q, in orbit order, whose f^n has this slope on both sides."""
-    return PeriodicOrbit(tuple(Fraction(c, q) for c in cs), len(cs), _stability(slope, slope))
+    return PeriodicOrbit(tuple(cs), q, len(cs), _stability(slope, slope))
 
 
 def _partition_cycles(sys: MarkovSystem) -> tuple[PeriodicOrbit, ...]:
@@ -576,8 +630,8 @@ def _partition_cycles(sys: MarkovSystem) -> tuple[PeriodicOrbit, ...]:
             k = cycle.index(min(cycle))
             idx = cycle[k:] + cycle[:k]
             stability = _stability(sys.side_slope(idx, -1), sys.side_slope(idx, +1))
-            points = tuple(Fraction(sys.nums[j], sys.den) for j in idx)
-            orbits.append(PeriodicOrbit(points, len(idx), stability))
+            nums = tuple(sys.nums[j] for j in idx)
+            orbits.append(PeriodicOrbit(nums, sys.den, len(idx), stability))
     return tuple(orbits)
 
 

@@ -20,6 +20,7 @@ from sawlab import (
     unstable_manifold,
 )
 from sawlab import homoclinic
+from sawlab.markov import build_markov_system
 from sawlab.orbits import periodic_orbits
 
 import oracles
@@ -249,4 +250,34 @@ def test_integer_tree_reports_what_the_fraction_tree_reports_on_the_k10_grid():
 def test_integer_tree_reports_what_the_fraction_tree_reports(case):
     f = _member(*case, 20)
     assume(f is not None)
+    assert _report_json(f, reference=False) == _report_json(f, reference=True)
+
+
+def test_the_search_reads_each_orbit_node_off_its_integers(scan_members):
+    # every repelling orbit of period <= 4 on the Chaotic scan members: the
+    # nodes taken from (nums, q) are the nodes of the orbit's Fractions
+    chaotic = searched = 0
+    for f in scan_members:
+        sys = build_markov_system(f, 4096)
+        if not sys.recurrence.branching:
+            continue
+        chaotic += 1
+        for _, orbits in periodic_orbits(f, 4):
+            for orb in orbits:
+                if orb.stability == "repelling":
+                    searched += 1
+                    nodes = homoclinic._orbit_nodes(orb, sys.den)
+                    assert nodes == homoclinic._nodes(orb.points, sys.den), orb
+    assert (chaotic, searched) == (361, 5004)
+
+
+def test_an_isolated_preimage_on_a_plateau_waits_for_the_plateau():
+    # +-+- (4/5, 7/10, 19/20) fixes 4/5 and sends the plateau [1/5, 3/10] to
+    # it; the falling lap's preimage 3/10 is the plateau's end, so it is
+    # dropped from the isolated preimages and comes back with the plateau's
+    # clipped ends, after them: the rising lap's 7/10 is met first
+    f = StuntedSawtoothMap(Shape.from_string("+-+-"), [F(4, 5), F(7, 10), F(19, 20)]).map
+    w = find_homoclinic(f).witness
+    assert (w.orbit.points, w.m, w.x) == ((F(4, 5),), 1, F(7, 10))
+    assert w.unstable == Ivl(F(1, 5), F(19, 20))
     assert _report_json(f, reference=False) == _report_json(f, reference=True)

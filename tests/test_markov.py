@@ -1,6 +1,5 @@
 """The Markov graph on its integer lattice against a Fraction reference closure."""
 
-import itertools
 import tracemalloc
 from fractions import Fraction as F
 
@@ -135,24 +134,7 @@ def _merged_cells(sys):
     return tuple(map(tuple, pieces))
 
 
-def _scan_members():
-    """Every admissible member of the benchmark scan workload's grids: the
-    +-+- k/10 product and the +- line 4/5 -> 17/20 in 200 steps."""
-    tenths = [F(k, 10) for k in range(11)]
-    grids = (
-        ("+-+-", itertools.product(tenths, repeat=3)),
-        ("+-", ((F(4, 5) + F(k, 4000),) for k in range(201))),
-    )
-    for word, heights in grids:
-        shape = Shape.from_string(word)
-        for w in heights:
-            try:
-                yield StuntedSawtoothMap(shape, w).map
-            except ConstraintViolation:
-                continue
-
-
-def test_the_graph_keeps_f_own_pieces_on_the_lattice():
+def test_the_graph_keeps_f_own_pieces_on_the_lattice(scan_members):
     # the non-family maps of the orbit tests: 1 - x, x, and a tent beside a
     # self-loop and a reflection; then the full sawtooths
     maps = [
@@ -161,7 +143,7 @@ def test_the_graph_keeps_f_own_pieces_on_the_lattice():
         PiecewiseLinearMap((0, F(1, 6), F(1, 3), F(2, 3), 1), (0, F(1, 3), 0, 1, F(2, 3))),
         *(build_sawtooth(Shape.from_string(word)) for word in ("+-", "-+", "+-+", "+-+-")),
     ]
-    family = list(_scan_members())
+    family = scan_members
     assert len(family) == 586  # 385 of the product, 201 of the line
     for f in maps + family:
         sys = build_markov_system(f, 4096)

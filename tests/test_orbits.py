@@ -39,6 +39,7 @@ from sawlab.orbits import (
     markov_orbit_inventory,
     periodic_orbits,
 )
+from sawlab.rational import format_rat
 
 from oracles import iterate, plateaus, walk_powers as _walk_powers, whole_graph_walk_orbits
 
@@ -704,3 +705,51 @@ def test_every_orbit_query_meets_a_refused_period_alike(f, answered, inventory):
     assert report.periods == frozenset(range(1, answered + 1))
     if answered:
         assert [o.points for o in swept[0][1]] == [(0,), (F(2, 9),), (F(1, 2),), (F(5, 6),)]
+
+
+def test_a_classify_leaves_every_orbit_outside_its_record_in_integers():
+    # +-+- (3/5, 1/10, 7/10) is Chaotic: the period sweep stops at period 6
+    # and the search finds its witness on a fixed point; the graph solves 33
+    # orbits at periods 1-6, and the record holds 5 of them
+    m = StuntedSawtoothMap(Shape.from_string("+-+-"), [F(3, 5), F(1, 10), F(7, 10)])
+    build_markov_system.cache_clear()
+    record = classify(m).to_json()
+    solved = build_markov_system(m.map, Budgets().partition_budget).walks.solved
+    assert [len(orbs) for orbs in solved] == [0, 4, 3, 0, 6, 0, 20]
+    sweep, homoclinic = record["certificates"]["period_sweep"], record["certificates"]["homoclinic"]
+    held = [*sweep["representatives"].values(), sweep["stop_witness"], homoclinic["witness"]["orbit"]]
+    kept = [o for orbs in solved for o in orbs if o.to_json() in held]
+    assert len(kept) == 5 and solved[6][0] in kept
+    made = [o for orbs in solved for o in orbs if "points" in vars(o)]
+    assert all(o in kept for o in made), made
+    for o in kept:
+        assert {"points": [format_rat(x) for x in o.points], "period": o.period,
+                "stability": o.stability} in held
+
+
+_STABILITIES = st.sampled_from(
+    ["repelling", "attracting", "one_sided_attracting", "superattracting_plateau"]
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    points=st.lists(st.fractions(0, 1, max_denominator=10**6), min_size=1, max_size=6),
+    k=st.integers(1, 10**4),
+    stability=_STABILITIES,
+)
+@example(points=[F(0)], k=3, stability="repelling")
+@example(points=[F(1)], k=5, stability="attracting")
+@example(points=[F(0), F(1)], k=12, stability="one_sided_attracting")
+def test_an_orbit_over_any_common_denominator_is_the_orbit_of_its_fractions(points, k, stability):
+    # the orbit of the reduced Fractions, and the same integers over k times
+    # their least common denominator, as the walk table solves them over den*m
+    reduced = orbits._orbit_of(points, stability)
+    nums = tuple(c * k for c in reduced.nums)
+    scaled = orbits.PeriodicOrbit(nums, reduced.q * k, len(points), stability)
+    wire = {"points": [format_rat(x) for x in points], "period": len(points), "stability": stability}
+    assert scaled.points == reduced.points == tuple(points)
+    assert json.dumps(scaled.to_json()) == json.dumps(reduced.to_json()) == json.dumps(wire)
+    assert scaled == reduced and hash(scaled) == hash(reduced)
+    moved = orbits.PeriodicOrbit(scaled.nums, scaled.q + 1, len(points), stability)
+    assert moved != reduced or not any(points)
