@@ -95,6 +95,12 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text)
 
 
+def _fail(error: SawlabError, code: int) -> int:
+    """Write the error JSON to stderr and return the exit code."""
+    print(json.dumps({"error": str(error), "kind": type(error).__name__}), file=sys.stderr)
+    return code
+
+
 def _cmd_describe(args) -> int:
     m = _family(args)
     saw = build_sawtooth(m.shape)
@@ -226,8 +232,7 @@ def _cmd_bisect(args) -> int:
             refined = refine_to_boundary(bracket, b, target_level=args.refine_level)
         except StructureError as e:
             # no certified cell is an inconclusive refine, like a spent budget
-            print(json.dumps({"error": str(e), "kind": "StructureError"}), file=sys.stderr)
-            return 3
+            return _fail(e, 3)
         _emit({"refined": refined.to_json()}, args)
         return 0
     _emit({"bracket": bracket.to_json()}, args)
@@ -345,14 +350,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(_attach_shape(sys.argv[1:] if argv is None else argv))
         return args.fn(args)
     except (ConstraintViolation, DomainError, KneadingNotRealizable) as e:
-        print(json.dumps({"error": str(e), "kind": type(e).__name__}), file=sys.stderr)
-        return 2
+        return _fail(e, 2)
     except BudgetExceeded as e:
-        print(json.dumps({"error": str(e), "kind": "BudgetExceeded"}), file=sys.stderr)
-        return 3
+        return _fail(e, 3)
     except SawlabError as e:
-        print(json.dumps({"error": str(e), "kind": type(e).__name__}), file=sys.stderr)
-        return 1
+        return _fail(e, 1)
 
 
 if __name__ == "__main__":

@@ -40,7 +40,6 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
 
 import numpy as np
 
@@ -52,7 +51,7 @@ from .markov import (
     recurrent_classes,
     spectral_radius,
 )
-from .plmap import PiecewiseLinearMap
+from .plmap import PiecewiseLinearMap, _sign_runs
 from .rational import Wire, float_down, float_up, format_rat
 
 # entropy_bowen's float grid, its separation scales and its longest orbit
@@ -152,12 +151,7 @@ def _lap_graph(sys: MarkovSystem) -> tuple[list[list[int]], list[int]]:
     from c, so every node is reachable from c. The lists are sorted: the
     last bits of the Perron bracket follow the order of their entries.
     """
-    laps, start = [], 0
-    for sign, run in groupby(sys.slopes, key=lambda s: (s > 0) - (s < 0)):
-        end = start + len(list(run))
-        if sign:
-            laps.append((start, end))
-        start = end
+    laps = _sign_runs(sys.slopes)
     image = sys.image
 
     def images(i: int, j: int) -> list[tuple[int, int]]:

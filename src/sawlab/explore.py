@@ -127,14 +127,15 @@ def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> Classific
     b = budgets or Budgets()
     base = dict(shape=m.shape.to_string(), w=m.w, budgets=b)
 
-    def stopped(error, entropy, **detail) -> ClassificationRecord:
+    def stopped(error, entropy, certificates=None, **detail) -> ClassificationRecord:
         """Inconclusive: a stage ran out of budget or met a structure it
-        cannot read; detail names the stage, the note is the error."""
+        cannot read; detail names the stage, the note is the error or stop reason."""
         return ClassificationRecord(
             verdict="Inconclusive",
             label="Inconclusive",
             entropy=entropy,
             detail=detail,
+            certificates=certificates or {},
             notes=(str(error),),
             **base,
         )
@@ -211,14 +212,13 @@ def classify(m: StuntedSawtoothMap, budgets: Budgets | None = None) -> Classific
             certificates={"period_set": psr.to_json(), "tower": tower.to_json()},
             **base,
         )
-    return ClassificationRecord(
-        verdict="Inconclusive",
-        label="Inconclusive",
-        entropy=h,
-        detail={"stage": "tower", "tower_depth": tower.depth, "max_period": max_p},
-        certificates={"tower": tower.to_json()},
-        notes=(f"tower stopped at depth {tower.depth}: {tower.stop_reason}",),
-        **base,
+    return stopped(
+        f"tower stopped at depth {tower.depth}: {tower.stop_reason}",
+        h,
+        {"tower": tower.to_json()},
+        stage="tower",
+        tower_depth=tower.depth,
+        max_period=max_p,
     )
 
 
@@ -246,6 +246,20 @@ def _width(lo: StuntedSawtoothMap, hi: StuntedSawtoothMap) -> Rat:
 
 def _midpoint(lo: StuntedSawtoothMap, hi: StuntedSawtoothMap) -> StuntedSawtoothMap:
     return StuntedSawtoothMap(lo.shape, [(a + c) / 2 for a, c in zip(lo.w, hi.w)])
+
+
+def _flanked(shape: str, lo, hi, iterations: int, b: Budgets) -> BoundaryBracket:
+    """The bracket between two flanks, both classified in full."""
+    return BoundaryBracket(
+        shape=shape,
+        lo_w=lo.w,
+        hi_w=hi.w,
+        midpoint_w=_midpoint(lo, hi).w,
+        width=_width(lo, hi),
+        iterations=iterations,
+        lo_record=classify(lo, b),
+        hi_record=classify(hi, b),
+    )
 
 
 def bisect_boundary(
@@ -283,16 +297,7 @@ def bisect_boundary(
         else:
             lo = mid
         iters += 1
-    return BoundaryBracket(
-        shape=shape.to_string(),
-        lo_w=lo.w,
-        hi_w=hi.w,
-        midpoint_w=_midpoint(lo, hi).w,
-        width=_width(lo, hi),
-        iterations=iters,
-        lo_record=classify(lo, b),
-        hi_record=classify(hi, b),
-    )
+    return _flanked(shape.to_string(), lo, hi, iters, b)
 
 
 @dataclass(frozen=True)
@@ -355,17 +360,9 @@ def refine_to_boundary(
         mid = at(t)
         record = classify(mid, b)
         if record.verdict == "Boundary2Inf":
+            # t is the midpoint of its flanks (j -+ 1)/2^e
             lo, hi = at(Fraction(j - 1, 1 << e)), at(Fraction(j + 1, 1 << e))
-            new_bracket = BoundaryBracket(
-                shape=bracket.shape,
-                lo_w=lo.w,
-                hi_w=hi.w,
-                midpoint_w=mid.w,
-                width=_width(lo, hi),
-                iterations=bracket.iterations + e,
-                lo_record=classify(lo, b),
-                hi_record=classify(hi, b),
-            )
+            new_bracket = _flanked(bracket.shape, lo, hi, bracket.iterations + e, b)
             return RefinedBoundary(new_bracket, level, record, extra_iterations=e)
     tried = f"levels {levels.start} to {levels.stop - 1}" if levels else "no level in the step budget"
     raise StructureError(

@@ -364,16 +364,10 @@ def _perron_bracket(
     """
     pos = {v: j for j, v in enumerate(comp)}
     inside = [[pos[u] for u in succ[v] if u in pos] for v in comp]
-    level = [0] + [-1] * (len(comp) - 1)
-    queue = [0]
-    for v in queue:
-        for u in inside[v]:
-            if level[u] < 0:
-                level[u] = level[v] + 1
-                queue.append(u)
+    level = _levels(0, inside)
     cyclic: list[list[int]] = [[] for _ in range(p)]
-    for j, lv in enumerate(level):
-        cyclic[lv % p].append(j)
+    for j in range(len(comp)):
+        cyclic[level[j] % p].append(j)
     base = cyclic[0]
     rows = []
     for x in base:
@@ -504,6 +498,13 @@ def _period(root: int, inside: dict[int, list[int]]) -> int:
     With level(v) the BFS distance from root, the period divides every
     level(v) + 1 - level(u) over the edges v -> u, and their gcd is it.
     """
+    level = _levels(root, inside)
+    return gcd(*(level[v] + 1 - level[u] for v, row in inside.items() for u in row))
+
+
+def _levels(root: int, inside) -> dict[int, int]:
+    """BFS distances from root over a class, given each member's successors
+    inside it (a list or a dict by member)."""
     level = {root: 0}
     queue = [root]
     for v in queue:
@@ -511,4 +512,4 @@ def _period(root: int, inside: dict[int, list[int]]) -> int:
             if u not in level:
                 level[u] = level[v] + 1
                 queue.append(u)
-    return gcd(*(level[v] + 1 - level[u] for v, row in inside.items() for u in row))
+    return level

@@ -129,18 +129,6 @@ def _reduced(c: int, q: int) -> tuple[int, int]:
     return c // g, q // g
 
 
-def _cycle(f: PiecewiseLinearMap, x: Rat, n: int) -> tuple[Rat, ...] | None:
-    """x, f(x), ..., f^(p-1)(x) for the minimal p <= n with f^p(x) = x, or None."""
-    pts = [x]
-    cur = f(x)
-    while cur != x:
-        if len(pts) == n:
-            return None
-        pts.append(cur)
-        cur = f(cur)
-    return tuple(pts)
-
-
 def iterate_fixed_points(g: PiecewiseLinearMap) -> tuple[Rat, ...]:
     """All solutions of g(x) = x for one PL map, exact.
 
@@ -179,9 +167,8 @@ def periodic_points(
     for x in iterate_fixed_points(g):
         if x in consumed:
             continue
-        cycle = _cycle(f, x, n)
-        if cycle is None:
-            raise StructureError("iterate fixed point does not close under the map")
+        # x = f^n(x), so its orbit first repeats at x itself within n steps
+        cycle = f.orbit_eventually_periodic(x, n).cycle
         consumed.update(cycle)
         if len(cycle) == n:
             p = min(cycle)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import BudgetExceeded, DomainError, StructureError
 from .rational import Rat, Wire, to_wire
@@ -61,6 +62,18 @@ class OrbitRecord(Wire):
     @property
     def cycle(self) -> tuple[Rat, ...]:
         return self.points[self.preperiod : self.preperiod + self.period]
+
+
+def _sign_runs(slopes) -> list[tuple[int, int]]:
+    """The laps of a table of slopes: (start, end) slices of the maximal runs
+    of slopes that share a nonzero sign."""
+    runs, start = [], 0
+    for sign, run in groupby(slopes, key=lambda s: (s > 0) - (s < 0)):
+        end = start + len(list(run))
+        if sign:
+            runs.append((start, end))
+        start = end
+    return runs
 
 
 class PiecewiseLinearMap:
@@ -130,35 +143,10 @@ class PiecewiseLinearMap:
 
     # --- structure queries ---
 
-    def laps(self) -> tuple[Ivl, ...]:
-        """Maximal closed intervals of strict monotonicity.
-
-        Flat pieces are not laps and break lap runs, as does a slope sign
-        change. Consecutive pieces with same-sign slopes merge into one lap.
-        """
-        out = []
-        start = None
-        sign = 0
-        for i, s in enumerate(self.slopes):
-            sg = (s > 0) - (s < 0)
-            if sg == 0:
-                if start is not None:
-                    out.append(Ivl(start, self.breakpoints[i]))
-                    start = None
-                sign = 0
-            elif sg == sign:
-                continue
-            else:
-                if start is not None:
-                    out.append(Ivl(start, self.breakpoints[i]))
-                start = self.breakpoints[i]
-                sign = sg
-        if start is not None:
-            out.append(Ivl(start, self.breakpoints[-1]))
-        return tuple(out)
-
     def lap_count(self) -> int:
-        return len(self.laps())
+        """Laps are the maximal runs of pieces whose slopes share a nonzero
+        sign: a flat piece or a sign change ends one."""
+        return len(_sign_runs(self.slopes))
 
     def left_slope(self, x) -> Rat:
         """Slope just left of x; at x = 0 duplicates the right slope."""

@@ -135,19 +135,13 @@ CSV_FIELDS = (
     "homoclinic",
     "reason",
 )
+# the text fields of a row; index and w come from the cell
+ROW_FIELDS = CSV_FIELDS[2:]
 
 
 def _blank_row(verdict: str, reason: str) -> dict:
     """The row of a cell that has no classification record."""
-    return {
-        "verdict": verdict,
-        "label": verdict,
-        "entropy": "",
-        "max_period": "",
-        "tower_depth": "",
-        "homoclinic": "",
-        "reason": reason,
-    }
+    return {**dict.fromkeys(ROW_FIELDS, ""), "verdict": verdict, "label": verdict, "reason": reason}
 
 
 def _classify_cell(args) -> tuple[int, list[str], dict, str]:
@@ -243,7 +237,7 @@ def _resume_entries(manifest: Path, config: ScanConfig) -> dict[int, tuple]:
                     )
             row = entry.get("row")
             if "record" not in entry or not (
-                isinstance(row, dict) and all(isinstance(row.get(k), str) for k in CSV_FIELDS[2:])
+                isinstance(row, dict) and all(isinstance(row.get(k), str) for k in ROW_FIELDS)
             ):
                 raise ConstraintViolation(
                     f"{manifest} line {n + 1}: cell {index} lacks its record or a row field"
@@ -324,17 +318,8 @@ def run_scan(config: ScanConfig, resume: bool = False, workers: int = 0) -> Scan
                     f'"w": {json.dumps(w)}}}\n'
                 )
                 journal.flush()
-            cells = [
-                str(index),
-                ";".join(w),
-                row["verdict"],
-                row["label"],
-                row["entropy"],
-                row["max_period"],
-                row["tower_depth"],
-                row["homoclinic"],
-                row["reason"].replace(",", ";"),
-            ]
+            # a comma inside a field would split its column
+            cells = [str(index), ";".join(w), *(row[k].replace(",", ";") for k in ROW_FIELDS)]
             csv.write(",".join(cells) + "\n")
             if want_record:
                 certs.write(f'{{"index": {index}, "record": {record}}}\n')

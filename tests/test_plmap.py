@@ -50,6 +50,26 @@ def test_plateau_caps_composed_lap_count(stunted_tent):
     assert f.compose_self(2).lap_count() == 4
 
 
+@pytest.mark.parametrize(
+    "bps, vals, laps",
+    [
+        # adjacent pieces of one sign but two slopes are one lap
+        ((0, F(1, 2), 1), (0, F(1, 4), 1), 1),
+        ((0, F(1, 2), F(3, 4), 1), (0, F(1, 4), 1, 0), 2),
+        # a flat piece at the start, at the end or at both is no lap
+        ((0, F(1, 4), F(1, 2), 1), (F(1, 4), F(1, 4), F(3, 8), 1), 1),
+        ((0, F(1, 2), F(3, 4), 1), (0, F(1, 4), 1, 1), 1),
+        ((0, F(1, 4), F(3, 4), 1), (F(1, 2), F(1, 2), 1, 1), 1),
+        # and a flat piece between two rises splits them
+        ((0, F(1, 3), F(2, 3), 1), (0, F(1, 2), F(1, 2), 1), 2),
+    ],
+)
+def test_lap_count_merges_same_sign_pieces_and_skips_flat_ones(bps, vals, laps):
+    f = PiecewiseLinearMap(bps, vals)
+    assert f.piece_count == len(bps) - 1  # no two pieces are collinear
+    assert f.lap_count() == laps
+
+
 def test_image_of_interval(tent):
     assert image_of_interval(tent, Ivl(F(2, 7), F(4, 7))) == Ivl(F(4, 7), F(1))
     assert image_of_interval(tent, Ivl(F(0), F(1))) == Ivl(F(0), F(1))

@@ -107,6 +107,15 @@ def test_scan_resume_recomputes_a_torn_last_line(line_config):
     assert open(cfg.certificates_path).read() == certs
     lines = open(cfg.manifest_path).read().splitlines()
     assert sorted(json.loads(s)["index"] for s in lines) == [0, 1, 2, 3]
+    # a crash after a whole last line that is not JSON: it is cut the same way
+    with open(cfg.manifest_path, "w") as fh:
+        fh.write("".join(journal.splitlines(keepends=True)[:3]) + "garbage\n")
+    summary = run_scan(cfg, resume=True)
+    assert (summary.computed, summary.resumed) == (1, 3)
+    assert open(cfg.csv_path).read() == csv
+    assert open(cfg.certificates_path).read() == certs
+    lines = open(cfg.manifest_path).read().splitlines()
+    assert sorted(json.loads(s)["index"] for s in lines) == [0, 1, 2, 3]
 
 
 def test_scan_resume_rejects_a_manifest_of_another_grid(line_config):
@@ -390,6 +399,12 @@ def test_a_tower_step_budget_is_an_inconclusive_row_and_exit_3(tmp_path, capsys)
         (["orbits", "--shape", "+-", "--w", "4/5", "--start", "1/3", "--max-steps", "-1"], None),
         (["orbits", "--shape", "+-", "--w", "1", "--period", "3", "--piece-budget", "0"], None),
         (["orbits", "--shape", "+-", "--w", "1", "--piece-budget", "-1"], None),
+        (["scan", "--config", "start-arity.json"], None),
+        (["scan", "--config", "steps-zero.json"], None),
+        (["scan", "--config", "axes-count.json"], None),
+        (["bisect", "--shape", "+-", "--lo", "4/5", "--hi", "9/10", "--width", "0"], None),
+        # the low end is chaotic
+        (["bisect", "--shape", "+-", "--lo", "9/10", "--hi", "4/5", "--width", "1/1000"], None),
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(argv, budgets, tmp_path, capsys, monkeypatch):
@@ -406,9 +421,13 @@ def test_cli_rejects_bad_input_with_exit_2(argv, budgets, tmp_path, capsys, monk
     grid = {"kind": "line", "start": ["1/2"], "stop": ["1"], "steps": 3}
     output = {"csv": "g.csv", "manifest": "g.jsonl"}
     (tmp_path / "scan.json").write_text(json.dumps({"shape": "+-", "grid": grid, "output": output}))
-    (tmp_path / "steps-fraction.json").write_text(
-        json.dumps({"shape": "+-", "grid": {**grid, "steps": 2.5}, "output": output})
-    )
+    for name, bad in (
+        ("steps-fraction.json", {**grid, "steps": 2.5}),
+        ("start-arity.json", {**grid, "start": ["1/2", "1/2"]}),
+        ("steps-zero.json", {**grid, "steps": 0}),
+        ("axes-count.json", {"kind": "product", "axes": [["1/2"], ["1"]]}),
+    ):
+        (tmp_path / name).write_text(json.dumps({"shape": "+-", "grid": bad, "output": output}))
     if budgets is not None:
         path = tmp_path / "budgets.json"
         path.write_text(json.dumps(budgets))
@@ -500,6 +519,38 @@ def test_cli_scan_resume_of_an_entry_without_its_row_or_record_exits_2(tmp_path,
     error = json.loads(capsys.readouterr().err)
     assert error["kind"] == "ConstraintViolation"
     assert "line 2" in error["error"]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (1, "line 2 is not JSON"),  # only a torn last line is cut
+        (2, "no cell 9 in the config"),
+    ],
+)
+def test_cli_scan_resume_of_a_bad_line_before_the_last_or_of_a_cell_outside_the_config_exits_2(
+    tmp_path, capsys, line, message
+):
+    journal = tmp_path / "g.jsonl"
+    cfg = {
+        "shape": "+-",
+        "grid": {"kind": "line", "start": ["1/2"], "stop": ["1"], "steps": 3},
+        "output": {"csv": str(tmp_path / "g.csv"), "manifest": str(journal)},
+    }
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["scan", "--config", str(path)]) == 0
+    lines = journal.read_text().splitlines()
+    if line == 1:
+        lines[1] = "garbage"
+    else:
+        lines[2] = json.dumps({**json.loads(lines[2]), "index": 9}, sort_keys=True)
+    journal.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["scan", "--config", str(path), "--resume"]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["kind"] == "ConstraintViolation"
+    assert message in error["error"]
 
 
 def test_a_resume_with_certificates_over_a_journal_without_them_writes_a_fresh_runs_bytes(tmp_path):

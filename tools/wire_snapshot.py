@@ -44,6 +44,7 @@ INPUTS = {
     "family-33-40.json": {"shape": "+-", "w": ["33/40"]},
     "budgets-partition-8192.json": {"partition_budget": 8192},
     "budgets-tower-steps.json": {"k": 2, "step_budget": 3},
+    "budgets-tower-depth.json": {"k": 2, "tower_depth": 3},
 }
 
 # realize invocation -> the earlier invocation whose kneading payload it reads
@@ -116,11 +117,17 @@ INVOCATIONS = [
     # the step budget runs out while the tower walks the critical cycle
     ("classify-tower-budget", ["classify", "--shape", "+-", "--w", "823/1000",
                                "--budgets", "budgets-tower-steps.json"]),
+    # the tower stops short of its depth: a cycle period of 4 is not divisible by 8
+    ("classify-tower-depth", ["classify", "--shape", "+-", "--w", "823/1000",
+                              "--budgets", "budgets-tower-depth.json"]),
     ("bisect-refine", ["bisect", "--shape", "+-", "--lo", "4/5", "--hi", "9/10",
                        "--width", "1/1000000000", "--refine-level", "8"]),
     # the = form also runs on older sources, whose parser read -+ as an option
     ("bisect-refine-mirrored", ["bisect", "--shape=-+", "--lo", "1/5", "--hi", "1/10",
                                 "--width", "1/1000000000", "--refine-level", "8"]),
+    # no doubling cell of critical orbit 1 on the bracket: exit 3, the error on stderr
+    ("bisect-refine-no-cell", ["bisect", "--shape", "+-+", "--lo", "4/5,1/5", "--hi", "4/5,3/20",
+                               "--width", "1/1000000000", "--refine-level", "8"]),
     ("theorem1", ["theorem1", "--shape", "+-", "--w", BOUNDARY_W]),
 ]
 
