@@ -17,6 +17,7 @@ witness orbit, and a homoclinic search supplies the second certificate.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from .family import (
     select_lambda_plateaus,
 )
 from .homoclinic import find_homoclinic
-from .kneading import doubling_word, itinerary_cylinder
+from .kneading import Cylinder, doubling_word, itinerary_cylinder
 from .markov import build_markov_system
 from .orbits import (
     complete_period_set,
@@ -308,6 +309,23 @@ class RefinedBoundary(Wire):
     extra_iterations: int
 
 
+def _least_dyadic(cell: Cylinder) -> tuple[int, int]:
+    """(j, e) for the dyadic j/2^e in the cell and in (0, 1) of least e, the
+    first midpoint that halvings of (0, 1) toward the cell reach; its j is the
+    only one at that e, since between two lies an even j, a smaller e. Such
+    j at e stay such at e + 1 as 2j, so e is bisected on their count."""
+    (a, p), (b, q) = cell.lo.as_integer_ratio(), cell.hi.as_integer_ratio()
+
+    def ends(e: int) -> tuple[int, int]:  # the least and the largest such j at e
+        least = max(((a << e) - cell.lo_closed) // p + 1, 1)
+        return least, min(((b << e) - (not cell.hi_closed)) // q, (1 << e) - 1)
+
+    e = bisect_left(range(REFINE_MAX_ITERATIONS + 1), True, key=lambda e: ends(e)[0] <= ends(e)[1])
+    if e > REFINE_MAX_ITERATIONS:
+        raise BudgetExceeded("steps", REFINE_MAX_ITERATIONS)
+    return ends(e)[0], e
+
+
 def refine_to_boundary(
     bracket: BoundaryBracket,
     budgets: Budgets | None = None,
@@ -321,8 +339,9 @@ def refine_to_boundary(
     and so has period 2^L, is one exact interval of t
     (`itinerary_cylinder`). In the first cell that meets 0 < t < 1 the
     point is the dyadic t = j/2^e of least e, the midpoint that e halvings
-    reach first, bracketed by w((j ± 1)/2^e). The full classifier
-    certifies it, or the next level's cell is tried. No orbit is walked.
+    reach first, bracketed by w((j ± 1)/2^e), solved in integers from the
+    cell's ends (`_least_dyadic`). The full classifier certifies it, or the
+    next level's cell is tried. No orbit or halving is walked.
 
     The level sought is max(target_level, k) for the budgets' k, and k when
     target_level is None, and a level L is tried while 2^L is within the
@@ -352,12 +371,8 @@ def refine_to_boundary(
         cell = itinerary_cylinder(shape, lo_w, v, 1, doubling_word(shape, first, level))
         if cell is None or cell.hi <= 0 or cell.lo >= 1:
             continue
-        j, e = 1, 1
-        while (t := Fraction(j, 1 << e)) not in cell:
-            if e == REFINE_MAX_ITERATIONS:
-                raise BudgetExceeded("steps", REFINE_MAX_ITERATIONS)
-            j, e = 2 * j + (1 if t < cell.hi else -1), e + 1
-        mid = at(t)
+        j, e = _least_dyadic(cell)
+        mid = at(Fraction(j, 1 << e))
         record = classify(mid, b)
         if record.verdict == "Boundary2Inf":
             # t is the midpoint of its flanks (j -+ 1)/2^e

@@ -171,8 +171,9 @@ def _conditions(shape: Shape, rows):
     one = (1,) + (0,) * d
     w = [tuple(int(k == j) for k in range(d + 1)) for j in range(1, d + 1)]
 
-    def lin(*terms):
-        return tuple(sum(k * f[i] for k, f in terms) for i in range(d + 1))
+    def lin(first, second=(0, one)):  # a·f + b·g, coordinatewise
+        (a, f), (b, g) = first, second
+        return tuple(a * x + b * y for x, y in zip(f, g))
 
     half = [lin((1, one), (-1, wj)) if s > 0 else wj for s, wj in zip(shape.signs, w)]
     lo = [lin((j, one), (-1, h)) for j, h in enumerate(half, start=1)]
@@ -241,10 +242,12 @@ def itinerary_cylinder(shape: Shape, w0, v, orbit: int, ranks) -> Cylinder | Non
             hn, hm, hi_closed = a, -b, not strict
         elif a * hm == hn * -b and strict:
             hi_closed = False
-    lo, hi = Fraction(ln, lm), Fraction(hn, hm)
-    if lo < hi or (lo == hi and lo_closed and hi_closed):
-        return Cylinder(lo, hi, lo_closed, hi_closed)
-    return None
+        # the ends only move inward: once they cross, or meet at an open end,
+        # no later form reopens the set
+        gap = hn * lm - ln * hm
+        if gap < 0 or (not gap and not (lo_closed and hi_closed)):
+            return None
+    return Cylinder(Fraction(ln, lm), Fraction(hn, hm), lo_closed, hi_closed)
 
 
 def doubling_word(shape: Shape, first: int, level: int) -> tuple[int, ...]:

@@ -26,20 +26,22 @@ StuntedSawtoothMap.walk, and it and the block ends are numerators over den.
 S_w's only interior extrema are its plateaus, and a block's ends map to cycle
 points of the next class, so the successor test checks only the heights of
 the plateaus the block meets, which the ranks of its ends give (step).
-Fraction blocks are built only for a kept level. build_tower is the one walk
-of the cycle: the gap report reads the cycle off the tower.
+A kept level holds its block ends as those numerators and makes no Fraction
+until its blocks are read. build_tower is the one walk of the cycle: the gap
+report reads the cycle off the tower.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import ConstraintViolation, StructureError
 from .family import StuntedSawtoothMap
 from .homoclinic import unstable_manifold
-from .orbits import periodic_orbits
+from .orbits import _reduced, periodic_orbits
 from .plmap import Ivl
 from .rational import Rat, Wire
 
@@ -121,14 +123,33 @@ def gap_fixed_point(m: StuntedSawtoothMap, tower: RenormTower) -> GapFixedPointR
 
 @dataclass(frozen=True)
 class TowerLevel(Wire):
-    """Level n of a tower: the 2^n blocks, in the cycle's residue order."""
+    """Level n of a tower: the 2^n blocks, in the cycle's residue order,
+    block r from lo[r]/den to hi[r]/den. blocks, the Ivls, are made on first
+    read, and equality and hashing read them; to_json writes each end's
+    "p/q" from its integers with one gcd."""
 
     n: int
-    blocks: tuple[Ivl, ...]
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    den: int
+
+    @cached_property
+    def blocks(self) -> tuple[Ivl, ...]:
+        return tuple(Ivl(Fraction(a, self.den), Fraction(b, self.den)) for a, b in zip(self.lo, self.hi))
 
     @property
     def window(self) -> Ivl:
         return self.blocks[0]
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (self.n, self.blocks) == (other.n, other.blocks)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.blocks))
+
+    def to_json(self) -> dict:
+        ends = ["%d/%d" % _reduced(c, self.den) for c in (*self.lo, *self.hi)]
+        return {"n": self.n, "blocks": [{"lo": a, "hi": b} for a, b in zip(ends, ends[len(self.lo):])]}
 
 
 @dataclass(frozen=True)
@@ -186,8 +207,7 @@ def build_tower(
         if escape is not None:
             stop = f"image of block {escape} escapes its successor at level {n}"
             break
-        blocks = tuple(Ivl(Fraction(a, m.den), Fraction(b, m.den)) for a, b in zip(lo, hi))
-        levels.append(TowerLevel(n=n, blocks=blocks))
+        levels.append(TowerLevel(n, tuple(lo), tuple(hi), m.den))
     return RenormTower(levels=tuple(levels), cycle_period=period, stop_reason=stop)
 
 

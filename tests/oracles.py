@@ -5,13 +5,18 @@ literal Fraction routes on a PiecewiseLinearMap and an Ivl, kept apart from
 the package so that nothing in it can come to lean on them. The boundary
 refinement's bisection, which probes midpoints one walk at a time where the
 package solves the doubling cell, is kept here for the same reason, and so
-are the orbit sweep over the whole cell graph, which the package runs class
+are the halving walk to the cell's first dyadic midpoint and the pass over
+every form of an itinerary cylinder, where the package solves the midpoint
+from the cell's ends and stops at the first form that empties the cell, the
+orbit sweep over the whole cell graph, which the package runs class
 by class, the endless sequence of powers, which the package forms one
 block at a time, and the binary adding machine on words, whose step the
 package's tower takes as r -> r + 1 mod 2^n.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -20,6 +25,7 @@ from sawlab import (
     BudgetExceeded,
     Budgets,
     ConstraintViolation,
+    Cylinder,
     DomainError,
     Ivl,
     RefinedBoundary,
@@ -30,6 +36,7 @@ from sawlab import (
 )
 from sawlab.explore import REFINE_MAX_ITERATIONS, _midpoint, _width
 from sawlab.homoclinic import HomoclinicWitness, unstable_manifold
+from sawlab.kneading import _conditions
 from sawlab.markov import build_markov_system
 from sawlab.orbits import _off_partition_orbit, _partition_cycles, _run_product
 
@@ -229,6 +236,48 @@ def refine_by_bisection(
         else:
             hi = mid
     raise BudgetExceeded("steps", REFINE_MAX_ITERATIONS)
+
+
+def least_dyadic_by_halving(cell: Cylinder) -> tuple[int, int]:
+    """(j, e) for the first midpoint j/2^e of the halvings of (0, 1) toward
+    the cell that lies in it, one Fraction probe per halving: the walk that
+    sawlab.explore._least_dyadic solves from the cell's ends. The cell must
+    meet (0, 1); past REFINE_MAX_ITERATIONS halvings it raises
+    BudgetExceeded("steps")."""
+    j, e = 1, 1
+    while (t := Fraction(j, 1 << e)) not in cell:
+        if e == REFINE_MAX_ITERATIONS:
+            raise BudgetExceeded("steps", REFINE_MAX_ITERATIONS)
+        j, e = 2 * j + (1 if t < cell.hi else -1), e + 1
+    return j, e
+
+
+def itinerary_cylinder_by_every_form(shape, w0, v, orbit: int, ranks) -> Cylinder | None:
+    """sawlab.itinerary_cylinder's set from a pass over every one of the
+    kneading forms, empty or not decided only once all are read: the package
+    stops at the first form that empties it. w0 and v are Fractions."""
+    den = lcm(*(x.denominator for x in (*w0, *v)))
+    p, q = ([x.numerator * (den // x.denominator) for x in u] for u in (w0, v))
+    (ln, lm), (hn, hm), lo_closed, hi_closed = (-1, 0), (1, 0), True, True
+    empty = False
+    for (c0, *c), strict in _conditions(shape, [(orbit, tuple(ranks))]):
+        a = c0 * den + sum(map(mul, c, p))
+        b = sum(map(mul, c, q))
+        if not b:
+            empty = empty or a < 0 or (strict and not a)
+        elif b > 0:  # t >= -a/b
+            if -a * lm > ln * b:
+                ln, lm, lo_closed = -a, b, not strict
+            elif -a * lm == ln * b and strict:
+                lo_closed = False
+        elif a * hm < hn * -b:  # t <= a/-b
+            hn, hm, hi_closed = a, -b, not strict
+        elif a * hm == hn * -b and strict:
+            hi_closed = False
+    lo, hi = Fraction(ln, lm), Fraction(hn, hm)
+    if not empty and (lo < hi or (lo == hi and lo_closed and hi_closed)):
+        return Cylinder(lo, hi, lo_closed, hi_closed)
+    return None
 
 
 def walk_powers(runs):

@@ -7,10 +7,14 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sawlab import (
+    BudgetExceeded,
     Budgets,
     ConstraintViolation,
+    Cylinder,
     Ivl,
     PiecewiseLinearMap,
     Shape,
@@ -338,10 +342,16 @@ def test_refine_takes_the_point_of_the_first_cell_not_the_first_deep_midpoint():
     assert solved.record.label == bisected.record.label == "Boundary2Inf(3)"
 
 
-@pytest.mark.parametrize("lo, hi", [(("4/5", "1/5"), ("4/5", "3/20")), (("9/10", "1/2"), ("9/10", "7/20"))])
+@pytest.mark.parametrize("lo, hi", [
+    (("4/5", "1/5"), ("4/5", "3/20")),
+    (("9/10", "1/2"), ("9/10", "7/20")),
+    (("7/10", "1/5"), ("7/10", "3/20")),
+])
 def test_refine_names_the_orbit_and_levels_when_no_doubling_cell_is_certified(lo, hi):
-    # +-+ lines that move only w_2, where critical orbit 2 doubles: orbit 1's
-    # words certify no cell at levels 8 to 19, and no budget ran out
+    # +-+ lines that move only w_2: on the first two critical orbit 2
+    # doubles, on the third w_1 lies on plateau 2; orbit 1's words certify no
+    # cell at levels 8 to 19, and no budget ran out. On the third every
+    # level's cell is empty, and each is refused at its first crossing form
     shape = Shape.from_string("+-+")
     bracket = bisect_boundary(shape, [F(x) for x in lo], [F(x) for x in hi], F(1, 10**9))
     assert (bracket.lo_record.label, bracket.hi_record.label) == ("Finite(16)", "Chaotic")
@@ -350,6 +360,46 @@ def test_refine_names_the_orbit_and_levels_when_no_doubling_cell_is_certified(lo
     assert str(e.value) == (
         "no doubling cell of critical orbit 1 on the bracket is Boundary2Inf; tried levels 8 to 19"
     )
+
+
+@st.composite
+def _cells(draw):
+    """A Cylinder that meets (0, 1): each end open or closed, point cells,
+    cells that reach past 0 or past 1, widths down to 2^-200, and ends with
+    denominators up to 2^256."""
+    q = draw(st.integers(1, 1 << 256))
+    x = F(draw(st.integers(0, q)), q)
+    width = F(draw(st.integers(0, 1 << 16)), 1 << (16 + draw(st.integers(0, 200))))
+    lo, hi = draw(st.sampled_from([(x, x + width), (-x, width), (1 - width, 1 + x)]))
+    closed = (True, True) if lo == hi else (draw(st.booleans()), draw(st.booleans()))
+    assume(hi > 0 and lo < 1 and lo <= hi)
+    return Cylinder(lo, hi, *closed)
+
+
+def _least_dyadic_or_refusal(solve, cell):
+    try:
+        return solve(cell)
+    except BudgetExceeded as e:
+        return e.kind, e.limit
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cells())
+def test_the_least_dyadic_of_a_cell_is_the_midpoint_the_halvings_reach(cell):
+    # a point cell off the dyadics has none, and both routes refuse it
+    solved = _least_dyadic_or_refusal(explore._least_dyadic, cell)
+    assert solved == _least_dyadic_or_refusal(oracles.least_dyadic_by_halving, cell)
+    j, e = solved
+    assert (j, e) == ("steps", 3000) or (j % 2 == 1 and F(j, 1 << e) in cell)
+
+
+def test_a_cell_with_no_dyadic_in_the_exponent_budget_is_refused_by_both_routes():
+    # every j/2^e with e <= 3000 lies at least 2^-e/3 from 1/3
+    cell = Cylinder(F(1, 3), F(1, 3) + F(1, 1 << 3200), False, False)
+    for solve in (explore._least_dyadic, oracles.least_dyadic_by_halving):
+        with pytest.raises(BudgetExceeded) as e:
+            solve(cell)
+        assert (e.value.kind, e.value.limit) == ("steps", explore.REFINE_MAX_ITERATIONS) == ("steps", 3000)
 
 
 @pytest.mark.parametrize("lo", ["1/2", "3/5"])

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sawlab import (
@@ -22,6 +22,7 @@ from sawlab import (
 )
 from sawlab import kneading as kneading_module
 
+import oracles
 from test_renorm import _thue_morse_height
 
 
@@ -321,6 +322,50 @@ def test_itinerary_cylinder_ends_agree_with_probes(line):
         assert outside != ranks
         at_end = _probe(shape, w, v, orbit, end, depth)
         assert (at_end == ranks) == closed
+
+
+@st.composite
+def _rank_words(draw):
+    """A +-+, -+- or +-+- line through heights in [0, 1], admissible or not,
+    and a rank word whose first `cut` letters are a member's own ranks, for
+    half of the admissible members all of them."""
+    word = draw(st.sampled_from(["+-+", "-+-", "+-+-"]))
+    shape = Shape.from_string(word)
+    d = shape.d
+    w0 = [F(draw(st.integers(0, 200)), 200) for _ in range(d)]
+    v = [F(draw(st.integers(-6, 6)), draw(st.integers(1, 4))) for _ in range(d)]
+    assume(any(v))
+    orbit = draw(st.integers(1, d))
+    ranks = draw(st.lists(st.integers(0, 2 * d), max_size=24))
+    try:
+        m = StuntedSawtoothMap(shape, w0)
+    except ConstraintViolation:
+        return word, w0, v, orbit, ranks
+    cut = len(ranks) if draw(st.booleans()) else draw(st.integers(0, len(ranks)))
+    ranks[:cut] = m.ranks(m.heights[orbit - 1], cut) if cut else ()
+    return word, w0, v, orbit, ranks
+
+
+def test_an_itinerary_cylinder_is_the_set_that_every_form_gives():
+    cells = []
+
+    # the random draw meets few point cells, so two are drawn explicitly
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @example(case=("+-+", [F(3, 5), F(1, 5)], [F(1), F(0)], 1, [3, 1] * 4))
+    @example(case=("+-+-", [F(1, 10), F(0), F(1, 2)], [F(0), F(0), F(1)], 3, [3] + [0] * 7))
+    @given(case=_rank_words())
+    def check(case):
+        word, w0, v, orbit, ranks = case
+        shape = Shape.from_string(word)
+        cell = itinerary_cylinder(shape, w0, v, orbit, ranks)
+        assert cell == oracles.itinerary_cylinder_by_every_form(shape, w0, v, orbit, ranks)
+        cells.append(cell)
+
+    check()
+    # empty cells, points, and intervals with an open end all occur
+    assert any(c is None for c in cells)
+    assert any(c is not None and c.lo == c.hi for c in cells)
+    assert any(c is not None and c.lo < c.hi and not (c.lo_closed and c.hi_closed) for c in cells)
 
 
 def _feigenbaum_word(level):

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction as F
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -22,7 +23,7 @@ from sawlab import (
     semiconjugacy_check,
 )
 from sawlab.cli import main
-from sawlab.rational import format_rat
+from sawlab.rational import format_rat, to_wire
 from sawlab.renorm import _first_overlap
 
 from oracles import (
@@ -101,7 +102,12 @@ def _fraction_tower(m, max_depth):
         if escape is not None:
             stop = f"image of block {escape} escapes its successor at level {n}"
             break
-        levels.append(TowerLevel(n=n, blocks=tuple(blocks)))
+        # the Fraction blocks as TowerLevel holds them: numerators over one
+        # common denominator of their ends
+        den = lcm(*(x.denominator for b in blocks for x in (b.lo, b.hi)))
+        lo, hi = ([x.numerator * (den // x.denominator) for x in side]
+                  for side in ([b.lo for b in blocks], [b.hi for b in blocks]))
+        levels.append(TowerLevel(n, tuple(lo), tuple(hi), den))
     return RenormTower(levels=tuple(levels), cycle_period=rec.period, stop_reason=stop)
 
 
@@ -255,6 +261,39 @@ def test_tower_blocks_certify_the_windows_at_the_doubling_boundary(stunted_tent,
     assert tower.depth >= 1
     assert tower == _fraction_tower(m, 8)
     _assert_windows_certified(m, tower)
+
+
+@pytest.mark.parametrize("w", [BOUNDARY_W, *(_thue_morse_height(L) for L in range(2, 9))])
+def test_tower_json_is_the_fraction_routes_byte_for_byte(stunted_tent, w):
+    # the Fraction route encodes each block's Fraction ends through to_wire
+    tower, ref = build_tower(stunted_tent(w), max_depth=8), _fraction_tower(stunted_tent(w), 8)
+    levels = [{"n": level.n, "blocks": to_wire(level.blocks)} for level in ref.levels]
+    wire = {"levels": levels, "cycle_period": ref.cycle_period, "stop_reason": ref.stop_reason,
+            "depth": ref.depth}
+    assert json.dumps(tower.to_json()) == json.dumps(wire)
+
+
+def test_a_tower_stays_in_integers_until_its_blocks_are_read(stunted_tent, monkeypatch):
+    m = stunted_tent(BOUNDARY_W)
+    made = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    tower = build_tower(m)
+    text = json.dumps(tower.to_json())
+    assert tower.depth == 6 and made == []
+    assert not any("blocks" in vars(level) for level in tower.levels)
+    # the Ivls are made on first read, once per level
+    windows = [level.window for level in tower.levels]
+    first = len(made)
+    assert first and all("blocks" in vars(level) for level in tower.levels)
+    assert [level.blocks[0] for level in tower.levels] == windows and len(made) == first
+    monkeypatch.undo()
+    assert text == json.dumps(_fraction_tower(m, 6).to_json())
 
 
 @pytest.mark.parametrize("L", range(2, 9))

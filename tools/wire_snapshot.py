@@ -128,6 +128,12 @@ INVOCATIONS = [
     # no doubling cell of critical orbit 1 on the bracket: exit 3, the error on stderr
     ("bisect-refine-no-cell", ["bisect", "--shape", "+-+", "--lo", "4/5,1/5", "--hi", "4/5,3/20",
                                "--width", "1/1000000000", "--refine-level", "8"]),
+    # w_1 on plateau 2, so the superstable cycles pass through both plateaus:
+    # no orbit-1 word has a cell past level 2, and each level's empty cell is
+    # refused at the first form that empties it
+    ("bisect-refine-two-plateaus", ["bisect", "--shape", "+-+", "--lo", "7/10,1/5", "--hi",
+                                    "7/10,3/20", "--width", "1/1000000000",
+                                    "--refine-level", "8"]),
     ("theorem1", ["theorem1", "--shape", "+-", "--w", BOUNDARY_W]),
 ]
 
