@@ -4,7 +4,8 @@ markov: exact partition, spectral radius of the transition matrix. The
 sharp answer whenever the breakpoint orbits close, and a proven one: lower
 and upper are the logs of the radius's exact rational bracket (exact when no
 recurrent class branches, Collatz-Wielandt bounds otherwise), rounded
-outward. The value is the float eigensolver's, clamped into that bracket.
+outward. The value is the power iteration's float root, clamped into that
+bracket.
 Both exact routes list class_periods, the period of each branching class.
 
 lap: the growth rate of the lap counts l_n of the iterates f^n, which is e^h
@@ -26,12 +27,14 @@ into the bracket, as on the Markov route.
 
 bowen: greedy (n, eps)-separated sets on a float grid. Purely numeric,
 deliberately independent of the exact machinery; used to cross-check the
-other two, never to certify. The greedy scan blocks forward: each kept orbit
-marks the later grid orbits within eps of it, looking only eps to the right
-of it on the grid, and the scan jumps to the next unmarked one. A value of
-0.0 means no three-step growth plateau showed below the count cap, not zero
-entropy: on strongly expanding maps the counts reach the cap within a few
-steps (the full +-+- sawtooth, whose entropy is log 4, reads 0.0).
+other two, never to certify. It is the one route on numpy arrays, and it
+imports numpy when it runs, so the package loads no numpy until then. The
+greedy scan blocks forward: each kept orbit marks the later grid orbits
+within eps of it, looking only eps to the right of it on the grid, and the
+scan jumps to the next unmarked one. A value of 0.0 means no three-step
+growth plateau showed below the count cap, not zero entropy: on strongly
+expanding maps the counts reach the cap within a few steps (the full +-+-
+sawtooth, whose entropy is log 4, reads 0.0).
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, ConstraintViolation
 from .markov import (
@@ -53,6 +55,9 @@ from .markov import (
 )
 from .plmap import PiecewiseLinearMap, _sign_runs
 from .rational import Wire, float_down, float_up, format_rat
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # entropy_bowen's float grid, its separation scales and its longest orbit
 BOWEN_GRID = 8192
@@ -214,6 +219,8 @@ def entropy_lap(
 
 def _grid_orbits(f: PiecewiseLinearMap, n_max: int, grid: int) -> np.ndarray:
     """traj[t] = f^t in floats on the ascending grid of grid + 1 points, t < n_max."""
+    import numpy as np  # the Bowen route alone needs numpy
+
     bps = np.array([float(b) for b in f.breakpoints])
     vals = np.array([float(v) for v in f.values])
     traj = np.empty((n_max, grid + 1))
@@ -239,6 +246,8 @@ def _separated_counts(traj: np.ndarray, eps: float, cap: int) -> list[int]:
     orbit k, and orbit ends[k] is still free: the next kept orbit is the
     first free one in k+1..ends[k].
     """
+    import numpy as np
+
     n_max, npts = traj.shape
     xs = traj[0]
     ends = np.minimum(np.searchsorted(xs, xs + eps, "right") + 2, npts)

@@ -273,8 +273,8 @@ def bisect_boundary(
     """Shrink a zero-entropy/positive-entropy bracket to the target width.
 
     Midpoints are discriminated by the exact entropy sign alone, read from
-    the Markov graph (some recurrent class branches), so a probe runs no
-    eigensolver; the sign split is the Finite/non-Finite split being
+    the Markov graph (some recurrent class branches), so a probe solves no
+    Perron root; the sign split is the Finite/non-Finite split being
     bracketed. The final flanks get full classifications. Endpoints stay
     exact rationals throughout, so the bracket can be refined again later.
     """

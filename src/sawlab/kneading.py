@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 from .errors import ConstraintViolation, KneadingNotRealizable
@@ -213,9 +213,9 @@ def itinerary_cylinder(shape: Shape, w0, v, orbit: int, ranks) -> Cylinder | Non
     0 <= w_j <= 1 is closed, one set by a gap or by the pair order open."""
     if type(orbit) is not int or not 1 <= orbit <= shape.d:
         raise ConstraintViolation(f"no critical orbit {orbit!r}")
-    ranks = tuple(ranks)
-    if not all(type(r) is int and 0 <= r <= 2 * shape.d for r in ranks):
-        raise ConstraintViolation(f"ranks must be integers in 0..{2 * shape.d}")
+    ranks, top = tuple(ranks), 2 * shape.d
+    if not all(type(r) is int and 0 <= r <= top for r in ranks):
+        raise ConstraintViolation(f"ranks must be integers in 0..{top}")
     w0, v = tuple(Fraction(x) for x in w0), tuple(Fraction(x) for x in v)
     if len(w0) != shape.d or len(v) != shape.d:
         raise ConstraintViolation(f"need {shape.d} heights and {shape.d} direction coordinates")
@@ -255,14 +255,17 @@ def doubling_word(shape: Shape, first: int, level: int) -> tuple[int, ...]:
     K_1 = (first, 1), and K_{L+1} = A·x·A·1 with A the word K_L without its
     final plateau hit and x the gap beside plateau 1, rank 0 or 2, for which
     A·x reverses orientation (the ⋆-product with RC, Derrida, Gervois and
-    Pomeau 1978)."""
+    Pomeau 1978). Then par(A·x·A) = par(x) = -par(A), and the gaps 0 and 2
+    have opposite parities in an alternating shape, so x is taken once from
+    K_1 and alternates from level to level."""
     if level < 1:
         raise ConstraintViolation(f"level must be >= 1, got {level}")
     word = (first, 1)
+    x = 0 if _parity(shape, first) * _parity(shape, 0) < 0 else 2
     for _ in range(level - 1):
         a = word[:-1]
-        x = 0 if prod(_parity(shape, r) for r in (*a, 0)) < 0 else 2
         word = (*a, x, *a, 1)
+        x = 2 - x
     return word
 
 

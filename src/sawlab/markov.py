@@ -9,10 +9,11 @@ sorted into bare cycles and branching classes, and each branching class's
 period is taken, once per combinatorial type (below). The spectral radius
 comes with a proven rational bracket: exact 1 or 0 when no class branches,
 Collatz-Wielandt bounds in integer arithmetic on each branching class
-otherwise. No power iteration runs. The float Perron vector behind the
-bounds comes from one cyclic class of each branching class: the eigensolve
-runs on the class's p-step path counts there, p its period, and the vector
-is lifted to the other p - 1 cyclic classes along the graph.
+otherwise. The float Perron vector behind the bounds comes from one cyclic
+class of each branching class: power iteration runs on the class's p-step
+path counts there, p its period, through the successor lists without
+forming them, and the vector is lifted to the other p - 1 cyclic classes
+along the graph.
 
 Building P is orbit closure of the breakpoints; for this package's maps that
 terminates fast because plateau hits collapse denominators, but the builder is
@@ -72,10 +73,8 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, ldexp, log2
+from math import gcd, inf, lcm, ldexp, log2
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import BudgetExceeded, StructureError
 from .plmap import PiecewiseLinearMap
@@ -300,56 +299,62 @@ def spectral_radius(succ: Sequence[Sequence[int]], rec: Recurrence) -> tuple[flo
 
     The radius is the largest over the recurrent classes. A bare cycle
     contributes exactly 1 and a transient singleton 0, so when no class
-    branches the radius is exact and no float is touched (the dense
-    eigensolver returns 1 +- 1e-8 on such matrices). So rho > 1, positive
-    entropy, exactly when some class branches: the sign needs no radius, and
-    classify reads it from recurrence.branching. A branching class C
-    contributes its Perron root, bracketed by Collatz-Wielandt: for every
-    positive vector v, min (Cv)_i/v_i <= rho(C) <= max (Cv)_i/v_i. Here v is
-    a float Perron vector of C rounded to integers, so both ends are exact
-    rationals from integer arithmetic and the bracket holds whatever error
-    the float vector carries; that error only widens it. The float vector
-    comes from an eigensolve on one cyclic class of C (see _perron_bracket),
-    which is C itself when C is primitive.
+    branches the radius is exact and no float is touched. So rho > 1,
+    positive entropy, exactly when some class branches: the sign needs no
+    radius, and classify reads it from recurrence.branching. A branching
+    class C contributes its Perron root, bracketed by Collatz-Wielandt: for
+    every positive vector v, min (Cv)_i/v_i <= rho(C) <= max (Cv)_i/v_i.
+    Here v is a float Perron vector of C rounded to integers, so both ends
+    are exact rationals from integer arithmetic and the bracket holds
+    whatever error the float vector carries; that error only widens it. The
+    float vector comes from power iteration through the successor lists on
+    one cyclic class of C (see _perron_bracket), which is C itself when C is
+    primitive.
 
     The returned float is the largest float Perron root over the branching
-    classes, from the eigensolve that gave each class its vector, clamped
-    into the bracket: on a defective double root it can land 1e-8 outside.
-    The diagnostics give the bracket as Fractions, rho_lower and rho_upper,
-    and class_periods, the period of each branching class in
-    rec.branching order. No power iteration runs; power_iterations stays in
-    the diagnostics at 0 for the benchmark's tracer, which counts it.
+    classes, from the power iteration that gave each class its vector,
+    clamped into the bracket. The diagnostics give the bracket as
+    Fractions, rho_lower and rho_upper; class_periods, the period of each
+    branching class in rec.branching order; and power_iterations, the most
+    steps any class's iteration took (0 when no class branches), at most
+    PERRON_MAX_STEPS.
     """
-    periods = []
+    periods, steps = [], 0
     if not any(succ):
         method, lo, hi = "empty", Fraction(0), Fraction(0)
     elif not rec.branching:
         method = "bare-cycles"
         lo = hi = Fraction(1 if rec.cycles else 0)
     else:
-        method = "cyclic-eig+collatz-wielandt"
+        method = "cyclic-power+collatz-wielandt"
         brackets = [_perron_bracket(succ, comp, p) for comp, p in zip(rec.branching, rec.periods)]
         lo = max(b[0] for b in brackets)
         hi = max(b[1] for b in brackets)
         root = max(b[2] for b in brackets)
+        steps = max(b[3] for b in brackets)
         periods = list(rec.periods)
     # lo < hi only on the branching route, which set root
     rho = float(lo) if lo == hi else min(max(root, float_down(lo)), float_up(hi))
     return rho, {
         "method": method,
-        "power_iterations": 0,
+        "power_iterations": steps,
         "rho_lower": lo,
         "rho_upper": hi,
         "class_periods": periods,
     }
 
 
+# the power iteration's stop rule (_perron_bracket)
+PERRON_SPREAD = 2.0**-50
+PERRON_MAX_STEPS = 10_000
+
+
 def _perron_bracket(
     succ: Sequence[Sequence[int]], comp: tuple[int, ...], p: int
-) -> tuple[Fraction, Fraction, float]:
+) -> tuple[Fraction, Fraction, float, int]:
     """Collatz-Wielandt bounds on the Perron root of one irreducible class
-    of a graph of period p (recurrent_classes gives it), and the float root
-    they bracket.
+    of a graph of period p (recurrent_classes gives it), the float root
+    they bracket, and the power iteration's step count.
 
     An irreducible matrix A of period p permutes p cyclic classes
     V_0 .. V_(p-1): V_r holds the members whose BFS level from comp[0] is
@@ -357,10 +362,19 @@ def _perron_bracket(
     path counts from V_0 to V_0 form B = A_01 A_12 ... A_(p-1)0, which is
     primitive with Perron root rho^p, and rho's Perron vector is
     A_(r,r+1) v_(r+1) / rho on V_r (Frobenius; Gantmacher, The Theory of
-    Matrices II, ch. XIII). So the float eigensolve runs on B alone, and its
-    vector is lifted class by class along the successor lists. For p = 1, B
-    is the class block. Near the boundary of chaos the chaotic class is 2^n
-    bands that f permutes, and this is h(f) = h(f^(2^n) on a band) / 2^n.
+    Matrices II, ch. XIII). So power iteration runs on B, never formed: a
+    step carries the vector on V_0 back through V_(p-1) .. V_1 to V_0 along
+    the successor lists, scales each cyclic class to peak 1 and sums the
+    log2 of the scales, which is log2 rho^p once the vector settles. The
+    scaling keeps B's entries, which grow like rho^p, out of the floats, and
+    an exact root such as 2 stays exact. For p = 1, B is the class block.
+    Near the boundary of chaos the chaotic class is 2^n bands that f
+    permutes, and this is h(f) = h(f^(2^n) on a band) / 2^n.
+
+    The spread of a step is max/min - 1 of the ratios (Bx)_i / x_i. The
+    Collatz-Wielandt ends can stand still for many steps before they close
+    in, so the iteration stops when the spread is at most PERRON_SPREAD,
+    after |V_0| + 8 steps with no new least spread, or at PERRON_MAX_STEPS.
     """
     pos = {v: j for j, v in enumerate(comp)}
     inside = [[pos[u] for u in succ[v] if u in pos] for v in comp]
@@ -369,28 +383,31 @@ def _perron_bracket(
     for j in range(len(comp)):
         cyclic[level[j] % p].append(j)
     base = cyclic[0]
-    rows = []
-    for x in base:
-        paths = {x: 1}
-        for _ in range(p):
-            nxt: dict[int, int] = {}
-            for v, n in paths.items():
-                for u in inside[v]:
-                    nxt[u] = nxt.get(u, 0) + n
-            paths = nxt
-        rows.append([paths.get(y, 0) for y in base])
-    # B's entries grow like rho^p; dividing by 2**shift keeps them finite
-    # floats, and a class whose entries fit 53 bits goes to eig unscaled
-    shift = max(0, max(map(max, rows)).bit_length() - 53)
-    b = [[n / (1 << shift) for n in row] for row in rows]
-    vals, vecs = np.linalg.eig(np.array(b))
-    top = np.argmax(vals.real)
-    rho_b = float(vals.real[top])
-    # rho_b * 2**shift need not be a float, so a scaled root goes through log2
-    root = 2 ** ((log2(rho_b) + shift) / p) if shift else rho_b ** (1 / p)
-    v = [0.0] * len(comp)
-    for j, x in zip(base, np.abs(vecs[:, top].real).tolist()):
-        v[j] = x
+    v = [1.0] * len(comp)
+    at = v.__getitem__
+    # V_(p-1) reads V_0, then each class the one after it, V_0 last
+    order = [(cyclic[r], [inside[w] for w in cyclic[r]]) for r in range(p - 1, -1, -1)]
+    best, stall, steps = inf, 0, 0
+    while steps < PERRON_MAX_STEPS and stall < len(base) + 8:
+        steps += 1
+        x = [v[j] for j in base]
+        scale = 0.0
+        for members, rows in order:
+            sums = [sum(map(at, row)) for row in rows]
+            peak = max(sums)
+            for w, y in zip(members, sums):
+                v[w] = y / peak
+            scale += log2(peak)
+        ratios = [v[j] / a for j, a in zip(base, x)] if min(x) > 0 else [0.0]
+        least = min(ratios)
+        spread = max(ratios) / least - 1 if least > 0 else inf
+        if spread <= PERRON_SPREAD:
+            break
+        if spread < best:
+            best, stall = spread, 0
+        else:
+            stall += 1
+    root = 2 ** (scale / p)
     # V_(p-1) reads V_0, then each class the one after it
     for r in range(p - 1, 0, -1):
         for w in cyclic[r]:
@@ -411,7 +428,7 @@ def _perron_bracket(
             lo = (av, x)
         elif av * hi[1] > hi[0] * x:
             hi = (av, x)
-    return Fraction(*lo), Fraction(*hi), root
+    return Fraction(*lo), Fraction(*hi), root, steps
 
 
 def _components(succ: Sequence[Sequence[int]]) -> list[list[int]]:

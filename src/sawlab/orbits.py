@@ -393,22 +393,29 @@ class _Block:
     A_C holds every walk of length n inside C, since a closed walk never
     leaves its class, and A_C^n = A_C @ A_C^(n-1) goes through the runs
     (_run_product): O(k^2) for k members where a dense product costs
-    O(k^3), and Python integers keep every entry exact at any size.
+    O(k^3), and Python integers keep every entry exact at any size. The
+    zeroth power, the k x k identity, is formed by the first trace: a class
+    whose period passes every sweep's n_max is never powered, and holds no
+    k^2 table.
     """
 
     def __init__(self, successors: Sequence[range], members: list[int], d: int):
-        k = len(members)
         self.members, self.d = members, d
         self.runs = _class_runs(successors, members)
-        self.power = [[int(u == s) for u in range(k)] for s in range(k)]
-        self.bits = [1 << u for u in range(k)]
-        self.back, self.traces = [self.bits], [k]
+        self.back: list[list[int]] = []
+        self.traces: list[int] = []
 
     def trace(self, n: int) -> int:
         """trace(A_C^n), the block powered to n first. Each power is stored
         only once it is whole, so a sweep cut off inside a product (by an
         interrupt, say) leaves the block, which every graph of its type
         shares, as it was."""
+        if not self.back:
+            k = len(self.members)
+            self.power = [[int(u == s) for u in range(k)] for s in range(k)]
+            self.bits = [1 << u for u in range(k)]
+            self.traces = [k]
+            self.back = [self.bits]
         while len(self.back) <= n:
             power = _run_product(self.runs, self.power)
             back = [sum(compress(self.bits, col)) for col in power]

@@ -86,6 +86,13 @@ class ScanConfig:
                     cells = [c + (v,) for c in cells for v in axis]
             else:
                 raise ConstraintViolation(f"unknown grid kind {kind!r}")
+            # a height too long to write as text would end the scan mid-run
+            for index, cell in enumerate(cells):
+                try:
+                    for x in cell:
+                        format_rat(x)
+                except ValueError:
+                    raise ConstraintViolation(f"cell {index} has a height too long to write") from None
             out = obj["output"]
             certificates = out.get("certificates")
             paths = (out["csv"], out["manifest"], "" if certificates is None else certificates)

@@ -8,14 +8,15 @@ package solves the doubling cell, is kept here for the same reason, and so
 are the halving walk to the cell's first dyadic midpoint and the pass over
 every form of an itinerary cylinder, where the package solves the midpoint
 from the cell's ends and stops at the first form that empties the cell, the
-orbit sweep over the whole cell graph, which the package runs class
+doubling word's gap from the parity of the whole word, which the package
+alternates, the orbit sweep over the whole cell graph, which the package runs class
 by class, the endless sequence of powers, which the package forms one
 block at a time, and the binary adding machine on words, whose step the
 package's tower takes as r -> r + 1 mod 2^n.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 import numpy as np
@@ -36,7 +37,7 @@ from sawlab import (
 )
 from sawlab.explore import REFINE_MAX_ITERATIONS, _midpoint, _width
 from sawlab.homoclinic import HomoclinicWitness, unstable_manifold
-from sawlab.kneading import _conditions
+from sawlab.kneading import _conditions, _parity
 from sawlab.markov import build_markov_system
 from sawlab.orbits import _off_partition_orbit, _partition_cycles, _run_product
 
@@ -278,6 +279,19 @@ def itinerary_cylinder_by_every_form(shape, w0, v, orbit: int, ranks) -> Cylinde
     if not empty and (lo < hi or (lo == hi and lo_closed and hi_closed)):
         return Cylinder(lo, hi, lo_closed, hi_closed)
     return None
+
+
+def doubling_word_by_parity_product(shape, first: int, level: int) -> tuple[int, ...]:
+    """sawlab.doubling_word with each level's gap x read from the product of
+    the parities over the whole word A·0: x = 0 when A·0 reverses
+    orientation, else 2. The package takes x once from K_1 and alternates
+    it."""
+    word = (first, 1)
+    for _ in range(level - 1):
+        a = word[:-1]
+        x = 0 if prod(_parity(shape, r) for r in (*a, 0)) < 0 else 2
+        word = (*a, x, *a, 1)
+    return word
 
 
 def walk_powers(runs):

@@ -1,4 +1,5 @@
-"""Every name a sawlab module imports is used in that module.
+"""Every name a sawlab module imports is used in that module, and importing
+the package loads no numpy.
 
 A static pass over the source with the standard library's ast: no linter is
 assumed. The package __init__ is exempt, because it imports names to export
@@ -6,6 +7,9 @@ them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +65,12 @@ def test_the_pass_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_importing_sawlab_loads_no_numpy():
+    # numpy serves the Bowen route alone, which imports it when it runs
+    src = str(Path(sawlab.__file__).parent.parent)
+    code = "import sys, sawlab, sawlab.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout == "False\n"

@@ -398,6 +398,18 @@ def test_tent_doubling_cells_hold_the_thue_morse_heights_and_tile_the_cascade(te
         assert cell.hi == deeper.lo and cell.hi_closed != deeper.lo_closed
 
 
+def test_the_alternating_gap_spells_the_parity_products_doubling_words():
+    # par(A·x·A) = par(x) = -par(A): on every shape of up to four laps, from
+    # every first rank, the alternating gap gives the words the product of
+    # the parities over the whole word gives
+    for word in ("+-", "-+", "+-+", "-+-", "+-+-", "-+-+"):
+        shape = Shape.from_string(word)
+        for first in range(2 * shape.d + 1):
+            for level in range(1, 15):
+                expected = oracles.doubling_word_by_parity_product(shape, first, level)
+                assert doubling_word(shape, first, level) == expected, (word, first, level)
+
+
 def test_a_doubling_word_needs_a_level_of_at_least_1(tent_shape):
     with pytest.raises(ConstraintViolation):
         doubling_word(tent_shape, 2, 0)

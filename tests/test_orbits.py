@@ -42,6 +42,7 @@ from sawlab.orbits import (
 from sawlab.rational import format_rat
 
 from oracles import iterate, plateaus, walk_powers as _walk_powers, whole_graph_walk_orbits
+from test_renorm import _thue_morse_height
 
 
 def test_fixed_points_of_stunted_tent(stunted_tent):
@@ -372,6 +373,22 @@ def test_the_flank_sweeps_form_no_power_of_its_chaotic_class(monkeypatch):
     period_set(f, 16, piece_budget=50_000, stop_on_non_power_of_two=True)
     find_homoclinic(f)
     assert [r for r in rows if r >= 128] == []
+
+
+def test_classifying_a_chaotic_flank_leaves_its_block_unpowered():
+    # the Chaotic flank x_8 + 2^(1 - 2^8): its one branching class has
+    # period 64, past the sweeps' n_max of 16, so no trace is taken and
+    # the block holds no identity, only its runs
+    m = StuntedSawtoothMap(Shape.from_string("+-"), [_thue_morse_height(8) + F(2) ** (1 - 2**8)])
+    build_markov_system.cache_clear()
+    _combinatorics.cache_clear()
+    assert classify(m).verdict == "Chaotic"
+    comb = build_markov_system(m.map, 4096).combinatorics
+    assert comb.recurrence.periods == (64,)
+    assert "walks" in vars(comb)  # the sweeps read the type's counts
+    (block,) = comb.walks.blocks
+    assert block.back == [] and block.traces == []
+    assert not hasattr(block, "power") and not hasattr(block, "bits")
 
 
 def test_a_chaotic_classify_forms_each_block_power_once(monkeypatch):

@@ -124,10 +124,8 @@ CHAOTIC_FLANK = F(
 )
 
 
-# a partition budget that keeps each draw to milliseconds (the Perron
-# eigensolve of a class of thousands of cells takes about a second) and
-# admits the 260 points of BOUNDARY_W
-POINTS = 320
+# the default partition budget, 4,096 points
+POINTS = Budgets().partition_budget
 
 
 @settings(

@@ -774,6 +774,25 @@ def test_cli_scan_exits_2_when_two_outputs_name_one_file(tmp_path, capsys, monke
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_cli_scan_exits_2_on_a_cell_too_long_to_write_before_any_file(tmp_path, capsys, monkeypatch):
+    # the ends have 4,299-digit denominators, which write as text; the
+    # midpoint's denominator is their product, past Python's 4,300-digit
+    # limit on integer text, so cell 1 has no CSV row to write
+    lo, hi = (Fraction(4, 5) + Fraction(1, 10**4298 + k) for k in (1, 3))
+    path = tmp_path / "scan.json"
+    grid = {"kind": "line", "start": [f"{lo.numerator}/{lo.denominator}"],
+            "stop": [f"{hi.numerator}/{hi.denominator}"], "steps": 3}
+    output = {"csv": str(tmp_path / "g.csv"), "manifest": str(tmp_path / "g.jsonl")}
+    path.write_text(json.dumps({"shape": "+-", "grid": grid, "output": output}))
+    calls = _counting_classify(monkeypatch)
+    assert main(["scan", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)
+    assert error == {"error": "cell 1 has a height too long to write", "kind": "ConstraintViolation"}
+    assert captured.out == "" and calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json"]
+
+
 def test_an_interrupted_scan_leaves_none_of_the_last_runs_rows(line_config, monkeypatch):
     cfg = line_config(8)
     run_scan(cfg)
